@@ -22,10 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .burnside import MarkTable, NotIntegral, build_mark_table, solve_membership
-from .groups import GroupTable, as_prime_power, divisors, is_cyclic_group
+from .groups import (
+    GroupTable,
+    as_prime_power,
+    divisors,
+    is_cyclic_group,
+    p_part,
+    prime_factors,
+)
 from .lattice import (
     SubgroupLattice,
     centralizer,
@@ -34,7 +41,6 @@ from .lattice import (
     enumerate_subgroups,
     is_normal_in,
     mask_elements,
-    quotient_group,
     subgroup_from_mask,
 )
 
@@ -75,39 +81,22 @@ def family_label(family: Family) -> str:
     return "classes:" + ",".join(str(i) for i in sorted(family.classes))
 
 
-def family_class_set(lattice: SubgroupLattice, family: Family) -> frozenset[int]:
-    """The family as an explicit set of class indices of the given lattice."""
+def family_vector(class_cyclic: Sequence[bool], family: Family) -> tuple[int, ...]:
+    """Ghost vector of the family idempotent over classes with the given
+    cyclicity flags: 1 on member classes, else 0.  Class indices are checked
+    here, once per method call."""
+    n = len(class_cyclic)
     if family.classes is None:
-        return frozenset(lattice.cyclic_class_indices())
-    n = len(lattice.classes)
+        return tuple(1 if c else 0 for c in class_cyclic)
     for i in family.classes:
         if not 0 <= i < n:
             raise ValueError(f"family class index {i} out of range 0..{n - 1}")
-    return family.classes
-
-
-def family_vector(lattice: SubgroupLattice, family: Family) -> tuple[int, ...]:
-    """Ghost vector of the family idempotent: 1 on member classes, else 0."""
-    members = family_class_set(lattice, family)
-    return tuple(1 if i in members else 0 for i in range(len(lattice.classes)))
-
-
-def _family_vector_from_table(table: MarkTable, family: Family) -> tuple[int, ...]:
-    if family.classes is None:
-        return tuple(1 if c else 0 for c in table.class_cyclic)
-    for i in family.classes:
-        if not 0 <= i < table.n:
-            raise ValueError(f"family class index {i} out of range 0..{table.n - 1}")
-    return tuple(1 if i in family.classes else 0 for i in range(table.n))
+    return tuple(1 if i in family.classes else 0 for i in range(n))
 
 
 # ---------------------------------------------------------------------------
 # coset counting
 # ---------------------------------------------------------------------------
-
-
-def _is_cyclic_mask(group: GroupTable, mask: int) -> bool:
-    return any(group.cyclic_mask(x) == mask for x in mask_elements(mask))
 
 
 def _extend_by_element(group: GroupTable, u_mask: int, u_elems: Sequence[int], v: int) -> int:
@@ -173,114 +162,23 @@ def _cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> 
     return 1 + qualifying // u_order
 
 
-def cyclic_count(
-    group: GroupTable,
-    u_mask: int,
-    v_mask: int,
-    family: Family = ALL_CYCLIC,
-    lattice: Optional[SubgroupLattice] = None,
-    central_reduction: bool = False,
-) -> int:
-    """Number of cosets vU of V/U whose extension <v, U> belongs to the family.
-
-    Requires U normal in V (the count is only congruence-meaningful then).
-    Explicit-class families need the lattice (class indices refer to it).
-    With central_reduction=True the count is recomputed through the p-part
-    reduction (valid when U is cyclic and central in V) and cross-checked.
-    """
-    if not is_normal_in(group, u_mask, v_mask):
-        raise ValueError("U must be normal in V")
-    direct = _coset_count(group, u_mask, v_mask, family, lattice)
-    if central_reduction:
-        if family.classes is not None:
-            raise ValueError("central reduction applies to the cyclic family only")
-        reduced = _reduced_cyclic_count(group, u_mask, v_mask)
-        if reduced is not None and reduced != direct:
-            raise RuntimeError(
-                f"central reduction disagrees with the direct count: "
-                f"{reduced} != {direct}"
-            )
-    return direct
-
-
 def _coset_count(
     group: GroupTable,
+    lattice: SubgroupLattice,
     u_mask: int,
     v_mask: int,
     family: Family,
-    lattice: Optional[SubgroupLattice],
+    members: Sequence[int],
 ) -> int:
+    """Cosets vU of V/U with <v, U> in the family, whose ghost vector over
+    the lattice's classes is members."""
     if family.classes is None:
-        if not _is_cyclic_mask(group, u_mask):
+        if not members[lattice.class_of[u_mask]]:
             return 0  # every extension contains U, so none is cyclic
         if as_prime_power(bin(v_mask).count("1")):
             return _cyclic_coset_count_p_group(group, u_mask, v_mask)
-        if lattice is None:
-            u_elems = mask_elements(u_mask)
-            count = 0
-            for v in cosets(group, v_mask, u_mask):
-                m = closure_mask(group, tuple(u_elems) + (v,))
-                if _is_cyclic_mask(group, m):
-                    count += 1
-            return count
-        members = family_class_set(lattice, family)
-    else:
-        if lattice is None:
-            raise ValueError("explicit-class families require the subgroup lattice")
-        members = family_class_set(lattice, family)
     profile = _pair_profile(group, lattice, u_mask, v_mask)
-    return sum(c for cls, c in profile.items() if cls in members)
-
-
-def central_reduction_pair(
-    group: GroupTable, u_mask: int, v_mask: int
-) -> Optional[tuple[int, int, int]]:
-    """(p, U_p, V_p) for the p-part reduction c(U, V) = c(U_p, V_p), or None.
-
-    The reduction needs U cyclic, (V:U) a power of a prime p, and U central
-    in V; then V splits as V_p x U_{p'} and the p-parts are exactly the
-    elements of p-power order."""
-    u_elems = mask_elements(u_mask)
-    v_elems = mask_elements(v_mask)
-    pp = as_prime_power(len(v_elems) // len(u_elems))
-    if pp is None or not _is_cyclic_mask(group, u_mask):
-        return None
-    mult = group.mult
-    if any(mult[u][v] != mult[v][u] for u in u_elems for v in v_elems):
-        return None
-    p = pp[0]
-    vp_mask = 0
-    for x in v_elems:
-        order = group.element_order(x)
-        while order % p == 0:
-            order //= p
-        if order == 1:
-            vp_mask |= 1 << x
-    subgroup_from_mask(group, vp_mask, check=True)
-    up_mask = vp_mask & u_mask
-    if bin(vp_mask).count("1") * len(u_elems) != len(v_elems) * bin(up_mask).count("1"):
-        raise AssertionError("p-part indices disagree under the central hypothesis")
-    return p, up_mask, vp_mask
-
-
-def _reduced_cyclic_count(group: GroupTable, u_mask: int, v_mask: int) -> Optional[int]:
-    """c(U, V) via the p-part reduction followed by the quotient step that
-    shrinks U_p to order p; None when the hypotheses do not hold."""
-    triple = central_reduction_pair(group, u_mask, v_mask)
-    if triple is None:
-        return None
-    p, up_mask, vp_mask = triple
-    if bin(up_mask).count("1") > p:
-        shrink = 0  # p-th powers of U_p: its unique subgroup of index p
-        for x in mask_elements(up_mask):
-            shrink |= 1 << group.power(x, p)
-        qtable, reps = quotient_group(group, vp_mask, shrink)
-        u_image = 0
-        for i, r in enumerate(reps):
-            if up_mask >> r & 1:
-                u_image |= 1 << i
-        return _cyclic_coset_count_p_group(qtable, u_image, (1 << qtable.order) - 1)
-    return _cyclic_coset_count_p_group(group, up_mask, vp_mask)
+    return sum(c for cls, c in profile.items() if members[cls])
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +204,7 @@ def congruence_pairs(
 ):
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
+    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
     abelian = group.is_abelian
     all_masks = sorted(lattice.class_of)
     for v_idx, cls in enumerate(lattice.classes):
@@ -319,7 +218,7 @@ def congruence_pairs(
                 continue
             if not abelian and not is_normal_in(group, u_mask, vm):
                 continue
-            count = _coset_count(group, u_mask, vm, family, lattice)
+            count = _coset_count(group, lattice, u_mask, vm, family, members)
             constraint = index // gcd(index, count)
             yield CongruencePair(
                 v_class=v_idx,
@@ -386,7 +285,7 @@ def artin_exponent_marks(
     group: GroupTable, table: MarkTable, family: Family = ALL_CYCLIC
 ) -> int:
     """Least divisor n of |G| with n * e_F integral in the transitive basis."""
-    target = _family_vector_from_table(table, family)
+    target = family_vector(table.class_cyclic, family)
     for n in divisors(group.order):
         scaled = [n * x for x in target]
         if not isinstance(solve_membership(table, scaled), NotIntegral):
@@ -543,7 +442,7 @@ def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     if pp is None:
         raise ValueError("H must be a nontrivial p-group")
     p = pp[0]
-    if not _is_cyclic_mask(group, u_mask):
+    if not subgroup_from_mask(group, u_mask).is_cyclic:
         raise ValueError("U must be cyclic")
     if not is_normal_in(group, u_mask, h_mask):
         raise ValueError("U must be normal in H")
@@ -615,28 +514,6 @@ class SylowComparison:
         return self.exponent_part == self.sylow_exponent
 
 
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def sylow_reduction_report(
     group: GroupTable,
     lattice: SubgroupLattice,
@@ -647,9 +524,9 @@ def sylow_reduction_report(
     the exponent of a Sylow p-subgroup for the restricted family.  The two
     need not agree in general; this is reported, not asserted."""
     out = []
-    for p in _prime_factors(group.order):
-        sylow_order = _p_part(group.order, p)
-        part = _p_part(exponent, p)
+    for p in prime_factors(group.order):
+        sylow_order = p_part(group.order, p)
+        part = p_part(exponent, p)
         if sylow_order == group.order:
             out.append(SylowComparison(p, part, sylow_order, exponent))
             continue
@@ -758,7 +635,7 @@ def compute_exponent_report(
         exponent_congruence=exponent_congruence,
         exponent_marks=exponent_marks,
         prediction=closed_form_predictor(group),
-        prime_parts={p: _p_part(exponent, p) for p in _prime_factors(exponent)},
+        prime_parts={p: p_part(exponent, p) for p in prime_factors(exponent)},
         binding_pairs=binding,
         pairs=pairs,
         sylow=sylow,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .groups import GroupTable
@@ -57,22 +57,6 @@ class MarkTable:
                 for j in range(self.n)
             ]
         return self._columns[j]
-
-
-def mark(group: GroupTable, lattice: SubgroupLattice, u_class: int, v_class: int) -> int:
-    """Number of cosets of G/V fixed by U (classes given by index)."""
-    U = lattice.classes[u_class].representative
-    V = lattice.classes[v_class].representative
-    if group.is_abelian:
-        return group.order // V.order if U.is_subset_of(V) else 0
-    full = (1 << group.order) - 1
-    um = U.mask
-    count = 0
-    for g in cosets(group, full, V.mask):
-        w = conjugate_mask(group, g, V.mask)
-        if um & w == um:
-            count += 1
-    return count
 
 
 def build_mark_table(group: GroupTable, lattice: SubgroupLattice) -> MarkTable:

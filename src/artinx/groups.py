@@ -12,9 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 ORDER_CAP = 256
 
@@ -65,6 +64,26 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    out = []
+    while n > 1:
+        p = _smallest_prime_factor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return out
+
+
+def p_part(n: int, p: int) -> int:
+    """The largest power of p dividing n."""
+    out = 1
+    while n % p == 0:
+        out *= p
+        n //= p
+    return out
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -292,23 +311,46 @@ def spec_order(spec: GroupSpec) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _validate_table(mult: Sequence[Sequence[int]]) -> None:
+def _validate_table(mult: list[list[int]]) -> None:
     n = len(mult)
-    arr = np.asarray(mult, dtype=np.int32)
-    if arr.shape != (n, n):
+    if any(len(row) != n for row in mult):
         raise ValueError("multiplication table must be square")
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
+    if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
         raise ValueError("multiplication table entries out of range")
-    ident = np.arange(n, dtype=np.int32)
-    if not np.array_equal(arr[0], ident) or not np.array_equal(arr[:, 0], ident):
+    ident = list(range(n))
+    if mult[0] != ident or [row[0] for row in mult] != ident:
         raise ValueError("element 0 is not a two-sided identity")
-    if not np.array_equal(np.sort(arr, axis=1), np.tile(ident, (n, 1))):
+    if any(len(set(row)) != n for row in mult):
         raise ValueError("multiplication table is not a Latin square (rows)")
-    if not np.array_equal(np.sort(arr, axis=0), np.tile(ident[:, None], (1, n))):
+    if any(len(set(col)) != n for col in zip(*mult)):
         raise ValueError("multiplication table is not a Latin square (columns)")
-    # (a*b)*c vs a*(b*c), all triples at once
-    if not np.array_equal(arr[arr, :], arr[:, arr]):
-        raise ValueError("multiplication table is not associative")
+    # Light's test: the elements s with (x*s)*y == x*(s*y) for all x, y are
+    # closed under products, so checking them on a set that generates every
+    # element by left-normed products proves associativity.
+    gens: list[int] = []
+    reached = bytearray(n)
+    reached[0] = 1
+    for candidate in range(1, n):
+        if reached[candidate]:
+            continue
+        gens.append(candidate)
+        frontier = [x for x in range(n) if reached[x]]
+        while frontier:
+            new = []
+            for x in frontier:
+                row = mult[x]
+                for s in gens:
+                    y = row[s]
+                    if not reached[y]:
+                        reached[y] = 1
+                        new.append(y)
+            frontier = new
+    rows = [tuple(row) for row in mult]
+    for s in gens:
+        times_s_row = itemgetter(*mult[s])  # x -> (x*(s*y) for each y)
+        for row in mult:
+            if times_s_row(row) != rows[row[s]]:
+                raise ValueError("multiplication table is not associative")
 
 
 class GroupTable:
@@ -318,19 +360,12 @@ class GroupTable:
         "order",
         "mult",
         "inv",
-        "identity",
-        "element_labels",
         "_element_orders",
         "_cyclic_masks",
         "_is_abelian",
     )
 
-    def __init__(
-        self,
-        mult: Sequence[Sequence[int]],
-        element_labels: Optional[Sequence[str]] = None,
-        validate: bool = True,
-    ) -> None:
+    def __init__(self, mult: Sequence[Sequence[int]]) -> None:
         n = len(mult)
         if n == 0:
             raise ValueError("empty multiplication table")
@@ -338,13 +373,8 @@ class GroupTable:
             raise OrderCapError(f"group order {n} exceeds the cap of {ORDER_CAP}")
         self.order = n
         self.mult = [list(map(int, row)) for row in mult]
-        if validate:
-            _validate_table(self.mult)
-        self.identity = 0
+        _validate_table(self.mult)
         self.inv = [row.index(0) for row in self.mult]
-        if element_labels is not None and len(element_labels) != n:
-            raise ValueError("element_labels length must match the group order")
-        self.element_labels = list(element_labels) if element_labels is not None else None
         self._element_orders: Optional[list[int]] = None
         self._cyclic_masks: Optional[list[int]] = None
         self._is_abelian: Optional[bool] = None
@@ -412,9 +442,6 @@ class GroupTable:
             self._fill_cycle_data()
         return self._cyclic_masks[g]
 
-    def elements(self) -> range:
-        return range(self.order)
-
 
 def element_order(group: GroupTable, g: int) -> int:
     """Least k >= 1 with g**k the identity."""
@@ -440,12 +467,7 @@ def relabeled(group: GroupTable, perm: Sequence[int]) -> GroupTable:
         target = mult[perm[a]]
         for b in range(n):
             target[perm[b]] = perm[row[b]]
-    labels = None
-    if group.element_labels is not None:
-        labels = [""] * n
-        for i, lab in enumerate(group.element_labels):
-            labels[perm[i]] = lab
-    return GroupTable(mult, element_labels=labels)
+    return GroupTable(mult)
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,6 @@ class Subgroup:
     is_cyclic: bool = field(compare=False)
     elements: tuple[int, ...] = field(compare=False)
 
-    def contains(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
-
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.mask & other.mask == self.mask
-
 
 def subgroup_from_mask(group: GroupTable, mask: int, check: bool = False) -> Subgroup:
     """Wrap a bit set as a Subgroup; with check=True verify closure first."""
@@ -338,14 +332,6 @@ def lattice_to_dict(lattice: SubgroupLattice, spec_text: str) -> dict:
     }
 
 
-def lattice_fingerprint(lattice: SubgroupLattice) -> str:
-    payload = json.dumps(
-        [[format(m, "x") for m in c.conjugates] for c in lattice.classes],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice]:
     """Rebuild a lattice from its serialized form.
 
@@ -400,8 +386,8 @@ def lattice_cache_path(cache_dir: str, spec_text: str) -> str:
 def cached_lattice(group: GroupTable, spec_text: str, cache_dir: Optional[str]) -> SubgroupLattice:
     """Enumerate a lattice, reusing a JSON copy under cache_dir when valid.
 
-    Entries that fail revalidation (wrong order, class count, or masks) are
-    rebuilt and rewritten silently; a corrupt or missing file never raises.
+    Entries that fail lattice_from_dict's checks are rebuilt and rewritten
+    silently; a corrupt or missing file never raises.
     """
     if cache_dir is None:
         return enumerate_subgroups(group)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .artin import (
-    ALL_CYCLIC,
     Family,
     MethodDisagreement,
     artin_exponent_congruence,
@@ -44,6 +43,16 @@ CHECK_NAMES = ("crossmethod", "cyclic", "oddp", "twogroup", "conductor", "lemmas
 REPORT_ONLY = frozenset({"twogroup", "sylow"})
 CONDUCTOR_ORDER_CAP = 24  # the exact-conductor suite is asserted on small groups only
 RANDOM_FAMILIES = 20
+# what each suite _check_<name> takes after the spec text
+SUITE_ARGS = {
+    "crossmethod": ("group", "lattice", "table", "exponents"),
+    "cyclic": ("group", "exponent"),
+    "oddp": ("group", "exponent"),
+    "twogroup": ("group", "exponent"),
+    "conductor": ("group", "table"),
+    "lemmas": ("group", "lattice"),
+    "sylow": ("report",),
+}
 
 
 @dataclass(frozen=True)
@@ -264,10 +273,6 @@ def evaluate_group(task: tuple[str, tuple[str, ...], Optional[str]]) -> dict:
     lattice = cached_lattice(group, spec_text, cache_dir)
     table = build_mark_table(group, lattice)
 
-    failures: list[dict] = []
-    notes: list[dict] = []
-    statuses: dict[str, str] = {}
-
     try:
         report = compute_exponent_report(
             group, spec_text, lattice=lattice, table=table,
@@ -281,37 +286,25 @@ def evaluate_group(task: tuple[str, tuple[str, ...], Optional[str]]) -> dict:
             group, spec_text, method="marks", lattice=lattice, table=table,
             include_sylow="sylow" in checks,
         )
-    exponent = report.exponent
-
-    if "crossmethod" in checks:
-        statuses["crossmethod"], f, n = _check_crossmethod(
-            spec_text, group, lattice, table, (cong, marks))
-        failures += f
-        notes += n
-    if "cyclic" in checks:
-        statuses["cyclic"], f, n = _check_cyclic(spec_text, group, exponent)
-        failures += f
-        notes += n
-    if "oddp" in checks:
-        statuses["oddp"], f, n = _check_oddp(spec_text, group, exponent)
-        failures += f
-        notes += n
-    if "twogroup" in checks:
-        statuses["twogroup"], f, n = _check_twogroup(spec_text, group, exponent)
-        failures += f
-        notes += n
-    if "conductor" in checks:
-        statuses["conductor"], f, n = _check_conductor(spec_text, group, table)
-        failures += f
-        notes += n
-    if "lemmas" in checks:
-        statuses["lemmas"], f, n = _check_lemmas(spec_text, group, lattice)
-        failures += f
-        notes += n
-    if "sylow" in checks:
-        statuses["sylow"], f, n = _check_sylow(spec_text, report)
-        failures += f
-        notes += n
+    available = {
+        "group": group,
+        "lattice": lattice,
+        "table": table,
+        "exponents": (cong, marks),
+        "exponent": report.exponent,
+        "report": report,
+    }
+    failures: list[dict] = []
+    notes: list[dict] = []
+    statuses: dict[str, str] = {}
+    for name in CHECK_NAMES:
+        if name in checks:
+            # looked up at call time, so a replaced suite is the one that runs
+            suite = globals()[f"_check_{name}"]
+            statuses[name], f, n = suite(
+                spec_text, *(available[arg] for arg in SUITE_ARGS[name]))
+            failures += f
+            notes += n
 
     return {
         "spec": spec_text,

@@ -4,13 +4,34 @@ These deliberately avoid the join-closure strategy of the library: subgroups
 are found by closing every small subset of elements.  That is exhaustive for
 any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
+
+The second half holds reference implementations that only the tests use: the
+all-triples table check, per-entry marks, and coset counting with the
+lattice-free closure path and the central p-part reduction.
 """
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
-from artinx.groups import GroupTable
-from artinx.lattice import closure_mask
+from artinx.artin import (
+    ALL_CYCLIC,
+    Family,
+    _coset_count,
+    _cyclic_coset_count_p_group,
+    family_vector,
+)
+from artinx.groups import GroupTable, as_prime_power
+from artinx.lattice import (
+    SubgroupLattice,
+    closure_mask,
+    conjugate_mask,
+    cosets,
+    is_normal_in,
+    mask_elements,
+    quotient_group,
+    subgroup_from_mask,
+)
 
 
 def brute_force_subgroup_masks(group: GroupTable, max_gens: int = 3) -> set[int]:
@@ -24,8 +45,6 @@ def brute_force_subgroup_masks(group: GroupTable, max_gens: int = 3) -> set[int]
 
 def brute_force_classes(group: GroupTable, max_gens: int = 3) -> set[frozenset[int]]:
     """Subgroup conjugacy classes as frozensets of masks."""
-    from artinx.lattice import conjugate_mask
-
     classes = set()
     for mask in brute_force_subgroup_masks(group, max_gens):
         classes.add(frozenset(conjugate_mask(group, g, mask) for g in range(group.order)))
@@ -35,8 +54,6 @@ def brute_force_classes(group: GroupTable, max_gens: int = 3) -> set[frozenset[i
 def brute_force_mark(group: GroupTable, u_mask: int, v_mask: int) -> int:
     """Number of cosets gV fixed by U under left translation on G/V,
     counted directly from the definition."""
-    from artinx.lattice import mask_elements
-
     u_elems = mask_elements(u_mask)
     v_elems = set(mask_elements(v_mask))
     count = 0
@@ -66,8 +83,6 @@ def solve_lower_triangular_fractions(rows, values):
 
 def is_cyclic_mask_naive(group: GroupTable, mask: int) -> bool:
     """Whether the subgroup on the mask is generated by one of its elements."""
-    from artinx.lattice import mask_elements
-
     return any(closure_mask(group, (x,)) == mask for x in mask_elements(mask))
 
 
@@ -75,8 +90,6 @@ def brute_force_cyclic_coset_count(group: GroupTable, u_mask: int, v_mask: int) 
     """Number of cosets vU in V/U with <v, U> cyclic, straight from the
     definition: enumerate cosets as frozensets, close U together with the
     coset representative, test cyclicity by single-generator search."""
-    from artinx.lattice import mask_elements
-
     u_elems = mask_elements(u_mask)
     seen = set()
     count = 0
@@ -111,3 +124,151 @@ def brute_force_artin_exponent(group: GroupTable, max_gens: int = 3) -> int:
         solution = solve_lower_triangular_fractions(flipped, values)
         if all(x.denominator == 1 for x in solution):
             return n
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_table(mult) -> None:
+    """The group-table check with associativity tested on all n**3 triples;
+    raises ValueError with the same messages as the library's validator."""
+    n = len(mult)
+    if any(len(row) != n for row in mult):
+        raise ValueError("multiplication table must be square")
+    if any(not 0 <= x < n for row in mult for x in row):
+        raise ValueError("multiplication table entries out of range")
+    ident = list(range(n))
+    if list(mult[0]) != ident or [row[0] for row in mult] != ident:
+        raise ValueError("element 0 is not a two-sided identity")
+    if any(sorted(row) != ident for row in mult):
+        raise ValueError("multiplication table is not a Latin square (rows)")
+    if any(sorted(col) != ident for col in zip(*mult)):
+        raise ValueError("multiplication table is not a Latin square (columns)")
+    for a in range(n):
+        for b in range(n):
+            ab = mult[a][b]
+            for c in range(n):
+                if mult[ab][c] != mult[a][mult[b][c]]:
+                    raise ValueError("multiplication table is not associative")
+
+
+def mark(group: GroupTable, lattice: SubgroupLattice, u_class: int, v_class: int) -> int:
+    """Number of cosets of G/V fixed by U (classes given by index)."""
+    U = lattice.classes[u_class].representative
+    V = lattice.classes[v_class].representative
+    if group.is_abelian:
+        return group.order // V.order if U.mask & V.mask == U.mask else 0
+    full = (1 << group.order) - 1
+    um = U.mask
+    count = 0
+    for g in cosets(group, full, V.mask):
+        w = conjugate_mask(group, g, V.mask)
+        if um & w == um:
+            count += 1
+    return count
+
+
+def cyclic_count(
+    group: GroupTable,
+    u_mask: int,
+    v_mask: int,
+    family: Family = ALL_CYCLIC,
+    lattice: Optional[SubgroupLattice] = None,
+    central_reduction: bool = False,
+) -> int:
+    """Number of cosets vU of V/U whose extension <v, U> belongs to the family.
+
+    Requires U normal in V (the count is only congruence-meaningful then).
+    Explicit-class families need the lattice (class indices refer to it).
+    With central_reduction=True the count is recomputed through the p-part
+    reduction (valid when U is cyclic and central in V) and cross-checked.
+    """
+    if not is_normal_in(group, u_mask, v_mask):
+        raise ValueError("U must be normal in V")
+    if lattice is not None:
+        members = family_vector(
+            [c.representative.is_cyclic for c in lattice.classes], family)
+        direct = _coset_count(group, lattice, u_mask, v_mask, family, members)
+    elif family.classes is not None:
+        raise ValueError("explicit-class families require the subgroup lattice")
+    else:
+        direct = _closure_cyclic_count(group, u_mask, v_mask)
+    if central_reduction:
+        if family.classes is not None:
+            raise ValueError("central reduction applies to the cyclic family only")
+        reduced = _reduced_cyclic_count(group, u_mask, v_mask)
+        if reduced is not None and reduced != direct:
+            raise RuntimeError(
+                f"central reduction disagrees with the direct count: "
+                f"{reduced} != {direct}"
+            )
+    return direct
+
+
+def _closure_cyclic_count(group: GroupTable, u_mask: int, v_mask: int) -> int:
+    """The cyclic-family count without a lattice: the p-group shortcut when
+    it applies, else closing U with each coset representative."""
+    if not is_cyclic_mask_naive(group, u_mask):
+        return 0  # every extension contains U, so none is cyclic
+    if as_prime_power(bin(v_mask).count("1")):
+        return _cyclic_coset_count_p_group(group, u_mask, v_mask)
+    u_elems = mask_elements(u_mask)
+    count = 0
+    for v in cosets(group, v_mask, u_mask):
+        m = closure_mask(group, tuple(u_elems) + (v,))
+        if is_cyclic_mask_naive(group, m):
+            count += 1
+    return count
+
+
+def central_reduction_pair(
+    group: GroupTable, u_mask: int, v_mask: int
+) -> Optional[tuple[int, int, int]]:
+    """(p, U_p, V_p) for the p-part reduction c(U, V) = c(U_p, V_p), or None.
+
+    The reduction needs U cyclic, (V:U) a power of a prime p, and U central
+    in V; then V splits as V_p x U_{p'} and the p-parts are exactly the
+    elements of p-power order."""
+    u_elems = mask_elements(u_mask)
+    v_elems = mask_elements(v_mask)
+    pp = as_prime_power(len(v_elems) // len(u_elems))
+    if pp is None or not is_cyclic_mask_naive(group, u_mask):
+        return None
+    mult = group.mult
+    if any(mult[u][v] != mult[v][u] for u in u_elems for v in v_elems):
+        return None
+    p = pp[0]
+    vp_mask = 0
+    for x in v_elems:
+        order = group.element_order(x)
+        while order % p == 0:
+            order //= p
+        if order == 1:
+            vp_mask |= 1 << x
+    subgroup_from_mask(group, vp_mask, check=True)
+    up_mask = vp_mask & u_mask
+    if bin(vp_mask).count("1") * len(u_elems) != len(v_elems) * bin(up_mask).count("1"):
+        raise AssertionError("p-part indices disagree under the central hypothesis")
+    return p, up_mask, vp_mask
+
+
+def _reduced_cyclic_count(group: GroupTable, u_mask: int, v_mask: int) -> Optional[int]:
+    """c(U, V) via the p-part reduction followed by the quotient step that
+    shrinks U_p to order p; None when the hypotheses do not hold."""
+    triple = central_reduction_pair(group, u_mask, v_mask)
+    if triple is None:
+        return None
+    p, up_mask, vp_mask = triple
+    if bin(up_mask).count("1") > p:
+        shrink = 0  # p-th powers of U_p: its unique subgroup of index p
+        for x in mask_elements(up_mask):
+            shrink |= 1 << group.power(x, p)
+        qtable, reps = quotient_group(group, vp_mask, shrink)
+        u_image = 0
+        for i, r in enumerate(reps):
+            if up_mask >> r & 1:
+                u_image |= 1 << i
+        return _cyclic_coset_count_p_group(qtable, u_image, (1 << qtable.order) - 1)
+    return _cyclic_coset_count_p_group(group, up_mask, vp_mask)

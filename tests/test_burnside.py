@@ -10,7 +10,6 @@ from artinx.burnside import (
     build_mark_table,
     conductor,
     ghost_of,
-    mark,
     mark_table_to_dict,
     multiply_basis,
     multiply_elements,
@@ -20,7 +19,7 @@ from artinx.burnside import (
 from artinx.groups import group_from_spec
 from artinx.lattice import enumerate_subgroups, normalizer
 
-from oracles import brute_force_mark, solve_lower_triangular_fractions
+from oracles import brute_force_mark, mark, solve_lower_triangular_fractions
 
 
 def setup_group(spec):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -90,6 +92,27 @@ def test_compute_output_is_deterministic(capsys):
     first = run_cli(["compute", "--group", "SD32", "--json", "--audit"], capsys)
     second = run_cli(["compute", "--group", "SD32", "--json", "--audit"], capsys)
     assert first == second
+
+
+def test_compute_congruence_rejects_bad_family_without_pairs(capsys):
+    # C1 has no congruence pairs, so the family must be checked up front
+    code, _, err = run_cli(
+        ["compute", "--group", "C1", "--method", "congruence", "--family-classes", "5"],
+        capsys,
+    )
+    assert code == 1
+    assert "family class index 5 out of range 0..0" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, artinx.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_compute_disagreement_exits_two(capsys, monkeypatch):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinx.groups import (
     Cyclic,
@@ -21,11 +23,16 @@ from artinx.groups import (
     element_order,
     group_from_spec,
     is_cyclic_group,
+    p_part,
     parse_group_spec,
+    prime_factors,
     relabeled,
     spec_order,
     spec_to_text,
 )
+from artinx.sweep import default_catalog
+
+from oracles import reference_validate_table
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,61 @@ def test_validation_rejects_non_associative():
         GroupTable(mult)
 
 
+def _verdict(check, mult):
+    try:
+        check(mult)
+    except ValueError as err:
+        return str(err)
+    return "ok"
+
+
+def _intercalates(mult):
+    """Cells (r1, r2, c1, c2) of 2x2 subsquares [[a, b], [b, a]] that avoid
+    row 0 and column 0."""
+    n = len(mult)
+    out = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                c2 = mult[r2].index(mult[r1][c1])
+                if c2 > c1 and mult[r1][c2] == mult[r2][c1]:
+                    out.append((r1, r2, c1, c2))
+    return out
+
+
+SWAP_SPECS = ["C2xC2", "C4", "C6", "S3", "C2xC4", "D8", "Q8", "C2xC2xC2", "D12", "SD16"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SWAP_SPECS), st.data())
+def test_validator_matches_all_triples_reference(spec, data):
+    """Intercalate swaps keep a Latin square with identity 0 but usually
+    break associativity; the generator-based check and the all-triples
+    reference must accept and reject the same squares."""
+    mult = [list(row) for row in group_from_spec(spec).mult]
+    for _ in range(data.draw(st.integers(0, 3))):
+        cells = _intercalates(mult)
+        if not cells:
+            break
+        r1, r2, c1, c2 = data.draw(st.sampled_from(cells))
+        a, b = mult[r1][c1], mult[r1][c2]
+        mult[r1][c1] = mult[r2][c2] = b
+        mult[r1][c2] = mult[r2][c1] = a
+    reference = _verdict(reference_validate_table, mult)
+    assert reference in ("ok", "multiplication table is not associative")
+    assert _verdict(GroupTable, mult) == reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(default_catalog(64)), st.randoms(use_true_random=False))
+def test_relabeled_catalog_tables_are_accepted(spec, rng):
+    g = group_from_spec(spec)
+    perm = [0] + rng.sample(range(1, g.order), g.order - 1)
+    h = relabeled(g, perm)  # validates the relabelled table
+    if g.order <= 32:
+        reference_validate_table(h.mult)
+
+
 def test_order_cap_enforced():
     with pytest.raises(OrderCapError):
         group_from_spec("C300")
@@ -276,3 +338,8 @@ def test_arith_helpers():
     assert as_prime_power(12) is None
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+    assert prime_factors(1) == []
+    assert prime_factors(360) == [2, 3, 5]
+    assert prime_factors(97) == [97]
+    assert p_part(360, 2) == 8
+    assert p_part(360, 7) == 1

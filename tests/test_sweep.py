@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from artinx import artin
 from artinx.groups import group_from_spec, parse_group_spec, spec_order
 from artinx.sweep import (
     CHECK_NAMES,
@@ -136,6 +137,34 @@ def test_evaluate_group_s3():
     assert row["statuses"] == {"crossmethod": "ok", "cyclic": "ok", "sylow": "report"}
     assert row["failures"] == []
     assert any("mismatch (report-only)" in n["message"] for n in row["notes"])
+
+
+def test_evaluate_group_statuses_follow_check_names():
+    row = evaluate_group(("S3", ("sylow", "lemmas", "cyclic", "crossmethod"), None))
+    assert list(row["statuses"]) == ["crossmethod", "cyclic", "lemmas", "sylow"]
+
+
+def test_evaluate_group_method_disagreement(monkeypatch):
+    real = artin.congruence_analysis
+
+    def skewed(group, lattice, family=artin.ALL_CYCLIC, keep_pairs=False):
+        analysis = real(group, lattice, family, keep_pairs)
+        if family == artin.ALL_CYCLIC:
+            analysis.exponent *= 2
+        return analysis
+
+    monkeypatch.setattr(artin, "congruence_analysis", skewed)
+    row = evaluate_group(("S3", CHECK_NAMES, None))
+    report = row["report"]
+    assert report["method"] == "marks"
+    assert report["exponent"] == report["exponent_marks"] == 2
+    assert report["exponent_congruence"] is None
+    assert row["failures"] == [{
+        "group": "S3", "check": "crossmethod", "expected": "4", "got": "2",
+        "context": "family cyclic",
+    }]
+    assert list(row["statuses"]) == list(CHECK_NAMES)
+    assert row["statuses"]["crossmethod"] == "fail"
 
 
 def test_evaluate_group_skips_inapplicable_checks():
