@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .burnside import MarkTable, NotIntegral, build_mark_table, solve_membership
 from .groups import (
@@ -36,10 +36,8 @@ from .groups import (
 from .lattice import (
     SubgroupLattice,
     centralizer,
-    closure_mask,
     cosets,
     enumerate_subgroups,
-    is_normal_in,
     mask_elements,
     subgroup_from_mask,
 )
@@ -119,47 +117,35 @@ def _extend_by_element(group: GroupTable, u_mask: int, u_elems: Sequence[int], v
 def _pair_profile(
     group: GroupTable, lattice: SubgroupLattice, u_mask: int, v_mask: int
 ) -> dict[int, int]:
-    """For U <= V, how many cosets vU of V/U generate a subgroup <v, U> in
-    each lattice class.  <v, U> depends only on the coset, so this is a
-    finite profile; it is cached on the lattice and shared by every family."""
+    """For U normal in V, how many cosets vU of V/U generate a subgroup
+    <v, U> in each lattice class.  <v, U> depends only on the coset, so this
+    is a finite profile; it is cached on the lattice and shared by every
+    family."""
     cache = lattice._cache.setdefault("pair_profiles", {})
     key = (u_mask, v_mask)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    normal = group.is_abelian or is_normal_in(group, u_mask, v_mask)
     u_elems = mask_elements(u_mask)
-    u_gens = lattice.generators_of(u_mask)
     profile: dict[int, int] = {}
     for v in cosets(group, v_mask, u_mask):
-        if normal:
-            m = _extend_by_element(group, u_mask, u_elems, v)
-        else:
-            m = closure_mask(group, u_gens + (v,))
-        cls = lattice.class_of[m]
+        cls = lattice.class_of[_extend_by_element(group, u_mask, u_elems, v)]
         profile[cls] = profile.get(cls, 0) + 1
     cache[key] = profile
     return profile
 
 
-def _cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> int:
-    """Cosets vU of V/U with <v, U> cyclic, for V a p-group and U cyclic.
-
-    In a p-group, <v, U> is cyclic exactly when U <= <v> (the subgroups of a
-    cyclic p-group are totally ordered), and then every element of the coset
-    vU qualifies; so qualifying elements outside U come in blocks of |U|.
-    """
-    u_order = bin(u_mask).count("1")
-    v_elems = mask_elements(v_mask)
-    if any(group.cyclic_mask(x) == v_mask for x in v_elems):
-        return len(v_elems) // u_order
-    qualifying = 0
-    for x in v_elems:
-        if not u_mask >> x & 1 and group.cyclic_mask(x) & u_mask == u_mask:
-            qualifying += 1
-    if qualifying % u_order:
-        raise AssertionError("qualifying elements did not fill whole cosets")
-    return 1 + qualifying // u_order
+def _roots_mask(group: GroupTable, lattice: SubgroupLattice, u_mask: int) -> int:
+    """Bit set of {x : U <= <x>}, cached on the lattice per U."""
+    cache = lattice._cache.setdefault("roots", {})
+    roots = cache.get(u_mask)
+    if roots is None:
+        roots = 0
+        for x in range(group.order):
+            if group.cyclic_mask(x) & u_mask == u_mask:
+                roots |= 1 << x
+        cache[u_mask] = roots
+    return roots
 
 
 def _coset_count(
@@ -170,13 +156,23 @@ def _coset_count(
     family: Family,
     members: Sequence[int],
 ) -> int:
-    """Cosets vU of V/U with <v, U> in the family, whose ghost vector over
-    the lattice's classes is members."""
+    """Cosets vU of V/U with <v, U> in the family, for U normal in V, whose
+    ghost vector over the lattice's classes is members."""
     if family.classes is None:
         if not members[lattice.class_of[u_mask]]:
             return 0  # every extension contains U, so none is cyclic
-        if as_prime_power(bin(v_mask).count("1")):
-            return _cyclic_coset_count_p_group(group, u_mask, v_mask)
+        u_order = u_mask.bit_count()
+        v_order = v_mask.bit_count()
+        if lattice.classes[lattice.class_of[v_mask]].representative.is_cyclic:
+            return v_order // u_order  # every subgroup of a cyclic group is cyclic
+        if as_prime_power(v_order):
+            # in a p-group, <v, U> is cyclic exactly when U <= <v> (the
+            # subgroups of a cyclic p-group are totally ordered), and then
+            # every element of the coset vU qualifies
+            qualifying = (_roots_mask(group, lattice, u_mask) & v_mask & ~u_mask).bit_count()
+            if qualifying % u_order:
+                raise AssertionError("qualifying elements did not fill whole cosets")
+            return 1 + qualifying // u_order
     profile = _pair_profile(group, lattice, u_mask, v_mask)
     return sum(c for cls, c in profile.items() if members[cls])
 
@@ -186,10 +182,10 @@ def _coset_count(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CongruencePair:
+class CongruencePair(NamedTuple):
     """One congruence: U normal in V of prime-power index, with the family
-    coset count and the divisor of the exponent it forces."""
+    coset count and the divisor of the exponent it forces.  A named tuple,
+    since a sweep makes one per pair and family."""
 
     v_class: int
     u_class: int
@@ -199,35 +195,69 @@ class CongruencePair:
     constraint: int
 
 
+def _normalizes(
+    group: GroupTable, gens: Sequence[int], mask: int, mask_gens: Sequence[int]
+) -> bool:
+    """Whether every element of gens normalizes the subgroup with bit set
+    mask generated by mask_gens: g<S>g^-1 = <gSg^-1>, which lies in the
+    subgroup exactly when each conjugate of a generator does."""
+    return all(mask >> group.conj(g, x) & 1 for g in gens for x in mask_gens)
+
+
+def _congruence_skeleton(
+    group: GroupTable, lattice: SubgroupLattice
+) -> list[tuple[int, int, int, int, int]]:
+    """Every pair U normal in V with (V:U) a prime power > 1, V over class
+    representatives in class order and U over subgroups ascending by mask,
+    as (V class, V mask, U mask, U class, index).  The pairs do not depend on
+    the family, so they are found once per lattice and cached on it."""
+    skeleton = lattice._cache.get("congruence_skeleton")
+    if skeleton is not None:
+        return skeleton
+    masks = sorted(lattice.class_of)
+    everything = (1 << len(masks)) - 1
+    # bit i of containing[x] is set when subgroup masks[i] contains x; built
+    # as bytes, since flipping one bit of an int copies the whole int
+    containing = [bytearray((len(masks) + 7) // 8) for _ in range(group.order)]
+    for i, m in enumerate(masks):
+        for x in mask_elements(m):
+            containing[x][i >> 3] |= 1 << (i & 7)
+    lacking = [everything ^ int.from_bytes(bits, "little") for bits in containing]
+    full = (1 << group.order) - 1
+    abelian = group.is_abelian
+    skeleton = []
+    for v_idx, cls in enumerate(lattice.classes):
+        V = cls.representative
+        vm = V.mask
+        inside = everything  # the subgroups lacking every element outside V
+        for x in mask_elements(full & ~vm):
+            inside &= lacking[x]
+        v_gens = lattice.generators_of(vm)
+        for i in mask_elements(inside):
+            u_mask = masks[i]
+            if u_mask == vm:
+                continue
+            index = V.order // u_mask.bit_count()
+            if as_prime_power(index) is None:
+                continue
+            if not abelian and not _normalizes(
+                group, v_gens, u_mask, lattice.generators_of(u_mask)
+            ):
+                continue
+            skeleton.append((v_idx, vm, u_mask, lattice.class_of[u_mask], index))
+    lattice._cache["congruence_skeleton"] = skeleton
+    return skeleton
+
+
 def congruence_pairs(
     group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
 ):
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
-    abelian = group.is_abelian
-    all_masks = sorted(lattice.class_of)
-    for v_idx, cls in enumerate(lattice.classes):
-        V = cls.representative
-        vm = V.mask
-        for u_mask in all_masks:
-            if u_mask == vm or u_mask & vm != u_mask:
-                continue
-            index = V.order // bin(u_mask).count("1")
-            if as_prime_power(index) is None:
-                continue
-            if not abelian and not is_normal_in(group, u_mask, vm):
-                continue
-            count = _coset_count(group, lattice, u_mask, vm, family, members)
-            constraint = index // gcd(index, count)
-            yield CongruencePair(
-                v_class=v_idx,
-                u_class=lattice.class_of[u_mask],
-                u_mask=u_mask,
-                index=index,
-                count=count,
-                constraint=constraint,
-            )
+    for v_idx, vm, u_mask, u_class, index in _congruence_skeleton(group, lattice):
+        count = _coset_count(group, lattice, u_mask, vm, family, members)
+        yield CongruencePair(v_idx, u_class, u_mask, index, count, index // gcd(index, count))
 
 
 @dataclass
@@ -246,23 +276,17 @@ def congruence_analysis(
     """Run method 1, tracking for each prime one pair that forces the
     highest power of that prime (a certificate for the lcm)."""
     exponent = 1
-    best: dict[int, tuple[int, CongruencePair]] = {}
+    best: dict[int, CongruencePair] = {}  # prime -> first pair forcing its highest power
     kept: list[CongruencePair] = []
     for pair in congruence_pairs(group, lattice, family):
         if keep_pairs:
             kept.append(pair)
-        if pair.constraint == 1:
-            continue
-        exponent = lcm(exponent, pair.constraint)
-        p, k = as_prime_power(pair.constraint)
-        if p not in best or best[p][0] < k:
-            best[p] = (k, pair)
-    # keep only the pairs still binding for the final lcm
-    binding = tuple(
-        pair
-        for p, (k, pair) in sorted(best.items())
-        if exponent % (p ** k) == 0 and exponent % (p ** (k + 1))
-    )
+        # each constraint is a prime power; one that already divides the
+        # exponent forces no higher power of its prime
+        if exponent % pair.constraint:
+            exponent = lcm(exponent, pair.constraint)
+            best[as_prime_power(pair.constraint)[0]] = pair
+    binding = tuple(best[p] for p in sorted(best))
     return CongruenceAnalysis(
         exponent=exponent,
         binding_pairs=binding,
@@ -435,32 +459,78 @@ class CSetReport:
         return len(self.c_prime_masks)
 
 
+class _CSetData:
+    """The U-independent part of the C-set counts for one p-group H: its
+    prime and its commutator rows {[h, x] : x in H}, so that for each U the
+    set H'(U) = {h in H : [h, H] <= U} and normality in H are mask tests."""
+
+    def __init__(self, group: GroupTable, h_mask: int) -> None:
+        pp = as_prime_power(h_mask.bit_count())
+        if pp is None:
+            raise ValueError("H must be a nontrivial p-group")
+        self.group = group
+        self.h_mask = h_mask
+        self.p = pp[0]
+        self.elements = mask_elements(h_mask)
+        commutator = group.commutator
+        self.rows = {}
+        for g in self.elements:
+            row = 0
+            for x in self.elements:
+                row |= 1 << commutator(g, x)
+            self.rows[g] = row
+        self._subgroups: set[int] = set()  # H'(U) masks verified to be closed
+
+    def h_prime(self, u_mask: int) -> int:
+        """Bit set of {h in H : [h, H] <= U}; it contains U exactly when U,
+        a subgroup of H, is normal in H (h u h^-1 = [h, u] u)."""
+        out = 0
+        for g, row in self.rows.items():
+            if row & u_mask == row:
+                out |= 1 << g
+        return out
+
+    def is_normal(self, mask: int) -> bool:
+        """Whether a subgroup of H is normal in H: [x, H] <= it for each x in it."""
+        rows = self.rows
+        return all(rows[x] & mask == rows[x] for x in mask_elements(mask))
+
+    def report(self, u_mask: int, h_prime: int) -> CSetReport:
+        """The counts for a cyclic U normal in H, given H'(U)."""
+        if h_prime not in self._subgroups:
+            subgroup_from_mask(self.group, h_prime, check=True)
+            self._subgroups.add(h_prime)
+        c_masks = cyclic_extensions(self.group, self.h_mask, u_mask, self.p)
+        return CSetReport(
+            c_masks=c_masks,
+            c_prime_masks=frozenset(m for m in c_masks if self.is_normal(m)),
+            h_prime_mask=h_prime,
+            c_of_h_prime_masks=cyclic_extensions(self.group, h_prime, u_mask, self.p),
+        )
+
+
 def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     """Count cyclic index-p extensions of U in H, for H a nontrivial p-group
     and U cyclic and normal in H; H' is re-verified to be a subgroup."""
-    pp = as_prime_power(bin(h_mask).count("1"))
-    if pp is None:
-        raise ValueError("H must be a nontrivial p-group")
-    p = pp[0]
+    data = _CSetData(group, h_mask)
     if not subgroup_from_mask(group, u_mask).is_cyclic:
         raise ValueError("U must be cyclic")
-    if not is_normal_in(group, u_mask, h_mask):
+    if u_mask & h_mask != u_mask:
+        raise ValueError("inner subgroup is not contained in the outer one")
+    h_prime = data.h_prime(u_mask)
+    if u_mask & h_prime != u_mask:
         raise ValueError("U must be normal in H")
-    h_elems = mask_elements(h_mask)
-    h_prime = 0
-    for g in h_elems:
-        if all(u_mask >> group.commutator(g, x) & 1 for x in h_elems):
-            h_prime |= 1 << g
-    subgroup_from_mask(group, h_prime, check=True)
-    c_masks = cyclic_extensions(group, h_mask, u_mask, p)
-    return CSetReport(
-        c_masks=c_masks,
-        c_prime_masks=frozenset(
-            m for m in c_masks if is_normal_in(group, m, h_mask)
-        ),
-        h_prime_mask=h_prime,
-        c_of_h_prime_masks=cyclic_extensions(group, h_prime, u_mask, p),
-    )
+    return data.report(u_mask, h_prime)
+
+
+def c_set_reports(group: GroupTable, h_mask: int):
+    """Yield (U, count_C_sets(group, H, U)) for every cyclic U normal in H,
+    ascending by mask, doing the U-independent work once."""
+    data = _CSetData(group, h_mask)
+    for u_mask in sorted({group.cyclic_mask(x) for x in data.elements}):
+        h_prime = data.h_prime(u_mask)
+        if u_mask & h_prime == u_mask:
+            yield u_mask, data.report(u_mask, h_prime)
 
 
 # ---------------------------------------------------------------------------

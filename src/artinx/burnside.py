@@ -36,12 +36,12 @@ class MarkTable:
 
     def __init__(
         self,
-        rows: Sequence[Sequence[int]],
+        rows: list[list[int]],
         class_orders: Sequence[int],
         class_sizes: Sequence[int],
         class_cyclic: Sequence[bool],
     ) -> None:
-        self.rows = [list(r) for r in rows]
+        self.rows = rows  # kept, not copied: a dense n x n table is the largest object here
         self.n = len(self.rows)
         self.class_orders = list(class_orders)
         self.class_sizes = list(class_sizes)

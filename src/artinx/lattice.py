@@ -23,14 +23,12 @@ class ResourceCapError(RuntimeError):
 
 
 def mask_elements(mask: int) -> list[int]:
-    """Element indices contained in a bit set, ascending."""
+    """Element indices contained in a bit set, ascending; one step per set bit."""
     out = []
-    x = 0
     while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -113,19 +111,12 @@ def normalizer(group: GroupTable, mask: int) -> int:
     return out
 
 
-def commutator_closure(group: GroupTable, mask: int) -> int:
-    """Subgroup generated by all commutators of pairs from the bit set."""
-    members = mask_elements(mask)
-    gens = {group.commutator(a, b) for a in members for b in members}
-    gens.discard(0)
-    return closure_mask(group, gens)
-
-
 def is_normal_in(group: GroupTable, inner: int, outer: int) -> bool:
     """Whether the first subgroup is normal in the second (must be contained in it)."""
     if inner & outer != inner:
         raise ValueError("inner subgroup is not contained in the outer one")
-    return all(conjugate_mask(group, g, inner) == inner for g in mask_elements(outer))
+    # g and gu conjugate the inner subgroup alike, so one g per left coset will do
+    return all(conjugate_mask(group, g, inner) == inner for g in cosets(group, outer, inner))
 
 
 def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:

@@ -24,7 +24,7 @@ from .artin import (
     artin_exponent_marks,
     closed_form_predictor,
     compute_exponent_report,
-    count_C_sets,
+    c_set_reports,
     recognize_2group,
     report_to_dict,
     subgroup_as_group,
@@ -37,7 +37,7 @@ from .groups import (
     parse_group_spec,
     spec_order,
 )
-from .lattice import cached_lattice, commutator_closure, is_normal_in
+from .lattice import cached_lattice
 
 CHECK_NAMES = ("crossmethod", "cyclic", "oddp", "twogroup", "conductor", "lemmas", "sylow")
 REPORT_ONLY = frozenset({"twogroup", "sylow"})
@@ -232,11 +232,7 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
         full = (1 << sub.order) - 1
         abelian = sub.is_abelian
         cyclic_h = is_cyclic_group(sub)
-        derived = commutator_closure(sub, full)
-        for u_mask in sorted({sub.cyclic_mask(x) for x in range(sub.order)}):
-            if not (abelian or is_normal_in(sub, u_mask, full)):
-                continue
-            r = count_C_sets(sub, full, u_mask)
+        for u_mask, r in c_set_reports(sub, full):
             where = f"H order {sub.order} in {spec}, U order {bin(u_mask).count('1')}"
             if (r.c_count - r.c_prime_count) % p:
                 failures.append(_failure(
@@ -252,7 +248,8 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
                     failures.append(_failure(
                         spec, "lemmas", "count prime to p iff H cyclic",
                         f"count {r.c_count}, cyclic {cyclic_h}", where))
-            if p == 2 and u_order == 2 and derived & u_mask == derived:
+            # [H, H] <= U exactly when H' = {h : [h, H] <= U} is all of H
+            if p == 2 and u_order == 2 and r.h_prime_mask == full:
                 if r.c_count % 2 and not (cyclic_h or (not abelian and sub.order == 8)):
                     failures.append(_failure(
                         spec, "lemmas", "odd count forces cyclic or nonabelian order 8",
@@ -346,7 +343,9 @@ def run_sweep(config: SweepConfig) -> RunResult:
         import multiprocessing
 
         with multiprocessing.Pool(config.jobs) as pool:
-            rows = pool.map(evaluate_group, tasks)
+            # one group at a time: the catalog is sorted by order, so larger
+            # chunks would leave its heavy tail to a single worker
+            rows = pool.map(evaluate_group, tasks, chunksize=1)
     else:
         rows = [evaluate_group(task) for task in tasks]
     return RunResult(config=config, catalog=catalog, rows=rows)

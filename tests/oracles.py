@@ -6,19 +6,22 @@ any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
 
 The second half holds reference implementations that only the tests use: the
-all-triples table check, per-entry marks, and coset counting with the
-lattice-free closure path and the central p-part reduction.
+all-triples table check, per-entry marks, the commutator subgroup, the
+congruence-pair scan over every subgroup, and coset counting with the
+element-scanning p-group count, the lattice-free closure path and the central
+p-part reduction.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from artinx.artin import (
     ALL_CYCLIC,
+    CongruencePair,
     Family,
     _coset_count,
-    _cyclic_coset_count_p_group,
     family_vector,
 )
 from artinx.groups import GroupTable, as_prime_power
@@ -154,6 +157,64 @@ def reference_validate_table(mult) -> None:
                     raise ValueError("multiplication table is not associative")
 
 
+def commutator_closure(group: GroupTable, mask: int) -> int:
+    """Subgroup generated by all commutators of pairs from the bit set."""
+    members = mask_elements(mask)
+    gens = {group.commutator(a, b) for a in members for b in members}
+    gens.discard(0)
+    return closure_mask(group, gens)
+
+
+def reference_congruence_pairs(
+    group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
+) -> list[CongruencePair]:
+    """The congruence pairs by the plain scan: every subgroup against every
+    class representative, normality tested by conjugating with all of V."""
+    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    pairs = []
+    for v_idx, cls in enumerate(lattice.classes):
+        V = cls.representative
+        vm = V.mask
+        for u_mask in sorted(lattice.class_of):
+            if u_mask == vm or u_mask & vm != u_mask:
+                continue
+            index = V.order // bin(u_mask).count("1")
+            if as_prime_power(index) is None:
+                continue
+            if not all(conjugate_mask(group, g, u_mask) == u_mask for g in mask_elements(vm)):
+                continue
+            count = _coset_count(group, lattice, u_mask, vm, family, members)
+            pairs.append(CongruencePair(
+                v_class=v_idx,
+                u_class=lattice.class_of[u_mask],
+                u_mask=u_mask,
+                index=index,
+                count=count,
+                constraint=index // gcd(index, count),
+            ))
+    return pairs
+
+
+def cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> int:
+    """Cosets vU of V/U with <v, U> cyclic, for V a p-group and U cyclic.
+
+    In a p-group, <v, U> is cyclic exactly when U <= <v> (the subgroups of a
+    cyclic p-group are totally ordered), and then every element of the coset
+    vU qualifies; so qualifying elements outside U come in blocks of |U|.
+    """
+    u_order = bin(u_mask).count("1")
+    v_elems = mask_elements(v_mask)
+    if any(group.cyclic_mask(x) == v_mask for x in v_elems):
+        return len(v_elems) // u_order
+    qualifying = 0
+    for x in v_elems:
+        if not u_mask >> x & 1 and group.cyclic_mask(x) & u_mask == u_mask:
+            qualifying += 1
+    if qualifying % u_order:
+        raise AssertionError("qualifying elements did not fill whole cosets")
+    return 1 + qualifying // u_order
+
+
 def mark(group: GroupTable, lattice: SubgroupLattice, u_class: int, v_class: int) -> int:
     """Number of cosets of G/V fixed by U (classes given by index)."""
     U = lattice.classes[u_class].representative
@@ -213,7 +274,7 @@ def _closure_cyclic_count(group: GroupTable, u_mask: int, v_mask: int) -> int:
     if not is_cyclic_mask_naive(group, u_mask):
         return 0  # every extension contains U, so none is cyclic
     if as_prime_power(bin(v_mask).count("1")):
-        return _cyclic_coset_count_p_group(group, u_mask, v_mask)
+        return cyclic_coset_count_p_group(group, u_mask, v_mask)
     u_elems = mask_elements(u_mask)
     count = 0
     for v in cosets(group, v_mask, u_mask):
@@ -270,5 +331,5 @@ def _reduced_cyclic_count(group: GroupTable, u_mask: int, v_mask: int) -> Option
         for i, r in enumerate(reps):
             if up_mask >> r & 1:
                 u_image |= 1 << i
-        return _cyclic_coset_count_p_group(qtable, u_image, (1 << qtable.order) - 1)
-    return _cyclic_coset_count_p_group(group, up_mask, vp_mask)
+        return cyclic_coset_count_p_group(qtable, u_image, (1 << qtable.order) - 1)
+    return cyclic_coset_count_p_group(group, up_mask, vp_mask)

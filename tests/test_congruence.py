@@ -1,0 +1,136 @@
+"""Method 1's shared per-lattice work against plain references: the
+congruence-pair skeleton, the roots-mask p-group count, and the per-H
+C-set path of the lemma suite."""
+
+import random
+
+import pytest
+
+from artinx import artin
+from artinx import lattice as lattice_module
+from artinx.artin import (
+    ALL_CYCLIC,
+    _coset_count,
+    artin_exponent_congruence,
+    c_set_reports,
+    congruence_pairs,
+    count_C_sets,
+    family_vector,
+)
+from artinx.groups import as_prime_power, group_from_spec, relabeled
+from artinx.lattice import cached_lattice, enumerate_subgroups, is_normal_in
+from artinx.sweep import default_catalog, random_families
+
+from oracles import cyclic_coset_count_p_group, reference_congruence_pairs
+
+A5 = "perm:(1 2 3 4 5),(1 2 3)"
+S5 = "perm:(1 2 3 4 5),(1 2)"
+
+
+def relabeled_group(spec):
+    g = group_from_spec(spec)
+    rng = random.Random(f"skeleton:{spec}")
+    return relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1))
+
+
+def assert_pairs_match_reference(spec, g, lattice):
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
+    for family in families:
+        assert list(congruence_pairs(g, lattice, family)) == reference_congruence_pairs(
+            g, lattice, family
+        ), f"{spec}, family {family}"
+
+
+@pytest.mark.parametrize("spec", default_catalog(32) + [A5, S5])
+def test_skeleton_pairs_match_reference_scan(spec):
+    g = group_from_spec(spec)
+    assert_pairs_match_reference(spec, g, enumerate_subgroups(g))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_skeleton_pairs_match_reference_scan_relabeled(spec):
+    g = relabeled_group(spec)
+    assert_pairs_match_reference(spec, g, enumerate_subgroups(g))
+
+
+@pytest.mark.parametrize("spec", ["S4", "D16", "Q16", "S4xC2xC2", A5])
+def test_skeleton_pairs_match_reference_scan_cache_loaded(spec, tmp_path, monkeypatch):
+    g = group_from_spec(spec)
+    fresh = cached_lattice(g, spec, str(tmp_path))  # miss: enumerates, writes the file
+
+    def no_enumeration(group):
+        raise AssertionError("the cache entry was not used")
+
+    monkeypatch.setattr(lattice_module, "enumerate_subgroups", no_enumeration)
+    loaded = cached_lattice(g, spec, str(tmp_path))
+    assert_pairs_match_reference(spec, g, loaded)
+    assert list(congruence_pairs(g, loaded)) == list(congruence_pairs(g, fresh))
+
+
+@pytest.mark.parametrize("spec", default_catalog(64))
+def test_roots_mask_count_matches_element_scan(spec):
+    """The cyclic-family count for V a p-group, on every U <= V normal in V
+    with U cyclic and V a class representative."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    members = family_vector([c.representative.is_cyclic for c in lattice.classes], ALL_CYCLIC)
+    checked = 0
+    for cls in lattice.classes:
+        vm = cls.representative.mask
+        if as_prime_power(cls.representative.order) is None:
+            continue
+        for um in lattice.class_of:
+            if um == vm or um & vm != um or not members[lattice.class_of[um]]:
+                continue
+            if not (g.is_abelian or is_normal_in(g, um, vm)):
+                continue
+            expected = cyclic_coset_count_p_group(g, um, vm)
+            assert _coset_count(g, lattice, um, vm, ALL_CYCLIC, members) == expected
+            checked += 1
+    assert checked or g.order == 1
+
+
+@pytest.mark.parametrize("spec", default_catalog(32))
+def test_count_c_sets_alone_matches_per_h_path(spec):
+    """count_C_sets on one U gives the report of the per-H path, and the
+    per-H path covers exactly the cyclic U that count_C_sets accepts."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    for cls in lattice.classes:
+        h = cls.representative
+        if as_prime_power(h.order) is None:
+            continue
+        reports = dict(c_set_reports(g, h.mask))
+        for um in sorted({g.cyclic_mask(x) for x in h.elements}):
+            if um in reports:
+                assert count_C_sets(g, h.mask, um) == reports[um]
+            else:
+                with pytest.raises(ValueError, match="U must be normal in H"):
+                    count_C_sets(g, h.mask, um)
+
+
+def test_pairs_are_found_once_per_lattice(monkeypatch):
+    """A second and a third family reuse the first one's pairs: no more
+    normality tests, under the skeleton's test or by conjugating masks."""
+    spec = "S4xC2xC2"
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    calls = {"normalizes": 0, "conjugate_mask": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(artin, "_normalizes", counted("normalizes", artin._normalizes))
+    monkeypatch.setattr(
+        lattice_module, "conjugate_mask", counted("conjugate_mask", lattice_module.conjugate_mask)
+    )
+    first, second, third = random_families(spec, len(lattice.classes), 3)
+    artin_exponent_congruence(g, lattice, first)
+    assert calls["normalizes"] > 0
+    after_first = dict(calls)
+    artin_exponent_congruence(g, lattice, second)
+    artin_exponent_congruence(g, lattice, third)
+    assert calls == after_first

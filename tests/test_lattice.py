@@ -1,13 +1,14 @@
 """Subgroup lattices: enumeration, conjugacy classes, and serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinx.groups import group_from_spec
 from artinx.lattice import (
     ResourceCapError,
     centralizer,
     closure_mask,
-    commutator_closure,
     conjugate_mask,
     cosets,
     enumerate_subgroups,
@@ -21,7 +22,7 @@ from artinx.lattice import (
     subgroup_from_mask,
 )
 
-from oracles import brute_force_classes, brute_force_subgroup_masks
+from oracles import brute_force_classes, brute_force_subgroup_masks, commutator_closure
 
 
 def popcount(mask):
@@ -94,6 +95,26 @@ def test_is_normal_in():
     assert not is_normal_in(g, closure_mask(g, [flip]), full)
     with pytest.raises(ValueError):
         is_normal_in(g, closure_mask(g, [flip]), closure_mask(g, [rot]))
+
+
+@pytest.mark.parametrize("spec", ["S4", "D16", "Q16", "A4"])
+def test_is_normal_in_matches_conjugation_by_all_of_outer(spec):
+    g = group_from_spec(spec)
+    masks = sorted(enumerate_subgroups(g).class_of)
+    for outer in masks:
+        for inner in masks:
+            if inner & outer != inner:
+                continue
+            expected = all(
+                conjugate_mask(g, x, inner) == inner for x in mask_elements(outer)
+            )
+            assert is_normal_in(g, inner, outer) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**256))
+def test_mask_elements_matches_naive_bit_walk(mask):
+    assert mask_elements(mask) == [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
 def test_cosets_partition_and_reps_are_least():
