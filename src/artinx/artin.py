@@ -249,15 +249,27 @@ def _congruence_skeleton(
     return skeleton
 
 
+def _congruence_pair(
+    group: GroupTable,
+    lattice: SubgroupLattice,
+    family: Family,
+    members: Sequence[int],
+    row: tuple[int, int, int, int, int],
+) -> CongruencePair:
+    """The congruence pair of one skeleton row, counted for the family."""
+    v_idx, vm, u_mask, u_class, index = row
+    count = _coset_count(group, lattice, u_mask, vm, family, members)
+    return CongruencePair(v_idx, u_class, u_mask, index, count, index // gcd(index, count))
+
+
 def congruence_pairs(
     group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
 ):
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
-    for v_idx, vm, u_mask, u_class, index in _congruence_skeleton(group, lattice):
-        count = _coset_count(group, lattice, u_mask, vm, family, members)
-        yield CongruencePair(v_idx, u_class, u_mask, index, count, index // gcd(index, count))
+    for row in _congruence_skeleton(group, lattice):
+        yield _congruence_pair(group, lattice, family, members, row)
 
 
 @dataclass
@@ -274,11 +286,18 @@ def congruence_analysis(
     keep_pairs: bool = False,
 ) -> CongruenceAnalysis:
     """Run method 1, tracking for each prime one pair that forces the
-    highest power of that prime (a certificate for the lcm)."""
+    highest power of that prime (a certificate for the lcm).  Unless
+    keep_pairs is set, a pair whose index already divides the exponent is
+    not counted: its constraint divides its index, so it can neither raise
+    the exponent nor become a binding pair."""
+    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
     exponent = 1
     best: dict[int, CongruencePair] = {}  # prime -> first pair forcing its highest power
     kept: list[CongruencePair] = []
-    for pair in congruence_pairs(group, lattice, family):
+    for row in _congruence_skeleton(group, lattice):
+        if not keep_pairs and exponent % row[-1] == 0:  # row[-1] is the index
+            continue
+        pair = _congruence_pair(group, lattice, family, members, row)
         if keep_pairs:
             kept.append(pair)
         # each constraint is a prime power; one that already divides the

@@ -32,12 +32,20 @@ def mask_elements(mask: int) -> list[int]:
     return out
 
 
-def closure_mask(group: GroupTable, generators: Iterable[int]) -> int:
-    """Bit set of the subgroup generated by the given elements."""
+def closure_mask(group: GroupTable, generators: Iterable[int], base: int = 1) -> int:
+    """Bit set of the subgroup generated by the given elements.
+
+    base is the bit set of a subgroup H of the result (by default the trivial
+    one) that the closure grows from, as a union of right cosets H y: each
+    coset representative times each generator lands in a coset already
+    present or adds a whole new one.  H must lie in the subgroup that the
+    generators alone generate.
+    """
     gens = [g for g in generators]
-    mask = 1  # identity
-    frontier = [0]
     mult = group.mult
+    h_rows = [mult[h] for h in mask_elements(base)]
+    mask = base
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:
@@ -45,14 +53,11 @@ def closure_mask(group: GroupTable, generators: Iterable[int]) -> int:
             for g in gens:
                 y = row[g]
                 if not mask >> y & 1:
-                    mask |= 1 << y
+                    for h_row in h_rows:  # the coset H y
+                        mask |= 1 << h_row[y]
                     new.append(y)
         frontier = new
     return mask
-
-
-def generated_subgroup(group: GroupTable, generators: Iterable[int]) -> "Subgroup":
-    return subgroup_from_mask(group, closure_mask(group, generators))
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,6 @@ def centralizer(group: GroupTable, mask: int) -> int:
     return out
 
 
-def normalizer(group: GroupTable, mask: int) -> int:
-    """Bit set of {g : g H g^-1 == H}."""
-    out = 0
-    for g in range(group.order):
-        if conjugate_mask(group, g, mask) == mask:
-            out |= 1 << g
-    return out
-
-
 def is_normal_in(group: GroupTable, inner: int, outer: int) -> bool:
     """Whether the first subgroup is normal in the second (must be contained in it)."""
     if inner & outer != inner:
@@ -136,21 +132,6 @@ def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:
         for u in inner_elems:
             seen |= 1 << row[u]
     return reps
-
-
-def quotient_group(group: GroupTable, outer: int, inner: int) -> tuple[GroupTable, list[int]]:
-    """The quotient of the outer subgroup by a normal inner one, as its own
-    table, plus the list of coset representatives indexing its elements."""
-    if not is_normal_in(group, inner, outer):
-        raise ValueError("inner subgroup is not normal, quotient undefined")
-    reps = cosets(group, outer, inner)
-    rep_of = {}
-    for r in reps:
-        for u in mask_elements(inner):
-            rep_of[group.mul(r, u)] = r
-    rep_index = {r: i for i, r in enumerate(reps)}
-    mul = [[rep_index[rep_of[group.mul(a, b)]] for b in reps] for a in reps]
-    return GroupTable(mul), reps
 
 
 @dataclass(frozen=True)
@@ -217,7 +198,9 @@ def _canonical_rep(group: GroupTable, masks: Iterable[int]) -> int:
 def _expand_class(group: GroupTable, mask: int) -> dict[int, int]:
     """All conjugates of a mask, each mapped to one conjugating element."""
     out: dict[int, int] = {}
-    for g in range(group.order):
+    # g and gh give the same conjugate, so one g per left coset gH will do;
+    # the least element of each coset is the first g that reaches it
+    for g in cosets(group, (1 << group.order) - 1, mask):
         c = conjugate_mask(group, g, mask)
         if c not in out:
             out[c] = g
@@ -263,10 +246,10 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
         for cm in cyclic_masks:
             if cm & base == cm:
                 continue
-            joined = closure_mask(group, base_gens + generators[cm])
+            joined_gens = base_gens + generators[cm]
+            joined = closure_mask(group, joined_gens, base)
             if joined in all_masks:
                 continue
-            joined_gens = base_gens + generators[cm]
             generators[joined] = joined_gens
             conj_to_g = {joined: 0} if abelian else _expand_class(group, joined)
             for m, g0 in conj_to_g.items():
@@ -411,7 +394,7 @@ def _greedy_generators(group: GroupTable, mask: int) -> tuple[int, ...]:
         if current >> x & 1:
             continue
         gens.append(x)
-        current = closure_mask(group, gens)
+        current = closure_mask(group, gens, current)
         if current == mask:
             return tuple(gens)
     raise AssertionError("mask was not closed")  # pragma: no cover

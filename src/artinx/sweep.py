@@ -27,7 +27,6 @@ from .artin import (
     c_set_reports,
     recognize_2group,
     report_to_dict,
-    subgroup_as_group,
 )
 from .burnside import build_mark_table, conductor
 from .groups import (
@@ -228,12 +227,13 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
         if pp is None:
             continue
         p = pp[0]
-        sub, _ = subgroup_as_group(group, cls.representative.mask)
-        full = (1 << sub.order) - 1
-        abelian = sub.is_abelian
-        cyclic_h = is_cyclic_group(sub)
-        for u_mask, r in c_set_reports(sub, full):
-            where = f"H order {sub.order} in {spec}, U order {bin(u_mask).count('1')}"
+        H = cls.representative
+        gens = lattice.generators_of(H.mask)
+        # H <= C_G(H) exactly when its recorded generators commute pairwise
+        abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
+        cyclic_h = H.is_cyclic
+        for u_mask, r in c_set_reports(group, H.mask):
+            where = f"H order {H.order} in {spec}, U order {bin(u_mask).count('1')}"
             if (r.c_count - r.c_prime_count) % p:
                 failures.append(_failure(
                     spec, "lemmas", "counts congruent mod p",
@@ -243,14 +243,14 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
                     spec, "lemmas", "normal members = extensions in H'",
                     "set mismatch", where))
             u_order = bin(u_mask).count("1")
-            if abelian and 1 < u_order < sub.order:
+            if abelian and 1 < u_order < H.order:
                 if (r.c_count % p != 0) != cyclic_h:
                     failures.append(_failure(
                         spec, "lemmas", "count prime to p iff H cyclic",
                         f"count {r.c_count}, cyclic {cyclic_h}", where))
             # [H, H] <= U exactly when H' = {h : [h, H] <= U} is all of H
-            if p == 2 and u_order == 2 and r.h_prime_mask == full:
-                if r.c_count % 2 and not (cyclic_h or (not abelian and sub.order == 8)):
+            if p == 2 and u_order == 2 and r.h_prime_mask == H.mask:
+                if r.c_count % 2 and not (cyclic_h or (not abelian and H.order == 8)):
                     failures.append(_failure(
                         spec, "lemmas", "odd count forces cyclic or nonabelian order 8",
                         f"count {r.c_count}", where))

@@ -5,11 +5,12 @@ are found by closing every small subset of elements.  That is exhaustive for
 any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
 
-The second half holds reference implementations that only the tests use: the
-all-triples table check, per-entry marks, the commutator subgroup, the
-congruence-pair scan over every subgroup, and coset counting with the
-element-scanning p-group count, the lattice-free closure path and the central
-p-part reduction.
+The second half holds reference implementations and helpers that only the
+tests use: the all-triples table check, per-entry marks, the commutator
+subgroup, the normalizer, quotient groups, conjugacy classes by conjugating
+with every element, the congruence-pair scan over every subgroup, and coset
+counting with the element-scanning p-group count, the lattice-free closure
+path and the central p-part reduction.
 """
 
 import itertools
@@ -31,8 +32,8 @@ from artinx.lattice import (
     conjugate_mask,
     cosets,
     is_normal_in,
+    Subgroup,
     mask_elements,
-    quotient_group,
     subgroup_from_mask,
 )
 
@@ -155,6 +156,45 @@ def reference_validate_table(mult) -> None:
             for c in range(n):
                 if mult[ab][c] != mult[a][mult[b][c]]:
                     raise ValueError("multiplication table is not associative")
+
+
+def generated_subgroup(group: GroupTable, generators) -> Subgroup:
+    return subgroup_from_mask(group, closure_mask(group, generators))
+
+
+def normalizer(group: GroupTable, mask: int) -> int:
+    """Bit set of {g : g H g^-1 == H}."""
+    out = 0
+    for g in range(group.order):
+        if conjugate_mask(group, g, mask) == mask:
+            out |= 1 << g
+    return out
+
+
+def quotient_group(group: GroupTable, outer: int, inner: int) -> tuple[GroupTable, list[int]]:
+    """The quotient of the outer subgroup by a normal inner one, as its own
+    table, plus the list of coset representatives indexing its elements."""
+    if not is_normal_in(group, inner, outer):
+        raise ValueError("inner subgroup is not normal, quotient undefined")
+    reps = cosets(group, outer, inner)
+    rep_of = {}
+    for r in reps:
+        for u in mask_elements(inner):
+            rep_of[group.mul(r, u)] = r
+    rep_index = {r: i for i, r in enumerate(reps)}
+    mul = [[rep_index[rep_of[group.mul(a, b)]] for b in reps] for a in reps]
+    return GroupTable(mul), reps
+
+
+def reference_expand_class(group: GroupTable, mask: int) -> dict[int, int]:
+    """All conjugates of a mask, each mapped to the least element conjugating
+    the mask onto it, found by conjugating with every element in turn."""
+    out: dict[int, int] = {}
+    for g in range(group.order):
+        c = conjugate_mask(group, g, mask)
+        if c not in out:
+            out[c] = g
+    return out
 
 
 def commutator_closure(group: GroupTable, mask: int) -> int:

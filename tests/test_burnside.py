@@ -17,9 +17,9 @@ from artinx.burnside import (
     solve_membership,
 )
 from artinx.groups import group_from_spec
-from artinx.lattice import enumerate_subgroups, normalizer
+from artinx.lattice import enumerate_subgroups
 
-from oracles import brute_force_mark, mark, solve_lower_triangular_fractions
+from oracles import brute_force_mark, mark, normalizer, solve_lower_triangular_fractions
 
 
 def setup_group(spec):

@@ -1,8 +1,9 @@
 """Method 1's shared per-lattice work against plain references: the
-congruence-pair skeleton, the roots-mask p-group count, and the per-H
-C-set path of the lemma suite."""
+congruence-pair skeleton, the pair skip, the roots-mask p-group count, and
+the per-H C-set path of the lemma suite."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,13 +13,17 @@ from artinx.artin import (
     ALL_CYCLIC,
     _coset_count,
     artin_exponent_congruence,
+    _congruence_skeleton,
     c_set_reports,
+    compute_exponent_report,
+    congruence_analysis,
     congruence_pairs,
     count_C_sets,
     family_vector,
+    subgroup_as_group,
 )
 from artinx.groups import as_prime_power, group_from_spec, relabeled
-from artinx.lattice import cached_lattice, enumerate_subgroups, is_normal_in
+from artinx.lattice import cached_lattice, enumerate_subgroups, is_normal_in, mask_elements
 from artinx.sweep import default_catalog, random_families
 
 from oracles import cyclic_coset_count_p_group, reference_congruence_pairs
@@ -134,3 +139,89 @@ def test_pairs_are_found_once_per_lattice(monkeypatch):
     artin_exponent_congruence(g, lattice, second)
     artin_exponent_congruence(g, lattice, third)
     assert calls == after_first
+
+
+@pytest.mark.parametrize("spec", default_catalog(64))
+def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
+    """The lemma suite reads the per-H reports in the ambient group; they are
+    the reports of H as a standalone table, mapped back through its elements."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    for cls in lattice.classes:
+        h = cls.representative
+        if as_prime_power(h.order) is None:
+            continue
+        sub, elems = subgroup_as_group(g, h.mask)
+
+        def ambient(mask):
+            return sum(1 << elems[x] for x in mask_elements(mask))
+
+        def ambient_set(masks):
+            return frozenset(ambient(m) for m in masks)
+
+        expected = [
+            (ambient(um), ambient_set(r.c_masks), ambient_set(r.c_prime_masks),
+             ambient(r.h_prime_mask), ambient_set(r.c_of_h_prime_masks))
+            for um, r in c_set_reports(sub, (1 << sub.order) - 1)
+        ]
+        got = [
+            (um, r.c_masks, r.c_prime_masks, r.h_prime_mask, r.c_of_h_prime_masks)
+            for um, r in c_set_reports(g, h.mask)
+        ]
+        assert got == expected, (spec, h.mask)
+
+
+@pytest.mark.parametrize("spec", default_catalog(64))
+def test_pair_skip_keeps_exponent_and_binding_pairs(spec):
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]:
+        skipping = congruence_analysis(g, lattice, family)
+        counting = congruence_analysis(g, lattice, family, keep_pairs=True)
+        assert skipping.exponent == counting.exponent, family
+        assert skipping.binding_pairs == counting.binding_pairs, family
+
+
+def count_coset_counts(monkeypatch):
+    """Count calls of artin._coset_count, by (U, V)."""
+    calls = Counter()
+    original = artin._coset_count
+
+    def counted(group, lattice, u_mask, v_mask, family, members):
+        calls[u_mask, v_mask] += 1
+        return original(group, lattice, u_mask, v_mask, family, members)
+
+    monkeypatch.setattr(artin, "_coset_count", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["C4xC4xC4", "S4xC2xC2", "SD32"])
+def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
+    """congruence_pairs and the audit path (keep_pairs) count, and so assert
+    on, every pair of the skeleton exactly once."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    skeleton = _congruence_skeleton(g, lattice)
+    every_pair = Counter((u_mask, vm) for _, vm, u_mask, _, _ in skeleton)
+    assert max(every_pair.values()) == 1
+    calls = count_coset_counts(monkeypatch)
+    analysis = congruence_analysis(g, lattice, keep_pairs=True)
+    assert calls == every_pair
+    assert len(analysis.pairs) == len(skeleton)
+    calls.clear()
+    report = compute_exponent_report(g, spec, lattice=lattice, include_pairs=True)
+    assert calls == every_pair
+    assert report.pairs == analysis.pairs
+    calls.clear()
+    assert len(list(congruence_pairs(g, lattice))) == len(skeleton)
+    assert calls == every_pair
+
+
+def test_skipping_counts_fewer_pairs_than_the_skeleton_holds(monkeypatch):
+    g = group_from_spec("C4xC4xC4")
+    lattice = enumerate_subgroups(g)
+    skeleton = _congruence_skeleton(g, lattice)
+    calls = count_coset_counts(monkeypatch)
+    congruence_analysis(g, lattice)
+    assert 0 < sum(calls.values()) < len(skeleton)
+    assert max(calls.values()) == 1

@@ -1,28 +1,40 @@
 """Subgroup lattices: enumeration, conjugacy classes, and serialization."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artinx.groups import group_from_spec
+from artinx.groups import group_from_spec, relabeled
 from artinx.lattice import (
     ResourceCapError,
+    _expand_class,
     centralizer,
     closure_mask,
     conjugate_mask,
     cosets,
     enumerate_subgroups,
-    generated_subgroup,
     is_normal_in,
     lattice_from_dict,
     lattice_to_dict,
     mask_elements,
-    normalizer,
-    quotient_group,
     subgroup_from_mask,
 )
 
-from oracles import brute_force_classes, brute_force_subgroup_masks, commutator_closure
+from oracles import (
+    brute_force_classes,
+    brute_force_subgroup_masks,
+    commutator_closure,
+    generated_subgroup,
+    normalizer,
+    quotient_group,
+    reference_expand_class,
+)
+from artinx.sweep import default_catalog
+
+A5 = "perm:(1 2 3 4 5),(1 2 3)"
+S5 = "perm:(1 2 3 4 5),(1 2)"
 
 
 def popcount(mask):
@@ -162,6 +174,79 @@ def test_quotient_requires_normal_subgroup():
     s = next(x for x in range(1, 6) if g.element_order(x) == 2)
     with pytest.raises(ValueError):
         quotient_group(g, (1 << 6) - 1, closure_mask(g, [s]))
+
+
+# ---------------------------------------------------------------------------
+# coset-wise kernels against element-wise references
+# ---------------------------------------------------------------------------
+
+
+def relabeled_group(spec, salt):
+    g = group_from_spec(spec)
+    rng = random.Random(f"{salt}:{spec}")
+    return relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1))
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
+def test_closure_from_a_subgroup_matches_closure_from_identity(spec):
+    """Joining each class representative H with each cyclic subgroup, as
+    enumeration does: growing by cosets of H gives the breadth-first closure."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    cyclic_gens = sorted({lattice.generators_of(g.cyclic_mask(x)) for x in range(1, g.order)})
+    for cls in lattice.classes:
+        h = cls.representative.mask
+        h_gens = lattice.generators_of(h)
+        for x_gens in cyclic_gens:
+            gens = h_gens + x_gens
+            assert closure_mask(g, gens, h) == closure_mask(g, gens), (spec, h, gens)
+
+
+CLOSURE_SPECS = ["S4", "SD16", "Q16", "D12", "C4xC4", "C2xC2xC6", "A4", "H3", "C2xQ8"]
+_closure_groups = {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(CLOSURE_SPECS),
+    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=1, max_value=3),
+)
+def test_closure_from_prefix_subgroup_matches_closure_from_identity(spec, picks, prefix, k):
+    """Random generators of a relabelled table; H is generated by the k-th
+    powers of a prefix of them, so it lies in the subgroup the whole list
+    generates, but its own generators need not be on the list."""
+    if spec not in _closure_groups:
+        _closure_groups[spec] = relabeled_group(spec, "closure")
+    g = _closure_groups[spec]
+    gens = [p % g.order for p in picks]
+    base = closure_mask(g, [g.power(x, k) for x in gens[:prefix]])
+    assert closure_mask(g, gens, base) == closure_mask(g, gens)
+
+
+def test_closure_from_a_subgroup_fills_whole_cosets():
+    """C8 from one generator x, grown from H = <x^2>: x^2 is not among the
+    generators, so only adding whole cosets H y reaches x^3, x^5 and x^7."""
+    g = group_from_spec("C8")
+    x = next(y for y in range(8) if g.element_order(y) == 8)
+    assert closure_mask(g, [x], g.cyclic_mask(g.power(x, 2))) == (1 << 8) - 1
+
+
+def assert_expand_class_matches_reference(g):
+    for m in sorted(enumerate_subgroups(g).class_of):
+        # the same conjugates, conjugating elements and insertion order
+        assert list(_expand_class(g, m).items()) == list(reference_expand_class(g, m).items())
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
+def test_expand_class_matches_conjugation_by_every_element(spec):
+    assert_expand_class_matches_reference(group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_expand_class_matches_conjugation_by_every_element_relabeled(spec):
+    assert_expand_class_matches_reference(relabeled_group(spec, "expand"))
 
 
 # ---------------------------------------------------------------------------
