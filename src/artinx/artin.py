@@ -10,8 +10,11 @@ Method 1 (congruences): for every pair U normal in V with prime-power index
 a counting argument n must be divisible by (V:U) / gcd((V:U), count).  The
 exponent candidate is the lcm of these forced divisors.
 
-Method 2 (marks): scan the divisors of |G| in increasing order and return
-the first n for which n * e_F solves integrally against the table of marks.
+Method 2 (marks): |G| times any ghost vector lies in the image of the
+Burnside ring, so one exact integer back-substitution of |G| * e_F against
+the table of marks gives integer coefficients c, and the exponent is
+|G| / gcd(|G|, c): n * e_F solves to n * c / |G|, integral exactly when that
+quotient divides n.  Method 2 reads nothing but the table.
 
 Method 1 gives divisors that are always necessary, so method 2 can never
 return less; the two agreeing is a strong end-to-end check and any
@@ -24,11 +27,10 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .burnside import MarkTable, NotIntegral, build_mark_table, solve_membership
+from .burnside import MarkTable, build_mark_table, ghost_denominator
 from .groups import (
     GroupTable,
     as_prime_power,
-    divisors,
     is_cyclic_group,
     p_part,
     prime_factors,
@@ -327,16 +329,9 @@ def artin_exponent_congruence(
 def artin_exponent_marks(
     group: GroupTable, table: MarkTable, family: Family = ALL_CYCLIC
 ) -> int:
-    """Least divisor n of |G| with n * e_F integral in the transitive basis."""
-    target = family_vector(table.class_cyclic, family)
-    for n in divisors(group.order):
-        scaled = [n * x for x in target]
-        if not isinstance(solve_membership(table, scaled), NotIntegral):
-            return n
-    raise RuntimeError(
-        "no divisor of the group order worked; the scan should always "
-        "terminate because |G| times any ghost vector is integral"
-    )
+    """Least n >= 1 with n * e_F integral in the transitive basis, from one
+    solve of |G| * e_F."""
+    return ghost_denominator(table, family_vector(table.class_cyclic, family))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .artin import (
     compute_exponent_report,
     report_to_dict,
 )
-from .burnside import MarkTable, build_mark_table, mark_table_to_dict
+from .burnside import MarkTable, build_mark_table, dense_rows, mark_table_to_dict
 from .groups import build_group, parse_group_spec, spec_to_text
 from .lattice import ResourceCapError, SubgroupLattice, cached_lattice
 from .sweep import CHECK_NAMES, RunResult, SweepConfig, run_sweep, summary_to_dict
@@ -168,12 +168,13 @@ def _print_mark_table(text: str, table: MarkTable) -> None:
     noun = "class" if table.n == 1 else "classes"
     print(f"table of marks: {text} (order {table.class_orders[-1]}, {table.n} {noun})")
     head = max(len(label) for label in labels)
+    rows = dense_rows(table)
     widths = [
-        max(len(labels[j]), max(len(str(row[j])) for row in table.rows))
+        max(len(labels[j]), max(len(str(row[j])) for row in rows))
         for j in range(table.n)
     ]
     print("  " + " " * head + "  " + "  ".join(l.rjust(w) for l, w in zip(labels, widths)))
-    for label, row in zip(labels, table.rows):
+    for label, row in zip(labels, rows):
         cells = "  ".join(str(v).rjust(w) for v, w in zip(row, widths))
         print(f"  {label.rjust(head)}  {cells}")
 

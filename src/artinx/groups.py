@@ -53,19 +53,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _smallest_prime_factor(n) == n
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n, ascending."""
     out = []
@@ -452,22 +439,6 @@ def element_order(group: GroupTable, g: int) -> int:
 
 def is_cyclic_group(group: GroupTable) -> bool:
     return any(group.element_order(g) == group.order for g in range(group.order))
-
-
-def relabeled(group: GroupTable, perm: Sequence[int]) -> GroupTable:
-    """The same group with elements renamed by perm (which must fix 0)."""
-    n = group.order
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..order-1")
-    if perm[0] != 0:
-        raise ValueError("perm must fix the identity (element 0)")
-    mult = [[0] * n for _ in range(n)]
-    for a in range(n):
-        row = group.mult[a]
-        target = mult[perm[a]]
-        for b in range(n):
-            target[perm[b]] = perm[row[b]]
-    return GroupTable(mult)
 
 
 # ---------------------------------------------------------------------------

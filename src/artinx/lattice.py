@@ -107,14 +107,6 @@ def centralizer(group: GroupTable, mask: int) -> int:
     return out
 
 
-def is_normal_in(group: GroupTable, inner: int, outer: int) -> bool:
-    """Whether the first subgroup is normal in the second (must be contained in it)."""
-    if inner & outer != inner:
-        raise ValueError("inner subgroup is not contained in the outer one")
-    # g and gu conjugate the inner subgroup alike, so one g per left coset will do
-    return all(conjugate_mask(group, g, inner) == inner for g in cosets(group, outer, inner))
-
-
 def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:
     """Left coset representatives of the inner subgroup in the outer one,
     each the least element of its coset, in ascending order."""
@@ -184,10 +176,6 @@ class SubgroupLattice:
 
     def cyclic_class_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.classes) if c.representative.is_cyclic]
-
-    def normalizer_index(self, class_index: int) -> int:
-        """(G : N_G(H)) for the class representative; equals the class size."""
-        return self.classes[class_index].size
 
 
 def _canonical_rep(group: GroupTable, masks: Iterable[int]) -> int:

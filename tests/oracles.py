@@ -6,17 +6,20 @@ any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
 
 The second half holds reference implementations and helpers that only the
-tests use: the all-triples table check, per-entry marks, the commutator
-subgroup, the normalizer, quotient groups, conjugacy classes by conjugating
-with every element, the congruence-pair scan over every subgroup, and coset
-counting with the element-scanning p-group count, the lattice-free closure
-path and the central p-part reduction.
+tests use: the all-triples table check, relabelled tables, per-entry marks,
+the divisor-scan exponent and the Fraction conductor, products in the
+transitive basis, normality and normalizer tests, the commutator subgroup,
+quotient groups, conjugacy classes by conjugating with every element, the
+congruence-pair scan over every subgroup, and coset counting with the
+element-scanning p-group count, the lattice-free closure path and the
+central p-part reduction.
 """
 
 import itertools
+import sys
 from fractions import Fraction
-from math import gcd
-from typing import Optional
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 from artinx.artin import (
     ALL_CYCLIC,
@@ -25,13 +28,14 @@ from artinx.artin import (
     _coset_count,
     family_vector,
 )
+from artinx import burnside
+from artinx.burnside import MarkTable, NotIntegral, dense_rows, solve_membership
 from artinx.groups import GroupTable, as_prime_power
 from artinx.lattice import (
     SubgroupLattice,
     closure_mask,
     conjugate_mask,
     cosets,
-    is_normal_in,
     Subgroup,
     mask_elements,
     subgroup_from_mask,
@@ -156,6 +160,170 @@ def reference_validate_table(mult) -> None:
             for c in range(n):
                 if mult[ab][c] != mult[a][mult[b][c]]:
                     raise ValueError("multiplication table is not associative")
+
+
+def relabeled(group: GroupTable, perm: Sequence[int]) -> GroupTable:
+    """The same group with elements renamed by perm (which must fix 0)."""
+    n = group.order
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a permutation of 0..order-1")
+    if perm[0] != 0:
+        raise ValueError("perm must fix the identity (element 0)")
+    mult = [[0] * n for _ in range(n)]
+    for a in range(n):
+        row = group.mult[a]
+        target = mult[perm[a]]
+        for b in range(n):
+            target[perm[b]] = perm[row[b]]
+    return GroupTable(mult)
+
+
+def reference_exponent_marks(
+    group: GroupTable, table: MarkTable, family: Family = ALL_CYCLIC
+) -> int:
+    """Least divisor n of |G| with n * e_F integral in the transitive basis,
+    found by trying every divisor in ascending order."""
+    target = family_vector(table.class_cyclic, family)
+    for n in range(1, group.order + 1):
+        if group.order % n:
+            continue
+        if not isinstance(solve_membership(table, [n * x for x in target]), NotIntegral):
+            return n
+    raise AssertionError("|G| times a ghost vector did not solve integrally")
+
+
+def reference_conductor(table: MarkTable) -> int:
+    """The lcm of every denominator of the rational solutions for the unit
+    ghost vectors, by Fraction back-substitution down the dense table."""
+    rows = dense_rows(table)
+    n = table.n
+    below = [[(i, rows[i][j]) for i in range(j + 1, n) if rows[i][j]] for j in range(n)]
+    result = 1
+    for k in range(n):
+        coeffs = [Fraction(0)] * n
+        for j in range(n - 1, -1, -1):
+            acc = Fraction(int(j == k))
+            for i, m in below[j]:
+                acc -= m * coeffs[i]
+            coeffs[j] = acc / rows[j][j]
+            result = lcm(result, coeffs[j].denominator)
+    return result
+
+
+def count_solves(monkeypatch):
+    """Replace solve_membership wherever an artinx module binds it by a
+    counting wrapper; returns the list the wrapper appends to."""
+    calls = []
+    original = burnside.solve_membership
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("artinx") and getattr(module, "solve_membership", None) is original:
+            monkeypatch.setattr(module, "solve_membership", counted)
+    return calls
+
+
+def _coset_rep_array(group: GroupTable, mask: int) -> list[int]:
+    """For each g, the least element of the left coset g*H."""
+    members = mask_elements(mask)
+    reps = [-1] * group.order
+    mult = group.mult
+    for g in range(group.order):
+        if reps[g] >= 0:
+            continue
+        row = mult[g]
+        for u in members:
+            reps[row[u]] = g
+    return reps
+
+
+def multiply_basis(
+    group: GroupTable, lattice: SubgroupLattice, i: int, j: int
+) -> tuple[int, ...]:
+    """Coefficients of [G/U_i] * [G/U_j] in the transitive basis.
+
+    Orbits of G on (G/U_i) x (G/U_j) are enumerated directly; the orbit of
+    (aU, bV) contributes one copy of [G / (aUa^-1 meet bVb^-1)].
+    """
+    cache = lattice._cache.setdefault("basis_products", {})
+    key = (i, j) if i <= j else (j, i)
+    if key in cache:
+        return cache[key]
+
+    order = group.order
+    full = (1 << order) - 1
+    u_mask = lattice.classes[key[0]].representative.mask
+    v_mask = lattice.classes[key[1]].representative.mask
+    rep_u = _coset_rep_array(group, u_mask)
+    rep_v = _coset_rep_array(group, v_mask)
+    gens = lattice.generators_of(full)
+    mult = group.mult
+
+    coeffs = [0] * len(lattice.classes)
+    seen: set[tuple[int, int]] = set()
+    for a in sorted(set(rep_u)):
+        for b in sorted(set(rep_v)):
+            start = (a, b)
+            if start in seen:
+                continue
+            orbit = [start]
+            seen.add(start)
+            for pair in orbit:
+                pa, pb = pair
+                for g in gens:
+                    nxt = (rep_u[mult[g][pa]], rep_v[mult[g][pb]])
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        orbit.append(nxt)
+            stab = conjugate_mask(group, a, u_mask) & conjugate_mask(group, b, v_mask)
+            if len(orbit) * bin(stab).count("1") != order:
+                raise AssertionError("orbit size does not match its stabilizer")
+            coeffs[lattice.class_of[stab]] += 1
+
+    result = tuple(coeffs)
+    cache[key] = result
+    return result
+
+
+def multiply_elements(
+    group: GroupTable,
+    lattice: SubgroupLattice,
+    x: Sequence[int],
+    y: Sequence[int],
+) -> tuple[int, ...]:
+    """Product of two Burnside-ring elements given by basis coefficients."""
+    n = len(lattice.classes)
+    if len(x) != n or len(y) != n:
+        raise ValueError("coefficient vector has the wrong length")
+    out = [0] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            prod = multiply_basis(group, lattice, i, j)
+            scale = xi * yj
+            for k, c in enumerate(prod):
+                if c:
+                    out[k] += scale * c
+    return tuple(out)
+
+
+def is_normal_in(group: GroupTable, inner: int, outer: int) -> bool:
+    """Whether the first subgroup is normal in the second (must be contained in it)."""
+    if inner & outer != inner:
+        raise ValueError("inner subgroup is not contained in the outer one")
+    # g and gu conjugate the inner subgroup alike, so one g per left coset will do
+    return all(conjugate_mask(group, g, inner) == inner for g in cosets(group, outer, inner))
+
+
+def normalizer_index(lattice: SubgroupLattice, class_index: int) -> int:
+    """(G : N_G(H)) for the class representative; equals the class size."""
+    return lattice.classes[class_index].size
 
 
 def generated_subgroup(group: GroupTable, generators) -> Subgroup:

@@ -24,15 +24,23 @@ from artinx.artin import (
     subgroup_as_group,
 )
 from artinx.burnside import build_mark_table
-from artinx.groups import group_from_spec, relabeled
-from artinx.lattice import centralizer, enumerate_subgroups, is_normal_in, mask_elements
+from artinx.groups import group_from_spec
+from artinx.lattice import centralizer, enumerate_subgroups, mask_elements
+from artinx.sweep import default_catalog, random_families
 
 from oracles import (
     brute_force_artin_exponent,
     brute_force_cyclic_coset_count,
     central_reduction_pair,
+    count_solves,
     cyclic_count,
+    is_normal_in,
+    reference_exponent_marks,
+    relabeled,
 )
+
+A5 = "perm:(1 2 3 4 5),(1 2 3)"
+S5 = "perm:(1 2 3 4 5),(1 2)"
 
 
 def setup_group(spec):
@@ -410,6 +418,39 @@ def test_exponent_is_isomorphism_invariant(spec):
         h_lat = enumerate_subgroups(h)
         assert artin_exponent_marks(h, build_mark_table(h, h_lat)) == expected
         assert artin_exponent_congruence(h, h_lat) == expected
+
+
+def assert_marks_method_matches_divisor_scan(spec, g):
+    lattice = enumerate_subgroups(g)
+    table = build_mark_table(g, lattice)
+    for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes))]:
+        assert artin_exponent_marks(g, table, family) == \
+            reference_exponent_marks(g, table, family), (spec, family)
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
+def test_marks_method_matches_divisor_scan(spec):
+    assert_marks_method_matches_divisor_scan(spec, group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_marks_method_matches_divisor_scan_relabeled(spec):
+    g = group_from_spec(spec)
+    rng = random.Random(f"scan:{spec}")
+    for _ in range(3):
+        h = relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1))
+        assert_marks_method_matches_divisor_scan(spec, h)
+
+
+@pytest.mark.parametrize("spec", ["C1", "S3", "S4", "SD16", "C2xC2xC2", A5])
+def test_marks_method_solves_once_per_call(spec, monkeypatch):
+    g, lattice = setup_group(spec)
+    table = build_mark_table(g, lattice)
+    calls = count_solves(monkeypatch)
+    families = [ALL_CYCLIC, *random_families(spec, table.n, count=5)]
+    for done, family in enumerate(families, start=1):
+        artin_exponent_marks(g, table, family)
+        assert len(calls) == done
 
 
 # ---------------------------------------------------------------------------

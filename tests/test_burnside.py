@@ -1,31 +1,53 @@
 """Tables of marks, ghost vectors, membership, conductor, multiplication."""
 
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artinx.burnside import (
     NotIntegral,
     build_mark_table,
     conductor,
+    dense_rows,
     ghost_of,
     mark_table_to_dict,
-    multiply_basis,
-    multiply_elements,
-    solve_ghost_exact,
     solve_membership,
 )
 from artinx.groups import group_from_spec
 from artinx.lattice import enumerate_subgroups
+from artinx.sweep import default_catalog
 
-from oracles import brute_force_mark, mark, normalizer, solve_lower_triangular_fractions
+from oracles import (
+    brute_force_mark,
+    count_solves,
+    mark,
+    multiply_basis,
+    multiply_elements,
+    normalizer,
+    reference_conductor,
+    relabeled,
+    solve_lower_triangular_fractions,
+)
+
+A5 = "perm:(1 2 3 4 5),(1 2 3)"
+S5 = "perm:(1 2 3 4 5),(1 2)"
 
 
 def setup_group(spec):
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     return g, lattice, build_mark_table(g, lattice)
+
+
+_tables = {}
+
+
+def cached_table(spec):
+    if spec not in _tables:
+        _tables[spec] = setup_group(spec)[2]
+    return _tables[spec]
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +57,14 @@ def setup_group(spec):
 
 def test_c2_marks():
     _, _, table = setup_group("C2")
-    assert table.rows == [[2, 0], [1, 1]]
+    assert dense_rows(table) == [[2, 0], [1, 1]]
+    assert table.rows == [[(0, 2)], [(0, 1), (1, 1)]]
 
 
 def test_s3_marks_frozen():
     _, _, table = setup_group("S3")
     assert table.class_orders == [1, 2, 3, 6]
-    assert table.rows == [
+    assert dense_rows(table) == [
         [6, 0, 0, 0],
         [3, 1, 0, 0],
         [2, 0, 2, 0],
@@ -52,7 +75,7 @@ def test_s3_marks_frozen():
 def test_q8_marks_frozen():
     _, _, table = setup_group("Q8")
     assert table.class_orders == [1, 2, 4, 4, 4, 8]
-    assert table.rows == [
+    assert dense_rows(table) == [
         [8, 0, 0, 0, 0, 0],
         [4, 4, 0, 0, 0, 0],
         [2, 2, 2, 0, 0, 0],
@@ -65,10 +88,11 @@ def test_q8_marks_frozen():
 @pytest.mark.parametrize("spec", ["C12", "S3", "D8", "Q8", "A4", "S4", "D12"])
 def test_marks_match_brute_force(spec):
     g, lattice, table = setup_group(spec)
+    rows = dense_rows(table)
     for i, ci in enumerate(lattice.classes):
         for j, cj in enumerate(lattice.classes):
             expected = brute_force_mark(g, cj.representative.mask, ci.representative.mask)
-            assert table.rows[i][j] == expected
+            assert rows[i][j] == expected
             assert mark(g, lattice, j, i) == expected
 
 
@@ -76,15 +100,19 @@ def test_marks_match_brute_force(spec):
 def test_mark_table_shape_invariants(spec):
     g, lattice, table = setup_group(spec)
     n = table.n
+    rows = dense_rows(table)
     for i in range(n):
         # lower triangular with zero above the diagonal
-        assert all(table.rows[i][j] == 0 for j in range(i + 1, n))
+        assert all(rows[i][j] == 0 for j in range(i + 1, n))
         # first column: index of the subgroup; last row: all ones
-        assert table.rows[i][0] == g.order // table.class_orders[i]
-        assert table.rows[n - 1][i] == 1
+        assert rows[i][0] == g.order // table.class_orders[i]
+        assert rows[n - 1][i] == 1
         # diagonal: index of the subgroup in its normalizer
         nz = normalizer(g, lattice.classes[i].representative.mask)
-        assert table.rows[i][i] == bin(nz).count("1") // table.class_orders[i]
+        assert rows[i][i] == bin(nz).count("1") // table.class_orders[i]
+        # the stored row: exactly the nonzero marks, ascending, diagonal last
+        assert table.rows[i] == [(j, m) for j, m in enumerate(rows[i]) if m]
+        assert table.rows[i][-1][0] == i
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +125,7 @@ def test_ghost_of_basis_vector_is_table_row():
     for i in range(table.n):
         unit = [0] * table.n
         unit[i] = 1
-        assert ghost_of(table, unit) == tuple(table.rows[i])
+        assert ghost_of(table, unit) == tuple(dense_rows(table)[i])
 
 
 def test_s3_membership_solution_frozen():
@@ -130,17 +158,53 @@ def test_round_trip_random_coefficients(spec):
         assert solve_membership(table, ghost_of(table, coeffs)) == coeffs
 
 
+def fraction_solution(table, ghost):
+    """Rational coefficients of a ghost vector by plain forward substitution:
+    M^T x = v is lower triangular once both axes are reversed."""
+    rows = dense_rows(table)
+    k = table.n
+    flipped = [[rows[k - 1 - j][k - 1 - i] for j in range(k)] for i in range(k)]
+    return solve_lower_triangular_fractions(flipped, list(ghost)[::-1])[::-1]
+
+
+def assert_solver_matches_fractions(table, ghost):
+    """solve_membership gives the rational solution when it is integral and
+    otherwise its first non-integer from the top; |G| times the vector
+    always solves, to |G| times the rational solution."""
+    expected = fraction_solution(table, ghost)
+    got = solve_membership(table, ghost)
+    fractional = [i for i, x in enumerate(expected) if x.denominator != 1]
+    if fractional:
+        top = fractional[-1]
+        assert got == NotIntegral(class_index=top, denominator=expected[top].denominator)
+    else:
+        assert got == tuple(int(x) for x in expected)
+    order = table.class_orders[-1]
+    scaled = solve_membership(table, [order * v for v in ghost])
+    assert scaled == tuple(order * x for x in expected)
+    return got
+
+
 def test_solver_agrees_with_plain_fraction_elimination():
-    _, _, table = setup_group("S4")
+    table = cached_table("S4")
     rng = random.Random(77)
-    # M^T x = v  <=>  solving the transposed system by forward substitution
-    transposed = [[table.rows[j][i] for j in range(table.n)] for i in range(table.n)]
-    reversed_rows = [[transposed[table.n - 1 - i][table.n - 1 - j] for j in range(table.n)] for i in range(table.n)]
+    witnesses = 0
     for _ in range(20):
         ghost = [rng.randint(-50, 50) for _ in range(table.n)]
-        expected = solve_lower_triangular_fractions(reversed_rows, ghost[::-1])[::-1]
-        got = solve_ghost_exact(table, ghost)
-        assert [Fraction(c) for c in got] == expected
+        witnesses += isinstance(assert_solver_matches_fractions(table, ghost), NotIntegral)
+    assert witnesses > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["S4", "Q8", "SD16", "C2xC2xC2", A5]), st.data())
+def test_solver_agrees_with_fractions_on_random_ghosts(spec, data):
+    table = cached_table(spec)
+    vector = data.draw(
+        st.lists(st.integers(-10**6, 10**6), min_size=table.n, max_size=table.n)
+    )
+    # half the draws are images of random coefficients, so integral results occur
+    ghost = ghost_of(table, vector) if data.draw(st.booleans()) else vector
+    assert_solver_matches_fractions(table, ghost)
 
 
 def test_non_integral_witness_is_first_from_top():
@@ -162,6 +226,29 @@ def test_non_integral_witness_is_first_from_top():
 def test_conductor_known_values(spec, expected):
     _, _, table = setup_group(spec)
     assert conductor(table) == expected
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
+def test_conductor_matches_fraction_lcm(spec):
+    assert conductor(cached_table(spec)) == reference_conductor(cached_table(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_conductor_matches_fraction_lcm_relabeled(spec):
+    g = group_from_spec(spec)
+    rng = random.Random(f"conductor:{spec}")
+    for _ in range(3):
+        h = relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1))
+        table = build_mark_table(h, enumerate_subgroups(h))
+        assert conductor(table) == reference_conductor(table) == g.order
+
+
+@pytest.mark.parametrize("spec", ["C1", "S4", "SD16", "C2xC2xC2"])
+def test_conductor_solves_once_per_class(spec, monkeypatch):
+    table = cached_table(spec)
+    calls = count_solves(monkeypatch)
+    conductor(table)
+    assert len(calls) == table.n
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +286,7 @@ def test_free_times_anything_is_free():
 def test_ghost_map_is_ring_homomorphism_all_pairs(spec):
     g, lattice, table = setup_group(spec)
     n = len(lattice.classes)
-    rows = [tuple(r) for r in table.rows]
+    rows = [tuple(r) for r in dense_rows(table)]
     for i in range(n):
         for j in range(n):
             prod = multiply_basis(g, lattice, i, j)
@@ -232,7 +319,7 @@ def test_mark_table_serialization():
     data = mark_table_to_dict(table, "S3")
     assert data["schema"] == 1
     assert data["group"] == "S3"
-    assert data["marks"] == table.rows
+    assert data["marks"] == dense_rows(table)
     assert data["class_orders"] == [1, 2, 3, 6]
     assert data["class_sizes"] == [1, 3, 1, 1]
     assert data["class_cyclic"] == [True, True, True, False]

@@ -225,6 +225,21 @@ def test_marks_labels_flag_noncyclic_classes(capsys):
     assert "N8*1" in out
 
 
+MARKS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "marks")
+
+
+@pytest.mark.parametrize("spec", ["C1", "S4", "Q8", "SD16", "C2xC2xC2"])
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_marks_output_bytes_pinned(spec, json_flag, capsys):
+    """The text and JSON tables print exactly the bytes in tests/golden/marks."""
+    argv = ["marks", "--group", spec] + (["--json"] if json_flag else [])
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    path = os.path.join(MARKS_GOLDEN, spec + (".json" if json_flag else ".txt"))
+    with open(path, "rb") as handle:
+        assert out.encode() == handle.read()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

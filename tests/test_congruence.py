@@ -22,11 +22,16 @@ from artinx.artin import (
     family_vector,
     subgroup_as_group,
 )
-from artinx.groups import as_prime_power, group_from_spec, relabeled
-from artinx.lattice import cached_lattice, enumerate_subgroups, is_normal_in, mask_elements
+from artinx.groups import as_prime_power, group_from_spec
+from artinx.lattice import cached_lattice, enumerate_subgroups, mask_elements
 from artinx.sweep import default_catalog, random_families
 
-from oracles import cyclic_coset_count_p_group, reference_congruence_pairs
+from oracles import (
+    cyclic_coset_count_p_group,
+    is_normal_in,
+    reference_congruence_pairs,
+    relabeled,
+)
 
 A5 = "perm:(1 2 3 4 5),(1 2 3)"
 S5 = "perm:(1 2 3 4 5),(1 2)"
