@@ -34,6 +34,7 @@ from .groups import (
     is_cyclic_group,
     p_part,
     prime_factors,
+    tabulate,
 )
 from .lattice import (
     SubgroupLattice,
@@ -556,9 +557,8 @@ def subgroup_as_group(group: GroupTable, mask: int) -> tuple[GroupTable, list[in
     """A subgroup as a standalone GroupTable, plus the list mapping its
     element indices back to elements of the ambient group."""
     elems = mask_elements(mask)
-    index = {g: i for i, g in enumerate(elems)}
     try:
-        mult = [[index[group.mul(a, b)] for b in elems] for a in elems]
+        mult = tabulate(elems, group.mul)
     except KeyError:
         raise ValueError("mask is not closed under multiplication") from None
     return GroupTable(mult), elems

@@ -20,12 +20,13 @@ rational solution without any rational arithmetic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence, Union
 
 from .groups import GroupTable
-from .lattice import SubgroupLattice, conjugate_mask, cosets
+from .lattice import SubgroupLattice
 
 
 @dataclass(frozen=True)
@@ -58,29 +59,19 @@ class MarkTable:
 
 
 def build_mark_table(group: GroupTable, lattice: SubgroupLattice) -> MarkTable:
-    """The table of marks in the lattice's class order, as sparse rows."""
-    order = group.order
+    """The table of marks in the lattice's class order, as sparse rows.
+
+    U fixes the coset gV exactly when U lies in the conjugate gVg^-1, and
+    each conjugate W of V arises from |N_G(V) : V| = |G : V| / |cl V|
+    cosets, so M[V][U] = (|G : V| / |cl V|) * #{W in cl V : U <= W}."""
     reps = [c.representative for c in lattice.classes]
     masks = [r.mask for r in reps]
     rows = []
-    if group.is_abelian:
-        for i, V in enumerate(reps):
-            index = order // V.order
-            vm = V.mask
-            rows.append([(j, index) for j in range(i + 1) if masks[j] & vm == masks[j]])
-    else:
-        full = (1 << order) - 1
-        for i, V in enumerate(reps):
-            conjugates = [
-                conjugate_mask(group, g, V.mask) for g in cosets(group, full, V.mask)
-            ]
-            row = []
-            for j in range(i + 1):
-                um = masks[j]
-                m = sum(1 for w in conjugates if um & w == um)
-                if m:
-                    row.append((j, m))
-            rows.append(row)
+    for i, cls in enumerate(lattice.classes):
+        hits = [j for w in cls.conjugates for j in range(i + 1) if masks[j] & w == masks[j]]
+        tally = Counter(hits)
+        scale = group.order // (reps[i].order * cls.size)
+        rows.append([(j, scale * tally[j]) for j in sorted(tally)])
     return MarkTable(
         rows,
         class_orders=[r.order for r in reps],

@@ -135,16 +135,12 @@ def _print_report(report: ExponentReport, lattice: SubgroupLattice, audit: bool)
 def cmd_compute(args: argparse.Namespace) -> int:
     text, group, lattice = _prepare(args.group, _cache_dir(args))
     family = _parse_family(args.family_classes)
-    table = None
-    if args.method in ("both", "marks"):
-        table = build_mark_table(group, lattice)
     report = compute_exponent_report(
         group,
         text,
         family=family,
         method=args.method,
         lattice=lattice,
-        table=table,
         include_pairs=args.audit,
         include_sylow=args.audit,
     )

@@ -451,16 +451,22 @@ def _check_cap(order: int, what: str) -> None:
         raise OrderCapError(f"{what} has order {order}, exceeding the cap of {ORDER_CAP}")
 
 
-def _realize_cyclic(n: int):
-    elements = list(range(n))
+def tabulate(elements: Sequence, mul) -> list[list[int]]:
+    """Multiplication table of the elements under mul, each element numbered
+    by its position in the list.  Raises KeyError when a product falls
+    outside the list."""
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[mul(a, b)] for b in elements] for a in elements]
 
-    def mul(a, b):
-        return (a + b) % n
 
-    return elements, mul
+def _product_table(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Table of the direct product A x B, with the pair (i, j) numbered
+    i * |B| + j, the order of itertools.product."""
+    nb = len(b)
+    return [[x * nb + y for x in row_a for y in row_b] for row_a in a for row_b in b]
 
 
-def _realize_two_generator(m: int, twist: int, square_offset: int):
+def _realize_two_generator(m: int, twist: int, square_offset: int) -> list[list[int]]:
     """Groups <g, h> with g of order m, h^2 = g^square_offset and
     h g h^-1 = g^twist.  Element (i, f) stands for g^i h^f."""
     elements = [(i, f) for f in (0, 1) for i in range(m)]
@@ -471,7 +477,7 @@ def _realize_two_generator(m: int, twist: int, square_offset: int):
         k = i + (twist * j if f else j) + (square_offset if f and g else 0)
         return (k % m, f ^ g)
 
-    return elements, mul
+    return tabulate(elements, mul)
 
 
 def _perm_parity(p: Sequence[int]) -> int:
@@ -495,29 +501,26 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[x]] for x in range(len(p)))
 
 
-def _realize_symmetric(n: int):
+def _realize_symmetric(n: int) -> list[list[int]]:
     _check_cap(math.factorial(n), f"S{n}")
-    elements = list(itertools.permutations(range(n)))
-
-    return elements, _compose
+    return tabulate(list(itertools.permutations(range(n))), _compose)
 
 
-def _realize_alternating(n: int):
+def _realize_alternating(n: int) -> list[list[int]]:
     order = max(1, math.factorial(n) // 2)
     _check_cap(order, f"A{n}")
     elements = [p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0]
+    return tabulate(elements, _compose)
 
-    return elements, _compose
 
-
-def _realize_heisenberg(p: int):
+def _realize_heisenberg(p: int) -> list[list[int]]:
     _check_cap(p ** 3, f"H{p}")
     elements = list(itertools.product(range(p), repeat=3))
 
     def mul(a, b):
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
 
-    return elements, mul
+    return tabulate(elements, mul)
 
 
 def _cycles_to_perm(cycles: Iterable[tuple[int, ...]], degree: int) -> tuple[int, ...]:
@@ -532,7 +535,7 @@ def _cycles_to_perm(cycles: Iterable[tuple[int, ...]], degree: int) -> tuple[int
     return reduce(_compose, perms)
 
 
-def _realize_perm_generators(spec: PermGenerators):
+def _realize_perm_generators(spec: PermGenerators) -> list[list[int]]:
     degree = 1
     for gen in spec.generators:
         for cyc in gen:
@@ -551,13 +554,14 @@ def _realize_perm_generators(spec: PermGenerators):
                     )
                 seen.add(nxt)
                 elements.append(nxt)
-    return elements, _compose
+    return tabulate(elements, _compose)
 
 
-def _realize(spec: GroupSpec):
+def _realize(spec: GroupSpec) -> list[list[int]]:
     if isinstance(spec, Cyclic):
-        _check_cap(spec.n, spec_to_text(spec))
-        return _realize_cyclic(spec.n)
+        n = spec.n
+        _check_cap(n, spec_to_text(spec))
+        return [[(a + b) % n for b in range(n)] for a in range(n)]
     if isinstance(spec, Dihedral):
         _check_cap(spec.order, spec_to_text(spec))
         return _realize_two_generator(spec.order // 2, -1, 0)
@@ -576,16 +580,9 @@ def _realize(spec: GroupSpec):
     if isinstance(spec, Heisenberg):
         return _realize_heisenberg(spec.p)
     if isinstance(spec, DirectProduct):
-        realized = [_realize(f) for f in spec.factors]
-        order = math.prod(len(r[0]) for r in realized)
-        _check_cap(order, spec_to_text(spec))
-        muls = tuple(r[1] for r in realized)
-        elements = list(itertools.product(*(r[0] for r in realized)))
-
-        def mul(a, b):
-            return tuple(m(x, y) for m, x, y in zip(muls, a, b))
-
-        return elements, mul
+        tables = [_realize(f) for f in spec.factors]
+        _check_cap(math.prod(map(len, tables)), spec_to_text(spec))
+        return reduce(_product_table, tables)
     if isinstance(spec, PermGenerators):
         return _realize_perm_generators(spec)
     raise TypeError(f"unsupported spec {spec!r}")
@@ -593,10 +590,8 @@ def _realize(spec: GroupSpec):
 
 def build_group(spec: GroupSpec) -> GroupTable:
     """Materialize the full multiplication table for a spec."""
-    elements, mul = _realize(spec)
-    _check_cap(len(elements), spec_to_text(spec))
-    index = {e: i for i, e in enumerate(elements)}
-    mult = [[index[mul(a, b)] for b in elements] for a in elements]
+    mult = _realize(spec)
+    _check_cap(len(mult), spec_to_text(spec))
     return GroupTable(mult)
 
 

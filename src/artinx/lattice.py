@@ -299,8 +299,11 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
 
     Every representative mask is re-verified against the group (closure and
     order); classes are re-expanded and generators recomputed, so a stale or
-    foreign cache entry yields None rather than a wrong lattice.
+    foreign cache entry yields None rather than a wrong lattice.  So does
+    anything but a dict, and a mask that is not a nonempty subset of G.
     """
+    if not isinstance(data, dict):
+        return None
     try:
         if data.get("schema") != 1 or data["order"] != group.order:
             return None
@@ -308,6 +311,8 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
         orders = [c["order"] for c in data["classes"]]
         sizes = [c["conjugate_count"] for c in data["classes"]]
     except (KeyError, TypeError, ValueError):
+        return None
+    if not all(0 < mask < 1 << group.order for mask in rep_masks):
         return None
 
     generators: dict[int, tuple[int, ...]] = {}
@@ -357,7 +362,7 @@ def cached_lattice(group: GroupTable, spec_text: str, cache_dir: Optional[str]) 
     try:
         with open(path, encoding="utf-8") as handle:
             cached = lattice_from_dict(group, json.load(handle))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
         cached = None
     if cached is not None:
         return cached

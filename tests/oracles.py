@@ -6,13 +6,13 @@ any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
 
 The second half holds reference implementations and helpers that only the
-tests use: the all-triples table check, relabelled tables, per-entry marks,
-the divisor-scan exponent and the Fraction conductor, products in the
-transitive basis, normality and normalizer tests, the commutator subgroup,
-quotient groups, conjugacy classes by conjugating with every element, the
-congruence-pair scan over every subgroup, and coset counting with the
-element-scanning p-group count, the lattice-free closure path and the
-central p-part reduction.
+tests use: the all-triples table check, group tables from tuple elements,
+relabelled tables, per-entry marks, the divisor-scan exponent and the
+Fraction conductor, products in the transitive basis, normality and
+normalizer tests, the commutator subgroup, quotient groups, conjugacy
+classes by conjugating with every element, the congruence-pair scan over
+every subgroup, and coset counting with the element-scanning p-group count,
+the lattice-free closure path and the central p-part reduction.
 """
 
 import itertools
@@ -30,7 +30,22 @@ from artinx.artin import (
 )
 from artinx import burnside
 from artinx.burnside import MarkTable, NotIntegral, dense_rows, solve_membership
-from artinx.groups import GroupTable, as_prime_power
+from artinx.groups import (
+    Alternating,
+    Cyclic,
+    Dihedral,
+    DirectProduct,
+    GroupTable,
+    Heisenberg,
+    Quaternion,
+    Semidihedral,
+    Symmetric,
+    _compose,
+    _cycles_to_perm,
+    _perm_parity,
+    as_prime_power,
+    parse_group_spec,
+)
 from artinx.lattice import (
     SubgroupLattice,
     closure_mask,
@@ -176,6 +191,66 @@ def relabeled(group: GroupTable, perm: Sequence[int]) -> GroupTable:
         for b in range(n):
             target[perm[b]] = perm[row[b]]
     return GroupTable(mult)
+
+
+def _reference_realization(spec):
+    """Elements of a spec as tuples or ints, with their multiplication; a
+    direct product's elements are tuples multiplied factor by factor."""
+    if isinstance(spec, Cyclic):
+        n = spec.n
+        return list(range(n)), lambda a, b: (a + b) % n
+    if isinstance(spec, (Dihedral, Quaternion, Semidihedral)):
+        m = spec.order // 2
+        twist, square = {
+            Dihedral: (-1, 0),
+            Quaternion: (-1, m // 2),
+            Semidihedral: (m // 2 - 1, 0),
+        }[type(spec)]
+
+        def mul(a, b):
+            (i, f), (j, g) = a, b
+            return ((i + (twist * j if f else j) + (square if f and g else 0)) % m, f ^ g)
+
+        return [(i, f) for f in (0, 1) for i in range(m)], mul
+    if isinstance(spec, Symmetric):
+        return list(itertools.permutations(range(spec.n))), _compose
+    if isinstance(spec, Alternating):
+        even = [p for p in itertools.permutations(range(spec.n)) if _perm_parity(p) == 0]
+        return even, _compose
+    if isinstance(spec, Heisenberg):
+        p = spec.p
+
+        def mul(a, b):
+            return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
+
+        return list(itertools.product(range(p), repeat=3)), mul
+    if isinstance(spec, DirectProduct):
+        realized = [_reference_realization(f) for f in spec.factors]
+        muls = [r[1] for r in realized]
+
+        def mul(a, b):
+            return tuple(m(x, y) for m, x, y in zip(muls, a, b))
+
+        return list(itertools.product(*(r[0] for r in realized))), mul
+    degree = max([1] + [max(c) for gen in spec.generators for c in gen])
+    gens = [_cycles_to_perm(gen, degree) for gen in spec.generators]
+    elements = [tuple(range(degree))]
+    for current in elements:
+        for g in gens:
+            nxt = _compose(current, g)
+            if nxt not in elements:
+                elements.append(nxt)
+    return elements, _compose
+
+
+def reference_group_table(spec) -> list[list[int]]:
+    """The multiplication table of a spec from tuple elements and a Python
+    multiplication, numbered through an index dict in element-list order."""
+    elements, mul = _reference_realization(
+        parse_group_spec(spec) if isinstance(spec, str) else spec
+    )
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[mul(a, b)] for b in elements] for a in elements]
 
 
 def reference_exponent_marks(

@@ -2,13 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from artinx import cli
 from artinx.artin import MethodDisagreement
+from artinx.groups import group_from_spec
+from artinx.lattice import enumerate_subgroups, lattice_cache_path, lattice_to_dict
 
 
 def run_cli(argv, capsys):
@@ -104,13 +108,18 @@ def test_compute_congruence_rejects_bad_family_without_pairs(capsys):
     assert "family class index 5 out of range 0..0" in err
 
 
-def test_cli_import_leaves_numpy_out():
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_leaves_numpy_out():
     probe = "import sys, artinx.cli; print('numpy' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_child_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
 
@@ -353,6 +362,42 @@ def test_cache_rejects_stale_entries(tmp_path, capsys):
     assert "C6*1" in out
 
 
+def _malformed_payloads() -> dict:
+    good = lattice_to_dict(enumerate_subgroups(group_from_spec("C2xC2")), "C2xC2")
+    past_order = json.loads(json.dumps(good))
+    past_order["classes"][1]["rep_bits_hex"] = format(1 | 1 << 4, "x")  # bit 4 of a group of order 4
+    negative = json.loads(json.dumps(good))
+    negative["classes"][1]["rep_bits_hex"] = "-1"
+    return {
+        "list": b"[]",
+        "not-utf8": b"\xff\xfe\x00{",
+        "mask-past-order": json.dumps(past_order).encode(),
+        "negative-mask": json.dumps(negative).encode(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_payloads()))
+def test_cache_rebuilds_malformed_files(tmp_path, capsys, name):
+    code, uncached, _ = run_cli(["compute", "--group", "C2xC2"], capsys)
+    assert code == 0
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    entry = Path(lattice_cache_path(str(cache), "C2xC2"))
+    entry.write_bytes(_malformed_payloads()[name])
+    # in a child process with a timeout, so that a loader that loops fails the test
+    out = subprocess.run(
+        [sys.executable, "-m", "artinx.cli", "compute", "--group", "C2xC2", "--cache", str(cache)],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == uncached
+    rebuilt = lattice_to_dict(enumerate_subgroups(group_from_spec("C2xC2")), "C2xC2")
+    assert json.loads(entry.read_text(encoding="utf-8")) == rebuilt
+
+
 def test_cache_env_var_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ARTINX_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run_cli(["marks", "--group", "D8"], capsys)
@@ -366,6 +411,38 @@ def test_no_cache_by_default(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(["marks", "--group", "C6"], capsys)
     assert code == 0
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, stdout) for each README sh block that shows a command's output."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```$", handle.read(), re.M | re.S)
+    examples = []
+    for block in blocks:
+        command, _, output = block.partition("\n")
+        if command.startswith("$ artinx ") and output:
+            examples.append((command.split()[2:], output))
+    return examples
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [pytest.param(argv, out, id=" ".join(argv)) for argv, out in _readme_examples()],
+)
+def test_readme_example_output(argv, expected, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == expected
+
+
+def test_readme_shows_compute_and_marks():
+    assert [argv[0] for argv, _ in _readme_examples()] == ["compute", "marks"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from artinx.groups import (
 )
 from artinx.sweep import default_catalog
 
-from oracles import reference_validate_table, relabeled
+from oracles import reference_group_table, reference_validate_table, relabeled
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +307,19 @@ def test_relabeled_catalog_tables_are_accepted(spec, rng):
 
 
 def test_order_cap_enforced():
-    with pytest.raises(OrderCapError):
-        group_from_spec("C300")
-    with pytest.raises(OrderCapError):
-        group_from_spec("S6")
+    for spec in ["C300", "S6", "C16xC32", "S5xC3", "C2xC2xC2xC2xC2xC2xC2xC2xC2"]:
+        with pytest.raises(OrderCapError):
+            group_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    default_catalog(128)
+    + ["perm:(1 2 3 4 5),(1 2 3)", "perm:(1 2 3 4 5),(1 2)"]
+    + ["S3xS3", "A4xC2", "S4xC2xC2", "Q8xC2", "D8xC4", "H3xC3"],
+)
+def test_table_matches_tuple_realization(spec):
+    assert build_group(parse_group_spec(spec)).mult == reference_group_table(spec)
 
 
 def test_relabeled_is_isomorphic():
