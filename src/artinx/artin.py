@@ -47,7 +47,10 @@ from .lattice import (
 
 
 class MethodDisagreement(RuntimeError):
-    """The congruence and mark-table methods produced different exponents."""
+    """The congruence and mark-table methods produced different exponents;
+    from compute_exponent_report it carries the marks-only report."""
+
+    report: Optional[ExponentReport] = None
 
     def __init__(self, spec: str, family: str, congruence: int, marks: int) -> None:
         super().__init__(
@@ -561,7 +564,7 @@ def subgroup_as_group(group: GroupTable, mask: int) -> tuple[GroupTable, list[in
         mult = tabulate(elems, group.mul)
     except KeyError:
         raise ValueError("mask is not closed under multiplication") from None
-    return GroupTable(mult), elems
+    return GroupTable.adopt(mult), elems
 
 
 def _transfer_family(
@@ -695,14 +698,12 @@ def compute_exponent_report(
             table = build_mark_table(group, lattice)
         exponent_marks = artin_exponent_marks(group, table, family)
 
-    if (
-        exponent_congruence is not None
-        and exponent_marks is not None
-        and exponent_congruence != exponent_marks
-    ):
-        raise MethodDisagreement(
+    disagreement = None
+    if method == "both" and exponent_congruence != exponent_marks:
+        disagreement = MethodDisagreement(
             spec_text, family_label(family), exponent_congruence, exponent_marks
         )
+        method, exponent_congruence, binding, pairs = "marks", None, (), None
     exponent = exponent_marks if exponent_marks is not None else exponent_congruence
     assert exponent is not None
 
@@ -710,7 +711,7 @@ def compute_exponent_report(
     if include_sylow:
         sylow = sylow_reduction_report(group, lattice, family, exponent)
 
-    return ExponentReport(
+    report = ExponentReport(
         group=spec_text,
         order=group.order,
         family=family_label(family),
@@ -724,6 +725,10 @@ def compute_exponent_report(
         pairs=pairs,
         sylow=sylow,
     )
+    if disagreement is not None:
+        disagreement.report = report
+        raise disagreement
+    return report
 
 
 def _pair_to_dict(pair: CongruencePair) -> dict:

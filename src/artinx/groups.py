@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 ORDER_CAP = 256
 
@@ -73,78 +73,25 @@ def p_part(n: int, p: int) -> int:
     return out
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 # ---------------------------------------------------------------------------
 # Group specs
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Cyclic:
+class Named:
+    """A group of a family in FAMILIES, by the family's letters and its
+    parameter: Named("SD", 16) is the semidihedral group of order 16."""
+
+    family: str
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GroupSpecError(f"cyclic order must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Dihedral:
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 4 or self.order % 2:
-            raise GroupSpecError(f"dihedral order must be even and >= 4, got {self.order}")
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 8 or not _is_power_of_two(self.order):
-            raise GroupSpecError(f"quaternion order must be a power of two >= 8, got {self.order}")
-
-
-@dataclass(frozen=True)
-class Semidihedral:
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 16 or not _is_power_of_two(self.order):
-            raise GroupSpecError(f"semidihedral order must be a power of two >= 16, got {self.order}")
-
-
-@dataclass(frozen=True)
-class Symmetric:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GroupSpecError(f"symmetric degree must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Alternating:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GroupSpecError(f"alternating degree must be >= 1, got {self.n}")
-
-
-@dataclass(frozen=True)
-class Heisenberg:
-    """3x3 upper unitriangular matrices over the prime field F_p (order p**3)."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise GroupSpecError(f"Heisenberg parameter must be prime, got {self.p}")
+        entry = FAMILIES.get(self.family)
+        if entry is None:
+            raise GroupSpecError(f"unknown group family {self.family!r}")
+        if not entry.accepts(self.n):
+            raise GroupSpecError(f"{entry.rule}, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -169,40 +116,16 @@ class PermGenerators:
             raise GroupSpecError("permutation spec needs at least one generator")
 
 
-GroupSpec = Union[
-    Cyclic,
-    Dihedral,
-    Quaternion,
-    Semidihedral,
-    Symmetric,
-    Alternating,
-    Heisenberg,
-    DirectProduct,
-    PermGenerators,
-]
+GroupSpec = Union[Named, DirectProduct, PermGenerators]
 
-_FAMILY_RE = re.compile(r"(SD|C|D|Q|S|A|H)(\d+)\Z")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_family_token(token: str) -> GroupSpec:
+def _parse_family_token(token: str) -> Named:
     m = _FAMILY_RE.match(token)
     if not m:
         raise GroupSpecError(f"malformed group token {token!r}")
-    letter, value = m.group(1), int(m.group(2))
-    if letter == "C":
-        return Cyclic(value)
-    if letter == "D":
-        return Dihedral(value)
-    if letter == "Q":
-        return Quaternion(value)
-    if letter == "SD":
-        return Semidihedral(value)
-    if letter == "S":
-        return Symmetric(value)
-    if letter == "A":
-        return Alternating(value)
-    return Heisenberg(value)
+    return Named(m.group(1), int(m.group(2)))
 
 
 def _parse_perm_generators(body: str) -> PermGenerators:
@@ -233,7 +156,8 @@ def _parse_perm_generators(body: str) -> PermGenerators:
 
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse a spec string such as 'C12', 'C2xC4xC8', 'Q8', 'SD16', 'S4',
-    'H3', or 'perm:(1 2)(3 4),(1 2 3)'."""
+    'H3', or 'perm:(1 2)(3 4),(1 2 3)'.  The named families are the entries
+    of FAMILIES, so a family is added by one entry there."""
     if not isinstance(text, str) or not text.strip():
         raise GroupSpecError("group spec is empty")
     body = text.strip()
@@ -250,44 +174,20 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 def spec_to_text(spec: GroupSpec) -> str:
     """Inverse of parse_group_spec, up to whitespace."""
-    if isinstance(spec, Cyclic):
-        return f"C{spec.n}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.order}"
-    if isinstance(spec, Quaternion):
-        return f"Q{spec.order}"
-    if isinstance(spec, Semidihedral):
-        return f"SD{spec.order}"
-    if isinstance(spec, Symmetric):
-        return f"S{spec.n}"
-    if isinstance(spec, Alternating):
-        return f"A{spec.n}"
-    if isinstance(spec, Heisenberg):
-        return f"H{spec.p}"
+    if isinstance(spec, Named):
+        return f"{spec.family}{spec.n}"
     if isinstance(spec, DirectProduct):
         return "x".join(spec_to_text(f) for f in spec.factors)
-    parts = []
-    for gen in spec.generators:
-        if not gen:
-            parts.append("()")
-        else:
-            parts.append("".join("(" + " ".join(str(p) for p in c) + ")" for c in gen))
+    # a generator without cycles is the identity, written ()
+    parts = ["".join("(" + " ".join(map(str, c)) + ")" for c in gen) or "()" for gen in spec.generators]
     return "perm:" + ",".join(parts)
 
 
 def spec_order(spec: GroupSpec) -> Optional[int]:
     """Group order implied by the spec, or None when only closure can tell
     (permutation generators)."""
-    if isinstance(spec, Cyclic):
-        return spec.n
-    if isinstance(spec, (Dihedral, Quaternion, Semidihedral)):
-        return spec.order
-    if isinstance(spec, Symmetric):
-        return math.factorial(spec.n)
-    if isinstance(spec, Alternating):
-        return max(1, math.factorial(spec.n) // 2)
-    if isinstance(spec, Heisenberg):
-        return spec.p ** 3
+    if isinstance(spec, Named):
+        return FAMILIES[spec.family].order(spec.n)
     if isinstance(spec, DirectProduct):
         return math.prod(spec_order(f) for f in spec.factors)
     return None
@@ -353,15 +253,26 @@ class GroupTable:
     )
 
     def __init__(self, mult: Sequence[Sequence[int]]) -> None:
+        """Validate a copy of mult, normalized to a list of int lists."""
+        self._set_table([list(map(int, row)) for row in mult])
+
+    @classmethod
+    def adopt(cls, mult: list[list[int]]) -> GroupTable:
+        """A group on a fresh table that artinx built: validated, not copied."""
+        group = cls.__new__(cls)
+        group._set_table(mult)
+        return group
+
+    def _set_table(self, mult: list[list[int]]) -> None:
         n = len(mult)
         if n == 0:
             raise ValueError("empty multiplication table")
         if n > ORDER_CAP:
             raise OrderCapError(f"group order {n} exceeds the cap of {ORDER_CAP}")
+        _validate_table(mult)
         self.order = n
-        self.mult = [list(map(int, row)) for row in mult]
-        _validate_table(self.mult)
-        self.inv = [row.index(0) for row in self.mult]
+        self.mult = mult
+        self.inv = [row.index(0) for row in mult]
         self._element_orders: Optional[list[int]] = None
         self._cyclic_masks: Optional[list[int]] = None
         self._is_abelian: Optional[bool] = None
@@ -466,6 +377,10 @@ def _product_table(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[x * nb + y for x in row_a for y in row_b] for row_a in a for row_b in b]
 
 
+def _realize_cyclic(n: int) -> list[list[int]]:
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
 def _realize_two_generator(m: int, twist: int, square_offset: int) -> list[list[int]]:
     """Groups <g, h> with g of order m, h^2 = g^square_offset and
     h g h^-1 = g^twist.  Element (i, f) stands for g^i h^f."""
@@ -480,20 +395,21 @@ def _realize_two_generator(m: int, twist: int, square_offset: int) -> list[list[
     return tabulate(elements, mul)
 
 
+def _realize_dihedral(order: int) -> list[list[int]]:
+    return _realize_two_generator(order // 2, -1, 0)
+
+
+def _realize_quaternion(order: int) -> list[list[int]]:
+    return _realize_two_generator(order // 2, -1, order // 4)
+
+
+def _realize_semidihedral(order: int) -> list[list[int]]:
+    return _realize_two_generator(order // 2, order // 4 - 1, 0)
+
+
 def _perm_parity(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """0 for an even permutation, 1 for an odd one: the parity of its inversions."""
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -502,25 +418,74 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _realize_symmetric(n: int) -> list[list[int]]:
-    _check_cap(math.factorial(n), f"S{n}")
     return tabulate(list(itertools.permutations(range(n))), _compose)
 
 
 def _realize_alternating(n: int) -> list[list[int]]:
-    order = max(1, math.factorial(n) // 2)
-    _check_cap(order, f"A{n}")
     elements = [p for p in itertools.permutations(range(n)) if _perm_parity(p) == 0]
     return tabulate(elements, _compose)
 
 
 def _realize_heisenberg(p: int) -> list[list[int]]:
-    _check_cap(p ** 3, f"H{p}")
+    """3x3 upper unitriangular matrices over the prime field F_p."""
     elements = list(itertools.product(range(p), repeat=3))
 
     def mul(a, b):
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
 
     return tabulate(elements, mul)
+
+
+def _positive(n: int) -> bool:
+    return n >= 1
+
+
+def _even_from_4(n: int) -> bool:
+    return n >= 4 and n % 2 == 0
+
+
+def _two_power_from_8(n: int) -> bool:
+    return n >= 8 and n & (n - 1) == 0
+
+
+def _two_power_from_16(n: int) -> bool:
+    return n >= 16 and n & (n - 1) == 0
+
+
+def _parameter(n: int) -> int:
+    return n
+
+
+def _half_factorial(n: int) -> int:
+    return max(1, math.factorial(n) // 2)
+
+
+def _cube(p: int) -> int:
+    return p ** 3
+
+
+class _Family(NamedTuple):
+    rule: str  # what the parameter must meet, as the error message says it
+    accepts: Callable[[int], bool]
+    order: Callable[[int], int]  # the group order, from the parameter
+    realize: Callable[[int], list[list[int]]]  # the table, from the parameter
+
+
+# The named families, keyed by the letters that start a spec token.  A new
+# family is one entry here: parsing, spec text, orders, the order cap and
+# realization all read this table.
+FAMILIES: dict[str, _Family] = {
+    "C": _Family("cyclic order must be >= 1", _positive, _parameter, _realize_cyclic),
+    "D": _Family("dihedral order must be even and >= 4", _even_from_4, _parameter, _realize_dihedral),
+    "Q": _Family("quaternion order must be a power of two >= 8",
+                 _two_power_from_8, _parameter, _realize_quaternion),
+    "SD": _Family("semidihedral order must be a power of two >= 16",
+                  _two_power_from_16, _parameter, _realize_semidihedral),
+    "S": _Family("symmetric degree must be >= 1", _positive, math.factorial, _realize_symmetric),
+    "A": _Family("alternating degree must be >= 1", _positive, _half_factorial, _realize_alternating),
+    "H": _Family("Heisenberg parameter must be prime", is_prime, _cube, _realize_heisenberg),
+}
+_FAMILY_RE = re.compile("(" + "|".join(FAMILIES) + r")(\d+)\Z")
 
 
 def _cycles_to_perm(cycles: Iterable[tuple[int, ...]], degree: int) -> tuple[int, ...]:
@@ -530,16 +495,11 @@ def _cycles_to_perm(cycles: Iterable[tuple[int, ...]], degree: int) -> tuple[int
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             p[a - 1] = b - 1
         perms.append(tuple(p))
-    if not perms:
-        return tuple(range(degree))
-    return reduce(_compose, perms)
+    return reduce(_compose, perms, tuple(range(degree)))
 
 
 def _realize_perm_generators(spec: PermGenerators) -> list[list[int]]:
-    degree = 1
-    for gen in spec.generators:
-        for cyc in gen:
-            degree = max(degree, max(cyc))
+    degree = max([1] + [max(cyc) for gen in spec.generators for cyc in gen])
     gens = [_cycles_to_perm(gen, degree) for gen in spec.generators]
     identity = tuple(range(degree))
     elements = [identity]
@@ -558,41 +518,22 @@ def _realize_perm_generators(spec: PermGenerators) -> list[list[int]]:
 
 
 def _realize(spec: GroupSpec) -> list[list[int]]:
-    if isinstance(spec, Cyclic):
-        n = spec.n
-        _check_cap(n, spec_to_text(spec))
-        return [[(a + b) % n for b in range(n)] for a in range(n)]
-    if isinstance(spec, Dihedral):
-        _check_cap(spec.order, spec_to_text(spec))
-        return _realize_two_generator(spec.order // 2, -1, 0)
-    if isinstance(spec, Quaternion):
-        _check_cap(spec.order, spec_to_text(spec))
-        m = spec.order // 2
-        return _realize_two_generator(m, -1, m // 2)
-    if isinstance(spec, Semidihedral):
-        _check_cap(spec.order, spec_to_text(spec))
-        m = spec.order // 2
-        return _realize_two_generator(m, m // 2 - 1, 0)
-    if isinstance(spec, Symmetric):
-        return _realize_symmetric(spec.n)
-    if isinstance(spec, Alternating):
-        return _realize_alternating(spec.n)
-    if isinstance(spec, Heisenberg):
-        return _realize_heisenberg(spec.p)
+    """The table of a spec.  Every table is checked against the cap before
+    it is built: a named group from its order, a product from its factors'
+    tables, a permutation group during its closure."""
+    if isinstance(spec, Named):
+        _check_cap(spec_order(spec), spec_to_text(spec))
+        return FAMILIES[spec.family].realize(spec.n)
     if isinstance(spec, DirectProduct):
         tables = [_realize(f) for f in spec.factors]
         _check_cap(math.prod(map(len, tables)), spec_to_text(spec))
         return reduce(_product_table, tables)
-    if isinstance(spec, PermGenerators):
-        return _realize_perm_generators(spec)
-    raise TypeError(f"unsupported spec {spec!r}")
+    return _realize_perm_generators(spec)
 
 
 def build_group(spec: GroupSpec) -> GroupTable:
     """Materialize the full multiplication table for a spec."""
-    mult = _realize(spec)
-    _check_cap(len(mult), spec_to_text(spec))
-    return GroupTable(mult)
+    return GroupTable.adopt(_realize(spec))
 
 
 def group_from_spec(spec: Union[str, GroupSpec]) -> GroupTable:

@@ -185,6 +185,8 @@ def _canonical_rep(group: GroupTable, masks: Iterable[int]) -> int:
 
 def _expand_class(group: GroupTable, mask: int) -> dict[int, int]:
     """All conjugates of a mask, each mapped to one conjugating element."""
+    if group.is_abelian:
+        return {mask: 0}
     out: dict[int, int] = {}
     # g and gh give the same conjugate, so one g per left coset gH will do;
     # the least element of each coset is the first g that reaches it
@@ -204,7 +206,6 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
     """
     n = group.order
     full_mask = (1 << n) - 1
-    abelian = group.is_abelian
 
     # seed: all cyclic subgroups, with a single generator each
     generators: dict[int, tuple[int, ...]] = {1: ()}
@@ -239,7 +240,7 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
             if joined in all_masks:
                 continue
             generators[joined] = joined_gens
-            conj_to_g = {joined: 0} if abelian else _expand_class(group, joined)
+            conj_to_g = _expand_class(group, joined)
             for m, g0 in conj_to_g.items():
                 if m not in generators:
                     generators[m] = tuple(group.conj(g0, x) for x in joined_gens)
@@ -256,7 +257,7 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
     remaining = set(all_masks)
     while remaining:
         m = remaining.pop()
-        members = {m} if abelian else set(_expand_class(group, m))
+        members = set(_expand_class(group, m))
         remaining -= members
         rep_mask = _canonical_rep(group, members)
         rep = subgroup_from_mask(group, rep_mask)
@@ -318,7 +319,6 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
     generators: dict[int, tuple[int, ...]] = {}
     class_of: dict[int, int] = {}
     classes: list[SubgroupClass] = []
-    abelian = group.is_abelian
     for idx, (mask, order, size) in enumerate(zip(rep_masks, orders, sizes)):
         try:
             rep = subgroup_from_mask(group, mask, check=True)
@@ -326,7 +326,7 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
             return None
         if rep.order != order:
             return None
-        members = {mask} if abelian and size == 1 else set(_expand_class(group, mask))
+        members = set(_expand_class(group, mask))
         if len(members) != size or _canonical_rep(group, members) != mask:
             return None
         classes.append(SubgroupClass(representative=rep, conjugates=tuple(sorted(members, key=mask_elements))))

@@ -30,6 +30,7 @@ from .artin import (
 )
 from .burnside import build_mark_table, conductor
 from .groups import (
+    FAMILIES,
     as_prime_power,
     group_from_spec,
     is_cyclic_group,
@@ -93,13 +94,9 @@ def default_catalog(max_order: int = 64) -> list[str]:
                 if d3 % d2:
                     continue
                 specs.add(f"C{d1}xC{d2}xC{d3}")
-    k = 8
-    while k <= max_order:
-        specs.add(f"D{k}")
-        specs.add(f"Q{k}")
-        if k >= 16:
-            specs.add(f"SD{k}")
-        k *= 2
+    # the 2-power D, Q and SD groups from order 8, as far as each family's rule allows
+    for k in (2 ** e for e in range(3, max_order.bit_length())):
+        specs.update(f"{letters}{k}" for letters in ("D", "Q", "SD") if FAMILIES[letters].accepts(k))
     for extra in ("S3", "S4", "A4", "H3"):
         if spec_order(parse_group_spec(extra)) <= max_order:
             specs.add(extra)
@@ -278,11 +275,7 @@ def evaluate_group(task: tuple[str, tuple[str, ...], Optional[str]]) -> dict:
         cong = marks = report.exponent
     except MethodDisagreement as err:
         # keep going on the marks value so the rest of the row is informative
-        cong, marks = err.congruence, err.marks
-        report = compute_exponent_report(
-            group, spec_text, method="marks", lattice=lattice, table=table,
-            include_sylow="sylow" in checks,
-        )
+        cong, marks, report = err.congruence, err.marks, err.report
     available = {
         "group": group,
         "lattice": lattice,

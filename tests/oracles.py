@@ -31,18 +31,11 @@ from artinx.artin import (
 from artinx import burnside
 from artinx.burnside import MarkTable, NotIntegral, dense_rows, solve_membership
 from artinx.groups import (
-    Alternating,
-    Cyclic,
-    Dihedral,
     DirectProduct,
     GroupTable,
-    Heisenberg,
-    Quaternion,
-    Semidihedral,
-    Symmetric,
+    Named,
     _compose,
     _cycles_to_perm,
-    _perm_parity,
     as_prime_power,
     parse_group_spec,
 )
@@ -193,37 +186,23 @@ def relabeled(group: GroupTable, perm: Sequence[int]) -> GroupTable:
     return GroupTable(mult)
 
 
+def _cycle_parity(p: Sequence[int]) -> int:
+    """Parity of a permutation as the sum of (length - 1) over its cycles."""
+    seen = [False] * len(p)
+    parity = 0
+    for start in range(len(p)):
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            parity ^= x != start
+    return parity
+
+
 def _reference_realization(spec):
     """Elements of a spec as tuples or ints, with their multiplication; a
-    direct product's elements are tuples multiplied factor by factor."""
-    if isinstance(spec, Cyclic):
-        n = spec.n
-        return list(range(n)), lambda a, b: (a + b) % n
-    if isinstance(spec, (Dihedral, Quaternion, Semidihedral)):
-        m = spec.order // 2
-        twist, square = {
-            Dihedral: (-1, 0),
-            Quaternion: (-1, m // 2),
-            Semidihedral: (m // 2 - 1, 0),
-        }[type(spec)]
-
-        def mul(a, b):
-            (i, f), (j, g) = a, b
-            return ((i + (twist * j if f else j) + (square if f and g else 0)) % m, f ^ g)
-
-        return [(i, f) for f in (0, 1) for i in range(m)], mul
-    if isinstance(spec, Symmetric):
-        return list(itertools.permutations(range(spec.n))), _compose
-    if isinstance(spec, Alternating):
-        even = [p for p in itertools.permutations(range(spec.n)) if _perm_parity(p) == 0]
-        return even, _compose
-    if isinstance(spec, Heisenberg):
-        p = spec.p
-
-        def mul(a, b):
-            return ((a[0] + b[0]) % p, (a[1] + b[1]) % p, (a[2] + b[2] + a[0] * b[1]) % p)
-
-        return list(itertools.product(range(p), repeat=3)), mul
+    direct product's elements are tuples multiplied factor by factor.  Named
+    families dispatch on their letters here, not through groups.FAMILIES."""
     if isinstance(spec, DirectProduct):
         realized = [_reference_realization(f) for f in spec.factors]
         muls = [r[1] for r in realized]
@@ -232,15 +211,40 @@ def _reference_realization(spec):
             return tuple(m(x, y) for m, x, y in zip(muls, a, b))
 
         return list(itertools.product(*(r[0] for r in realized))), mul
-    degree = max([1] + [max(c) for gen in spec.generators for c in gen])
-    gens = [_cycles_to_perm(gen, degree) for gen in spec.generators]
-    elements = [tuple(range(degree))]
-    for current in elements:
-        for g in gens:
-            nxt = _compose(current, g)
-            if nxt not in elements:
-                elements.append(nxt)
-    return elements, _compose
+    if not isinstance(spec, Named):  # permutation generators
+        degree = max([1] + [max(c) for gen in spec.generators for c in gen])
+        gens = [_cycles_to_perm(gen, degree) for gen in spec.generators]
+        elements = [tuple(range(degree))]
+        for current in elements:
+            for g in gens:
+                nxt = _compose(current, g)
+                if nxt not in elements:
+                    elements.append(nxt)
+        return elements, _compose
+    n = spec.n
+    if spec.family == "C":
+        return list(range(n)), lambda a, b: (a + b) % n
+    if spec.family in ("D", "Q", "SD"):
+        m = n // 2
+        twist, square = {"D": (-1, 0), "Q": (-1, m // 2), "SD": (m // 2 - 1, 0)}[spec.family]
+
+        def mul(a, b):
+            (i, f), (j, g) = a, b
+            return ((i + (twist * j if f else j) + (square if f and g else 0)) % m, f ^ g)
+
+        return [(i, f) for f in (0, 1) for i in range(m)], mul
+    if spec.family == "S":
+        return list(itertools.permutations(range(n))), _compose
+    if spec.family == "A":
+        even = [p for p in itertools.permutations(range(n)) if _cycle_parity(p) == 0]
+        return even, _compose
+    if spec.family == "H":
+
+        def mul(a, b):
+            return ((a[0] + b[0]) % n, (a[1] + b[1]) % n, (a[2] + b[2] + a[0] * b[1]) % n)
+
+        return list(itertools.product(range(n), repeat=3)), mul
+    raise ValueError(f"no reference realization for family {spec.family!r}")
 
 
 def reference_group_table(spec) -> list[list[int]]:

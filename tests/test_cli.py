@@ -145,6 +145,25 @@ def test_bad_group_spec_exits_one(capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("C0", "cyclic order must be >= 1, got 0"),
+        ("D7", "dihedral order must be even and >= 4, got 7"),
+        ("Q12", "quaternion order must be a power of two >= 8, got 12"),
+        ("SD8", "semidihedral order must be a power of two >= 16, got 8"),
+        ("S0", "symmetric degree must be >= 1, got 0"),
+        ("A0", "alternating degree must be >= 1, got 0"),
+        ("H4", "Heisenberg parameter must be prime, got 4"),
+        ("S6", "S6 has order 720, exceeding the cap of 256"),
+        ("C2xH7", "H7 has order 343, exceeding the cap of 256"),
+    ],
+)
+def test_bad_family_token_stderr_pinned(bad, message, capsys):
+    code, out, err = run_cli(["compute", "--group", bad], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_oversized_group_exits_one(capsys):
     code, _, err = run_cli(["compute", "--group", "C999"], capsys)
     assert code == 1

@@ -1,22 +1,23 @@
 """Group construction: spec parsing, realizations, and table validation."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artinx import groups
 from artinx.groups import (
-    Cyclic,
-    Dihedral,
+    FAMILIES,
     DirectProduct,
     GroupSpecError,
     GroupTable,
-    Heisenberg,
+    Named,
     OrderCapError,
+    _FAMILY_RE,
     PermGenerators,
-    Quaternion,
-    Semidihedral,
     as_prime_power,
     build_group,
     element_order,
@@ -39,16 +40,26 @@ from oracles import reference_group_table, reference_validate_table, relabeled
 
 
 def test_parse_single_families():
-    assert parse_group_spec("C12") == Cyclic(12)
-    assert parse_group_spec("D8") == Dihedral(8)
-    assert parse_group_spec("Q16") == Quaternion(16)
-    assert parse_group_spec("SD16") == Semidihedral(16)
-    assert parse_group_spec("H3") == Heisenberg(3)
+    assert parse_group_spec("C12") == Named("C", 12)
+    assert parse_group_spec("D8") == Named("D", 8)
+    assert parse_group_spec("Q16") == Named("Q", 16)
+    assert parse_group_spec("SD16") == Named("SD", 16)
+    assert parse_group_spec("H3") == Named("H", 3)
+
+
+def test_family_letters_agree_across_table_regex_and_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Supported group specs", 1)[1].split("Group order is capped", 1)[0]
+    readme_letters = re.findall(r"`([A-Z]+)[np]`", section)
+    regex_letters = re.match(r"\(([A-Z|]+)\)", _FAMILY_RE.pattern).group(1).split("|")
+    assert sorted(readme_letters) == sorted(regex_letters) == sorted(FAMILIES)
+    for letters in FAMILIES:
+        assert _FAMILY_RE.match(f"{letters}16").group(1) == letters
 
 
 def test_parse_direct_product():
     spec = parse_group_spec("C2xC4xC8")
-    assert spec == DirectProduct((Cyclic(2), Cyclic(4), Cyclic(8)))
+    assert spec == DirectProduct((Named("C", 2), Named("C", 4), Named("C", 8)))
 
 
 def test_parse_perm_generators():
@@ -92,6 +103,85 @@ def test_parse_round_trip():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(GroupSpecError):
         parse_group_spec(bad)
+
+
+# Spec errors word for word: at least one per named family, then the rest.
+SPEC_ERROR_MESSAGES = [
+    ("C0", "cyclic order must be >= 1, got 0"),
+    ("D7", "dihedral order must be even and >= 4, got 7"),
+    ("D2", "dihedral order must be even and >= 4, got 2"),
+    ("Q4", "quaternion order must be a power of two >= 8, got 4"),
+    ("Q12", "quaternion order must be a power of two >= 8, got 12"),
+    ("SD8", "semidihedral order must be a power of two >= 16, got 8"),
+    ("SD24", "semidihedral order must be a power of two >= 16, got 24"),
+    ("S0", "symmetric degree must be >= 1, got 0"),
+    ("A0", "alternating degree must be >= 1, got 0"),
+    ("H4", "Heisenberg parameter must be prime, got 4"),
+    ("H1", "Heisenberg parameter must be prime, got 1"),
+    ("C-3", "malformed group token 'C-3'"),
+    ("B5", "malformed group token 'B5'"),
+    ("C", "malformed group token 'C'"),
+    ("D6x", "empty factor in product spec 'D6x'"),
+    ("C2xQ12", "quaternion order must be a power of two >= 8, got 12"),
+    ("", "group spec is empty"),
+    ("perm:", "empty permutation in generator list"),
+]
+
+ORDER_CAP_MESSAGES = [
+    ("C300", "C300 has order 300, exceeding the cap of 256"),
+    ("D512", "D512 has order 512, exceeding the cap of 256"),
+    ("Q512", "Q512 has order 512, exceeding the cap of 256"),
+    ("SD512", "SD512 has order 512, exceeding the cap of 256"),
+    ("S6", "S6 has order 720, exceeding the cap of 256"),
+    ("A7", "A7 has order 2520, exceeding the cap of 256"),
+    ("H7", "H7 has order 343, exceeding the cap of 256"),
+    ("C300xC2", "C300 has order 300, exceeding the cap of 256"),
+    ("C2xS6", "S6 has order 720, exceeding the cap of 256"),
+    ("C16xC32", "C16xC32 has order 512, exceeding the cap of 256"),
+    ("S5xC3", "S5xC3 has order 360, exceeding the cap of 256"),
+]
+
+
+@pytest.mark.parametrize("bad, message", SPEC_ERROR_MESSAGES)
+def test_spec_error_messages_pinned(bad, message):
+    with pytest.raises(GroupSpecError) as err:
+        group_from_spec(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad, message", ORDER_CAP_MESSAGES)
+def test_order_cap_messages_pinned(bad, message):
+    with pytest.raises(OrderCapError) as err:
+        group_from_spec(bad)
+    assert str(err.value) == message
+
+
+def test_named_rejects_unknown_family():
+    with pytest.raises(GroupSpecError, match="unknown group family 'X'"):
+        Named("X", 3)
+
+
+def test_named_cap_checked_before_realization(monkeypatch):
+    def never(n):
+        raise AssertionError(f"realized S{n}")
+
+    monkeypatch.setitem(FAMILIES, "S", FAMILIES["S"]._replace(realize=never))
+    with pytest.raises(OrderCapError):
+        group_from_spec("S6")
+    with pytest.raises(OrderCapError):
+        group_from_spec("C2xS6")
+
+
+def test_built_tables_are_adopted_and_outside_tables_copied(monkeypatch):
+    fresh = [[0, 1], [1, 0]]
+    monkeypatch.setattr(groups, "_realize", lambda spec: fresh)
+    assert build_group(parse_group_spec("C2")).mult is fresh
+    outside = ((0, 1), (True, False))
+    g = GroupTable(outside)
+    assert g.mult == [[0, 1], [1, 0]]
+    assert all(type(row) is list and all(type(x) is int for x in row) for row in g.mult)
+    with pytest.raises(ValueError, match="Latin square"):
+        GroupTable.adopt([[0, 1], [1, 1]])
 
 
 def test_spec_order_matches_built_groups():
@@ -320,6 +410,15 @@ def test_order_cap_enforced():
 )
 def test_table_matches_tuple_realization(spec):
     assert build_group(parse_group_spec(spec)).mult == reference_group_table(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", ["C1", "S1", "S2", "A1", "A2", "A3", "A5", "S5", "D4", "H2", "H5", "Q8", "SD16"]
+)
+def test_named_table_matches_tuple_realization(spec):
+    group = build_group(parse_group_spec(spec))
+    assert group.order == spec_order(parse_group_spec(spec))
+    assert group.mult == reference_group_table(spec)
 
 
 def test_relabeled_is_isomorphic():

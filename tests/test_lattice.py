@@ -404,3 +404,20 @@ def test_lattice_from_dict_rejects_tampering():
     bad = {**data, "schema": 2}
     assert lattice_from_dict(g, bad) is None
     assert lattice_from_dict(g, {"schema": 1}) is None
+
+
+@pytest.mark.parametrize("spec", ["C2xC2", "C12", "C2xC4xC4"])
+def test_lattice_from_dict_rejects_wrong_abelian_class_size(spec):
+    g = group_from_spec(spec)
+    data = lattice_to_dict(enumerate_subgroups(g), spec)
+    assert lattice_from_dict(g, data) is not None
+    for i in range(len(data["classes"])):
+        bad = {**data, "classes": [dict(c) for c in data["classes"]]}
+        bad["classes"][i]["conjugate_count"] = 2
+        assert lattice_from_dict(g, bad) is None
+
+
+def test_expand_class_abelian_is_the_mask_alone():
+    g = group_from_spec("C2xC4")
+    for m in enumerate_subgroups(g).class_of:
+        assert _expand_class(g, m) == {m: 0}

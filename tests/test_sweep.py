@@ -1,6 +1,7 @@
 """Catalog generation, check suites, sweep driver, summary serialization."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -165,6 +166,51 @@ def test_evaluate_group_method_disagreement(monkeypatch):
     }]
     assert list(row["statuses"]) == list(CHECK_NAMES)
     assert row["statuses"]["crossmethod"] == "fail"
+
+
+def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
+    """The disagreement branch builds its marks-only row from the first
+    report: the cyclic-family marks solve, the predictor and the Sylow report
+    each run once, and the row holds what method='marks' reports."""
+    calls = Counter()
+    real_analysis = artin.congruence_analysis
+    real_marks = artin.artin_exponent_marks
+    real_predictor = artin.closed_form_predictor
+    real_sylow = artin.sylow_reduction_report
+
+    def skewed(group, lattice, family=artin.ALL_CYCLIC, keep_pairs=False):
+        analysis = real_analysis(group, lattice, family, keep_pairs)
+        if family == artin.ALL_CYCLIC:
+            analysis.exponent *= 2
+        return analysis
+
+    def marks(group, table, family=artin.ALL_CYCLIC):
+        # S3 itself; the Sylow report also solves on its Sylow subgroups
+        calls["marks"] += family == artin.ALL_CYCLIC and group.order == 6
+        return real_marks(group, table, family)
+
+    def predictor(group):
+        calls["predictor"] += 1
+        return real_predictor(group)
+
+    def sylow(*args):
+        calls["sylow"] += 1
+        return real_sylow(*args)
+
+    monkeypatch.setattr(artin, "congruence_analysis", skewed)
+    monkeypatch.setattr(artin, "artin_exponent_marks", marks)
+    monkeypatch.setattr(artin, "closed_form_predictor", predictor)
+    monkeypatch.setattr(artin, "sylow_reduction_report", sylow)
+    row = evaluate_group(("S3", CHECK_NAMES, None))
+    assert calls == {"marks": 1, "predictor": 1, "sylow": 1}
+
+    group = group_from_spec("S3")
+    marks_only = artin.compute_exponent_report(group, "S3", method="marks", include_sylow=True)
+    assert row["report"] == artin.report_to_dict(marks_only)
+    with pytest.raises(artin.MethodDisagreement) as err:
+        artin.compute_exponent_report(group, "S3", include_sylow=True)
+    assert (err.value.congruence, err.value.marks) == (4, 2)
+    assert err.value.report == marks_only
 
 
 def test_evaluate_group_skips_inapplicable_checks():
