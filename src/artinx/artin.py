@@ -39,7 +39,6 @@ from .groups import (
 from .lattice import (
     SubgroupLattice,
     centralizer,
-    cosets,
     enumerate_subgroups,
     mask_elements,
     subgroup_from_mask,
@@ -103,55 +102,47 @@ def family_vector(class_cyclic: Sequence[bool], family: Family) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-def _extend_by_element(group: GroupTable, u_mask: int, u_elems: Sequence[int], v: int) -> int:
-    """Bit set of U<v> = union of the cosets U v^k.  Requires that v
-    normalize U, so that the union is the subgroup <U, v>."""
-    mask = u_mask
-    frontier = list(u_elems)
-    mult = group.mult
-    while frontier:
-        new = []
-        for x in frontier:
-            y = mult[x][v]
-            if not mask >> y & 1:
-                mask |= 1 << y
-                new.append(y)
-        frontier = new
-    return mask
-
-
 def _pair_profile(
     group: GroupTable, lattice: SubgroupLattice, u_mask: int, v_mask: int
 ) -> dict[int, int]:
     """For U normal in V, how many cosets vU of V/U generate a subgroup
     <v, U> in each lattice class.  <v, U> depends only on the coset, so this
     is a finite profile; it is cached on the lattice and shared by every
-    family."""
+    family.
+
+    The cosets U v^k with k prime to m = |<U, v> : U| all generate <U, v>,
+    so one walk U v, U v^2, ... back to U counts phi(m) cosets at once and
+    takes them off the elements left to walk.  The coset U itself counts
+    once, for U."""
     cache = lattice._cache.setdefault("pair_profiles", {})
     key = (u_mask, v_mask)
     hit = cache.get(key)
     if hit is not None:
         return hit
+    mult = group.mult
     u_elems = mask_elements(u_mask)
-    profile: dict[int, int] = {}
-    for v in cosets(group, v_mask, u_mask):
-        cls = lattice.class_of[_extend_by_element(group, u_mask, u_elems, v)]
-        profile[cls] = profile.get(cls, 0) + 1
+    profile = {lattice.class_of[u_mask]: 1}
+    todo = v_mask & ~u_mask
+    while todo:
+        v = (todo & -todo).bit_length() - 1
+        layers = []  # bit sets of the cosets v^k U = U v^k, for k = 1, ..., m - 1
+        power = v
+        while not u_mask >> power & 1:
+            row = mult[power]
+            layers.append(sum([1 << row[x] for x in u_elems]))
+            power = row[v]
+        m = len(layers) + 1
+        extension = u_mask
+        generating = 0
+        for k, bits in enumerate(layers, 1):
+            extension |= bits
+            if gcd(k, m) == 1:
+                todo &= ~bits
+                generating += 1
+        cls = lattice.class_of[extension]
+        profile[cls] = profile.get(cls, 0) + generating
     cache[key] = profile
     return profile
-
-
-def _roots_mask(group: GroupTable, lattice: SubgroupLattice, u_mask: int) -> int:
-    """Bit set of {x : U <= <x>}, cached on the lattice per U."""
-    cache = lattice._cache.setdefault("roots", {})
-    roots = cache.get(u_mask)
-    if roots is None:
-        roots = 0
-        for x in range(group.order):
-            if group.cyclic_mask(x) & u_mask == u_mask:
-                roots |= 1 << x
-        cache[u_mask] = roots
-    return roots
 
 
 def _coset_count(
@@ -159,26 +150,10 @@ def _coset_count(
     lattice: SubgroupLattice,
     u_mask: int,
     v_mask: int,
-    family: Family,
     members: Sequence[int],
 ) -> int:
     """Cosets vU of V/U with <v, U> in the family, for U normal in V, whose
     ghost vector over the lattice's classes is members."""
-    if family.classes is None:
-        if not members[lattice.class_of[u_mask]]:
-            return 0  # every extension contains U, so none is cyclic
-        u_order = u_mask.bit_count()
-        v_order = v_mask.bit_count()
-        if lattice.classes[lattice.class_of[v_mask]].representative.is_cyclic:
-            return v_order // u_order  # every subgroup of a cyclic group is cyclic
-        if as_prime_power(v_order):
-            # in a p-group, <v, U> is cyclic exactly when U <= <v> (the
-            # subgroups of a cyclic p-group are totally ordered), and then
-            # every element of the coset vU qualifies
-            qualifying = (_roots_mask(group, lattice, u_mask) & v_mask & ~u_mask).bit_count()
-            if qualifying % u_order:
-                raise AssertionError("qualifying elements did not fill whole cosets")
-            return 1 + qualifying // u_order
     profile = _pair_profile(group, lattice, u_mask, v_mask)
     return sum(c for cls, c in profile.items() if members[cls])
 
@@ -258,13 +233,12 @@ def _congruence_skeleton(
 def _congruence_pair(
     group: GroupTable,
     lattice: SubgroupLattice,
-    family: Family,
     members: Sequence[int],
     row: tuple[int, int, int, int, int],
 ) -> CongruencePair:
     """The congruence pair of one skeleton row, counted for the family."""
     v_idx, vm, u_mask, u_class, index = row
-    count = _coset_count(group, lattice, u_mask, vm, family, members)
+    count = _coset_count(group, lattice, u_mask, vm, members)
     return CongruencePair(v_idx, u_class, u_mask, index, count, index // gcd(index, count))
 
 
@@ -275,7 +249,7 @@ def congruence_pairs(
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
     for row in _congruence_skeleton(group, lattice):
-        yield _congruence_pair(group, lattice, family, members, row)
+        yield _congruence_pair(group, lattice, members, row)
 
 
 @dataclass
@@ -303,7 +277,7 @@ def congruence_analysis(
     for row in _congruence_skeleton(group, lattice):
         if not keep_pairs and exponent % row[-1] == 0:  # row[-1] is the index
             continue
-        pair = _congruence_pair(group, lattice, family, members, row)
+        pair = _congruence_pair(group, lattice, members, row)
         if keep_pairs:
             kept.append(pair)
         # each constraint is a prime power; one that already divides the

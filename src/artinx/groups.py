@@ -125,7 +125,15 @@ def _parse_family_token(token: str) -> Named:
     m = _FAMILY_RE.match(token)
     if not m:
         raise GroupSpecError(f"malformed group token {token!r}")
-    return Named(m.group(1), int(m.group(2)))
+    family, digits = m.group(1), m.group(2).lstrip("0") or "0"
+    # a parameter longer than the cap is larger than it, and so is the order
+    # it gives in every family; refusing it here keeps huge numbers from
+    # being converted, factorized or printed
+    if len(digits) > len(str(ORDER_CAP)):
+        raise OrderCapError(
+            f"{family} parameter of {len(digits)} digits exceeds the order cap of {ORDER_CAP}"
+        )
+    return Named(family, int(digits))
 
 
 def _parse_perm_generators(body: str) -> PermGenerators:
@@ -341,13 +349,6 @@ class GroupTable:
         return self._cyclic_masks[g]
 
 
-def element_order(group: GroupTable, g: int) -> int:
-    """Least k >= 1 with g**k the identity."""
-    if not 0 <= g < group.order:
-        raise ValueError(f"element {g} out of range")
-    return group.element_order(g)
-
-
 def is_cyclic_group(group: GroupTable) -> bool:
     return any(group.element_order(g) == group.order for g in range(group.order))
 
@@ -519,14 +520,20 @@ def _realize_perm_generators(spec: PermGenerators) -> list[list[int]]:
 
 def _realize(spec: GroupSpec) -> list[list[int]]:
     """The table of a spec.  Every table is checked against the cap before
-    it is built: a named group from its order, a product from its factors'
-    tables, a permutation group during its closure."""
+    it is built: a named group from its order, a product factor by factor,
+    a permutation group during its closure."""
     if isinstance(spec, Named):
         _check_cap(spec_order(spec), spec_to_text(spec))
         return FAMILIES[spec.family].realize(spec.n)
     if isinstance(spec, DirectProduct):
-        tables = [_realize(f) for f in spec.factors]
-        _check_cap(math.prod(map(len, tables)), spec_to_text(spec))
+        tables, order = [], 1
+        for count, factor in enumerate(spec.factors, 1):
+            tables.append(_realize(factor))
+            order *= len(tables[-1])
+            if order > ORDER_CAP:
+                # name the first prefix over the cap: a long product stops
+                # there, with an order short enough to print
+                _check_cap(order, spec_to_text(DirectProduct(spec.factors[:count])))
         return reduce(_product_table, tables)
     return _realize_perm_generators(spec)
 

@@ -22,7 +22,6 @@ from .artin import (
     MethodDisagreement,
     artin_exponent_congruence,
     artin_exponent_marks,
-    closed_form_predictor,
     compute_exponent_report,
     c_set_reports,
     recognize_2group,
@@ -48,7 +47,7 @@ SUITE_ARGS = {
     "crossmethod": ("group", "lattice", "table", "exponents"),
     "cyclic": ("group", "exponent"),
     "oddp": ("group", "exponent"),
-    "twogroup": ("group", "exponent"),
+    "twogroup": ("group", "report"),
     "conductor": ("group", "table"),
     "lemmas": ("group", "lattice"),
     "sylow": ("report",),
@@ -159,16 +158,16 @@ def _check_oddp(spec, group, exponent) -> tuple[str, list, list]:
     return "ok", [], []
 
 
-def _check_twogroup(spec, group, exponent) -> tuple[str, list, list]:
+def _check_twogroup(spec, group, report) -> tuple[str, list, list]:
     pp = as_prime_power(group.order)
     if pp is None or pp[0] != 2 or is_cyclic_group(group):
         return "skip", [], []
     notes = []
-    prediction = closed_form_predictor(group)
+    exponent = report.exponent
     shape = recognize_2group(group)
     generic = 2 ** (pp[1] - 1)
     thm_value = 2 if shape in ("quaternion", "dihedral") else generic
-    cor_value = prediction.details.get("bracket-whole-group")
+    cor_value = report.prediction.details.get("bracket-whole-group")
     if exponent != thm_value:
         notes.append({
             "group": spec, "check": "twogroup",

@@ -11,8 +11,9 @@ relabelled tables, per-entry marks, the divisor-scan exponent and the
 Fraction conductor, products in the transitive basis, normality and
 normalizer tests, the commutator subgroup, quotient groups, conjugacy
 classes by conjugating with every element, the congruence-pair scan over
-every subgroup, and coset counting with the element-scanning p-group count,
-the lattice-free closure path and the central p-part reduction.
+every subgroup, and coset counting with the per-coset profile, the
+element-scanning p-group count, the lattice-free closure path and the
+central p-part reduction.
 """
 
 import itertools
@@ -470,7 +471,7 @@ def reference_congruence_pairs(
                 continue
             if not all(conjugate_mask(group, g, u_mask) == u_mask for g in mask_elements(vm)):
                 continue
-            count = _coset_count(group, lattice, u_mask, vm, family, members)
+            count = _coset_count(group, lattice, u_mask, vm, members)
             pairs.append(CongruencePair(
                 v_class=v_idx,
                 u_class=lattice.class_of[u_mask],
@@ -480,6 +481,25 @@ def reference_congruence_pairs(
                 constraint=index // gcd(index, count),
             ))
     return pairs
+
+
+def reference_pair_profile(
+    group: GroupTable, lattice: SubgroupLattice, u_mask: int, v_mask: int
+) -> dict[int, int]:
+    """For U normal in V, how many cosets vU of V/U generate a subgroup in
+    each lattice class, extending U by every coset representative in turn:
+    <U, v> is the union of the cosets U v^k."""
+    profile: dict[int, int] = {}
+    for v in cosets(group, v_mask, u_mask):
+        mask = u_mask
+        frontier = mask_elements(u_mask)
+        while frontier:
+            frontier = [y for y in (group.mult[x][v] for x in frontier) if not mask >> y & 1]
+            for y in frontier:
+                mask |= 1 << y
+        cls = lattice.class_of[mask]
+        profile[cls] = profile.get(cls, 0) + 1
+    return profile
 
 
 def cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> int:
@@ -538,7 +558,7 @@ def cyclic_count(
     if lattice is not None:
         members = family_vector(
             [c.representative.is_cyclic for c in lattice.classes], family)
-        direct = _coset_count(group, lattice, u_mask, v_mask, family, members)
+        direct = _coset_count(group, lattice, u_mask, v_mask, members)
     elif family.classes is not None:
         raise ValueError("explicit-class families require the subgroup lattice")
     else:

@@ -170,6 +170,30 @@ def test_oversized_group_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("S2000", "S parameter of 4 digits exceeds the order cap of 256"),
+        ("A20000", "A parameter of 5 digits exceeds the order cap of 256"),
+        ("C" + "7" * 5000, "C parameter of 5000 digits exceeds the order cap of 256"),
+        ("x".join(["C2"] * 15000), "x".join(["C2"] * 9) + " has order 512, exceeding the cap of 256"),
+    ],
+    ids=["S2000", "A20000", "C-5000-digits", "C2-15000-factors"],
+)
+def test_oversized_spec_stderr_pinned(bad, message, capsys):
+    """A parameter longer than the cap is refused by its length, and a
+    product at its first prefix over the cap, before an order too long to
+    print is formed."""
+    code, out, err = run_cli(["compute", "--group", bad], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_leading_zeros_do_not_count_towards_parameter_length(capsys):
+    padded = run_cli(["compute", "--group", "C2xSD" + "0" * 5000 + "16"], capsys)
+    assert padded == run_cli(["compute", "--group", "C2xSD16"], capsys)
+    assert padded[0] == 0
+
+
 def test_missing_required_flag_exits_one(capsys):
     code, _, err = run_cli(["compute"], capsys)
     assert code == 1

@@ -1,6 +1,6 @@
 """Method 1's shared per-lattice work against plain references: the
-congruence-pair skeleton, the pair skip, the roots-mask p-group count, and
-the per-H C-set path of the lemma suite."""
+congruence-pair skeleton, the pair skip, the coset profile that every family
+reads, and the per-H C-set path of the lemma suite."""
 
 import random
 from collections import Counter
@@ -12,6 +12,7 @@ from artinx import lattice as lattice_module
 from artinx.artin import (
     ALL_CYCLIC,
     _coset_count,
+    _pair_profile,
     artin_exponent_congruence,
     _congruence_skeleton,
     c_set_reports,
@@ -23,13 +24,14 @@ from artinx.artin import (
     subgroup_as_group,
 )
 from artinx.groups import as_prime_power, group_from_spec
-from artinx.lattice import cached_lattice, enumerate_subgroups, mask_elements
+from artinx.lattice import cached_lattice, closure_mask, enumerate_subgroups, mask_elements
 from artinx.sweep import default_catalog, random_families
 
 from oracles import (
     cyclic_coset_count_p_group,
     is_normal_in,
     reference_congruence_pairs,
+    reference_pair_profile,
     relabeled,
 )
 
@@ -79,8 +81,9 @@ def test_skeleton_pairs_match_reference_scan_cache_loaded(spec, tmp_path, monkey
 
 @pytest.mark.parametrize("spec", default_catalog(64))
 def test_roots_mask_count_matches_element_scan(spec):
-    """The cyclic-family count for V a p-group, on every U <= V normal in V
-    with U cyclic and V a class representative."""
+    """The cyclic-family count read from the shared coset profile, for V a
+    p-group, on every U <= V normal in V with U cyclic and V a class
+    representative, against the element scan of cyclic_coset_count_p_group."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], ALL_CYCLIC)
@@ -95,9 +98,52 @@ def test_roots_mask_count_matches_element_scan(spec):
             if not (g.is_abelian or is_normal_in(g, um, vm)):
                 continue
             expected = cyclic_coset_count_p_group(g, um, vm)
-            assert _coset_count(g, lattice, um, vm, ALL_CYCLIC, members) == expected
+            assert _coset_count(g, lattice, um, vm, members) == expected
             checked += 1
     assert checked or g.order == 1
+
+
+def assert_profiles_match_reference(g, lattice):
+    for _, vm, um, _, index in _congruence_skeleton(g, lattice):
+        profile = _pair_profile(g, lattice, um, vm)
+        assert profile == reference_pair_profile(g, lattice, um, vm), (um, vm)
+        assert sum(profile.values()) == index
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
+def test_pair_profile_matches_per_coset_reference(spec):
+    g = group_from_spec(spec)
+    assert_profiles_match_reference(g, enumerate_subgroups(g))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_pair_profile_matches_per_coset_reference_relabeled(spec):
+    g = relabeled_group(spec)
+    assert_profiles_match_reference(g, enumerate_subgroups(g))
+
+
+class _CountedLookups(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("spec", ["C8", "C9", "C2xC4", "C2xC2xC2", "D8", "Q16", "S4", "C3xC6"])
+def test_pair_profile_extends_each_cyclic_subgroup_once(spec):
+    """The profile looks up one class for U and one per nontrivial cyclic
+    subgroup <U, v> / U of V/U, however many cosets generate it."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    lattice.class_of = _CountedLookups(lattice.class_of)
+    for _, vm, um, _, _ in _congruence_skeleton(g, lattice):
+        extensions = {
+            closure_mask(g, mask_elements(um) + [v]) for v in mask_elements(vm & ~um)
+        }
+        before = lattice.class_of.lookups
+        _pair_profile(g, lattice, um, vm)
+        assert lattice.class_of.lookups - before == 1 + len(extensions), (um, vm)
 
 
 @pytest.mark.parametrize("spec", default_catalog(32))
@@ -192,9 +238,9 @@ def count_coset_counts(monkeypatch):
     calls = Counter()
     original = artin._coset_count
 
-    def counted(group, lattice, u_mask, v_mask, family, members):
+    def counted(group, lattice, u_mask, v_mask, members):
         calls[u_mask, v_mask] += 1
-        return original(group, lattice, u_mask, v_mask, family, members)
+        return original(group, lattice, u_mask, v_mask, members)
 
     monkeypatch.setattr(artin, "_coset_count", counted)
     return calls

@@ -20,7 +20,6 @@ from artinx.groups import (
     PermGenerators,
     as_prime_power,
     build_group,
-    element_order,
     group_from_spec,
     is_cyclic_group,
     p_part,
@@ -156,6 +155,12 @@ def test_order_cap_messages_pinned(bad, message):
     assert str(err.value) == message
 
 
+def test_parameter_longer_than_the_cap_is_refused_while_parsing():
+    with pytest.raises(OrderCapError, match="S parameter of 4 digits exceeds the order cap of 256"):
+        parse_group_spec("S2000")
+    assert parse_group_spec("D" + "0" * 5000 + "12") == Named("D", 12)
+
+
 def test_named_rejects_unknown_family():
     with pytest.raises(GroupSpecError, match="unknown group family 'X'"):
         Named("X", 3)
@@ -218,10 +223,10 @@ def test_trivial_group():
 def test_c12_element_orders():
     g = group_from_spec("C12")
     # element k in C12 has order 12/gcd(12, k)
-    assert [element_order(g, k) for k in range(12)] == [
+    assert [g.element_order(k) for k in range(12)] == [
         12 // math.gcd(12, k) if k else 1 for k in range(12)
     ]
-    assert element_order(g, 3) == 4
+    assert g.element_order(3) == 4
 
 
 def test_q8_has_unique_involution():

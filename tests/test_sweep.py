@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from artinx import artin
+from artinx import artin, sweep
 from artinx.groups import group_from_spec, parse_group_spec, spec_order
 from artinx.sweep import (
     CHECK_NAMES,
@@ -211,6 +211,24 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
         artin.compute_exponent_report(group, "S3", include_sylow=True)
     assert (err.value.congruence, err.value.marks) == (4, 2)
     assert err.value.report == marks_only
+
+
+@pytest.mark.parametrize("spec", ["D16", "Q16", "SD16", "C4xC4"])
+def test_evaluate_group_runs_the_predictor_once(spec, monkeypatch):
+    """The twogroup suite reads the report's prediction instead of running
+    the predictor again, under either module's binding of it."""
+    calls = Counter()
+    real_predictor = artin.closed_form_predictor
+
+    def predictor(group):
+        calls["predictor"] += 1
+        return real_predictor(group)
+
+    monkeypatch.setattr(artin, "closed_form_predictor", predictor)
+    monkeypatch.setattr(sweep, "closed_form_predictor", predictor, raising=False)
+    row = evaluate_group((spec, CHECK_NAMES, None))
+    assert row["statuses"]["twogroup"] == "report"
+    assert calls == {"predictor": 1}
 
 
 def test_evaluate_group_skips_inapplicable_checks():
