@@ -360,7 +360,9 @@ def is_cyclic_group(group: GroupTable) -> bool:
 
 def _check_cap(order: int, what: str) -> None:
     if order > ORDER_CAP:
-        raise OrderCapError(f"{what} has order {order}, exceeding the cap of {ORDER_CAP}")
+        # an order too long to read, such as that of S999, is given by its length
+        shown = order if order < 10**9 else f"of {len(str(order))} digits"
+        raise OrderCapError(f"{what} has order {shown}, exceeding the cap of {ORDER_CAP}")
 
 
 def tabulate(elements: Sequence, mul) -> list[list[int]]:
@@ -500,9 +502,16 @@ def _cycles_to_perm(cycles: Iterable[tuple[int, ...]], degree: int) -> tuple[int
 
 
 def _realize_perm_generators(spec: PermGenerators) -> list[list[int]]:
-    degree = max([1] + [max(cyc) for gen in spec.generators for cyc in gen])
-    gens = [_cycles_to_perm(gen, degree) for gen in spec.generators]
-    identity = tuple(range(degree))
+    # number the points that occur 1, 2, ... in ascending order, so a tuple is
+    # as long as the number of points and not the largest one; the closure
+    # compares permutations only for equality, so the table is the same
+    points = sorted({p for gen in spec.generators for cyc in gen for p in cyc})
+    number = {p: i for i, p in enumerate(points, 1)}
+    gens = [
+        _cycles_to_perm([tuple(number[p] for p in cyc) for cyc in gen], len(points))
+        for gen in spec.generators
+    ]
+    identity = tuple(range(len(points)))
     elements = [identity]
     seen = {identity}
     for current in elements:

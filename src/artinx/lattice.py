@@ -168,7 +168,7 @@ class SubgroupLattice:
         return sum(c.size for c in self.classes)
 
     def generators_of(self, mask: int) -> tuple[int, ...]:
-        """A small generating set recorded for the subgroup during enumeration."""
+        """A small generating set recorded for the subgroup when its class was built."""
         try:
             return self._generators[mask]
         except KeyError:
@@ -178,13 +178,9 @@ class SubgroupLattice:
         return [i for i, c in enumerate(self.classes) if c.representative.is_cyclic]
 
 
-def _canonical_rep(group: GroupTable, masks: Iterable[int]) -> int:
-    """The conjugate whose sorted element tuple is lexicographically least."""
-    return min(masks, key=mask_elements)
-
-
 def _expand_class(group: GroupTable, mask: int) -> dict[int, int]:
-    """All conjugates of a mask, each mapped to one conjugating element."""
+    """All conjugates of a mask, each mapped to one conjugating element; the
+    mask itself comes first, mapped to the identity 0."""
     if group.is_abelian:
         return {mask: 0}
     out: dict[int, int] = {}
@@ -197,80 +193,69 @@ def _expand_class(group: GroupTable, mask: int) -> dict[int, int]:
     return out
 
 
+def _assemble(
+    group: GroupTable, found: Iterable[tuple[dict[int, int], tuple[int, ...]]]
+) -> SubgroupLattice:
+    """The lattice of the given classes; every lattice is built here.
+
+    Each class comes as the dict _expand_class returns, with generators of
+    the mask it was expanded from; every conjugate g H g^-1 is given the
+    generators conjugated by g.  The representative of a class is its
+    conjugate with the lexicographically least element tuple.
+    """
+    raw = []
+    for conj_to_g, gens in found:
+        rep = subgroup_from_mask(group, min(conj_to_g, key=mask_elements))
+        raw.append((rep, conj_to_g, gens))
+    raw.sort(key=lambda r: (r[0].order, r[0].elements))
+    classes = []
+    class_of: dict[int, int] = {}
+    generators: dict[int, tuple[int, ...]] = {}
+    for idx, (rep, conj_to_g, gens) in enumerate(raw):
+        classes.append(SubgroupClass(rep, tuple(sorted(conj_to_g, key=mask_elements))))
+        for m, g in conj_to_g.items():
+            class_of[m] = idx
+            generators[m] = tuple(group.conj(g, x) for x in gens)
+    return SubgroupLattice(group, classes, class_of, generators)
+
+
 def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> SubgroupLattice:
     """Find every subgroup of the group, organized into conjugacy classes.
 
-    Starts from the cyclic subgroups and closes under joins with them: any
-    subgroup is a join of cyclic ones, and joining class representatives
-    with all cyclic subgroups reaches a representative of every class.
+    Starts from the trivial subgroup and closes under joins with the cyclic
+    subgroups: any subgroup is a join of cyclic ones, and since g <H, C> g^-1
+    is the join of g H g^-1 with a cyclic subgroup, joining one member of
+    each class with every cyclic subgroup reaches every class.  Each class
+    is expanded once, when it is first reached.
     """
-    n = group.order
-    full_mask = (1 << n) - 1
+    # every nontrivial cyclic subgroup, with a single generator
+    cyclic: dict[int, tuple[int, ...]] = {}
+    for g in range(1, group.order):
+        cyclic.setdefault(group.cyclic_mask(g), (g,))
 
-    # seed: all cyclic subgroups, with a single generator each
-    generators: dict[int, tuple[int, ...]] = {1: ()}
-    cyclic_masks: list[int] = [1]
-    seen_cyclic = {1}
-    for g in range(1, n):
-        m = group.cyclic_mask(g)
-        if m not in seen_cyclic:
-            seen_cyclic.add(m)
-            cyclic_masks.append(m)
-            generators[m] = (g,)
-    cyclic_masks.sort(key=mask_elements)
-
-    all_masks: set[int] = set(cyclic_masks)
-    # queue of class representatives still to be joined against the cyclics
-    queue: list[int] = list(cyclic_masks)
-    processed: set[int] = set()
-
+    # per class: its conjugates, and generators of the member reached first
+    found = [(_expand_class(group, 1), ())]
+    known = {1}
+    # members reached first whose joins are still to be made, from the trivial one
+    queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while queue:
-        base = queue.pop()
-        if base in processed:
-            continue
-        processed.add(base)
-        if base == full_mask:
-            continue
-        base_gens = generators[base]
-        for cm in cyclic_masks:
+        base, base_gens = queue.pop()
+        for cm, cm_gens in cyclic.items():
             if cm & base == cm:
                 continue
-            joined_gens = base_gens + generators[cm]
-            joined = closure_mask(group, joined_gens, base)
-            if joined in all_masks:
+            gens = base_gens + cm_gens
+            joined = closure_mask(group, gens, base)
+            if joined in known:
                 continue
-            generators[joined] = joined_gens
             conj_to_g = _expand_class(group, joined)
-            for m, g0 in conj_to_g.items():
-                if m not in generators:
-                    generators[m] = tuple(group.conj(g0, x) for x in joined_gens)
-            all_masks.update(conj_to_g)
-            if len(all_masks) > max_subgroups:
+            found.append((conj_to_g, gens))
+            known.update(conj_to_g)
+            if len(known) > max_subgroups:
                 raise ResourceCapError(
                     f"more than {max_subgroups} subgroups; raise max_subgroups to proceed"
                 )
-            queue.append(joined)
-
-    # group into conjugacy classes
-    class_of: dict[int, int] = {}
-    raw_classes: list[tuple[Subgroup, tuple[int, ...]]] = []
-    remaining = set(all_masks)
-    while remaining:
-        m = remaining.pop()
-        members = set(_expand_class(group, m))
-        remaining -= members
-        rep_mask = _canonical_rep(group, members)
-        rep = subgroup_from_mask(group, rep_mask)
-        raw_classes.append((rep, tuple(sorted(members, key=mask_elements))))
-
-    raw_classes.sort(key=lambda rc: (rc[0].order, rc[0].elements))
-    classes = []
-    for idx, (rep, members) in enumerate(raw_classes):
-        classes.append(SubgroupClass(representative=rep, conjugates=members))
-        for m in members:
-            class_of[m] = idx
-
-    return SubgroupLattice(group, classes, class_of, generators)
+            queue.append((joined, gens))
+    return _assemble(group, found)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +266,13 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
 def lattice_to_dict(lattice: SubgroupLattice, spec_text: str) -> dict:
     """JSON-ready description of a lattice, keyed by the group spec text."""
     return {
-        "schema": 1,
+        "schema": 2,
         "spec": spec_text,
         "order": lattice.group.order,
         "classes": [
             {
                 "rep_bits_hex": format(c.representative.mask, "x"),
+                "rep_generators": list(lattice.generators_of(c.representative.mask)),
                 "order": c.representative.order,
                 "conjugate_count": c.size,
             }
@@ -298,47 +284,46 @@ def lattice_to_dict(lattice: SubgroupLattice, spec_text: str) -> dict:
 def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice]:
     """Rebuild a lattice from its serialized form.
 
-    Every representative mask is re-verified against the group (closure and
-    order); classes are re-expanded and generators recomputed, so a stale or
-    foreign cache entry yields None rather than a wrong lattice.  So does
-    anything but a dict, and a mask that is not a nonempty subset of G.
+    Each representative is checked against the group: its stored generators
+    must be element indices that generate exactly its mask, which proves the
+    mask a subgroup.  Each class is re-expanded; the stored orders, class
+    sizes and representatives must match the rebuilt classes in their
+    canonical order, no class may repeat, the trivial subgroup and the whole
+    group must be present, and so must every cyclic subgroup.  A stale or
+    foreign entry yields None rather than a wrong lattice; so does anything
+    but a dict.  The check does not prove that every noncyclic class is
+    present.
     """
     if not isinstance(data, dict):
         return None
     try:
-        if data.get("schema") != 1 or data["order"] != group.order:
+        if data.get("schema") != 2 or data["order"] != group.order:
             return None
-        rep_masks = [int(c["rep_bits_hex"], 16) for c in data["classes"]]
-        orders = [c["order"] for c in data["classes"]]
-        sizes = [c["conjugate_count"] for c in data["classes"]]
+        stored = [
+            (int(c["rep_bits_hex"], 16), c["order"], c["conjugate_count"], c["rep_generators"])
+            for c in data["classes"]
+        ]
     except (KeyError, TypeError, ValueError):
         return None
-    if not all(0 < mask < 1 << group.order for mask in rep_masks):
-        return None
 
-    generators: dict[int, tuple[int, ...]] = {}
-    class_of: dict[int, int] = {}
-    classes: list[SubgroupClass] = []
-    for idx, (mask, order, size) in enumerate(zip(rep_masks, orders, sizes)):
-        try:
-            rep = subgroup_from_mask(group, mask, check=True)
-        except ValueError:
+    n = group.order
+    found = []
+    for mask, _, _, gens in stored:
+        # bools are ints to Python, and a negative index reads a row from its end
+        if not isinstance(gens, list) or not all(type(x) is int and 0 <= x < n for x in gens):
             return None
-        if rep.order != order:
+        if closure_mask(group, gens) != mask:
             return None
-        members = set(_expand_class(group, mask))
-        if len(members) != size or _canonical_rep(group, members) != mask:
-            return None
-        classes.append(SubgroupClass(representative=rep, conjugates=tuple(sorted(members, key=mask_elements))))
-        for m in members:
-            class_of[m] = idx
-            generators[m] = _greedy_generators(group, m)
+        found.append((_expand_class(group, mask), tuple(gens)))
 
-    lattice = SubgroupLattice(group, classes, class_of, generators)
-    # the full group and trivial subgroup must both be present
-    if not classes or classes[0].representative.order != 1:
+    lattice = _assemble(group, found)
+    classes = lattice.classes
+    rebuilt = [(c.representative.mask, c.representative.order, c.size) for c in classes]
+    if rebuilt != [s[:3] for s in stored] or len(lattice.class_of) != lattice.subgroup_count():
         return None
-    if classes[-1].representative.order != group.order:
+    if not classes or classes[0].representative.order != 1 or classes[-1].representative.order != n:
+        return None
+    if not all(group.cyclic_mask(g) in lattice.class_of for g in range(n)):
         return None
     return lattice
 
@@ -368,26 +353,9 @@ def cached_lattice(group: GroupTable, spec_text: str, cache_dir: Optional[str]) 
         return cached
     lattice = enumerate_subgroups(group)
     os.makedirs(cache_dir, exist_ok=True)
-    payload = json.dumps(lattice_to_dict(lattice, spec_text), indent=2, sort_keys=True)
+    payload = json.dumps(lattice_to_dict(lattice, spec_text), separators=(",", ":"), sort_keys=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(payload + "\n")
     os.replace(tmp, path)
     return lattice
-
-
-def _greedy_generators(group: GroupTable, mask: int) -> tuple[int, ...]:
-    """A small generating set for a subgroup mask, largest-order-first greedy."""
-    if mask == 1:
-        return ()
-    elements = sorted(mask_elements(mask), key=group.element_order, reverse=True)
-    gens: list[int] = []
-    current = 1
-    for x in elements:
-        if current >> x & 1:
-            continue
-        gens.append(x)
-        current = closure_mask(group, gens, current)
-        if current == mask:
-            return tuple(gens)
-    raise AssertionError("mask was not closed")  # pragma: no cover

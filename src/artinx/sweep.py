@@ -185,6 +185,10 @@ def _check_twogroup(spec, group, report) -> tuple[str, list, list]:
 
 
 def _check_conductor(spec, group, table) -> tuple[str, list, list]:
+    """The conductor equals |G| for every finite G: the congruence at U = 1
+    forces |G| to divide it, and |G| times any ghost vector comes from the
+    Burnside ring.  So this checks the solver and the table of marks, not a
+    property of the group."""
     if group.order > CONDUCTOR_ORDER_CAP:
         return "skip", [], []
     got = conductor(table)

@@ -177,8 +177,9 @@ def test_oversized_group_exits_one(capsys):
         ("A20000", "A parameter of 5 digits exceeds the order cap of 256"),
         ("C" + "7" * 5000, "C parameter of 5000 digits exceeds the order cap of 256"),
         ("x".join(["C2"] * 15000), "x".join(["C2"] * 9) + " has order 512, exceeding the cap of 256"),
+        ("S999", "S999 has order of 2565 digits, exceeding the cap of 256"),
     ],
-    ids=["S2000", "A20000", "C-5000-digits", "C2-15000-factors"],
+    ids=["S2000", "A20000", "C-5000-digits", "C2-15000-factors", "S999"],
 )
 def test_oversized_spec_stderr_pinned(bad, message, capsys):
     """A parameter longer than the cap is refused by its length, and a
@@ -403,6 +404,20 @@ def test_cache_rejects_stale_entries(tmp_path, capsys):
     assert code == 0  # silently rebuilt
     assert json.loads(entry.read_text())["order"] == 6  # and rewritten
     assert "C6*1" in out
+
+
+@pytest.mark.parametrize("spec", ["S4", "D8", "C2xC6"])
+def test_cache_rebuilds_an_entry_missing_a_cyclic_class(tmp_path, capsys, spec):
+    cache = tmp_path / "cache"
+    run_cli(["compute", "--group", spec, "--cache", str(cache)], capsys)
+    entry = Path(lattice_cache_path(str(cache), spec))
+    full = json.loads(entry.read_text(encoding="utf-8"))
+    dropped = {**full, "classes": full["classes"][:1] + full["classes"][2:]}  # class 1, order 2
+    for method in ("marks", "both"):
+        entry.write_text(json.dumps(dropped), encoding="utf-8")
+        argv = ["compute", "--group", spec, "--method", method]
+        assert run_cli(argv + ["--cache", str(cache)], capsys) == run_cli(argv, capsys)
+        assert json.loads(entry.read_text(encoding="utf-8")) == full  # rebuilt and rewritten
 
 
 def _malformed_payloads() -> dict:

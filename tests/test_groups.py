@@ -253,6 +253,25 @@ def test_semidihedral_sd16_structure():
     assert not g.is_abelian
 
 
+@pytest.mark.parametrize(
+    "sparse, dense",
+    [("perm:(1 3000000)", "perm:(1 2)"), ("perm:(5 9)(7 1000)", "perm:(1 2)(3 4)"),
+     ("perm:(2 40 7),(7 9)", "perm:(1 4 2),(2 3)")],
+)
+def test_perm_points_are_renumbered(sparse, dense, monkeypatch):
+    """Only the points that occur are kept, in ascending order, so a large
+    point costs nothing and the table equals that of the dense spec."""
+    degrees, original = [], groups.tabulate
+
+    def tabulate(elements, mul):
+        degrees.append(len(elements[0]))
+        return original(elements, mul)
+
+    monkeypatch.setattr(groups, "tabulate", tabulate)
+    assert group_from_spec(sparse).mult == group_from_spec(dense).mult
+    assert degrees[0] == degrees[1] == len(set(re.findall(r"\d+", sparse)))
+
+
 def test_symmetric_s3_from_perm_spec_matches_family():
     via_family = group_from_spec("S3")
     via_perms = group_from_spec("perm:(1 2),(1 2 3)")

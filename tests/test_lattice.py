@@ -1,11 +1,13 @@
 """Subgroup lattices: enumeration, conjugacy classes, and serialization."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import artinx.lattice as lattice_module
 from artinx.groups import group_from_spec
 from artinx.lattice import (
     ResourceCapError,
@@ -258,15 +260,45 @@ def test_expand_class_matches_conjugation_by_every_element_relabeled(spec):
 
 @pytest.mark.parametrize(
     "spec",
-    ["C1", "C6", "C12", "S3", "Q8", "D8", "D12", "A4", "S4", "C2xC2xC2", "C2xC2xC4"],
+    ["C1", "C6", "C12", "S3", "Q8", "D8", "D12", "A4", "S4", "C2xC2xC2", "C2xC2xC4"]
+    + ["relabeled:S4", "relabeled:D12", "relabeled:SD16", "perm:(1 2 3)(4 5),(1 2)"],
 )
 def test_enumeration_matches_brute_force(spec):
-    g = group_from_spec(spec)
+    if spec.startswith("relabeled:"):
+        g = relabeled_group(spec.removeprefix("relabeled:"), "brute")
+    else:
+        g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     found = {m for c in lattice.classes for m in c.conjugates}
     assert found == brute_force_subgroup_masks(g)
     expected_classes = brute_force_classes(g)
     assert {frozenset(c.conjugates) for c in lattice.classes} == expected_classes
+
+
+class _Counted:
+    """A function wrapper that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("spec", ["D256", S5, "S4xC2xC2"])
+def test_enumeration_expands_each_class_once(spec, monkeypatch):
+    """One base per class: each class is expanded when it is first reached,
+    and only a class's base is joined with the cyclic subgroups."""
+    g = group_from_spec(spec)
+    expand = _Counted(lattice_module._expand_class)
+    closure = _Counted(lattice_module.closure_mask)
+    monkeypatch.setattr(lattice_module, "_expand_class", expand)
+    monkeypatch.setattr(lattice_module, "closure_mask", closure)
+    lattice = enumerate_subgroups(g)
+    cyclic_count = len({g.cyclic_mask(x) for x in range(g.order)})
+    assert expand.calls == len(lattice)
+    assert closure.calls <= len(lattice) * cyclic_count
 
 
 @pytest.mark.parametrize(
@@ -373,17 +405,16 @@ def test_conjugate_mask_is_group_action():
 # ---------------------------------------------------------------------------
 
 
-def test_lattice_round_trip():
-    g = group_from_spec("S4")
+@pytest.mark.parametrize("spec", ["S4", "D256", "C2xC2xC2xC2xC2xC2"])
+def test_lattice_round_trip(spec):
+    g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    data = lattice_to_dict(lattice, "S4")
-    rebuilt = lattice_from_dict(g, data)
+    rebuilt = lattice_from_dict(g, json.loads(json.dumps(lattice_to_dict(lattice, spec))))
     assert rebuilt is not None
     assert [c.conjugates for c in rebuilt.classes] == [c.conjugates for c in lattice.classes]
     assert rebuilt.class_of == lattice.class_of
-    for c in rebuilt.classes:
-        for m in c.conjugates:
-            assert closure_mask(g, rebuilt.generators_of(m)) == m
+    for m in rebuilt.class_of:
+        assert closure_mask(g, rebuilt.generators_of(m)) == m
 
 
 def test_lattice_from_dict_rejects_wrong_group():
@@ -401,9 +432,46 @@ def test_lattice_from_dict_rejects_tampering():
     bad = {**data, "classes": [dict(c) for c in data["classes"]]}
     bad["classes"][1]["rep_bits_hex"] = "7"  # {0,1,2} is not a subgroup of S3
     assert lattice_from_dict(g, bad) is None
-    bad = {**data, "schema": 2}
-    assert lattice_from_dict(g, bad) is None
-    assert lattice_from_dict(g, {"schema": 1}) is None
+    for schema in (1, 3):
+        assert lattice_from_dict(g, {**data, "schema": schema}) is None
+    assert lattice_from_dict(g, {"schema": 2}) is None
+
+
+def _with_rep_generators(data, index, gens):
+    bad = {**data, "classes": [dict(c) for c in data["classes"]]}
+    bad["classes"][index]["rep_generators"] = gens
+    return bad
+
+
+def test_lattice_from_dict_rejects_bad_generators():
+    g = group_from_spec("S4")
+    data = lattice_to_dict(enumerate_subgroups(g), "S4")
+    assert lattice_from_dict(g, data) is not None
+    top = len(data["classes"]) - 1
+    top_gens = data["classes"][top]["rep_generators"]
+    # each bad value is added to generators of the whole group, so only the
+    # value check can reject it: -1 and True would index rows 23 and 1
+    for bad_value in (24, -1, True, 1.0, "1", None):
+        assert lattice_from_dict(g, _with_rep_generators(data, top, top_gens + [bad_value])) is None
+    assert lattice_from_dict(g, _with_rep_generators(data, top, "0")) is None
+    # generators of another subgroup
+    assert lattice_from_dict(g, _with_rep_generators(data, 1, data["classes"][2]["rep_generators"])) is None
+    assert lattice_from_dict(g, _with_rep_generators(data, top, data["classes"][top - 1]["rep_generators"])) is None
+
+
+@pytest.mark.parametrize("spec", ["S4", "D8", "C2xC6"])
+def test_lattice_from_dict_rejects_a_missing_cyclic_class(spec):
+    g = group_from_spec(spec)
+    data = lattice_to_dict(enumerate_subgroups(g), spec)
+    assert data["classes"][1]["order"] == 2  # a cyclic class
+    assert lattice_from_dict(g, {**data, "classes": data["classes"][:1] + data["classes"][2:]}) is None
+
+
+def test_lattice_from_dict_rejects_a_repeated_class():
+    g = group_from_spec("S4")
+    data = lattice_to_dict(enumerate_subgroups(g), "S4")
+    classes = data["classes"]
+    assert lattice_from_dict(g, {**data, "classes": classes[:2] + classes[1:]}) is None
 
 
 @pytest.mark.parametrize("spec", ["C2xC2", "C12", "C2xC4xC4"])
