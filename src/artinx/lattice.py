@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .groups import GroupTable
+from .groups import GroupTable, as_prime_power, prime_factors
 
 
 class ResourceCapError(RuntimeError):
@@ -32,18 +32,24 @@ def mask_elements(mask: int) -> list[int]:
     return out
 
 
-def closure_mask(group: GroupTable, generators: Iterable[int], base: int = 1) -> int:
+def closure_mask(
+    group: GroupTable,
+    generators: Iterable[int],
+    base: int = 1,
+    base_rows: Optional[list[list[int]]] = None,
+) -> int:
     """Bit set of the subgroup generated by the given elements.
 
     base is the bit set of a subgroup H of the result (by default the trivial
     one) that the closure grows from, as a union of right cosets H y: each
     coset representative times each generator lands in a coset already
     present or adds a whole new one.  H must lie in the subgroup that the
-    generators alone generate.
+    generators alone generate.  base_rows, when given, are the table rows of
+    H's elements, for a caller that joins one base with many generators.
     """
     gens = [g for g in generators]
     mult = group.mult
-    h_rows = [mult[h] for h in mask_elements(base)]
+    h_rows = [mult[h] for h in mask_elements(base)] if base_rows is None else base_rows
     mask = base
     frontier = [0]
     while frontier:
@@ -222,39 +228,110 @@ def _assemble(
 def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> SubgroupLattice:
     """Find every subgroup of the group, organized into conjugacy classes.
 
-    Starts from the trivial subgroup and closes under joins with the cyclic
-    subgroups: any subgroup is a join of cyclic ones, and since g <H, C> g^-1
-    is the join of g H g^-1 with a cyclic subgroup, joining one member of
-    each class with every cyclic subgroup reaches every class.  Each class
-    is expanded once, when it is first reached.
-    """
-    # every nontrivial cyclic subgroup, with a single generator
-    cyclic: dict[int, tuple[int, ...]] = {}
-    for g in range(1, group.order):
-        cyclic.setdefault(group.cyclic_mask(g), (g,))
+    Cyclic extension (Neubüser; GAP's LatticeByCyclicExtension): starting
+    from the trivial subgroup, each class base V is extended by every x that
+    normalizes V, lies outside it and has x^p in V for a prime p.  Then
+    W = V<x> is the union of the cosets V, xV, ..., x^(p-1)V, read off by
+    walking the powers of x, with no closure; the other elements of W outside
+    V give W again and are skipped.  Each new W is expanded into its class
+    once and becomes the base of that class, with the generators of V and x.
 
-    # per class: its conjugates, and generators of the member reached first
+    This reaches every solvable subgroup: a solvable H != 1 has a normal
+    subgroup M of prime index p, so H = M<x> for any x in H outside M, and if
+    g M g^-1 is the base of M's class, g H g^-1 is its extension by g x g^-1.
+    Everything reached this way is solvable, so the whole group is reached
+    exactly when it is solvable.  When it is not, every base is visited
+    again, and now also joined by closure_mask with each cyclic subgroup of
+    prime-power order that does not normalize it; a normalizing one is
+    reached from the base by a chain of prime-index extensions.  Then each
+    base is joined with every cyclic subgroup of prime-power order, and as
+    g <H, C> g^-1 is the join of g H g^-1 with a cyclic subgroup, and every
+    subgroup is generated by elements of prime-power order, every class is
+    reached.  Each class is expanded once, when it is first reached.
+    """
+    n = group.order
+    mult, inv = group.mult, group.inv
+    abelian = group.is_abelian
+    # per prime p dividing |G|: roots[v] is the bit set of the x with x^p = v
+    all_roots = []
+    for p in prime_factors(n):
+        roots = [0] * n
+        for x in range(n):
+            acc, sq, k = 0, x, p  # x^p by square-and-multiply
+            while k:
+                if k & 1:
+                    acc = mult[acc][sq]
+                sq = mult[sq][sq]
+                k >>= 1
+            roots[acc] |= 1 << x
+        all_roots.append(roots)
+
+    # per class: its conjugates, and generators of its base
     found = [(_expand_class(group, 1), ())]
     known = {1}
-    # members reached first whose joins are still to be made, from the trivial one
-    queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-    while queue:
-        base, base_gens = queue.pop()
-        for cm, cm_gens in cyclic.items():
-            if cm & base == cm:
+    bases: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+
+    def add(mask: int, gens: tuple[int, ...]) -> None:
+        conj_to_g = _expand_class(group, mask)
+        found.append((conj_to_g, gens))
+        known.update(conj_to_g)
+        if len(known) > max_subgroups:
+            raise ResourceCapError(
+                f"more than {max_subgroups} subgroups; raise max_subgroups to proceed"
+            )
+        bases.append((mask, gens))
+
+    def normalizes(x: int, base: int, gens: tuple[int, ...]) -> bool:
+        row, x_inv = mult[x], inv[x]
+        return all(base >> mult[row[v]][x_inv] & 1 for v in gens)
+
+    def extend(base: int, gens: tuple[int, ...]) -> None:
+        elements = mask_elements(base)
+        for roots in all_roots:
+            candidates = 0
+            for v in elements:
+                candidates |= roots[v]
+            candidates &= ~base
+            while candidates:
+                low = candidates & -candidates
+                candidates ^= low
+                x = low.bit_length() - 1
+                if not abelian and not normalizes(x, base, gens):
+                    continue
+                joined, y = base, x
+                while not base >> y & 1:  # the coset y V, for y = x, x^2, ...
+                    row = mult[y]
+                    for v in elements:
+                        joined |= 1 << row[v]
+                    y = row[x]
+                candidates &= ~joined
+                if joined not in known:
+                    # generators of V inside <x> are redundant
+                    powers = group.cyclic_mask(x)
+                    add(joined, tuple(v for v in gens if not powers >> v & 1) + (x,))
+
+    for base, gens in bases:  # the list grows while it is walked
+        extend(base, gens)
+    extended = len(bases)
+    if (1 << n) - 1 in known:
+        return _assemble(group, found)
+
+    # not solvable: visit every base again, and join it with the cyclic
+    # subgroups of prime-power order that do not normalize it
+    cyclic: dict[int, int] = {}
+    for g in range(1, n):
+        if as_prime_power(group.element_order(g)):
+            cyclic.setdefault(group.cyclic_mask(g), g)
+    for i, (base, gens) in enumerate(bases):
+        if i >= extended:
+            extend(base, gens)
+        rows = [mult[h] for h in mask_elements(base)]
+        for cm, x in cyclic.items():
+            if cm & base == cm or normalizes(x, base, gens):
                 continue
-            gens = base_gens + cm_gens
-            joined = closure_mask(group, gens, base)
-            if joined in known:
-                continue
-            conj_to_g = _expand_class(group, joined)
-            found.append((conj_to_g, gens))
-            known.update(conj_to_g)
-            if len(known) > max_subgroups:
-                raise ResourceCapError(
-                    f"more than {max_subgroups} subgroups; raise max_subgroups to proceed"
-                )
-            queue.append((joined, gens))
+            joined = closure_mask(group, gens + (x,), base, rows)
+            if joined not in known:
+                add(joined, gens + (x,))
     return _assemble(group, found)
 
 

@@ -338,7 +338,7 @@ def run_sweep(config: SweepConfig) -> RunResult:
     if config.jobs > 1 and len(tasks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(config.jobs) as pool:
+        with multiprocessing.Pool(min(config.jobs, len(tasks))) as pool:
             # one group at a time: the catalog is sorted by order, so larger
             # chunks would leave its heavy tail to a single worker
             rows = pool.map(evaluate_group, tasks, chunksize=1)

@@ -1,6 +1,6 @@
 """Independent brute-force oracles used to cross-check the fast implementations.
 
-These deliberately avoid the join-closure strategy of the library: subgroups
+These deliberately avoid the library's enumeration strategies: subgroups
 are found by closing every small subset of elements.  That is exhaustive for
 any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
@@ -10,10 +10,10 @@ tests use: the all-triples table check, group tables from tuple elements,
 relabelled tables, per-entry marks, the divisor-scan exponent and the
 Fraction conductor, products in the transitive basis, normality and
 normalizer tests, the commutator subgroup, quotient groups, conjugacy
-classes by conjugating with every element, the congruence-pair scan over
-every subgroup, and coset counting with the per-coset profile, the
-element-scanning p-group count, the lattice-free closure path and the
-central p-part reduction.
+classes by conjugating with every element, the join-closure lattice, the
+congruence-pair scan over every subgroup, and coset counting with the
+per-coset profile, the element-scanning p-group count, the lattice-free
+closure path and the central p-part reduction.
 """
 
 import itertools
@@ -42,6 +42,8 @@ from artinx.groups import (
 )
 from artinx.lattice import (
     SubgroupLattice,
+    _assemble,
+    _expand_class,
     closure_mask,
     conjugate_mask,
     cosets,
@@ -443,6 +445,33 @@ def reference_expand_class(group: GroupTable, mask: int) -> dict[int, int]:
         if c not in out:
             out[c] = g
     return out
+
+
+def join_closure_lattice(group: GroupTable) -> SubgroupLattice:
+    """The subgroup lattice by join-closure, the enumerator that cyclic
+    extension replaced: starting from the trivial subgroup, one base per
+    class is joined with every nontrivial cyclic subgroup by closure_mask,
+    and each new class is expanded once, when it is first reached."""
+    cyclic: dict[int, tuple[int, ...]] = {}
+    for g in range(1, group.order):
+        cyclic.setdefault(group.cyclic_mask(g), (g,))
+    found = [(_expand_class(group, 1), ())]
+    known = {1}
+    queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    while queue:
+        base, base_gens = queue.pop()
+        for cm, cm_gens in cyclic.items():
+            if cm & base == cm:
+                continue
+            gens = base_gens + cm_gens
+            joined = closure_mask(group, gens, base)
+            if joined in known:
+                continue
+            conj_to_g = _expand_class(group, joined)
+            found.append((conj_to_g, gens))
+            known.update(conj_to_g)
+            queue.append((joined, gens))
+    return _assemble(group, found)
 
 
 def commutator_closure(group: GroupTable, mask: int) -> int:

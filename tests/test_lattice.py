@@ -4,11 +4,13 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import artinx.lattice as lattice_module
-from artinx.groups import group_from_spec
+from artinx.artin import artin_exponent_congruence, artin_exponent_marks
+from artinx.burnside import build_mark_table
+from artinx.groups import OrderCapError, group_from_spec
 from artinx.lattice import (
     ResourceCapError,
     _expand_class,
@@ -29,6 +31,7 @@ from oracles import (
     commutator_closure,
     generated_subgroup,
     is_normal_in,
+    join_closure_lattice,
     normalizer,
     normalizer_index,
     quotient_group,
@@ -194,7 +197,8 @@ def relabeled_group(spec, salt):
 @pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
 def test_closure_from_a_subgroup_matches_closure_from_identity(spec):
     """Joining each class representative H with each cyclic subgroup, as
-    enumeration does: growing by cosets of H gives the breadth-first closure."""
+    enumeration does for a non-solvable group: growing by cosets of H gives
+    the breadth-first closure."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     cyclic_gens = sorted({lattice.generators_of(g.cyclic_mask(x)) for x in range(1, g.order)})
@@ -286,19 +290,79 @@ class _Counted:
         return self.fn(*args, **kwargs)
 
 
-@pytest.mark.parametrize("spec", ["D256", S5, "S4xC2xC2"])
+SOLVABLE = ["D256", "S4xC2xC2", "C2xC2xC2xC2xC2xC2"]
+
+
+@pytest.mark.parametrize("spec", SOLVABLE + [S5, "S5xC2"])
 def test_enumeration_expands_each_class_once(spec, monkeypatch):
-    """One base per class: each class is expanded when it is first reached,
-    and only a class's base is joined with the cyclic subgroups."""
+    """Each class is expanded when it is first reached; a solvable group is
+    enumerated by cyclic extension alone, and a non-solvable one joins one
+    base per class with the cyclic subgroups."""
     g = group_from_spec(spec)
     expand = _Counted(lattice_module._expand_class)
     closure = _Counted(lattice_module.closure_mask)
     monkeypatch.setattr(lattice_module, "_expand_class", expand)
     monkeypatch.setattr(lattice_module, "closure_mask", closure)
     lattice = enumerate_subgroups(g)
-    cyclic_count = len({g.cyclic_mask(x) for x in range(g.order)})
     assert expand.calls == len(lattice)
-    assert closure.calls <= len(lattice) * cyclic_count
+    if spec in SOLVABLE:
+        assert closure.calls == 0
+    else:
+        cyclic_count = len({g.cyclic_mask(x) for x in range(g.order)})
+        assert 0 < closure.calls <= len(lattice) * cyclic_count
+
+
+def assert_matches_join_closure(g):
+    """Cyclic extension and the join-closure oracle give the same classes,
+    representatives, conjugate tuples and class_of, and every recorded
+    generator tuple generates its subgroup."""
+    lattice = enumerate_subgroups(g)
+    reference = join_closure_lattice(g)
+    assert [c.representative.mask for c in lattice.classes] == [
+        c.representative.mask for c in reference.classes
+    ]
+    assert [c.conjugates for c in lattice.classes] == [c.conjugates for c in reference.classes]
+    assert lattice.class_of == reference.class_of
+    for m in lattice.class_of:
+        assert closure_mask(g, lattice.generators_of(m)) == m
+    return lattice, reference
+
+
+NON_SOLVABLE = ["A5", "S5", "A5xC2", "A5xC3", "A5xC4", "S5xC2"]
+
+
+@pytest.mark.parametrize(
+    "spec", default_catalog(128) + NON_SOLVABLE + ["S3xS3", "A4xC3", "S4xC2xC2"]
+)
+def test_enumeration_matches_join_closure(spec):
+    assert_matches_join_closure(group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_enumeration_matches_join_closure_relabeled(spec):
+    assert_matches_join_closure(relabeled_group(spec, "join"))
+
+
+_cycles = st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6, unique=True)
+_perm_specs = st.lists(st.lists(_cycles, min_size=1, max_size=2), min_size=1, max_size=3).map(
+    lambda gens: "perm:" + ",".join(
+        "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in gen) for gen in gens
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_perm_specs)
+def test_enumeration_matches_join_closure_on_random_perm_specs(spec):
+    """Random permutation groups on up to six points, solvable or not: both
+    enumerators agree, and both exponent methods agree on each lattice."""
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    for lattice in assert_matches_join_closure(g):
+        exponent = artin_exponent_congruence(g, lattice)
+        assert artin_exponent_marks(g, build_mark_table(g, lattice)) == exponent, spec
 
 
 @pytest.mark.parametrize(

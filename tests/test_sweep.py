@@ -270,6 +270,33 @@ def test_sweep_parallel_rows_match_serial():
     assert strip(serial.rows) == strip(parallel.rows)
 
 
+def test_sweep_pool_is_no_larger_than_the_catalog(monkeypatch):
+    """--jobs 64 on the five groups to order 4 starts five workers, and
+    --jobs 2 two; the fake pool records its size and maps in-process, so no
+    process is started."""
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    assert len(run_sweep(SweepConfig(max_order=4, jobs=64)).rows) == 5
+    run_sweep(SweepConfig(max_order=4, jobs=2))
+    assert sizes == [5, 2]
+
+
 def test_sweep_failure_surfaces(monkeypatch):
     def broken(spec, group, exponent):
         return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
