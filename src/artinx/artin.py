@@ -34,7 +34,6 @@ from .groups import (
     is_cyclic_group,
     p_part,
     prime_factors,
-    tabulate,
 )
 from .lattice import (
     SubgroupLattice,
@@ -42,6 +41,7 @@ from .lattice import (
     enumerate_subgroups,
     mask_elements,
     subgroup_from_mask,
+    sublattice,
 )
 
 
@@ -369,7 +369,7 @@ def _order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:
     reported; neither reading is silently preferred."""
     full = (1 << group.order) - 1
     z_mask = centralizer(group, full)
-    if bin(z_mask).count("1") != 2:
+    if z_mask.bit_count() != 2:
         return None
     whole = 0
     center_only = 0
@@ -416,21 +416,6 @@ def closed_form_predictor(group: GroupTable) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-def cyclic_extensions(group: GroupTable, h_mask: int, u_mask: int, p: int) -> frozenset[int]:
-    """Masks of the cyclic subgroups V with U <= V <= H and (V:U) = p.
-
-    Every such V is generated by a single element of order p|U|, so scanning
-    element orders is exhaustive."""
-    target = p * bin(u_mask).count("1")
-    out = set()
-    for x in mask_elements(h_mask):
-        if group.element_order(x) == target:
-            cm = group.cyclic_mask(x)
-            if cm & u_mask == u_mask:
-                out.add(cm)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class CSetReport:
     """Cyclic p-extensions of U inside a p-group H: all of them (c_masks),
@@ -453,29 +438,35 @@ class CSetReport:
 
 class _CSetData:
     """The U-independent part of the C-set counts for one p-group H: its
-    prime and its commutator rows {[h, x] : x in H}, so that for each U the
-    set H'(U) = {h in H : [h, H] <= U} and normality in H are mask tests."""
+    prime, its cyclic subgroups, and its commutator rows {[h, x] : x in S}
+    over a generating set S of H, so that for each U the set
+    H'(U) = {h in H : [h, H] <= U} and normality in H are mask tests.
 
-    def __init__(self, group: GroupTable, h_mask: int) -> None:
+    With U normal in H, the x with [h, x] in U form a subgroup (the preimage
+    of the centralizer of hU in H/U), so testing x in S is enough.  And
+    [u, x] = u (x u^-1 x^-1) lies in U for all u in U exactly when x
+    normalizes U, so the rows also decide whether U is normal."""
+
+    def __init__(self, group: GroupTable, h_mask: int, generators: Sequence[int]) -> None:
         pp = as_prime_power(h_mask.bit_count())
         if pp is None:
             raise ValueError("H must be a nontrivial p-group")
         self.group = group
-        self.h_mask = h_mask
         self.p = pp[0]
-        self.elements = mask_elements(h_mask)
+        elements = mask_elements(h_mask)
+        self.cyclic = sorted({group.cyclic_mask(x) for x in elements})
         commutator = group.commutator
         self.rows = {}
-        for g in self.elements:
+        for g in elements:
             row = 0
-            for x in self.elements:
+            for x in generators:
                 row |= 1 << commutator(g, x)
             self.rows[g] = row
         self._subgroups: set[int] = set()  # H'(U) masks verified to be closed
 
     def h_prime(self, u_mask: int) -> int:
-        """Bit set of {h in H : [h, H] <= U}; it contains U exactly when U,
-        a subgroup of H, is normal in H (h u h^-1 = [h, u] u)."""
+        """Bit set of {h in H : [h, H] <= U} when U is normal in H; it
+        contains U exactly when U, a subgroup of H, is normal in H."""
         out = 0
         for g, row in self.rows.items():
             if row & u_mask == row:
@@ -483,28 +474,33 @@ class _CSetData:
         return out
 
     def is_normal(self, mask: int) -> bool:
-        """Whether a subgroup of H is normal in H: [x, H] <= it for each x in it."""
+        """Whether a subgroup of H is normal in H: [x, S] <= it for each x in it."""
         rows = self.rows
         return all(rows[x] & mask == rows[x] for x in mask_elements(mask))
 
     def report(self, u_mask: int, h_prime: int) -> CSetReport:
-        """The counts for a cyclic U normal in H, given H'(U)."""
+        """The counts for a cyclic U normal in H, given H'(U).  Every cyclic
+        V with U <= V and (V:U) = p is one of H's cyclic subgroups, of order
+        p|U|."""
         if h_prime not in self._subgroups:
             subgroup_from_mask(self.group, h_prime, check=True)
             self._subgroups.add(h_prime)
-        c_masks = cyclic_extensions(self.group, self.h_mask, u_mask, self.p)
+        target = self.p * u_mask.bit_count()
+        c_masks = frozenset(
+            m for m in self.cyclic if m.bit_count() == target and m & u_mask == u_mask
+        )
         return CSetReport(
             c_masks=c_masks,
             c_prime_masks=frozenset(m for m in c_masks if self.is_normal(m)),
             h_prime_mask=h_prime,
-            c_of_h_prime_masks=cyclic_extensions(self.group, h_prime, u_mask, self.p),
+            c_of_h_prime_masks=frozenset(m for m in c_masks if m & h_prime == m),
         )
 
 
 def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     """Count cyclic index-p extensions of U in H, for H a nontrivial p-group
     and U cyclic and normal in H; H' is re-verified to be a subgroup."""
-    data = _CSetData(group, h_mask)
+    data = _CSetData(group, h_mask, mask_elements(h_mask))
     if not subgroup_from_mask(group, u_mask).is_cyclic:
         raise ValueError("U must be cyclic")
     if u_mask & h_mask != u_mask:
@@ -515,11 +511,12 @@ def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     return data.report(u_mask, h_prime)
 
 
-def c_set_reports(group: GroupTable, h_mask: int):
+def c_set_reports(group: GroupTable, h_mask: int, generators: Sequence[int]):
     """Yield (U, count_C_sets(group, H, U)) for every cyclic U normal in H,
-    ascending by mask, doing the U-independent work once."""
-    data = _CSetData(group, h_mask)
-    for u_mask in sorted({group.cyclic_mask(x) for x in data.elements}):
+    ascending by mask, doing the U-independent work once; generators is
+    any generating set of H, such as the lattice's generators_of(H)."""
+    data = _CSetData(group, h_mask, generators)
+    for u_mask in data.cyclic:
         h_prime = data.h_prime(u_mask)
         if u_mask & h_prime == u_mask:
             yield u_mask, data.report(u_mask, h_prime)
@@ -528,39 +525,6 @@ def c_set_reports(group: GroupTable, h_mask: int):
 # ---------------------------------------------------------------------------
 # Sylow comparison
 # ---------------------------------------------------------------------------
-
-
-def subgroup_as_group(group: GroupTable, mask: int) -> tuple[GroupTable, list[int]]:
-    """A subgroup as a standalone GroupTable, plus the list mapping its
-    element indices back to elements of the ambient group."""
-    elems = mask_elements(mask)
-    try:
-        mult = tabulate(elems, group.mul)
-    except KeyError:
-        raise ValueError("mask is not closed under multiplication") from None
-    return GroupTable.adopt(mult), elems
-
-
-def _transfer_family(
-    family: Family,
-    lattice: SubgroupLattice,
-    sub_lattice: SubgroupLattice,
-    elems: list[int],
-) -> Family:
-    """Restrict a family of the ambient group to a subgroup: a class of the
-    subgroup's lattice is kept when its members belong to the family in the
-    ambient lattice."""
-    if family.classes is None:
-        return ALL_CYCLIC
-    members = family.classes
-    kept = []
-    for i, cls in enumerate(sub_lattice.classes):
-        ambient_mask = 0
-        for x in mask_elements(cls.representative.mask):
-            ambient_mask |= 1 << elems[x]
-        if lattice.class_of[ambient_mask] in members:
-            kept.append(i)
-    return Family(frozenset(kept))
 
 
 @dataclass(frozen=True)
@@ -582,8 +546,12 @@ def sylow_reduction_report(
     exponent: int,
 ) -> tuple[SylowComparison, ...]:
     """For each prime p dividing |G|, compare the p-part of the exponent with
-    the exponent of a Sylow p-subgroup for the restricted family.  The two
-    need not agree in general; this is reported, not asserted."""
+    the exponent of a Sylow p-subgroup P for the restricted family.  The two
+    need not agree in general; this is reported, not asserted.
+
+    P's lattice and table of marks are read from G's lattice (sublattice),
+    with no table or enumeration of P's own.  A class of P belongs to the
+    restricted family when its subgroups' class in G belongs to the family."""
     out = []
     for p in prime_factors(group.order):
         sylow_order = p_part(group.order, p)
@@ -596,10 +564,11 @@ def sylow_reduction_report(
             for c in lattice.classes
             if c.representative.order == sylow_order
         )
-        sub, elems = subgroup_as_group(group, sylow_mask)
-        sub_lattice = enumerate_subgroups(sub)
-        sub_family = _transfer_family(family, lattice, sub_lattice, elems)
-        sub_exponent = artin_exponent_marks(sub, build_mark_table(sub, sub_lattice), sub_family)
+        sub_lattice = sublattice(lattice, sylow_mask)
+        sub_family = family if family.classes is None else Family(frozenset(
+            i for i, c in enumerate(sub_lattice.classes)
+            if lattice.class_of[c.representative.mask] in family.classes))
+        sub_exponent = artin_exponent_marks(group, build_mark_table(group, sub_lattice), sub_family)
         out.append(SylowComparison(p, part, sylow_order, sub_exponent))
     return tuple(out)
 

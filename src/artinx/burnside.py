@@ -63,14 +63,17 @@ def build_mark_table(group: GroupTable, lattice: SubgroupLattice) -> MarkTable:
 
     U fixes the coset gV exactly when U lies in the conjugate gVg^-1, and
     each conjugate W of V arises from |N_G(V) : V| = |G : V| / |cl V|
-    cosets, so M[V][U] = (|G : V| / |cl V|) * #{W in cl V : U <= W}."""
+    cosets, so M[V][U] = (|G : V| / |cl V|) * #{W in cl V : U <= W}.  G is
+    the lattice's top class, so |G| is read from it rather than from the
+    group: a sublattice gives the table of marks of its top subgroup."""
     reps = [c.representative for c in lattice.classes]
     masks = [r.mask for r in reps]
+    top = reps[-1].order
     rows = []
     for i, cls in enumerate(lattice.classes):
         hits = [j for w in cls.conjugates for j in range(i + 1) if masks[j] & w == masks[j]]
         tally = Counter(hits)
-        scale = group.order // (reps[i].order * cls.size)
+        scale = top // (reps[i].order * cls.size)
         rows.append([(j, scale * tally[j]) for j in sorted(tally)])
     return MarkTable(
         rows,

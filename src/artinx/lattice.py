@@ -184,15 +184,16 @@ class SubgroupLattice:
         return [i for i, c in enumerate(self.classes) if c.representative.is_cyclic]
 
 
-def _expand_class(group: GroupTable, mask: int) -> dict[int, int]:
-    """All conjugates of a mask, each mapped to one conjugating element; the
-    mask itself comes first, mapped to the identity 0."""
+def _expand_class(group: GroupTable, mask: int, ambient: Optional[int] = None) -> dict[int, int]:
+    """All conjugates of a mask under the ambient subgroup (by default the
+    whole group), each mapped to one conjugating element; the mask itself
+    comes first, mapped to the identity 0."""
     if group.is_abelian:
         return {mask: 0}
     out: dict[int, int] = {}
     # g and gh give the same conjugate, so one g per left coset gH will do;
     # the least element of each coset is the first g that reaches it
-    for g in cosets(group, (1 << group.order) - 1, mask):
+    for g in cosets(group, (1 << group.order) - 1 if ambient is None else ambient, mask):
         c = conjugate_mask(group, g, mask)
         if c not in out:
             out[c] = g
@@ -223,6 +224,27 @@ def _assemble(
             class_of[m] = idx
             generators[m] = tuple(group.conj(g, x) for x in gens)
     return SubgroupLattice(group, classes, class_of, generators)
+
+
+def sublattice(lattice: SubgroupLattice, mask: int) -> SubgroupLattice:
+    """The lattice of the subgroup H with the given bit set, read from the
+    lattice of the whole group G, with no closure and no new element numbers.
+
+    The subgroups of H are the masks of lattice.class_of inside H, grouped
+    into classes by conjugating with H alone; each class starts from one
+    member's generators as recorded in G's lattice.  The result's group is
+    still G, while its top class is H.
+    """
+    if mask not in lattice.class_of:
+        raise ValueError(f"mask {mask:#x} is not a subgroup of this lattice")
+    group = lattice.group
+    found = []
+    seen: set[int] = set()
+    for m in lattice.class_of:
+        if m & mask == m and m not in seen:
+            found.append((_expand_class(group, m, mask), lattice.generators_of(m)))
+            seen.update(found[-1][0])
+    return _assemble(group, found)
 
 
 def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> SubgroupLattice:

@@ -232,8 +232,9 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
         # H <= C_G(H) exactly when its recorded generators commute pairwise
         abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
         cyclic_h = H.is_cyclic
-        for u_mask, r in c_set_reports(group, H.mask):
-            where = f"H order {H.order} in {spec}, U order {bin(u_mask).count('1')}"
+        for u_mask, r in c_set_reports(group, H.mask, gens):
+            u_order = u_mask.bit_count()
+            where = f"H order {H.order} in {spec}, U order {u_order}"
             if (r.c_count - r.c_prime_count) % p:
                 failures.append(_failure(
                     spec, "lemmas", "counts congruent mod p",
@@ -242,7 +243,6 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
                 failures.append(_failure(
                     spec, "lemmas", "normal members = extensions in H'",
                     "set mismatch", where))
-            u_order = bin(u_mask).count("1")
             if abelian and 1 < u_order < H.order:
                 if (r.c_count % p != 0) != cyclic_h:
                     failures.append(_failure(

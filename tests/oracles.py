@@ -9,7 +9,9 @@ The second half holds reference implementations and helpers that only the
 tests use: the all-triples table check, group tables from tuple elements,
 relabelled tables, per-entry marks, the divisor-scan exponent and the
 Fraction conductor, products in the transitive basis, normality and
-normalizer tests, the commutator subgroup, quotient groups, conjugacy
+normalizer tests, the commutator subgroup, quotient groups, subgroups as
+standalone tables with the Sylow comparison run on them, the
+element-scanning cyclic extensions, conjugacy
 classes by conjugating with every element, the join-closure lattice, the
 congruence-pair scan over every subgroup, and coset counting with the
 per-coset profile, the element-scanning p-group count, the lattice-free
@@ -26,11 +28,19 @@ from artinx.artin import (
     ALL_CYCLIC,
     CongruencePair,
     Family,
+    SylowComparison,
     _coset_count,
+    artin_exponent_marks,
     family_vector,
 )
 from artinx import burnside
-from artinx.burnside import MarkTable, NotIntegral, dense_rows, solve_membership
+from artinx.burnside import (
+    MarkTable,
+    NotIntegral,
+    build_mark_table,
+    dense_rows,
+    solve_membership,
+)
 from artinx.groups import (
     DirectProduct,
     GroupTable,
@@ -38,7 +48,10 @@ from artinx.groups import (
     _compose,
     _cycles_to_perm,
     as_prime_power,
+    p_part,
     parse_group_spec,
+    prime_factors,
+    tabulate,
 )
 from artinx.lattice import (
     SubgroupLattice,
@@ -47,6 +60,7 @@ from artinx.lattice import (
     closure_mask,
     conjugate_mask,
     cosets,
+    enumerate_subgroups,
     Subgroup,
     mask_elements,
     subgroup_from_mask,
@@ -434,6 +448,64 @@ def quotient_group(group: GroupTable, outer: int, inner: int) -> tuple[GroupTabl
     rep_index = {r: i for i, r in enumerate(reps)}
     mul = [[rep_index[rep_of[group.mul(a, b)]] for b in reps] for a in reps]
     return GroupTable(mul), reps
+
+
+def subgroup_as_group(group: GroupTable, mask: int) -> tuple[GroupTable, list[int]]:
+    """A subgroup as a standalone GroupTable, plus the list mapping its
+    element indices back to elements of the ambient group."""
+    elems = mask_elements(mask)
+    try:
+        mult = tabulate(elems, group.mul)
+    except KeyError:
+        raise ValueError("mask is not closed under multiplication") from None
+    return GroupTable.adopt(mult), elems
+
+
+def standalone_sylow_report(
+    group: GroupTable, lattice: SubgroupLattice, family: Family, exponent: int
+) -> tuple[SylowComparison, ...]:
+    """The Sylow comparison with each Sylow subgroup P as a standalone group:
+    its own validated table, its own enumerated lattice, and the family moved
+    across by mapping each class representative of P back into G."""
+    out = []
+    for p in prime_factors(group.order):
+        sylow_order = p_part(group.order, p)
+        part = p_part(exponent, p)
+        if sylow_order == group.order:
+            out.append(SylowComparison(p, part, sylow_order, exponent))
+            continue
+        sylow_mask = next(
+            c.representative.mask for c in lattice.classes
+            if c.representative.order == sylow_order
+        )
+        sub, elems = subgroup_as_group(group, sylow_mask)
+        sub_lattice = enumerate_subgroups(sub)
+        sub_family = ALL_CYCLIC
+        if family.classes is not None:
+            kept = []
+            for i, cls in enumerate(sub_lattice.classes):
+                ambient = sum(1 << elems[x] for x in cls.representative.elements)
+                if lattice.class_of[ambient] in family.classes:
+                    kept.append(i)
+            sub_family = Family(frozenset(kept))
+        sub_exponent = artin_exponent_marks(sub, build_mark_table(sub, sub_lattice), sub_family)
+        out.append(SylowComparison(p, part, sylow_order, sub_exponent))
+    return tuple(out)
+
+
+def cyclic_extensions(group: GroupTable, h_mask: int, u_mask: int, p: int) -> frozenset[int]:
+    """Masks of the cyclic subgroups V with U <= V <= H and (V:U) = p.
+
+    Every such V is generated by a single element of order p|U|, so scanning
+    element orders is exhaustive."""
+    target = p * u_mask.bit_count()
+    out = set()
+    for x in mask_elements(h_mask):
+        if group.element_order(x) == target:
+            cm = group.cyclic_mask(x)
+            if cm & u_mask == u_mask:
+                out.add(cm)
+    return frozenset(out)
 
 
 def reference_expand_class(group: GroupTable, mask: int) -> dict[int, int]:

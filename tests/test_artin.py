@@ -1,9 +1,13 @@
 """Artin exponents: coset counting, congruences, marks scan, predictions."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from artinx import artin as artin_module
+from artinx import groups as groups_module
+from artinx import lattice as lattice_module
 from artinx.artin import (
     ALL_CYCLIC,
     CongruencePair,
@@ -16,12 +20,11 @@ from artinx.artin import (
     congruence_analysis,
     congruence_pairs,
     count_C_sets,
-    cyclic_extensions,
     family_label,
     family_vector,
     recognize_2group,
     report_to_dict,
-    subgroup_as_group,
+    sylow_reduction_report,
 )
 from artinx.burnside import build_mark_table
 from artinx.groups import group_from_spec
@@ -34,9 +37,12 @@ from oracles import (
     central_reduction_pair,
     count_solves,
     cyclic_count,
+    cyclic_extensions,
     is_normal_in,
     reference_exponent_marks,
     relabeled,
+    standalone_sylow_report,
+    subgroup_as_group,
 )
 
 A5 = "perm:(1 2 3 4 5),(1 2 3)"
@@ -649,6 +655,50 @@ def test_sylow_report_s4():
     rep = compute_exponent_report(g, "S4", lattice=lattice, include_sylow=True)
     assert [(s.p, s.exponent_part, s.sylow_order, s.sylow_exponent, s.match)
             for s in rep.sylow] == [(2, 2, 8, 2, True), (3, 1, 3, 1, True)]
+
+
+SYLOW_SPECS = default_catalog(128) + [S5, "A5xC2", "S3xS3", "A4xC3", "S4xC2xC2", "D30"]
+
+
+@pytest.mark.parametrize("spec", SYLOW_SPECS + ["relabeled:S4"])
+def test_sylow_report_matches_standalone_subgroup(spec):
+    """sylow_reduction_report, which reads each Sylow subgroup's lattice from
+    G's, against the standalone path: a table, an enumeration and an element
+    map per prime; for the cyclic family and four random ones."""
+    if spec.startswith("relabeled:"):
+        g = group_from_spec(spec.removeprefix("relabeled:"))
+        rng = random.Random(f"sylow:{spec}")
+        g = relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1))
+    else:
+        g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    table = build_mark_table(g, lattice)
+    for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 4)]:
+        exponent = artin_exponent_marks(g, table, family)
+        assert sylow_reduction_report(g, lattice, family, exponent) == \
+            standalone_sylow_report(g, lattice, family, exponent), (spec, family)
+
+
+def test_sylow_report_builds_no_table_or_lattice(monkeypatch):
+    """Every prime's comparison reads G's lattice: no group table is
+    validated and no lattice is enumerated."""
+    g, lattice = setup_group("S4xC2xC2")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(groups_module, "_validate_table",
+                        counted("validate", groups_module._validate_table))
+    for module in (artin_module, lattice_module):
+        monkeypatch.setattr(module, "enumerate_subgroups",
+                            counted("enumerate", module.enumerate_subgroups))
+    rows = sylow_reduction_report(g, lattice, ALL_CYCLIC, 2)
+    assert [(s.p, s.sylow_order) for s in rows] == [(2, 32), (3, 3)]
+    assert calls == {}
 
 
 def test_report_single_methods():

@@ -293,6 +293,26 @@ def test_marks_output_bytes_pinned(spec, json_flag, capsys):
         assert out.encode() == handle.read()
 
 
+AUDIT_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "audit")
+
+
+@pytest.mark.parametrize("spec", ["S4", "S5", "A4xC3", "S3xS3", "D30", "S4xC2xC2"])
+@pytest.mark.parametrize("classes", [None, "0,1"])
+def test_compute_audit_json_bytes_pinned(spec, classes, capsys):
+    """compute --audit --json prints exactly the bytes in tests/golden/audit:
+    every congruence pair and the Sylow comparison, for non-nilpotent
+    groups, with the cyclic family and with the family of classes 0 and 1."""
+    argv = ["compute", "--group", spec, "--audit", "--json"]
+    name = spec
+    if classes is not None:
+        argv += ["--family-classes", classes]
+        name += ".classes-" + classes.replace(",", "-")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    with open(os.path.join(AUDIT_GOLDEN, name + ".json"), "rb") as handle:
+        assert out.encode() == handle.read()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

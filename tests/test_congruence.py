@@ -21,7 +21,6 @@ from artinx.artin import (
     congruence_pairs,
     count_C_sets,
     family_vector,
-    subgroup_as_group,
 )
 from artinx.groups import as_prime_power, group_from_spec
 from artinx.lattice import cached_lattice, closure_mask, enumerate_subgroups, mask_elements
@@ -29,14 +28,19 @@ from artinx.sweep import default_catalog, random_families
 
 from oracles import (
     cyclic_coset_count_p_group,
+    cyclic_extensions,
     is_normal_in,
     reference_congruence_pairs,
     reference_pair_profile,
     relabeled,
+    subgroup_as_group,
 )
 
 A5 = "perm:(1 2 3 4 5),(1 2 3)"
 S5 = "perm:(1 2 3 4 5),(1 2)"
+# groups outside the default catalog with non-abelian p-subgroups: H5 itself,
+# Q8xC2xC2 and SD16xC2, and the Sylow 2-subgroups of S5 and S4xC2xC2
+NONABELIAN_P_SUBGROUPS = ["H5", "Q8xC2xC2", "SD16xC2", "S5", "S4xC2xC2"]
 
 
 def relabeled_group(spec):
@@ -146,20 +150,24 @@ def test_pair_profile_extends_each_cyclic_subgroup_once(spec):
         assert lattice.class_of.lookups - before == 1 + len(extensions), (um, vm)
 
 
-@pytest.mark.parametrize("spec", default_catalog(32))
+@pytest.mark.parametrize("spec", default_catalog(32) + NONABELIAN_P_SUBGROUPS)
 def test_count_c_sets_alone_matches_per_h_path(spec):
-    """count_C_sets on one U gives the report of the per-H path, and the
-    per-H path covers exactly the cyclic U that count_C_sets accepts."""
+    """count_C_sets on one U gives the report of the per-H path, which reads
+    H's commutators over the lattice's generators of H only; the per-H path
+    covers exactly the cyclic U that count_C_sets accepts, and its
+    extensions are the element scan's."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     for cls in lattice.classes:
         h = cls.representative
-        if as_prime_power(h.order) is None:
+        pp = as_prime_power(h.order)
+        if pp is None:
             continue
-        reports = dict(c_set_reports(g, h.mask))
+        reports = dict(c_set_reports(g, h.mask, lattice.generators_of(h.mask)))
         for um in sorted({g.cyclic_mask(x) for x in h.elements}):
             if um in reports:
                 assert count_C_sets(g, h.mask, um) == reports[um]
+                assert reports[um].c_masks == cyclic_extensions(g, h.mask, um, pp[0])
             else:
                 with pytest.raises(ValueError, match="U must be normal in H"):
                     count_C_sets(g, h.mask, um)
@@ -192,15 +200,18 @@ def test_pairs_are_found_once_per_lattice(monkeypatch):
     assert calls == after_first
 
 
-@pytest.mark.parametrize("spec", default_catalog(64))
+@pytest.mark.parametrize("spec", default_catalog(64) + NONABELIAN_P_SUBGROUPS)
 def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
-    """The lemma suite reads the per-H reports in the ambient group; they are
-    the reports of H as a standalone table, mapped back through its elements."""
+    """The lemma suite reads the per-H reports in the ambient group, from the
+    lattice's generators of H; they are the reports of H as a standalone
+    table with every element as a generator, mapped back through its
+    elements, and their extensions inside H' are the element scan's."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     for cls in lattice.classes:
         h = cls.representative
-        if as_prime_power(h.order) is None:
+        pp = as_prime_power(h.order)
+        if pp is None:
             continue
         sub, elems = subgroup_as_group(g, h.mask)
 
@@ -213,13 +224,16 @@ def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
         expected = [
             (ambient(um), ambient_set(r.c_masks), ambient_set(r.c_prime_masks),
              ambient(r.h_prime_mask), ambient_set(r.c_of_h_prime_masks))
-            for um, r in c_set_reports(sub, (1 << sub.order) - 1)
+            for um, r in c_set_reports(sub, (1 << sub.order) - 1, range(sub.order))
         ]
+        reports = list(c_set_reports(g, h.mask, lattice.generators_of(h.mask)))
         got = [
             (um, r.c_masks, r.c_prime_masks, r.h_prime_mask, r.c_of_h_prime_masks)
-            for um, r in c_set_reports(g, h.mask)
+            for um, r in reports
         ]
         assert got == expected, (spec, h.mask)
+        for um, r in reports:
+            assert r.c_of_h_prime_masks == cyclic_extensions(g, r.h_prime_mask, um, pp[0])
 
 
 @pytest.mark.parametrize("spec", default_catalog(64))

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import artinx.lattice as lattice_module
 from artinx.artin import artin_exponent_congruence, artin_exponent_marks
 from artinx.burnside import build_mark_table
-from artinx.groups import OrderCapError, group_from_spec
+from artinx.groups import OrderCapError, group_from_spec, p_part, prime_factors
 from artinx.lattice import (
     ResourceCapError,
     _expand_class,
@@ -23,6 +24,7 @@ from artinx.lattice import (
     lattice_to_dict,
     mask_elements,
     subgroup_from_mask,
+    sublattice,
 )
 
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     quotient_group,
     reference_expand_class,
     relabeled,
+    subgroup_as_group,
 )
 from artinx.sweep import default_catalog
 
@@ -363,6 +366,62 @@ def test_enumeration_matches_join_closure_on_random_perm_specs(spec):
     for lattice in assert_matches_join_closure(g):
         exponent = artin_exponent_congruence(g, lattice)
         assert artin_exponent_marks(g, build_mark_table(g, lattice)) == exponent, spec
+
+
+# ---------------------------------------------------------------------------
+# sublattices
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["C1", "S3", "Q8", "C2xC4", "A4", "S4", "SD16", S5])
+def test_sublattice_of_the_whole_group_is_the_lattice(spec):
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    whole = sublattice(lattice, (1 << g.order) - 1)
+    assert [c.representative for c in whole.classes] == [
+        c.representative for c in lattice.classes
+    ]
+    assert [c.conjugates for c in whole.classes] == [c.conjugates for c in lattice.classes]
+    assert whole.class_of == lattice.class_of
+    for m in lattice.class_of:
+        assert closure_mask(g, whole.generators_of(m)) == m
+
+
+def class_shape(lattice):
+    """The multiset of (order, class size, cyclic) over the classes."""
+    return Counter(
+        (c.representative.order, c.size, c.representative.is_cyclic) for c in lattice.classes
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", ["S3", "A4", "S4", "D12", "D30", S5, "A5xC2", "S3xS3", "A4xC3", "S4xC2xC2"]
+)
+def test_sublattice_of_each_sylow_subgroup_matches_its_own_enumeration(spec):
+    """Every Sylow subgroup P, each conjugate in turn: the classes read from
+    G's lattice have the shape of P's lattice enumerated as a group of its
+    own, with P as the top class, and each subgroup's recorded generators
+    generate it."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    for p in prime_factors(g.order):
+        cls = next(c for c in lattice.classes if c.representative.order == p_part(g.order, p))
+        for mask in cls.conjugates:
+            sub = sublattice(lattice, mask)
+            assert sub.classes[-1].conjugates == (mask,)
+            assert set(sub.class_of) == {m for m in lattice.class_of if m & mask == m}
+            for m in sub.class_of:
+                assert closure_mask(g, sub.generators_of(m)) == m
+            standalone, _ = subgroup_as_group(g, mask)
+            assert class_shape(sub) == class_shape(enumerate_subgroups(standalone)), (spec, p)
+
+
+def test_sublattice_rejects_a_mask_outside_the_lattice():
+    g = group_from_spec("S3")
+    lattice = enumerate_subgroups(g)
+    reflections = [x for x in range(6) if g.element_order(x) == 2]
+    with pytest.raises(ValueError, match="not a subgroup of this lattice"):
+        sublattice(lattice, 1 | 1 << reflections[0] | 1 << reflections[1])
 
 
 @pytest.mark.parametrize(

@@ -186,7 +186,7 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
 
     def marks(group, table, family=artin.ALL_CYCLIC):
         # S3 itself; the Sylow report also solves on its Sylow subgroups
-        calls["marks"] += family == artin.ALL_CYCLIC and group.order == 6
+        calls["marks"] += family == artin.ALL_CYCLIC and table.class_orders[-1] == 6
         return real_marks(group, table, family)
 
     def predictor(group):
