@@ -18,7 +18,9 @@ quotient divides n.  Method 2 reads nothing but the table.
 
 Method 1 gives divisors that are always necessary, so method 2 can never
 return less; the two agreeing is a strong end-to-end check and any
-disagreement is raised loudly rather than reconciled.
+disagreement is raised loudly rather than reconciled.  The methods share
+only the lattice (its classes, class_of and below()), never each other's
+code: no congruence code reaches method 2.
 """
 
 from __future__ import annotations
@@ -189,33 +191,20 @@ def _congruence_skeleton(
     group: GroupTable, lattice: SubgroupLattice
 ) -> list[tuple[int, int, int, int, int]]:
     """Every pair U normal in V with (V:U) a prime power > 1, V over class
-    representatives in class order and U over subgroups ascending by mask,
-    as (V class, V mask, U mask, U class, index).  The pairs do not depend on
-    the family, so they are found once per lattice and cached on it."""
+    representatives in class order and U over lattice.below(), the subgroups
+    of V ascending by mask, as (V class, V mask, U mask, U class, index).
+    The pairs do not depend on the family, so they are found once per
+    lattice and cached on it."""
     skeleton = lattice._cache.get("congruence_skeleton")
     if skeleton is not None:
         return skeleton
-    masks = sorted(lattice.class_of)
-    everything = (1 << len(masks)) - 1
-    # bit i of containing[x] is set when subgroup masks[i] contains x; built
-    # as bytes, since flipping one bit of an int copies the whole int
-    containing = [bytearray((len(masks) + 7) // 8) for _ in range(group.order)]
-    for i, m in enumerate(masks):
-        for x in mask_elements(m):
-            containing[x][i >> 3] |= 1 << (i & 7)
-    lacking = [everything ^ int.from_bytes(bits, "little") for bits in containing]
-    full = (1 << group.order) - 1
     abelian = group.is_abelian
     skeleton = []
-    for v_idx, cls in enumerate(lattice.classes):
+    for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
         V = cls.representative
         vm = V.mask
-        inside = everything  # the subgroups lacking every element outside V
-        for x in mask_elements(full & ~vm):
-            inside &= lacking[x]
         v_gens = lattice.generators_of(vm)
-        for i in mask_elements(inside):
-            u_mask = masks[i]
+        for u_mask in inside:
             if u_mask == vm:
                 continue
             index = V.order // u_mask.bit_count()
@@ -451,7 +440,6 @@ class _CSetData:
         pp = as_prime_power(h_mask.bit_count())
         if pp is None:
             raise ValueError("H must be a nontrivial p-group")
-        self.group = group
         self.p = pp[0]
         elements = mask_elements(h_mask)
         self.cyclic = sorted({group.cyclic_mask(x) for x in elements})
@@ -462,7 +450,6 @@ class _CSetData:
             for x in generators:
                 row |= 1 << commutator(g, x)
             self.rows[g] = row
-        self._subgroups: set[int] = set()  # H'(U) masks verified to be closed
 
     def h_prime(self, u_mask: int) -> int:
         """Bit set of {h in H : [h, H] <= U} when U is normal in H; it
@@ -482,9 +469,6 @@ class _CSetData:
         """The counts for a cyclic U normal in H, given H'(U).  Every cyclic
         V with U <= V and (V:U) = p is one of H's cyclic subgroups, of order
         p|U|."""
-        if h_prime not in self._subgroups:
-            subgroup_from_mask(self.group, h_prime, check=True)
-            self._subgroups.add(h_prime)
         target = self.p * u_mask.bit_count()
         c_masks = frozenset(
             m for m in self.cyclic if m.bit_count() == target and m & u_mask == u_mask
@@ -499,7 +483,8 @@ class _CSetData:
 
 def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     """Count cyclic index-p extensions of U in H, for H a nontrivial p-group
-    and U cyclic and normal in H; H' is re-verified to be a subgroup."""
+    and U cyclic and normal in H; with no lattice at hand, H' is proved a
+    subgroup by checking its closure."""
     data = _CSetData(group, h_mask, mask_elements(h_mask))
     if not subgroup_from_mask(group, u_mask).is_cyclic:
         raise ValueError("U must be cyclic")
@@ -508,17 +493,23 @@ def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     h_prime = data.h_prime(u_mask)
     if u_mask & h_prime != u_mask:
         raise ValueError("U must be normal in H")
+    subgroup_from_mask(group, h_prime, check=True)
     return data.report(u_mask, h_prime)
 
 
-def c_set_reports(group: GroupTable, h_mask: int, generators: Sequence[int]):
+def c_set_reports(lattice: SubgroupLattice, h_mask: int):
     """Yield (U, count_C_sets(group, H, U)) for every cyclic U normal in H,
-    ascending by mask, doing the U-independent work once; generators is
-    any generating set of H, such as the lattice's generators_of(H)."""
-    data = _CSetData(group, h_mask, generators)
+    ascending by mask, doing the U-independent work once over the lattice's
+    generators of H.  Each H'(U) is proved a subgroup by finding it in the
+    lattice; a miss means the lattice lacks a subgroup, and raises."""
+    data = _CSetData(lattice.group, h_mask, lattice.generators_of(h_mask))
     for u_mask in data.cyclic:
         h_prime = data.h_prime(u_mask)
         if u_mask & h_prime == u_mask:
+            if h_prime not in lattice.class_of:
+                raise RuntimeError(
+                    f"H'(U) = {h_prime:#x} is missing from the lattice; the lattice is incomplete"
+                )
             yield u_mask, data.report(u_mask, h_prime)
 
 
@@ -568,7 +559,7 @@ def sylow_reduction_report(
         sub_family = family if family.classes is None else Family(frozenset(
             i for i, c in enumerate(sub_lattice.classes)
             if lattice.class_of[c.representative.mask] in family.classes))
-        sub_exponent = artin_exponent_marks(group, build_mark_table(group, sub_lattice), sub_family)
+        sub_exponent = artin_exponent_marks(group, build_mark_table(sub_lattice), sub_family)
         out.append(SylowComparison(p, part, sylow_order, sub_exponent))
     return tuple(out)
 
@@ -638,7 +629,7 @@ def compute_exponent_report(
     exponent_marks = None
     if method in ("both", "marks"):
         if table is None:
-            table = build_mark_table(group, lattice)
+            table = build_mark_table(lattice)
         exponent_marks = artin_exponent_marks(group, table, family)
 
     disagreement = None

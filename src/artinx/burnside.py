@@ -6,10 +6,16 @@ order of a SubgroupLattice: coefficient vectors and ghost (mark) vectors are
 plain tuples of that length.
 
 The table of marks M has rows indexed by V and columns by U, with M[V][U]
-the number of cosets of G/V fixed by U.  With classes sorted by subgroup
-order it is lower triangular with positive diagonal, and most entries below
-the diagonal are zero too, so each row is stored once, as its nonzero
-(column, mark) pairs in ascending column order; the diagonal comes last.
+the number of cosets of G/V fixed by U.  Counting the pairs U' <= W with U'
+conjugate to U and W conjugate to V two ways gives
+
+    M[V][U] = |G : V| * #{U' in cl U : U' <= V} / |cl U|,
+
+so a row needs only the subgroups inside V's representative, which the
+lattice records.  With classes sorted by subgroup order M is lower
+triangular with positive diagonal, and most entries below the diagonal are
+zero too, so each row is stored once, as its nonzero (column, mark) pairs in
+ascending column order; the diagonal comes last.
 
 Membership of a ghost vector in the image of B(G) is decided by exact
 integer back-substitution, one row at a time from the last class down.
@@ -25,7 +31,6 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .groups import GroupTable
 from .lattice import SubgroupLattice
 
 
@@ -58,27 +63,30 @@ class MarkTable:
         self.class_cyclic = list(class_cyclic)
 
 
-def build_mark_table(group: GroupTable, lattice: SubgroupLattice) -> MarkTable:
+def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
     """The table of marks in the lattice's class order, as sparse rows.
 
     U fixes the coset gV exactly when U lies in the conjugate gVg^-1, and
-    each conjugate W of V arises from |N_G(V) : V| = |G : V| / |cl V|
-    cosets, so M[V][U] = (|G : V| / |cl V|) * #{W in cl V : U <= W}.  G is
-    the lattice's top class, so |G| is read from it rather than from the
-    group: a sublattice gives the table of marks of its top subgroup."""
+    each conjugate W of V arises from |G : V| / |cl V| cosets.  Both
+    |cl U| * #{W in cl V : U <= W} and |cl V| * #{U' in cl U : U' <= V}
+    count the pairs U' <= W with U' in cl U and W in cl V, so
+    M[V][U] = |G : V| * #{U' in cl U : U' <= V} / |cl U|, a tally over
+    lattice.below() of V that reads no conjugate of V; the division is
+    exact.  G is the lattice's top class, so a sublattice gives the table
+    of marks of its top subgroup."""
     reps = [c.representative for c in lattice.classes]
-    masks = [r.mask for r in reps]
+    sizes = [c.size for c in lattice.classes]
+    class_of = lattice.class_of
     top = reps[-1].order
     rows = []
-    for i, cls in enumerate(lattice.classes):
-        hits = [j for w in cls.conjugates for j in range(i + 1) if masks[j] & w == masks[j]]
-        tally = Counter(hits)
-        scale = top // (reps[i].order * cls.size)
-        rows.append([(j, scale * tally[j]) for j in sorted(tally)])
+    for rep, inside in zip(reps, lattice.below()):
+        tally = Counter(class_of[m] for m in inside)
+        index = top // rep.order
+        rows.append([(j, index * tally[j] // sizes[j]) for j in sorted(tally)])
     return MarkTable(
         rows,
         class_orders=[r.order for r in reps],
-        class_sizes=[c.size for c in lattice.classes],
+        class_sizes=sizes,
         class_cyclic=[r.is_cyclic for r in reps],
     )
 

@@ -177,7 +177,7 @@ def _print_mark_table(text: str, table: MarkTable) -> None:
 
 def cmd_marks(args: argparse.Namespace) -> int:
     text, group, lattice = _prepare(args.group, _cache_dir(args))
-    table = build_mark_table(group, lattice)
+    table = build_mark_table(lattice)
     if args.json:
         print(json.dumps(mark_table_to_dict(table, text), indent=2))
     else:

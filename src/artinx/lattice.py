@@ -183,6 +183,36 @@ class SubgroupLattice:
     def cyclic_class_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.classes) if c.representative.is_cyclic]
 
+    def below(self) -> list[list[int]]:
+        """For each class, the subgroup masks inside its representative,
+        ascending by mask; computed once per lattice and cached on it.
+
+        A subgroup lies inside V exactly when it lacks every element outside
+        V, so bit i of lacking[x] marks the i-th subgroup as lacking x, and
+        V's subgroups are the AND of lacking[x] over the x outside V.  Only
+        the elements of the top class are walked: every subgroup lies in it."""
+        below = self._cache.get("below")
+        if below is not None:
+            return below
+        masks = sorted(self.class_of)
+        everything = (1 << len(masks)) - 1
+        top = self.classes[-1].representative.mask
+        # bit i of containing[x] is set when masks[i] contains x; built as
+        # bytes, since flipping one bit of an int copies the whole int
+        containing = {x: bytearray((len(masks) + 7) // 8) for x in mask_elements(top)}
+        for i, m in enumerate(masks):
+            for x in mask_elements(m):
+                containing[x][i >> 3] |= 1 << (i & 7)
+        lacking = {x: everything ^ int.from_bytes(bits, "little") for x, bits in containing.items()}
+        below = []
+        for cls in self.classes:
+            inside = everything
+            for x in mask_elements(top & ~cls.representative.mask):
+                inside &= lacking[x]
+            below.append([masks[i] for i in mask_elements(inside)])
+        self._cache["below"] = below
+        return below
+
 
 def _expand_class(group: GroupTable, mask: int, ambient: Optional[int] = None) -> dict[int, int]:
     """All conjugates of a mask under the ambient subgroup (by default the

@@ -232,7 +232,7 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
         # H <= C_G(H) exactly when its recorded generators commute pairwise
         abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
         cyclic_h = H.is_cyclic
-        for u_mask, r in c_set_reports(group, H.mask, gens):
+        for u_mask, r in c_set_reports(lattice, H.mask):
             u_order = u_mask.bit_count()
             where = f"H order {H.order} in {spec}, U order {u_order}"
             if (r.c_count - r.c_prime_count) % p:
@@ -268,7 +268,7 @@ def evaluate_group(task: tuple[str, tuple[str, ...], Optional[str]]) -> dict:
     started = time.perf_counter()
     group = group_from_spec(spec_text)
     lattice = cached_lattice(group, spec_text, cache_dir)
-    table = build_mark_table(group, lattice)
+    table = build_mark_table(lattice)
 
     try:
         report = compute_exponent_report(

@@ -7,8 +7,8 @@ which holds for every group these oracles are pointed at in the tests.
 
 The second half holds reference implementations and helpers that only the
 tests use: the all-triples table check, group tables from tuple elements,
-relabelled tables, per-entry marks, the divisor-scan exponent and the
-Fraction conductor, products in the transitive basis, normality and
+relabelled tables, per-entry marks, the per-conjugate table of marks, the
+divisor-scan exponent and the Fraction conductor, products in the transitive basis, normality and
 normalizer tests, the commutator subgroup, quotient groups, subgroups as
 standalone tables with the Sylow comparison run on them, the
 element-scanning cyclic extensions, conjugacy
@@ -20,6 +20,7 @@ closure path and the central p-part reduction.
 
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -306,6 +307,27 @@ def reference_conductor(table: MarkTable) -> int:
     return result
 
 
+def reference_mark_table(lattice: SubgroupLattice) -> MarkTable:
+    """The table of marks by testing every class j <= i against every
+    conjugate W of class i: each W arises from |N_G(V) : V| = |G : V| / |cl V|
+    cosets, so M[V][U] = (|G : V| / |cl V|) * #{W in cl V : U <= W}."""
+    reps = [c.representative for c in lattice.classes]
+    masks = [r.mask for r in reps]
+    top = reps[-1].order
+    rows = []
+    for i, cls in enumerate(lattice.classes):
+        hits = [j for w in cls.conjugates for j in range(i + 1) if masks[j] & w == masks[j]]
+        tally = Counter(hits)
+        scale = top // (reps[i].order * cls.size)
+        rows.append([(j, scale * tally[j]) for j in sorted(tally)])
+    return MarkTable(
+        rows,
+        class_orders=[r.order for r in reps],
+        class_sizes=[c.size for c in lattice.classes],
+        class_cyclic=[r.is_cyclic for r in reps],
+    )
+
+
 def count_solves(monkeypatch):
     """Replace solve_membership wherever an artinx module binds it by a
     counting wrapper; returns the list the wrapper appends to."""
@@ -488,7 +510,7 @@ def standalone_sylow_report(
                 if lattice.class_of[ambient] in family.classes:
                     kept.append(i)
             sub_family = Family(frozenset(kept))
-        sub_exponent = artin_exponent_marks(sub, build_mark_table(sub, sub_lattice), sub_family)
+        sub_exponent = artin_exponent_marks(sub, build_mark_table(sub_lattice), sub_family)
         out.append(SylowComparison(p, part, sylow_order, sub_exponent))
     return tuple(out)
 

@@ -72,7 +72,7 @@ def test_criterion_02_odd_p_group_formula():
         p, alpha = as_prime_power(group.order)
         expected = p ** (alpha - 1)
         congruence = artin_exponent_congruence(group, lattice)
-        marks = artin_exponent_marks(group, build_mark_table(group, lattice))
+        marks = artin_exponent_marks(group, build_mark_table(lattice))
         oracle = brute_force_artin_exponent(group, max_gens=3 if alpha == 3 else 2)
         assert congruence == marks == oracle == expected, spec
         summary.append(f"{spec}={expected}")
@@ -91,12 +91,12 @@ def test_criterion_03_dihedral_quaternion_semidihedral():
     for spec in ("D8", "D16", "D32", "D64", "Q8"):
         group, lattice = setup_group(spec)
         assert artin_exponent_congruence(group, lattice) == 2, spec
-        assert artin_exponent_marks(group, build_mark_table(group, lattice)) == 2, spec
+        assert artin_exponent_marks(group, build_mark_table(lattice)) == 2, spec
 
     # Q8 once more by hand: back-substitute the transposed mark table with
     # plain fractions; n = 1 is non-integral, n = 2 is integral.
     group, lattice = setup_group("Q8")
-    table = build_mark_table(group, lattice)
+    table = build_mark_table(lattice)
     k = table.n
     rows = dense_rows(table)
     flipped = [[rows[k - 1 - j][k - 1 - i] for j in range(k)] for i in range(k)]
@@ -113,7 +113,7 @@ def test_criterion_03_dihedral_quaternion_semidihedral():
     for spec in ("Q16", "Q32", "Q64", "SD16", "SD32", "SD64"):
         group, lattice = setup_group(spec)
         congruence = artin_exponent_congruence(group, lattice)
-        marks = artin_exponent_marks(group, build_mark_table(group, lattice))
+        marks = artin_exponent_marks(group, build_mark_table(lattice))
         assert congruence == marks, spec
         prediction = closed_form_predictor(group)
         shape = recognize_2group(group)
@@ -134,7 +134,7 @@ def test_criterion_04_conductor_equals_order():
     started = time.perf_counter()
     for spec in CATALOG_24:
         group, lattice = setup_group(spec)
-        assert conductor(build_mark_table(group, lattice)) == group.order, spec
+        assert conductor(build_mark_table(lattice)) == group.order, spec
     elapsed = time.perf_counter() - started
     assert elapsed < 30
     print(
@@ -173,7 +173,7 @@ def test_criterion_07_burnside_ring_structure():
     pair_checks = 0
     for spec in CATALOG_24:
         group, lattice = setup_group(spec)
-        table = build_mark_table(group, lattice)
+        table = build_mark_table(lattice)
         k = table.n
         rows = dense_rows(table)
         for i in range(k):
@@ -199,7 +199,7 @@ def test_criterion_07_burnside_ring_structure():
     random_pair_checks = 0
     for spec in ("S4", "D12", "Q8"):
         group, lattice = setup_group(spec)
-        table = build_mark_table(group, lattice)
+        table = build_mark_table(lattice)
         k = table.n
         rng = random.Random(f"acceptance:pairs:{spec}")
         for _ in range(1000):

@@ -335,7 +335,7 @@ KNOWN_EXPONENTS = [
 def test_exponent_both_methods(spec, expected):
     g, lattice = setup_group(spec)
     assert artin_exponent_congruence(g, lattice) == expected
-    assert artin_exponent_marks(g, build_mark_table(g, lattice)) == expected
+    assert artin_exponent_marks(g, build_mark_table(lattice)) == expected
 
 
 @pytest.mark.parametrize("spec,expected", KNOWN_EXPONENTS)
@@ -350,7 +350,7 @@ def test_exponent_divides_group_order(spec, expected):
 )
 def test_exponent_matches_brute_force(spec):
     g, lattice = setup_group(spec)
-    assert artin_exponent_marks(g, build_mark_table(g, lattice)) == \
+    assert artin_exponent_marks(g, build_mark_table(lattice)) == \
         brute_force_artin_exponent(g)
 
 
@@ -369,7 +369,7 @@ def test_explicit_family_exponents(spec, classes, expected):
     g, lattice = setup_group(spec)
     fam = Family(classes)
     assert artin_exponent_congruence(g, lattice, fam) == expected
-    assert artin_exponent_marks(g, build_mark_table(g, lattice), fam) == expected
+    assert artin_exponent_marks(g, build_mark_table(lattice), fam) == expected
 
 
 def test_binding_pairs_s3():
@@ -416,19 +416,19 @@ def test_centralizer_index_divides_exponent(spec):
 @pytest.mark.parametrize("spec", ["S3", "Q8", "C4xC2", "SD16"])
 def test_exponent_is_isomorphism_invariant(spec):
     g, lattice = setup_group(spec)
-    expected = artin_exponent_marks(g, build_mark_table(g, lattice))
+    expected = artin_exponent_marks(g, build_mark_table(lattice))
     rng = random.Random(f"relabel:{spec}")
     for _ in range(3):
         perm = [0] + rng.sample(range(1, g.order), g.order - 1)
         h = relabeled(g, perm)
         h_lat = enumerate_subgroups(h)
-        assert artin_exponent_marks(h, build_mark_table(h, h_lat)) == expected
+        assert artin_exponent_marks(h, build_mark_table(h_lat)) == expected
         assert artin_exponent_congruence(h, h_lat) == expected
 
 
 def assert_marks_method_matches_divisor_scan(spec, g):
     lattice = enumerate_subgroups(g)
-    table = build_mark_table(g, lattice)
+    table = build_mark_table(lattice)
     for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes))]:
         assert artin_exponent_marks(g, table, family) == \
             reference_exponent_marks(g, table, family), (spec, family)
@@ -451,7 +451,7 @@ def test_marks_method_matches_divisor_scan_relabeled(spec):
 @pytest.mark.parametrize("spec", ["C1", "S3", "S4", "SD16", "C2xC2xC2", A5])
 def test_marks_method_solves_once_per_call(spec, monkeypatch):
     g, lattice = setup_group(spec)
-    table = build_mark_table(g, lattice)
+    table = build_mark_table(lattice)
     calls = count_solves(monkeypatch)
     families = [ALL_CYCLIC, *random_families(spec, table.n, count=5)]
     for done, family in enumerate(families, start=1):
@@ -672,7 +672,7 @@ def test_sylow_report_matches_standalone_subgroup(spec):
     else:
         g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    table = build_mark_table(g, lattice)
+    table = build_mark_table(lattice)
     for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 4)]:
         exponent = artin_exponent_marks(g, table, family)
         assert sylow_reduction_report(g, lattice, family, exponent) == \

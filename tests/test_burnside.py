@@ -38,7 +38,7 @@ S5 = "perm:(1 2 3 4 5),(1 2)"
 def setup_group(spec):
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    return g, lattice, build_mark_table(g, lattice)
+    return g, lattice, build_mark_table(lattice)
 
 
 _tables = {}
@@ -85,7 +85,9 @@ def test_q8_marks_frozen():
     ]
 
 
-@pytest.mark.parametrize("spec", ["C12", "S3", "D8", "Q8", "A4", "S4", "D12"])
+@pytest.mark.parametrize(
+    "spec", ["C12", "S3", "D8", "Q8", "A4", "S4", "D12", "A5", "S3xS3", "A4xC3", "D30"]
+)
 def test_marks_match_brute_force(spec):
     g, lattice, table = setup_group(spec)
     rows = dense_rows(table)
@@ -239,7 +241,7 @@ def test_conductor_matches_fraction_lcm_relabeled(spec):
     rng = random.Random(f"conductor:{spec}")
     for _ in range(3):
         h = relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1))
-        table = build_mark_table(h, enumerate_subgroups(h))
+        table = build_mark_table(enumerate_subgroups(h))
         assert conductor(table) == reference_conductor(table) == g.order
 
 

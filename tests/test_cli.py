@@ -281,7 +281,7 @@ def test_marks_labels_flag_noncyclic_classes(capsys):
 MARKS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "marks")
 
 
-@pytest.mark.parametrize("spec", ["C1", "S4", "Q8", "SD16", "C2xC2xC2"])
+@pytest.mark.parametrize("spec", ["C1", "S4", "Q8", "SD16", "C2xC2xC2", "S5", "A5xC2"])
 @pytest.mark.parametrize("json_flag", [False, True])
 def test_marks_output_bytes_pinned(spec, json_flag, capsys):
     """The text and JSON tables print exactly the bytes in tests/golden/marks."""

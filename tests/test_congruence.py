@@ -163,7 +163,7 @@ def test_count_c_sets_alone_matches_per_h_path(spec):
         pp = as_prime_power(h.order)
         if pp is None:
             continue
-        reports = dict(c_set_reports(g, h.mask, lattice.generators_of(h.mask)))
+        reports = dict(c_set_reports(lattice, h.mask))
         for um in sorted({g.cyclic_mask(x) for x in h.elements}):
             if um in reports:
                 assert count_C_sets(g, h.mask, um) == reports[um]
@@ -171,6 +171,20 @@ def test_count_c_sets_alone_matches_per_h_path(spec):
             else:
                 with pytest.raises(ValueError, match="U must be normal in H"):
                     count_C_sets(g, h.mask, um)
+
+
+def test_c_set_reports_raise_when_the_lattice_lacks_h_prime():
+    """H'(U) is proved a subgroup by its lookup in the lattice, so a lattice
+    that lacks it raises instead of yielding a report: for U = 1 in D8,
+    H'(U) is the center."""
+    g = group_from_spec("D8")
+    lattice = enumerate_subgroups(g)
+    full = (1 << g.order) - 1
+    center = next(r.h_prime_mask for um, r in c_set_reports(lattice, full) if um == 1)
+    assert center.bit_count() == 2
+    del lattice.class_of[center]
+    with pytest.raises(RuntimeError, match="missing from the lattice"):
+        list(c_set_reports(lattice, full))
 
 
 def test_pairs_are_found_once_per_lattice(monkeypatch):
@@ -203,9 +217,10 @@ def test_pairs_are_found_once_per_lattice(monkeypatch):
 @pytest.mark.parametrize("spec", default_catalog(64) + NONABELIAN_P_SUBGROUPS)
 def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
     """The lemma suite reads the per-H reports in the ambient group, from the
-    lattice's generators of H; they are the reports of H as a standalone
-    table with every element as a generator, mapped back through its
-    elements, and their extensions inside H' are the element scan's."""
+    lattice's generators of H; they are count_C_sets's reports of H as a
+    standalone table, with every element as a generator, for each cyclic U
+    normal in H, mapped back through its elements, and their extensions
+    inside H' are the element scan's."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     for cls in lattice.classes:
@@ -221,12 +236,14 @@ def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
         def ambient_set(masks):
             return frozenset(ambient(m) for m in masks)
 
-        expected = [
-            (ambient(um), ambient_set(r.c_masks), ambient_set(r.c_prime_masks),
-             ambient(r.h_prime_mask), ambient_set(r.c_of_h_prime_masks))
-            for um, r in c_set_reports(sub, (1 << sub.order) - 1, range(sub.order))
-        ]
-        reports = list(c_set_reports(g, h.mask, lattice.generators_of(h.mask)))
+        expected = []
+        for um in sorted({sub.cyclic_mask(x) for x in range(sub.order)}):
+            if not is_normal_in(sub, um, (1 << sub.order) - 1):
+                continue
+            r = count_C_sets(sub, (1 << sub.order) - 1, um)
+            expected.append((ambient(um), ambient_set(r.c_masks), ambient_set(r.c_prime_masks),
+                             ambient(r.h_prime_mask), ambient_set(r.c_of_h_prime_masks)))
+        reports = list(c_set_reports(lattice, h.mask))
         got = [
             (um, r.c_masks, r.c_prime_masks, r.h_prime_mask, r.c_of_h_prime_masks)
             for um, r in reports

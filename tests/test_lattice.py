@@ -38,6 +38,7 @@ from oracles import (
     normalizer_index,
     quotient_group,
     reference_expand_class,
+    reference_mark_table,
     relabeled,
     subgroup_as_group,
 )
@@ -365,7 +366,7 @@ def test_enumeration_matches_join_closure_on_random_perm_specs(spec):
         assume(False)
     for lattice in assert_matches_join_closure(g):
         exponent = artin_exponent_congruence(g, lattice)
-        assert artin_exponent_marks(g, build_mark_table(g, lattice)) == exponent, spec
+        assert artin_exponent_marks(g, build_mark_table(lattice)) == exponent, spec
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +415,62 @@ def test_sublattice_of_each_sylow_subgroup_matches_its_own_enumeration(spec):
                 assert closure_mask(g, sub.generators_of(m)) == m
             standalone, _ = subgroup_as_group(g, mask)
             assert class_shape(sub) == class_shape(enumerate_subgroups(standalone)), (spec, p)
+
+
+# ---------------------------------------------------------------------------
+# the containment index, and the table of marks that reads it
+# ---------------------------------------------------------------------------
+
+
+def assert_below_and_marks_match_reference(lattice):
+    """below() lists, for each class, the masks of class_of inside its
+    representative, ascending, and is computed once; the table of marks
+    built from it is the per-conjugate reference table."""
+    masks = sorted(lattice.class_of)
+    below = lattice.below()
+    assert below == [
+        [m for m in masks if m & c.representative.mask == m] for c in lattice.classes
+    ]
+    assert lattice.below() is below
+    table, reference = build_mark_table(lattice), reference_mark_table(lattice)
+    assert table.rows == reference.rows
+    assert (table.class_orders, table.class_sizes, table.class_cyclic) == (
+        reference.class_orders, reference.class_sizes, reference.class_cyclic)
+
+
+@pytest.mark.parametrize("spec", default_catalog(128) + NON_SOLVABLE + ["S3xS3", "A4xC3", "D30"])
+def test_below_and_mark_table_match_reference(spec):
+    assert_below_and_marks_match_reference(enumerate_subgroups(group_from_spec(spec)))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_below_and_mark_table_match_reference_relabeled(spec):
+    assert_below_and_marks_match_reference(enumerate_subgroups(relabeled_group(spec, "below")))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_perm_specs)
+def test_below_and_mark_table_match_reference_on_random_perm_specs(spec):
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_below_and_marks_match_reference(enumerate_subgroups(g))
+
+
+@pytest.mark.parametrize(
+    "spec", ["S3", "A4", "S4", "D12", "D30", S5, "A5xC2", "S3xS3", "A4xC3", "S4xC2xC2"]
+)
+def test_below_and_mark_table_match_reference_on_every_sylow_sublattice(spec):
+    """A sublattice walks only its top subgroup's elements; its index and
+    table still match the references, for every conjugate of every Sylow
+    subgroup."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    for p in prime_factors(g.order):
+        cls = next(c for c in lattice.classes if c.representative.order == p_part(g.order, p))
+        for mask in cls.conjugates:
+            assert_below_and_marks_match_reference(sublattice(lattice, mask))
 
 
 def test_sublattice_rejects_a_mask_outside_the_lattice():
