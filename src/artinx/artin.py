@@ -245,41 +245,30 @@ def congruence_pairs(
 class CongruenceAnalysis:
     exponent: int
     binding_pairs: tuple[CongruencePair, ...]
-    pairs: Optional[tuple[CongruencePair, ...]] = None
 
 
 def congruence_analysis(
-    group: GroupTable,
-    lattice: SubgroupLattice,
-    family: Family = ALL_CYCLIC,
-    keep_pairs: bool = False,
+    group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
 ) -> CongruenceAnalysis:
     """Run method 1, tracking for each prime one pair that forces the
-    highest power of that prime (a certificate for the lcm).  Unless
-    keep_pairs is set, a pair whose index already divides the exponent is
-    not counted: its constraint divides its index, so it can neither raise
-    the exponent nor become a binding pair."""
+    highest power of that prime (a certificate for the lcm).  A pair whose
+    index already divides the exponent is not counted: its constraint
+    divides its index, so it can neither raise the exponent nor become a
+    binding pair.  congruence_pairs counts every pair."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
     exponent = 1
     best: dict[int, CongruencePair] = {}  # prime -> first pair forcing its highest power
-    kept: list[CongruencePair] = []
     for row in _congruence_skeleton(group, lattice):
-        if not keep_pairs and exponent % row[-1] == 0:  # row[-1] is the index
+        if exponent % row[-1] == 0:  # row[-1] is the index
             continue
         pair = _congruence_pair(group, lattice, members, row)
-        if keep_pairs:
-            kept.append(pair)
         # each constraint is a prime power; one that already divides the
         # exponent forces no higher power of its prime
         if exponent % pair.constraint:
             exponent = lcm(exponent, pair.constraint)
             best[as_prime_power(pair.constraint)[0]] = pair
     binding = tuple(best[p] for p in sorted(best))
-    return CongruenceAnalysis(
-        exponent=exponent,
-        binding_pairs=binding,
-        pairs=tuple(kept) if keep_pairs else None,
-    )
+    return CongruenceAnalysis(exponent=exponent, binding_pairs=binding)
 
 
 def artin_exponent_congruence(
@@ -293,9 +282,7 @@ def artin_exponent_congruence(
 # ---------------------------------------------------------------------------
 
 
-def artin_exponent_marks(
-    group: GroupTable, table: MarkTable, family: Family = ALL_CYCLIC
-) -> int:
+def artin_exponent_marks(table: MarkTable, family: Family = ALL_CYCLIC) -> int:
     """Least n >= 1 with n * e_F integral in the transitive basis, from one
     solve of |G| * e_F."""
     return ghost_denominator(table, family_vector(table.class_cyclic, family))
@@ -559,7 +546,7 @@ def sylow_reduction_report(
         sub_family = family if family.classes is None else Family(frozenset(
             i for i, c in enumerate(sub_lattice.classes)
             if lattice.class_of[c.representative.mask] in family.classes))
-        sub_exponent = artin_exponent_marks(group, build_mark_table(sub_lattice), sub_family)
+        sub_exponent = artin_exponent_marks(build_mark_table(sub_lattice), sub_family)
         out.append(SylowComparison(p, part, sylow_order, sub_exponent))
     return tuple(out)
 
@@ -621,16 +608,17 @@ def compute_exponent_report(
     binding: tuple[CongruencePair, ...] = ()
     pairs = None
     if method in ("both", "congruence"):
-        analysis = congruence_analysis(group, lattice, family, keep_pairs=include_pairs)
+        analysis = congruence_analysis(group, lattice, family)
         exponent_congruence = analysis.exponent
         binding = analysis.binding_pairs
-        pairs = analysis.pairs
+        if include_pairs:
+            pairs = tuple(congruence_pairs(group, lattice, family))
 
     exponent_marks = None
     if method in ("both", "marks"):
         if table is None:
             table = build_mark_table(lattice)
-        exponent_marks = artin_exponent_marks(group, table, family)
+        exponent_marks = artin_exponent_marks(table, family)
 
     disagreement = None
     if method == "both" and exponent_congruence != exponent_marks:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -22,7 +21,7 @@ from .artin import (
 )
 from .burnside import MarkTable, build_mark_table, dense_rows, mark_table_to_dict
 from .groups import build_group, parse_group_spec, spec_to_text
-from .lattice import ResourceCapError, SubgroupLattice, cached_lattice
+from .lattice import ResourceCapError, SubgroupLattice, cached_lattice, enumerate_subgroups
 from .sweep import CHECK_NAMES, RunResult, SweepConfig, run_sweep, summary_to_dict
 
 
@@ -34,16 +33,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _cache_dir(args: argparse.Namespace) -> Optional[str]:
-    return args.cache or os.environ.get("ARTINX_CACHE_DIR")
-
-
-def _prepare(spec_arg: str, cache_dir: Optional[str]):
+def _prepare(spec_arg: str):
     spec = parse_group_spec(spec_arg)
-    text = spec_to_text(spec)
-    group = build_group(spec)
-    lattice = cached_lattice(group, text, cache_dir)
-    return text, group, lattice
+    return spec_to_text(spec), build_group(spec)
 
 
 def _parse_family(classes_arg: Optional[str]) -> Family:
@@ -133,7 +125,8 @@ def _print_report(report: ExponentReport, lattice: SubgroupLattice, audit: bool)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    text, group, lattice = _prepare(args.group, _cache_dir(args))
+    text, group = _prepare(args.group)
+    lattice = cached_lattice(group, text, args.cache)
     family = _parse_family(args.family_classes)
     report = compute_exponent_report(
         group,
@@ -176,8 +169,8 @@ def _print_mark_table(text: str, table: MarkTable) -> None:
 
 
 def cmd_marks(args: argparse.Namespace) -> int:
-    text, group, lattice = _prepare(args.group, _cache_dir(args))
-    table = build_mark_table(lattice)
+    text, group = _prepare(args.group)
+    table = build_mark_table(enumerate_subgroups(group))
     if args.json:
         print(json.dumps(mark_table_to_dict(table, text), indent=2))
     else:
@@ -249,7 +242,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_order=args.max_order,
         checks=_parse_checks(args.checks),
         jobs=args.jobs,
-        cache_dir=_cache_dir(args),
     )
     result = run_sweep(config)
     _print_sweep(result, args.timings)
@@ -273,16 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
         "compute", help="Artin exponent of a group, by congruences and by mark tables"
     )
     compute.add_argument("--group", required=True, help="group spec, e.g. S4, Q8, C2xC6")
-    family = compute.add_mutually_exclusive_group()
-    family.add_argument(
-        "--family",
-        choices=["cyclic"],
-        help="named family of subgroups (default: all cyclic subgroups)",
-    )
-    family.add_argument(
+    compute.add_argument(
         "--family-classes",
         metavar="I,J,...",
-        help="explicit family given by lattice class indices",
+        help="family given by lattice class indices (default: all cyclic subgroups)",
     )
     compute.add_argument("--method", choices=["both", "congruence", "marks"], default="both")
     compute.add_argument("--json", action="store_true", help="emit the report as JSON")
@@ -291,13 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list every congruence pair (binding ones starred) and the Sylow comparison",
     )
-    compute.add_argument("--cache", metavar="DIR", help="lattice cache dir (default: $ARTINX_CACHE_DIR)")
+    compute.add_argument("--cache", metavar="DIR", help="lattice cache directory")
     compute.set_defaults(func=cmd_compute)
 
     marks = sub.add_parser("marks", help="table of marks of a group")
     marks.add_argument("--group", required=True, help="group spec, e.g. S4, Q8, C2xC6")
     marks.add_argument("--json", action="store_true", help="emit the table as JSON")
-    marks.add_argument("--cache", metavar="DIR", help="lattice cache dir (default: $ARTINX_CACHE_DIR)")
     marks.set_defaults(func=cmd_marks)
 
     sweep = sub.add_parser("sweep", help="run check suites over the built-in catalog")
@@ -310,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     sweep.add_argument("--json", metavar="FILE", help="also write the summary JSON to FILE")
     sweep.add_argument("--timings", action="store_true", help="include per-group timings")
-    sweep.add_argument("--cache", metavar="DIR", help="lattice cache dir (default: $ARTINX_CACHE_DIR)")
     sweep.set_defaults(func=cmd_sweep)
 
     return parser

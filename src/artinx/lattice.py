@@ -187,27 +187,35 @@ class SubgroupLattice:
         """For each class, the subgroup masks inside its representative,
         ascending by mask; computed once per lattice and cached on it.
 
-        A subgroup lies inside V exactly when it lacks every element outside
-        V, so bit i of lacking[x] marks the i-th subgroup as lacking x, and
-        V's subgroups are the AND of lacking[x] over the x outside V.  Only
-        the elements of the top class are walked: every subgroup lies in it."""
+        A subgroup U is not inside V exactly when it holds an element
+        outside V.  Then a power of that element of prime-power order lies
+        outside V too, and so does every generator of the cyclic subgroup
+        of U that the power generates.  So with one generator x per cyclic
+        subgroup of prime-power order (of the top class: every subgroup
+        lies in it), bit i of lacking[x] marks the i-th subgroup as lacking
+        x, and V's subgroups are the AND of lacking[x] over the x outside V."""
         below = self._cache.get("below")
         if below is not None:
             return below
+        group = self.group
         masks = sorted(self.class_of)
         everything = (1 << len(masks)) - 1
-        top = self.classes[-1].representative.mask
+        generator_of: dict[int, int] = {}
+        for x in mask_elements(self.classes[-1].representative.mask):
+            if as_prime_power(group.element_order(x)):
+                generator_of.setdefault(group.cyclic_mask(x), x)
+        gens = sum(1 << x for x in generator_of.values())
         # bit i of containing[x] is set when masks[i] contains x; built as
         # bytes, since flipping one bit of an int copies the whole int
-        containing = {x: bytearray((len(masks) + 7) // 8) for x in mask_elements(top)}
+        containing = {x: bytearray((len(masks) + 7) // 8) for x in generator_of.values()}
         for i, m in enumerate(masks):
-            for x in mask_elements(m):
+            for x in mask_elements(m & gens):
                 containing[x][i >> 3] |= 1 << (i & 7)
         lacking = {x: everything ^ int.from_bytes(bits, "little") for x, bits in containing.items()}
         below = []
         for cls in self.classes:
             inside = everything
-            for x in mask_elements(top & ~cls.representative.mask):
+            for x in mask_elements(gens & ~cls.representative.mask):
                 inside &= lacking[x]
             below.append([masks[i] for i in mask_elements(inside)])
         self._cache["below"] = below

@@ -36,7 +36,7 @@ from .groups import (
     parse_group_spec,
     spec_order,
 )
-from .lattice import cached_lattice
+from .lattice import enumerate_subgroups
 
 CHECK_NAMES = ("crossmethod", "cyclic", "oddp", "twogroup", "conductor", "lemmas", "sylow")
 REPORT_ONLY = frozenset({"twogroup", "sylow"})
@@ -62,7 +62,6 @@ class SweepConfig:
     catalog: Optional[tuple[str, ...]] = None
     checks: frozenset = frozenset(CHECK_NAMES)
     jobs: int = 1
-    cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_order <= 256:
@@ -131,7 +130,7 @@ def _check_crossmethod(spec, group, lattice, table, exponents) -> tuple[str, lis
         failures.append(_failure(spec, "crossmethod", cong, marks, "family cyclic"))
     for i, fam in enumerate(random_families(spec, len(lattice.classes))):
         c = artin_exponent_congruence(group, lattice, fam)
-        m = artin_exponent_marks(group, table, fam)
+        m = artin_exponent_marks(table, fam)
         if c != m:
             label = f"random family {i}"
             failures.append(_failure(spec, "crossmethod", c, m, label))
@@ -262,12 +261,12 @@ def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_group(task: tuple[str, tuple[str, ...], Optional[str]]) -> dict:
+def evaluate_group(task: tuple[str, tuple[str, ...]]) -> dict:
     """Run the requested checks for one group; the unit of parallel work."""
-    spec_text, checks, cache_dir = task
+    spec_text, checks = task
     started = time.perf_counter()
     group = group_from_spec(spec_text)
-    lattice = cached_lattice(group, spec_text, cache_dir)
+    lattice = enumerate_subgroups(group)
     table = build_mark_table(lattice)
 
     try:
@@ -334,7 +333,7 @@ def run_sweep(config: SweepConfig) -> RunResult:
     """Evaluate every catalog group, in order, optionally across workers."""
     catalog = config.resolved_catalog()
     checks = tuple(c for c in CHECK_NAMES if c in config.checks)
-    tasks = [(spec, checks, config.cache_dir) for spec in catalog]
+    tasks = [(spec, checks) for spec in catalog]
     if config.jobs > 1 and len(tasks) > 1:
         import multiprocessing
 

@@ -510,7 +510,7 @@ def standalone_sylow_report(
                 if lattice.class_of[ambient] in family.classes:
                     kept.append(i)
             sub_family = Family(frozenset(kept))
-        sub_exponent = artin_exponent_marks(sub, build_mark_table(sub_lattice), sub_family)
+        sub_exponent = artin_exponent_marks(build_mark_table(sub_lattice), sub_family)
         out.append(SylowComparison(p, part, sylow_order, sub_exponent))
     return tuple(out)
 

@@ -72,7 +72,7 @@ def test_criterion_02_odd_p_group_formula():
         p, alpha = as_prime_power(group.order)
         expected = p ** (alpha - 1)
         congruence = artin_exponent_congruence(group, lattice)
-        marks = artin_exponent_marks(group, build_mark_table(lattice))
+        marks = artin_exponent_marks(build_mark_table(lattice))
         oracle = brute_force_artin_exponent(group, max_gens=3 if alpha == 3 else 2)
         assert congruence == marks == oracle == expected, spec
         summary.append(f"{spec}={expected}")
@@ -91,7 +91,7 @@ def test_criterion_03_dihedral_quaternion_semidihedral():
     for spec in ("D8", "D16", "D32", "D64", "Q8"):
         group, lattice = setup_group(spec)
         assert artin_exponent_congruence(group, lattice) == 2, spec
-        assert artin_exponent_marks(group, build_mark_table(lattice)) == 2, spec
+        assert artin_exponent_marks(build_mark_table(lattice)) == 2, spec
 
     # Q8 once more by hand: back-substitute the transposed mark table with
     # plain fractions; n = 1 is non-integral, n = 2 is integral.
@@ -113,7 +113,7 @@ def test_criterion_03_dihedral_quaternion_semidihedral():
     for spec in ("Q16", "Q32", "Q64", "SD16", "SD32", "SD64"):
         group, lattice = setup_group(spec)
         congruence = artin_exponent_congruence(group, lattice)
-        marks = artin_exponent_marks(group, build_mark_table(lattice))
+        marks = artin_exponent_marks(build_mark_table(lattice))
         assert congruence == marks, spec
         prediction = closed_form_predictor(group)
         shape = recognize_2group(group)

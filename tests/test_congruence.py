@@ -4,6 +4,7 @@ reads, and the per-H C-set path of the lemma suite."""
 
 import random
 from collections import Counter
+from math import lcm
 
 import pytest
 
@@ -253,15 +254,26 @@ def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
             assert r.c_of_h_prime_masks == cyclic_extensions(g, r.h_prime_mask, um, pp[0])
 
 
+def every_pair_analysis(g, lattice, family):
+    """The exponent and binding pairs of congruence_analysis, from a walk
+    over every pair of congruence_pairs with none skipped."""
+    exponent, best = 1, {}
+    for pair in congruence_pairs(g, lattice, family):
+        if exponent % pair.constraint:
+            exponent = lcm(exponent, pair.constraint)
+            best[as_prime_power(pair.constraint)[0]] = pair
+    return exponent, tuple(best[p] for p in sorted(best))
+
+
 @pytest.mark.parametrize("spec", default_catalog(64))
 def test_pair_skip_keeps_exponent_and_binding_pairs(spec):
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]:
         skipping = congruence_analysis(g, lattice, family)
-        counting = congruence_analysis(g, lattice, family, keep_pairs=True)
-        assert skipping.exponent == counting.exponent, family
-        assert skipping.binding_pairs == counting.binding_pairs, family
+        exponent, binding = every_pair_analysis(g, lattice, family)
+        assert skipping.exponent == exponent, family
+        assert skipping.binding_pairs == binding, family
 
 
 def count_coset_counts(monkeypatch):
@@ -279,24 +291,25 @@ def count_coset_counts(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["C4xC4xC4", "S4xC2xC2", "SD32"])
 def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
-    """congruence_pairs and the audit path (keep_pairs) count, and so assert
-    on, every pair of the skeleton exactly once."""
+    """congruence_pairs, which the audit path lists, counts, and so asserts
+    on, every pair of the skeleton exactly once; the audit report counts
+    those pairs besides the skipping walk's."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     skeleton = _congruence_skeleton(g, lattice)
     every_pair = Counter((u_mask, vm) for _, vm, u_mask, _, _ in skeleton)
     assert max(every_pair.values()) == 1
     calls = count_coset_counts(monkeypatch)
-    analysis = congruence_analysis(g, lattice, keep_pairs=True)
+    pairs = tuple(congruence_pairs(g, lattice))
     assert calls == every_pair
-    assert len(analysis.pairs) == len(skeleton)
+    assert len(pairs) == len(skeleton)
+    calls.clear()
+    congruence_analysis(g, lattice)
+    skipping = Counter(calls)
     calls.clear()
     report = compute_exponent_report(g, spec, lattice=lattice, include_pairs=True)
-    assert calls == every_pair
-    assert report.pairs == analysis.pairs
-    calls.clear()
-    assert len(list(congruence_pairs(g, lattice))) == len(skeleton)
-    assert calls == every_pair
+    assert calls == every_pair + skipping
+    assert report.pairs == pairs
 
 
 def test_skipping_counts_fewer_pairs_than_the_skeleton_holds(monkeypatch):

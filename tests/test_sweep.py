@@ -132,7 +132,7 @@ def test_random_families_stay_in_range():
 
 
 def test_evaluate_group_s3():
-    row = evaluate_group(("S3", ("crossmethod", "cyclic", "sylow"), None))
+    row = evaluate_group(("S3", ("crossmethod", "cyclic", "sylow")))
     assert row["spec"] == "S3"
     assert row["report"]["exponent"] == 2
     assert row["statuses"] == {"crossmethod": "ok", "cyclic": "ok", "sylow": "report"}
@@ -141,21 +141,21 @@ def test_evaluate_group_s3():
 
 
 def test_evaluate_group_statuses_follow_check_names():
-    row = evaluate_group(("S3", ("sylow", "lemmas", "cyclic", "crossmethod"), None))
+    row = evaluate_group(("S3", ("sylow", "lemmas", "cyclic", "crossmethod")))
     assert list(row["statuses"]) == ["crossmethod", "cyclic", "lemmas", "sylow"]
 
 
 def test_evaluate_group_method_disagreement(monkeypatch):
     real = artin.congruence_analysis
 
-    def skewed(group, lattice, family=artin.ALL_CYCLIC, keep_pairs=False):
-        analysis = real(group, lattice, family, keep_pairs)
+    def skewed(group, lattice, family=artin.ALL_CYCLIC):
+        analysis = real(group, lattice, family)
         if family == artin.ALL_CYCLIC:
             analysis.exponent *= 2
         return analysis
 
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
-    row = evaluate_group(("S3", CHECK_NAMES, None))
+    row = evaluate_group(("S3", CHECK_NAMES))
     report = row["report"]
     assert report["method"] == "marks"
     assert report["exponent"] == report["exponent_marks"] == 2
@@ -178,16 +178,16 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     real_predictor = artin.closed_form_predictor
     real_sylow = artin.sylow_reduction_report
 
-    def skewed(group, lattice, family=artin.ALL_CYCLIC, keep_pairs=False):
-        analysis = real_analysis(group, lattice, family, keep_pairs)
+    def skewed(group, lattice, family=artin.ALL_CYCLIC):
+        analysis = real_analysis(group, lattice, family)
         if family == artin.ALL_CYCLIC:
             analysis.exponent *= 2
         return analysis
 
-    def marks(group, table, family=artin.ALL_CYCLIC):
+    def marks(table, family=artin.ALL_CYCLIC):
         # S3 itself; the Sylow report also solves on its Sylow subgroups
         calls["marks"] += family == artin.ALL_CYCLIC and table.class_orders[-1] == 6
-        return real_marks(group, table, family)
+        return real_marks(table, family)
 
     def predictor(group):
         calls["predictor"] += 1
@@ -201,7 +201,7 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     monkeypatch.setattr(artin, "artin_exponent_marks", marks)
     monkeypatch.setattr(artin, "closed_form_predictor", predictor)
     monkeypatch.setattr(artin, "sylow_reduction_report", sylow)
-    row = evaluate_group(("S3", CHECK_NAMES, None))
+    row = evaluate_group(("S3", CHECK_NAMES))
     assert calls == {"marks": 1, "predictor": 1, "sylow": 1}
 
     group = group_from_spec("S3")
@@ -226,18 +226,18 @@ def test_evaluate_group_runs_the_predictor_once(spec, monkeypatch):
 
     monkeypatch.setattr(artin, "closed_form_predictor", predictor)
     monkeypatch.setattr(sweep, "closed_form_predictor", predictor, raising=False)
-    row = evaluate_group((spec, CHECK_NAMES, None))
+    row = evaluate_group((spec, CHECK_NAMES))
     assert row["statuses"]["twogroup"] == "report"
     assert calls == {"predictor": 1}
 
 
 def test_evaluate_group_skips_inapplicable_checks():
-    row = evaluate_group(("C6", ("oddp", "twogroup"), None))
+    row = evaluate_group(("C6", ("oddp", "twogroup")))
     assert row["statuses"] == {"oddp": "skip", "twogroup": "skip"}
 
 
 def test_evaluate_group_conductor_cap():
-    row = evaluate_group(("C32", ("conductor",), None))
+    row = evaluate_group(("C32", ("conductor",)))
     assert row["statuses"]["conductor"] == "skip"
     assert 32 > CONDUCTOR_ORDER_CAP
 
