@@ -295,70 +295,58 @@ def artin_exponent_marks(table: MarkTable, family: Family = ALL_CYCLIC) -> int:
 
 def recognize_2group(group: GroupTable) -> str:
     """Classify a 2-group as dihedral / quaternion / semidihedral / other by
-    searching for the defining pair of generators: g spanning a cyclic
-    subgroup of index 2 and order >= 4, h outside it, with h^2 and hgh^-1 as
-    each shape requires.  Cyclic 2-groups admit no such pair and fall under
-    "other"."""
+    counting involutions.  A noncyclic group of order 2^n >= 8 with an element
+    of order 2^(n-1) is C_{2^(n-1)} x C2, dihedral, quaternion, or (n >= 4)
+    semidihedral or modular (Gorenstein, *Finite Groups*, section 5.4), with
+    3, 2^(n-1) + 1, 1, 2^(n-2) + 1 and 3 involutions.  Every other 2-group,
+    cyclic ones included, is "other"."""
     order = group.order
     pp = as_prime_power(order)
     if order > 1 and (pp is None or pp[0] != 2):
         raise ValueError("recognize_2group expects a 2-group")
     half = order // 2
-    if half < 4:
+    orders = [group.element_order(g) for g in range(order)]
+    if half < 4 or max(orders) != half:
         return "other"
-    for g in range(1, order):
-        if group.element_order(g) != half:
-            continue
-        gm = group.cyclic_mask(g)
-        g_inv = group.inv_of(g)
-        q_square = group.power(g, half // 2)
-        sd_twist = group.power(g, half // 2 - 1)
-        for h in range(1, order):
-            if gm >> h & 1:
-                continue
-            hh = group.mul(h, h)
-            conj = group.conj(h, g)
-            if hh == 0 and conj == g_inv:
-                return "dihedral"
-            if hh == q_square and conj == g_inv:
-                return "quaternion"
-            if order >= 16 and hh == 0 and conj == sd_twist:
-                return "semidihedral"
+    involutions = orders.count(2)
+    if involutions == half + 1:
+        return "dihedral"
+    if involutions == 1:
+        return "quaternion"
+    if order >= 16 and involutions == half // 2 + 1:
+        return "semidihedral"
     return "other"
 
 
 @dataclass
 class Prediction:
     """Closed-form exponent prediction; value is None outside the covered
-    branches.  details carries the alternative formulas that were considered."""
+    branches.  details carries the alternative formulas that were considered;
+    shape is recognize_2group's answer, set exactly on the noncyclic 2-group
+    branches."""
 
     value: Optional[int]
     branch: str
     details: dict[str, int] = field(default_factory=dict)
+    shape: Optional[str] = None
 
 
 def _order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:
-    """For a 2-group with center U of order 2, the "4 if cyclic else 2" rule
-    evaluated on both candidate readings of the distinguished subgroup:
-    {g : [g, G] <= U} (bracket with the whole group) and {g : [g, U] <= U}
-    (bracket with U only, which is all of G for central U).  Both are
-    reported; neither reading is silently preferred."""
+    """For a noncyclic 2-group with center U of order 2, the "4 if cyclic
+    else 2" rule on both candidate readings of the distinguished subgroup,
+    reported side by side: {g : [g, G] <= U} (bracket with the whole group)
+    and {g : [g, U] <= U} (bracket with U only).  U is central, so the second
+    reading is all of G, which is noncyclic: its rule is the constant 2."""
     full = (1 << group.order) - 1
     z_mask = centralizer(group, full)
     if z_mask.bit_count() != 2:
         return None
     whole = 0
-    center_only = 0
     for g in range(group.order):
         if all(z_mask >> group.commutator(g, x) & 1 for x in range(group.order)):
             whole |= 1 << g
-        if all(z_mask >> group.commutator(g, x) & 1 for x in mask_elements(z_mask)):
-            center_only |= 1 << g
-    rules = {}
-    for label, mask in (("bracket-whole-group", whole), ("bracket-center-only", center_only)):
-        sub = subgroup_from_mask(group, mask, check=True)
-        rules[label] = 4 if sub.is_cyclic else 2
-    return rules
+    sub = subgroup_from_mask(group, whole, check=True)
+    return {"bracket-whole-group": 4 if sub.is_cyclic else 2, "bracket-center-only": 2}
 
 
 def closed_form_predictor(group: GroupTable) -> Prediction:
@@ -378,13 +366,13 @@ def closed_form_predictor(group: GroupTable) -> Prediction:
         details.update(rules)
     shape = recognize_2group(group)
     if shape in ("dihedral", "quaternion"):
-        return Prediction(2, "Q or D", details)
+        return Prediction(2, "Q or D", details, shape)
     if shape == "semidihedral":
         # the whole-group bracket rule, not the generic power, is what the
         # computed values track on this branch; all candidates are reported
         assert rules is not None  # semidihedral groups have a center of order 2
-        return Prediction(rules["bracket-whole-group"], "SD", details)
-    return Prediction(generic, "2-group other", details)
+        return Prediction(rules["bracket-whole-group"], "SD", details, shape)
+    return Prediction(generic, "2-group other", details, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,12 @@ from .sweep import CHECK_NAMES, RunResult, SweepConfig, run_sweep, summary_to_di
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract here is 1."""
+    """argparse exits with status 2 on usage errors; the contract here is 1.
+    Prefix matching is off, in the subcommands too, so a removed or misspelt
+    option fails instead of being read as another."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)

@@ -24,7 +24,6 @@ from .artin import (
     artin_exponent_marks,
     compute_exponent_report,
     c_set_reports,
-    recognize_2group,
     report_to_dict,
 )
 from .burnside import build_mark_table, conductor
@@ -39,15 +38,14 @@ from .groups import (
 from .lattice import enumerate_subgroups
 
 CHECK_NAMES = ("crossmethod", "cyclic", "oddp", "twogroup", "conductor", "lemmas", "sylow")
-REPORT_ONLY = frozenset({"twogroup", "sylow"})
 CONDUCTOR_ORDER_CAP = 24  # the exact-conductor suite is asserted on small groups only
 RANDOM_FAMILIES = 20
 # what each suite _check_<name> takes after the spec text
 SUITE_ARGS = {
     "crossmethod": ("group", "lattice", "table", "exponents"),
     "cyclic": ("group", "exponent"),
-    "oddp": ("group", "exponent"),
-    "twogroup": ("group", "report"),
+    "oddp": ("report",),
+    "twogroup": ("report",),
     "conductor": ("group", "table"),
     "lemmas": ("group", "lattice"),
     "sylow": ("report",),
@@ -146,27 +144,23 @@ def _check_cyclic(spec, group, exponent) -> tuple[str, list, list]:
     return "ok", [], []
 
 
-def _check_oddp(spec, group, exponent) -> tuple[str, list, list]:
-    pp = as_prime_power(group.order)
-    if pp is None or pp[0] == 2 or is_cyclic_group(group):
+def _check_oddp(spec, report) -> tuple[str, list, list]:
+    prediction = report.prediction
+    if prediction.branch != "odd p-group":
         return "skip", [], []
-    p, alpha = pp
-    expected = p ** (alpha - 1)
-    if exponent != expected:
-        return "fail", [_failure(spec, "oddp", expected, exponent)], []
+    if report.exponent != prediction.value:
+        return "fail", [_failure(spec, "oddp", prediction.value, report.exponent)], []
     return "ok", [], []
 
 
-def _check_twogroup(spec, group, report) -> tuple[str, list, list]:
-    pp = as_prime_power(group.order)
-    if pp is None or pp[0] != 2 or is_cyclic_group(group):
+def _check_twogroup(spec, report) -> tuple[str, list, list]:
+    shape, details = report.prediction.shape, report.prediction.details
+    if shape is None:
         return "skip", [], []
     notes = []
     exponent = report.exponent
-    shape = recognize_2group(group)
-    generic = 2 ** (pp[1] - 1)
-    thm_value = 2 if shape in ("quaternion", "dihedral") else generic
-    cor_value = report.prediction.details.get("bracket-whole-group")
+    thm_value = 2 if shape in ("quaternion", "dihedral") else details["generic"]
+    cor_value = details.get("bracket-whole-group")
     if exponent != thm_value:
         notes.append({
             "group": spec, "check": "twogroup",

@@ -15,7 +15,8 @@ element-scanning cyclic extensions, conjugacy
 classes by conjugating with every element, the join-closure lattice, the
 congruence-pair scan over every subgroup, and coset counting with the
 per-coset profile, the element-scanning p-group count, the lattice-free
-closure path and the central p-part reduction.
+closure path and the central p-part reduction, and the 2-group shape by
+relation search with the closure-checked center-only bracket rule.
 """
 
 import itertools
@@ -58,6 +59,7 @@ from artinx.lattice import (
     SubgroupLattice,
     _assemble,
     _expand_class,
+    centralizer,
     closure_mask,
     conjugate_mask,
     cosets,
@@ -763,3 +765,47 @@ def _reduced_cyclic_count(group: GroupTable, u_mask: int, v_mask: int) -> Option
                 u_image |= 1 << i
         return cyclic_coset_count_p_group(qtable, u_image, (1 << qtable.order) - 1)
     return cyclic_coset_count_p_group(group, up_mask, vp_mask)
+
+
+def reference_recognize_2group(group: GroupTable) -> str:
+    """2-group shape by searching for a defining pair of generators: g
+    spanning a cyclic subgroup of index 2 and order >= 4, h outside it, with
+    h^2 and hgh^-1 as each shape requires.  Cyclic 2-groups admit no such
+    pair and fall under "other"."""
+    order = group.order
+    half = order // 2
+    if half < 4:
+        return "other"
+    for g in range(1, order):
+        if group.element_order(g) != half:
+            continue
+        gm = group.cyclic_mask(g)
+        g_inv = group.inv_of(g)
+        q_square = group.power(g, half // 2)
+        sd_twist = group.power(g, half // 2 - 1)
+        for h in range(1, order):
+            if gm >> h & 1:
+                continue
+            hh = group.mul(h, h)
+            conj = group.conj(h, g)
+            if hh == 0 and conj == g_inv:
+                return "dihedral"
+            if hh == q_square and conj == g_inv:
+                return "quaternion"
+            if order >= 16 and hh == 0 and conj == sd_twist:
+                return "semidihedral"
+    return "other"
+
+
+def reference_center_only_rule(group: GroupTable) -> Optional[int]:
+    """The "4 if cyclic else 2" rule on {g : [g, U] <= U} for a group whose
+    center U has order 2, found by scanning every element and closure-checking
+    the result; None when the center has another order."""
+    z_mask = centralizer(group, (1 << group.order) - 1)
+    if z_mask.bit_count() != 2:
+        return None
+    center_only = 0
+    for g in range(group.order):
+        if all(z_mask >> group.commutator(g, x) & 1 for x in mask_elements(z_mask)):
+            center_only |= 1 << g
+    return 4 if subgroup_from_mask(group, center_only, check=True).is_cyclic else 2

@@ -14,7 +14,6 @@ from artinx.artin import (
     artin_exponent_marks,
     closed_form_predictor,
     compute_exponent_report,
-    recognize_2group,
 )
 from artinx.burnside import (
     build_mark_table,
@@ -116,7 +115,7 @@ def test_criterion_03_dihedral_quaternion_semidihedral():
         marks = artin_exponent_marks(build_mark_table(lattice))
         assert congruence == marks, spec
         prediction = closed_form_predictor(group)
-        shape = recognize_2group(group)
+        shape = prediction.shape
         power_rule = 2 if shape in ("quaternion", "dihedral") else prediction.details["generic"]
         commutator_rule = prediction.details["bracket-whole-group"]
         lines.append(

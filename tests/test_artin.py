@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -27,7 +28,13 @@ from artinx.artin import (
     sylow_reduction_report,
 )
 from artinx.burnside import build_mark_table
-from artinx.groups import group_from_spec
+from artinx.groups import (
+    as_prime_power,
+    group_from_spec,
+    is_cyclic_group,
+    parse_group_spec,
+    spec_order,
+)
 from artinx.lattice import centralizer, enumerate_subgroups, mask_elements
 from artinx.sweep import default_catalog, random_families
 
@@ -39,7 +46,9 @@ from oracles import (
     cyclic_count,
     cyclic_extensions,
     is_normal_in,
+    reference_center_only_rule,
     reference_exponent_marks,
+    reference_recognize_2group,
     relabeled,
     standalone_sylow_report,
     subgroup_as_group,
@@ -509,10 +518,20 @@ def test_predictor_reports_both_bracket_rules():
         ("Q8", "quaternion"), ("Q16", "quaternion"), ("Q32", "quaternion"),
         ("D8", "dihedral"), ("D16", "dihedral"), ("D32", "dihedral"),
         ("SD16", "semidihedral"), ("SD32", "semidihedral"),
+        # the modular group M16: a cyclic maximal subgroup, but none of the three shapes
+        ("perm:(1 2 3 4 5 6 7 8),(2 6)(4 8)", "other"),
+        ("perm:(1 2 3 4 5 6 7 8),(2 4)(3 7)(6 8)", "semidihedral"),
+        ("perm:(1 2 3 4 5 6 7 8),(2 8)(3 7)(4 6)", "dihedral"),
     ],
 )
 def test_recognize_2group(spec, expected):
-    assert recognize_2group(group_from_spec(spec)) == expected
+    """The involution count and the relation-search oracle agree, on the
+    group and on a relabelled copy of its table."""
+    group = group_from_spec(spec)
+    rng = random.Random(7)
+    shuffled = relabeled(group, [0] + rng.sample(range(1, group.order), group.order - 1))
+    for g in (group, shuffled):
+        assert recognize_2group(g) == reference_recognize_2group(g) == expected
 
 
 def test_recognize_2group_rejects_others():
@@ -520,6 +539,52 @@ def test_recognize_2group_rejects_others():
         recognize_2group(group_from_spec("S3"))
     with pytest.raises(ValueError):
         recognize_2group(group_from_spec("C9"))
+
+
+@lru_cache(maxsize=None)
+def catalog_2groups():
+    """Every 2-group of the catalog to order 256, built once."""
+    out = {}
+    for spec in default_catalog(256):
+        pp = as_prime_power(spec_order(parse_group_spec(spec)))
+        if pp is not None and pp[0] == 2:
+            out[spec] = group_from_spec(spec)
+    return out
+
+
+def test_recognize_2group_matches_relation_search_on_catalog():
+    groups = catalog_2groups()
+    assert len(groups) == 57
+    for spec, group in groups.items():
+        assert recognize_2group(group) == reference_recognize_2group(group), spec
+
+
+def test_prediction_shape_is_set_exactly_on_2group_branches():
+    groups = dict(catalog_2groups())
+    groups.update((spec, group_from_spec(spec)) for spec in default_catalog(64) + [A5])
+    branches = {"Q or D": {"dihedral", "quaternion"}, "SD": {"semidihedral"},
+                "2-group other": {"other"}}
+    for spec, group in groups.items():
+        pred = closed_form_predictor(group)
+        if pred.branch in branches:
+            assert pred.shape == recognize_2group(group), spec
+            assert pred.shape in branches[pred.branch], spec
+        else:
+            assert pred.shape is None, spec
+
+
+def test_center_only_rule_is_two_on_every_catalog_2group():
+    """U = Z(G) is central, so {g : [g, U] <= U} is all of G, noncyclic here;
+    the closure-checked scan agrees with the predictor's constant."""
+    checked = 0
+    for spec, group in catalog_2groups().items():
+        rule = reference_center_only_rule(group)
+        if rule is None or is_cyclic_group(group):
+            continue
+        checked += 1
+        assert rule == 2, spec
+        assert closed_form_predictor(group).details["bracket-center-only"] == 2, spec
+    assert checked == 17
 
 
 def test_sylow_subgroup_of_s4_is_dihedral():

@@ -231,11 +231,14 @@ def test_bad_family_classes_exit_one(capsys):
     [
         (["sweep", "--max-order", "4", "--cache", "D"], "unrecognized arguments: --cache D"),
         (["marks", "--group", "S3", "--cache", "D"], "unrecognized arguments: --cache D"),
-        # argparse takes a unique prefix for the whole option, so the old
-        # --family is read as --family-classes, which refuses "cyclic"
-        (["compute", "--group", "S3", "--family", "cyclic"], "comma-separated integers"),
+        # prefix matching is off, so neither a removed option nor a prefix of
+        # a live one is read as the live option
+        (["compute", "--group", "S3", "--family", "cyclic"],
+         "unrecognized arguments: --family cyclic"),
+        (["sweep", "--max", "8"], "unrecognized arguments: --max 8"),
+        (["compute", "--group", "S3", "--fam", "0"], "unrecognized arguments: --fam 0"),
     ],
-    ids=["sweep --cache", "marks --cache", "compute --family"],
+    ids=["sweep --cache", "marks --cache", "compute --family", "sweep --max", "compute --fam"],
 )
 def test_removed_options_are_refused(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

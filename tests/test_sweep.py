@@ -11,7 +11,6 @@ from artinx.sweep import (
     CHECK_NAMES,
     CONDUCTOR_ORDER_CAP,
     RANDOM_FAMILIES,
-    REPORT_ONLY,
     SweepConfig,
     default_catalog,
     evaluate_group,
@@ -97,10 +96,6 @@ def test_config_catalog_specs_must_parse():
     config = SweepConfig(catalog=("C4", "NOPE"))
     with pytest.raises(ValueError):
         config.resolved_catalog()
-
-
-def test_report_only_checks_are_known():
-    assert REPORT_ONLY <= set(CHECK_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +210,27 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["D16", "Q16", "SD16", "C4xC4"])
 def test_evaluate_group_runs_the_predictor_once(spec, monkeypatch):
-    """The twogroup suite reads the report's prediction instead of running
-    the predictor again, under either module's binding of it."""
+    """The twogroup suite reads the report's prediction, shape included,
+    instead of running the predictor or the 2-group classifier again, under
+    either module's binding of them."""
     calls = Counter()
     real_predictor = artin.closed_form_predictor
+    real_recognize = artin.recognize_2group
 
     def predictor(group):
         calls["predictor"] += 1
         return real_predictor(group)
 
-    monkeypatch.setattr(artin, "closed_form_predictor", predictor)
-    monkeypatch.setattr(sweep, "closed_form_predictor", predictor, raising=False)
+    def recognize(group):
+        calls["recognize"] += 1
+        return real_recognize(group)
+
+    for module in (artin, sweep):
+        monkeypatch.setattr(module, "closed_form_predictor", predictor, raising=False)
+        monkeypatch.setattr(module, "recognize_2group", recognize, raising=False)
     row = evaluate_group((spec, CHECK_NAMES))
     assert row["statuses"]["twogroup"] == "report"
-    assert calls == {"predictor": 1}
+    assert calls == {"predictor": 1, "recognize": 1}
 
 
 def test_evaluate_group_skips_inapplicable_checks():
