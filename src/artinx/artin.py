@@ -49,19 +49,14 @@ from .lattice import (
 
 class MethodDisagreement(RuntimeError):
     """The congruence and mark-table methods produced different exponents;
-    from compute_exponent_report it carries the marks-only report."""
+    carries the full report, whose exponent is the marks value."""
 
-    report: Optional[ExponentReport] = None
-
-    def __init__(self, spec: str, family: str, congruence: int, marks: int) -> None:
+    def __init__(self, report: ExponentReport) -> None:
         super().__init__(
-            f"methods disagree for {spec} (family {family}): "
-            f"congruence={congruence} marks={marks}"
+            f"methods disagree for {report.group} (family {report.family}): "
+            f"congruence={report.exponent_congruence} marks={report.exponent_marks}"
         )
-        self.spec = spec
-        self.family = family
-        self.congruence = congruence
-        self.marks = marks
+        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +544,9 @@ class ExponentReport:
     group: str
     order: int
     family: str
-    method: str
     exponent: int
-    exponent_congruence: Optional[int]
-    exponent_marks: Optional[int]
+    exponent_congruence: int
+    exponent_marks: int
     prediction: Prediction
     prime_parts: dict[int, int]
     binding_pairs: tuple[CongruencePair, ...]
@@ -560,10 +554,7 @@ class ExponentReport:
     sylow: Optional[tuple[SylowComparison, ...]] = None
 
     @property
-    def methods_agree(self) -> Optional[bool]:
-        """True/False when both methods ran; None when only one did."""
-        if self.exponent_congruence is None or self.exponent_marks is None:
-            return None
+    def methods_agree(self) -> bool:
         return self.exponent_congruence == self.exponent_marks
 
     @property
@@ -579,65 +570,35 @@ def compute_exponent_report(
     group: GroupTable,
     spec_text: str,
     family: Family = ALL_CYCLIC,
-    method: str = "both",
     lattice: Optional[SubgroupLattice] = None,
     table: Optional[MarkTable] = None,
     include_pairs: bool = False,
     include_sylow: bool = False,
 ) -> ExponentReport:
-    """Compute the exponent by the requested method(s) and assemble the
-    report.  With method='both' a mismatch raises MethodDisagreement."""
-    if method not in ("both", "congruence", "marks"):
-        raise ValueError(f"unknown method {method!r}")
+    """Compute the exponent by both methods and assemble the report, whose
+    exponent is the marks value.  A mismatch raises MethodDisagreement with
+    that same report."""
     if lattice is None:
         lattice = enumerate_subgroups(group)
-
-    exponent_congruence = None
-    binding: tuple[CongruencePair, ...] = ()
-    pairs = None
-    if method in ("both", "congruence"):
-        analysis = congruence_analysis(group, lattice, family)
-        exponent_congruence = analysis.exponent
-        binding = analysis.binding_pairs
-        if include_pairs:
-            pairs = tuple(congruence_pairs(group, lattice, family))
-
-    exponent_marks = None
-    if method in ("both", "marks"):
-        if table is None:
-            table = build_mark_table(lattice)
-        exponent_marks = artin_exponent_marks(table, family)
-
-    disagreement = None
-    if method == "both" and exponent_congruence != exponent_marks:
-        disagreement = MethodDisagreement(
-            spec_text, family_label(family), exponent_congruence, exponent_marks
-        )
-        method, exponent_congruence, binding, pairs = "marks", None, (), None
-    exponent = exponent_marks if exponent_marks is not None else exponent_congruence
-    assert exponent is not None
-
-    sylow = None
-    if include_sylow:
-        sylow = sylow_reduction_report(group, lattice, family, exponent)
-
+    analysis = congruence_analysis(group, lattice, family)
+    if table is None:
+        table = build_mark_table(lattice)
+    exponent = artin_exponent_marks(table, family)
     report = ExponentReport(
         group=spec_text,
         order=group.order,
         family=family_label(family),
-        method=method,
         exponent=exponent,
-        exponent_congruence=exponent_congruence,
-        exponent_marks=exponent_marks,
+        exponent_congruence=analysis.exponent,
+        exponent_marks=exponent,
         prediction=closed_form_predictor(group),
         prime_parts={p: p_part(exponent, p) for p in prime_factors(exponent)},
-        binding_pairs=binding,
-        pairs=pairs,
-        sylow=sylow,
+        binding_pairs=analysis.binding_pairs,
+        pairs=tuple(congruence_pairs(group, lattice, family)) if include_pairs else None,
+        sylow=sylow_reduction_report(group, lattice, family, exponent) if include_sylow else None,
     )
-    if disagreement is not None:
-        disagreement.report = report
-        raise disagreement
+    if not report.methods_agree:
+        raise MethodDisagreement(report)
     return report
 
 
@@ -659,7 +620,7 @@ def report_to_dict(report: ExponentReport) -> dict:
         "group": report.group,
         "order": report.order,
         "family": report.family,
-        "method": report.method,
+        "method": "both",
         "exponent": report.exponent,
         "exponent_congruence": report.exponent_congruence,
         "exponent_marks": report.exponent_marks,

@@ -78,13 +78,9 @@ def _print_report(report: ExponentReport, lattice: SubgroupLattice, audit: bool)
     print(f"group: {report.group} (order {report.order})")
     print(f"family: {report.family}")
     print(f"exponent: {report.exponent}")
-    if report.method == "both":
-        agree = "yes" if report.methods_agree else "no"
-        print(f"  congruence: {report.exponent_congruence}")
-        print(f"  marks: {report.exponent_marks}")
-        print(f"  methods agree: {agree}")
-    else:
-        print(f"  method: {report.method}")
+    print(f"  congruence: {report.exponent_congruence}")
+    print(f"  marks: {report.exponent_marks}")
+    print(f"  methods agree: {'yes' if report.methods_agree else 'no'}")
     if report.prediction.value is None:
         print(f"prediction: declined ({report.prediction.branch})")
     else:
@@ -96,13 +92,12 @@ def _print_report(report: ExponentReport, lattice: SubgroupLattice, audit: bool)
     if report.prime_parts:
         parts = ", ".join(f"{p}={v}" for p, v in sorted(report.prime_parts.items()))
         print(f"prime parts: {parts}")
-    if report.exponent_congruence is not None:
-        print(f"binding pairs ({len(report.binding_pairs)}):")
-        for pair in report.binding_pairs:
-            print(
-                f"  U={labels[pair.u_class]} normal in V={labels[pair.v_class]}: "
-                f"index {pair.index}, count {pair.count}, forces {pair.constraint}"
-            )
+    print(f"binding pairs ({len(report.binding_pairs)}):")
+    for pair in report.binding_pairs:
+        print(
+            f"  U={labels[pair.u_class]} normal in V={labels[pair.v_class]}: "
+            f"index {pair.index}, count {pair.count}, forces {pair.constraint}"
+        )
     if audit:
         if report.prediction.details:
             rules = ", ".join(
@@ -137,7 +132,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         group,
         text,
         family=family,
-        method=args.method,
         lattice=lattice,
         include_pairs=args.audit,
         include_sylow=args.audit,
@@ -275,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I,J,...",
         help="family given by lattice class indices (default: all cyclic subgroups)",
     )
-    compute.add_argument("--method", choices=["both", "congruence", "marks"], default="both")
     compute.add_argument("--json", action="store_true", help="emit the report as JSON")
     compute.add_argument(
         "--audit",

@@ -40,16 +40,6 @@ from .lattice import enumerate_subgroups
 CHECK_NAMES = ("crossmethod", "cyclic", "oddp", "twogroup", "conductor", "lemmas", "sylow")
 CONDUCTOR_ORDER_CAP = 24  # the exact-conductor suite is asserted on small groups only
 RANDOM_FAMILIES = 20
-# what each suite _check_<name> takes after the spec text
-SUITE_ARGS = {
-    "crossmethod": ("group", "lattice", "table", "exponents"),
-    "cyclic": ("group", "exponent"),
-    "oddp": ("report",),
-    "twogroup": ("report",),
-    "conductor": ("group", "table"),
-    "lemmas": ("group", "lattice"),
-    "sylow": ("report",),
-}
 
 
 @dataclass(frozen=True)
@@ -64,6 +54,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.max_order <= 256:
             raise ValueError("max_order must be between 1 and 256")
+        if not self.checks:
+            raise ValueError("checks must name at least one suite")
         unknown = set(self.checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
@@ -110,7 +102,8 @@ def random_families(spec_text: str, class_count: int, count: int = RANDOM_FAMILI
 
 
 # ---------------------------------------------------------------------------
-# individual check suites (each returns a status plus failures/notes)
+# individual check suites: each takes (spec, group, lattice, table, report)
+# and returns a status plus failures/notes
 # ---------------------------------------------------------------------------
 
 
@@ -121,11 +114,11 @@ def _failure(spec: str, check: str, expected, got, context: str = "") -> dict:
     return entry
 
 
-def _check_crossmethod(spec, group, lattice, table, exponents) -> tuple[str, list, list]:
+def _check_crossmethod(spec, group, lattice, table, report) -> tuple[str, list, list]:
     failures = []
-    cong, marks = exponents
-    if cong != marks:
-        failures.append(_failure(spec, "crossmethod", cong, marks, "family cyclic"))
+    if not report.methods_agree:
+        failures.append(_failure(spec, "crossmethod", report.exponent_congruence,
+                                 report.exponent_marks, "family cyclic"))
     for i, fam in enumerate(random_families(spec, len(lattice.classes))):
         c = artin_exponent_congruence(group, lattice, fam)
         m = artin_exponent_marks(table, fam)
@@ -135,7 +128,8 @@ def _check_crossmethod(spec, group, lattice, table, exponents) -> tuple[str, lis
     return ("fail" if failures else "ok"), failures, []
 
 
-def _check_cyclic(spec, group, exponent) -> tuple[str, list, list]:
+def _check_cyclic(spec, group, lattice, table, report) -> tuple[str, list, list]:
+    exponent = report.exponent
     if is_cyclic_group(group):
         if exponent != 1:
             return "fail", [_failure(spec, "cyclic", 1, exponent, "cyclic group")], []
@@ -144,7 +138,7 @@ def _check_cyclic(spec, group, exponent) -> tuple[str, list, list]:
     return "ok", [], []
 
 
-def _check_oddp(spec, report) -> tuple[str, list, list]:
+def _check_oddp(spec, group, lattice, table, report) -> tuple[str, list, list]:
     prediction = report.prediction
     if prediction.branch != "odd p-group":
         return "skip", [], []
@@ -153,7 +147,7 @@ def _check_oddp(spec, report) -> tuple[str, list, list]:
     return "ok", [], []
 
 
-def _check_twogroup(spec, report) -> tuple[str, list, list]:
+def _check_twogroup(spec, group, lattice, table, report) -> tuple[str, list, list]:
     shape, details = report.prediction.shape, report.prediction.details
     if shape is None:
         return "skip", [], []
@@ -177,7 +171,7 @@ def _check_twogroup(spec, report) -> tuple[str, list, list]:
     return "report", [], notes
 
 
-def _check_conductor(spec, group, table) -> tuple[str, list, list]:
+def _check_conductor(spec, group, lattice, table, report) -> tuple[str, list, list]:
     """The conductor equals |G| for every finite G: the congruence at U = 1
     forces |G| to divide it, and |G| times any ghost vector comes from the
     Burnside ring.  So this checks the solver and the table of marks, not a
@@ -190,7 +184,7 @@ def _check_conductor(spec, group, table) -> tuple[str, list, list]:
     return "ok", [], []
 
 
-def _check_sylow(spec, report) -> tuple[str, list, list]:
+def _check_sylow(spec, group, lattice, table, report) -> tuple[str, list, list]:
     notes = []
     for comparison in report.sylow or ():
         if not comparison.match:
@@ -203,7 +197,7 @@ def _check_sylow(spec, report) -> tuple[str, list, list]:
     return "report", [], notes
 
 
-def _check_lemmas(spec, group, lattice) -> tuple[str, list, list]:
+def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]:
     """Counting-set checks over every (H, U) with H a p-subgroup (one per
     conjugacy class) and U a cyclic subgroup normal in H:
 
@@ -268,18 +262,9 @@ def evaluate_group(task: tuple[str, tuple[str, ...]]) -> dict:
             group, spec_text, lattice=lattice, table=table,
             include_sylow="sylow" in checks,
         )
-        cong = marks = report.exponent
     except MethodDisagreement as err:
-        # keep going on the marks value so the rest of the row is informative
-        cong, marks, report = err.congruence, err.marks, err.report
-    available = {
-        "group": group,
-        "lattice": lattice,
-        "table": table,
-        "exponents": (cong, marks),
-        "exponent": report.exponent,
-        "report": report,
-    }
+        # the crossmethod suite fails on it; the other suites read the same report
+        report = err.report
     failures: list[dict] = []
     notes: list[dict] = []
     statuses: dict[str, str] = {}
@@ -287,8 +272,7 @@ def evaluate_group(task: tuple[str, tuple[str, ...]]) -> dict:
         if name in checks:
             # looked up at call time, so a replaced suite is the one that runs
             suite = globals()[f"_check_{name}"]
-            statuses[name], f, n = suite(
-                spec_text, *(available[arg] for arg in SUITE_ARGS[name]))
+            statuses[name], f, n = suite(spec_text, group, lattice, table, report)
             failures += f
             notes += n
 

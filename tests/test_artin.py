@@ -765,18 +765,6 @@ def test_sylow_report_builds_no_table_or_lattice(monkeypatch):
     assert calls == {}
 
 
-def test_report_single_methods():
-    g, lattice = setup_group("S3")
-    rep = compute_exponent_report(g, "S3", method="congruence", lattice=lattice)
-    assert rep.exponent == 2 and rep.exponent_marks is None
-    assert rep.methods_agree is None
-    rep = compute_exponent_report(g, "S3", method="marks", lattice=lattice)
-    assert rep.exponent == 2 and rep.exponent_congruence is None
-    assert rep.methods_agree is None
-    with pytest.raises(ValueError):
-        compute_exponent_report(g, "S3", method="quickly", lattice=lattice)
-
-
 def test_report_both_methods():
     g, lattice = setup_group("SD16")
     rep = compute_exponent_report(g, "SD16", lattice=lattice, include_pairs=True)
@@ -802,7 +790,9 @@ def test_report_to_dict_shape():
 
 
 def test_method_disagreement_attributes():
-    err = MethodDisagreement("S3", "cyclic", 2, 4)
-    assert err.spec == "S3" and err.family == "cyclic"
-    assert err.congruence == 2 and err.marks == 4
-    assert "S3" in str(err) and "2" in str(err) and "4" in str(err)
+    g, lattice = setup_group("S3")
+    report = compute_exponent_report(g, "S3", lattice=lattice)
+    report.exponent_congruence = 4
+    err = MethodDisagreement(report)
+    assert err.report is report
+    assert str(err) == "methods disagree for S3 (family cyclic): congruence=4 marks=2"

@@ -9,8 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from artinx import cli
-from artinx.artin import MethodDisagreement
+from artinx import artin, cli
 from artinx.groups import group_from_spec
 from artinx.lattice import (
     enumerate_subgroups,
@@ -59,17 +58,6 @@ def test_compute_audit_lists_pairs(capsys):
     assert "MISMATCH" in out  # the S3 Sylow-2 comparison
 
 
-def test_compute_single_method(capsys):
-    code, out, _ = run_cli(["compute", "--group", "S4", "--method", "congruence"], capsys)
-    assert code == 0
-    assert "method: congruence" in out
-    assert "marks" not in out
-    code, out, _ = run_cli(["compute", "--group", "S4", "--method", "marks"], capsys)
-    assert code == 0
-    assert "method: marks" in out
-    assert "binding" not in out
-
-
 def test_compute_json_schema(capsys):
     code, out, _ = run_cli(["compute", "--group", "Q8", "--json"], capsys)
     assert code == 0
@@ -105,10 +93,7 @@ def test_compute_output_is_deterministic(capsys):
 
 def test_compute_congruence_rejects_bad_family_without_pairs(capsys):
     # C1 has no congruence pairs, so the family must be checked up front
-    code, _, err = run_cli(
-        ["compute", "--group", "C1", "--method", "congruence", "--family-classes", "5"],
-        capsys,
-    )
+    code, _, err = run_cli(["compute", "--group", "C1", "--family-classes", "5"], capsys)
     assert code == 1
     assert "family class index 5 out of range 0..0" in err
 
@@ -130,13 +115,18 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_compute_disagreement_exits_two(capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise MethodDisagreement("S3", "cyclic", 1, 2)
+    real = artin.congruence_analysis
 
-    monkeypatch.setattr(cli, "compute_exponent_report", explode)
-    code, _, err = run_cli(["compute", "--group", "S3"], capsys)
+    def skewed(group, lattice, family=artin.ALL_CYCLIC):
+        analysis = real(group, lattice, family)
+        analysis.exponent *= 2
+        return analysis
+
+    monkeypatch.setattr(artin, "congruence_analysis", skewed)
+    code, out, err = run_cli(["compute", "--group", "S3"], capsys)
     assert code == 2
-    assert "congruence=1" in err and "marks=2" in err
+    assert out == ""
+    assert "methods disagree for S3 (family cyclic): congruence=4 marks=2" in err
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +227,11 @@ def test_bad_family_classes_exit_one(capsys):
          "unrecognized arguments: --family cyclic"),
         (["sweep", "--max", "8"], "unrecognized arguments: --max 8"),
         (["compute", "--group", "S3", "--fam", "0"], "unrecognized arguments: --fam 0"),
+        (["compute", "--group", "S3", "--method", "marks"],
+         "unrecognized arguments: --method marks"),
     ],
-    ids=["sweep --cache", "marks --cache", "compute --family", "sweep --max", "compute --fam"],
+    ids=["sweep --cache", "marks --cache", "compute --family", "sweep --max", "compute --fam",
+         "compute --method"],
 )
 def test_removed_options_are_refused(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -251,6 +244,15 @@ def test_bad_sweep_checks_exit_one(capsys):
     code, _, err = run_cli(["sweep", "--checks", "bogus"], capsys)
     assert code == 1
     assert "unknown checks" in err
+
+
+@pytest.mark.parametrize("checks", ["", ",,"])
+def test_empty_sweep_checks_exit_one(checks, capsys):
+    # an empty gate would run no suite and pass every group
+    code, out, err = run_cli(["sweep", "--max-order", "4", "--checks", checks], capsys)
+    assert code == 1
+    assert out == ""
+    assert "checks must name at least one suite" in err
 
 
 def test_help_exits_zero(capsys):
@@ -357,7 +359,7 @@ def test_sweep_conductor_passes(capsys):
 
 
 def test_sweep_failure_exits_two(capsys, monkeypatch):
-    def broken(spec, group, exponent):
+    def broken(spec, group, lattice, table, report):
         return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
@@ -452,11 +454,10 @@ def test_cache_rebuilds_an_entry_missing_a_cyclic_class(tmp_path, capsys, spec):
     entry = Path(lattice_cache_path(str(cache), spec))
     full = json.loads(entry.read_text(encoding="utf-8"))
     dropped = {**full, "classes": full["classes"][:1] + full["classes"][2:]}  # class 1, order 2
-    for method in ("marks", "both"):
-        entry.write_text(json.dumps(dropped), encoding="utf-8")
-        argv = ["compute", "--group", spec, "--method", method]
-        assert run_cli(argv + ["--cache", str(cache)], capsys) == run_cli(argv, capsys)
-        assert json.loads(entry.read_text(encoding="utf-8")) == full  # rebuilt and rewritten
+    entry.write_text(json.dumps(dropped), encoding="utf-8")
+    argv = ["compute", "--group", spec]
+    assert run_cli(argv + ["--cache", str(cache)], capsys) == run_cli(argv, capsys)
+    assert json.loads(entry.read_text(encoding="utf-8")) == full  # rebuilt and rewritten
 
 
 def _malformed_payloads() -> dict:

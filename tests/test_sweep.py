@@ -152,9 +152,11 @@ def test_evaluate_group_method_disagreement(monkeypatch):
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
     row = evaluate_group(("S3", CHECK_NAMES))
     report = row["report"]
-    assert report["method"] == "marks"
+    assert report["method"] == "both"
     assert report["exponent"] == report["exponent_marks"] == 2
-    assert report["exponent_congruence"] is None
+    assert report["exponent_congruence"] == 4
+    assert report["methods_agree"] is False
+    assert [p["constraint"] for p in report["binding_pairs"]] == [2]
     assert row["failures"] == [{
         "group": "S3", "check": "crossmethod", "expected": "4", "got": "2",
         "context": "family cyclic",
@@ -164,9 +166,9 @@ def test_evaluate_group_method_disagreement(monkeypatch):
 
 
 def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
-    """The disagreement branch builds its marks-only row from the first
-    report: the cyclic-family marks solve, the predictor and the Sylow report
-    each run once, and the row holds what method='marks' reports."""
+    """The row holds the report the disagreement carries: the cyclic-family
+    marks solve, the predictor and the Sylow report each run once, and both
+    exponents and method 1's binding pairs stay in it."""
     calls = Counter()
     real_analysis = artin.congruence_analysis
     real_marks = artin.artin_exponent_marks
@@ -199,13 +201,12 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     row = evaluate_group(("S3", CHECK_NAMES))
     assert calls == {"marks": 1, "predictor": 1, "sylow": 1}
 
-    group = group_from_spec("S3")
-    marks_only = artin.compute_exponent_report(group, "S3", method="marks", include_sylow=True)
-    assert row["report"] == artin.report_to_dict(marks_only)
     with pytest.raises(artin.MethodDisagreement) as err:
-        artin.compute_exponent_report(group, "S3", include_sylow=True)
-    assert (err.value.congruence, err.value.marks) == (4, 2)
-    assert err.value.report == marks_only
+        artin.compute_exponent_report(group_from_spec("S3"), "S3", include_sylow=True)
+    carried = err.value.report
+    assert (carried.exponent_congruence, carried.exponent_marks) == (4, 2)
+    assert [p.constraint for p in carried.binding_pairs] == [2]
+    assert row["report"] == artin.report_to_dict(carried)
 
 
 @pytest.mark.parametrize("spec", ["D16", "Q16", "SD16", "C4xC4"])
@@ -300,7 +301,7 @@ def test_sweep_pool_is_no_larger_than_the_catalog(monkeypatch):
 
 
 def test_sweep_failure_surfaces(monkeypatch):
-    def broken(spec, group, exponent):
+    def broken(spec, group, lattice, table, report):
         return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
