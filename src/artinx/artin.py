@@ -8,7 +8,9 @@ n >= 1 with n * e_F in the image of the Burnside ring.
 Method 1 (congruences): for every pair U normal in V with prime-power index
 (V:U) > 1, count the cosets vU of V/U whose extension <v, U> lies in F; by
 a counting argument n must be divisible by (V:U) / gcd((V:U), count).  The
-exponent candidate is the lcm of these forced divisors.
+exponent candidate is the lcm of these forced divisors.  Each call walks the
+pairs afresh, one walk serving every family it is given; only each pair's
+coset profile, which every family reads, is cached on the lattice.
 
 Method 2 (marks): |G| times any ghost vector lies in the image of the
 Burnside ring, so one exact integer back-substitution of |G| * e_F against
@@ -163,7 +165,7 @@ def _coset_count(
 class CongruencePair(NamedTuple):
     """One congruence: U normal in V of prime-power index, with the family
     coset count and the divisor of the exponent it forces.  A named tuple,
-    since a sweep makes one per pair and family."""
+    since an audit lists one per pair."""
 
     v_class: int
     u_class: int
@@ -182,19 +184,14 @@ def _normalizes(
     return all(mask >> group.conj(g, x) & 1 for g in gens for x in mask_gens)
 
 
-def _congruence_skeleton(
-    group: GroupTable, lattice: SubgroupLattice
-) -> list[tuple[int, int, int, int, int]]:
-    """Every pair U normal in V with (V:U) a prime power > 1, V over class
-    representatives in class order and U over lattice.below(), the subgroups
-    of V ascending by mask, as (V class, V mask, U mask, U class, index).
-    The pairs do not depend on the family, so they are found once per
-    lattice and cached on it."""
-    skeleton = lattice._cache.get("congruence_skeleton")
-    if skeleton is not None:
-        return skeleton
+def _congruence_walk(group: GroupTable, lattice: SubgroupLattice, running: Sequence[int]):
+    """Yield (V class, V mask, U mask, index, needy) for each U normal in V
+    with (V:U) a prime power > 1: V over class representatives in class
+    order, U over lattice.below() (ascending by mask).  needy lists the
+    positions of the running exponents, read afresh at each pair, that the
+    index does not divide; a pair with none is skipped before its
+    prime-power and normality tests.  A running exponent of 1 skips nothing."""
     abelian = group.is_abelian
-    skeleton = []
     for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
         V = cls.representative
         vm = V.mask
@@ -203,27 +200,14 @@ def _congruence_skeleton(
             if u_mask == vm:
                 continue
             index = V.order // u_mask.bit_count()
-            if as_prime_power(index) is None:
+            needy = [i for i, e in enumerate(running) if e % index]
+            if not needy or as_prime_power(index) is None:
                 continue
             if not abelian and not _normalizes(
                 group, v_gens, u_mask, lattice.generators_of(u_mask)
             ):
                 continue
-            skeleton.append((v_idx, vm, u_mask, lattice.class_of[u_mask], index))
-    lattice._cache["congruence_skeleton"] = skeleton
-    return skeleton
-
-
-def _congruence_pair(
-    group: GroupTable,
-    lattice: SubgroupLattice,
-    members: Sequence[int],
-    row: tuple[int, int, int, int, int],
-) -> CongruencePair:
-    """The congruence pair of one skeleton row, counted for the family."""
-    v_idx, vm, u_mask, u_class, index = row
-    count = _coset_count(group, lattice, u_mask, vm, members)
-    return CongruencePair(v_idx, u_class, u_mask, index, count, index // gcd(index, count))
+            yield v_idx, vm, u_mask, index, needy
 
 
 def congruence_pairs(
@@ -232,8 +216,10 @@ def congruence_pairs(
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
-    for row in _congruence_skeleton(group, lattice):
-        yield _congruence_pair(group, lattice, members, row)
+    for v_idx, vm, u_mask, index, _ in _congruence_walk(group, lattice, [1]):
+        count = _coset_count(group, lattice, u_mask, vm, members)
+        constraint = index // gcd(index, count)
+        yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
 
 
 @dataclass
@@ -243,33 +229,39 @@ class CongruenceAnalysis:
 
 
 def congruence_analysis(
-    group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
-) -> CongruenceAnalysis:
-    """Run method 1, tracking for each prime one pair that forces the
-    highest power of that prime (a certificate for the lcm).  A pair whose
-    index already divides the exponent is not counted: its constraint
-    divides its index, so it can neither raise the exponent nor become a
-    binding pair.  congruence_pairs counts every pair."""
-    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
-    exponent = 1
-    best: dict[int, CongruencePair] = {}  # prime -> first pair forcing its highest power
-    for row in _congruence_skeleton(group, lattice):
-        if exponent % row[-1] == 0:  # row[-1] is the index
-            continue
-        pair = _congruence_pair(group, lattice, members, row)
-        # each constraint is a prime power; one that already divides the
-        # exponent forces no higher power of its prime
-        if exponent % pair.constraint:
-            exponent = lcm(exponent, pair.constraint)
-            best[as_prime_power(pair.constraint)[0]] = pair
-    binding = tuple(best[p] for p in sorted(best))
-    return CongruenceAnalysis(exponent=exponent, binding_pairs=binding)
+    group: GroupTable, lattice: SubgroupLattice, families: Sequence[Family]
+) -> list[CongruenceAnalysis]:
+    """Run method 1 for each family in one walk over the pairs, tracking for
+    each prime one pair that forces the highest power of that prime (a
+    certificate for the lcm).  A family whose exponent the index of a pair
+    already divides does not count that pair: its constraint divides its
+    index, so it can neither raise the exponent nor become a binding pair.
+    congruence_pairs counts every pair."""
+    cyclic = [c.representative.is_cyclic for c in lattice.classes]
+    members = [family_vector(cyclic, family) for family in families]
+    exponents = [1] * len(families)
+    # per family: prime -> first pair forcing its highest power
+    best: list[dict[int, CongruencePair]] = [{} for _ in families]
+    for v_idx, vm, u_mask, index, needy in _congruence_walk(group, lattice, exponents):
+        for i in needy:
+            count = _coset_count(group, lattice, u_mask, vm, members[i])
+            constraint = index // gcd(index, count)
+            # each constraint is a prime power; one that already divides the
+            # exponent forces no higher power of its prime
+            if exponents[i] % constraint:
+                exponents[i] = lcm(exponents[i], constraint)
+                best[i][as_prime_power(constraint)[0]] = CongruencePair(
+                    v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
+    return [
+        CongruenceAnalysis(exponent, tuple(pairs[p] for p in sorted(pairs)))
+        for exponent, pairs in zip(exponents, best)
+    ]
 
 
 def artin_exponent_congruence(
     group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
 ) -> int:
-    return congruence_analysis(group, lattice, family).exponent
+    return congruence_analysis(group, lattice, [family])[0].exponent
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +572,7 @@ def compute_exponent_report(
     that same report."""
     if lattice is None:
         lattice = enumerate_subgroups(group)
-    analysis = congruence_analysis(group, lattice, family)
+    (analysis,) = congruence_analysis(group, lattice, [family])
     if table is None:
         table = build_mark_table(lattice)
     exponent = artin_exponent_marks(table, family)

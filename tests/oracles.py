@@ -15,8 +15,9 @@ element-scanning cyclic extensions, conjugacy
 classes by conjugating with every element, the join-closure lattice, the
 congruence-pair scan over every subgroup, and coset counting with the
 per-coset profile, the element-scanning p-group count, the lattice-free
-closure path and the central p-part reduction, and the 2-group shape by
-relation search with the closure-checked center-only bracket rule.
+closure path and the central p-part reduction, the 2-group shape by
+relation search with the closure-checked center-only bracket rule, and a
+hypothesis strategy of random perm: specs.
 """
 
 import itertools
@@ -25,6 +26,8 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
+
+from hypothesis import strategies as st
 
 from artinx.artin import (
     ALL_CYCLIC,
@@ -809,3 +812,12 @@ def reference_center_only_rule(group: GroupTable) -> Optional[int]:
         if all(z_mask >> group.commutator(g, x) & 1 for x in mask_elements(z_mask)):
             center_only |= 1 << g
     return 4 if subgroup_from_mask(group, center_only, check=True).is_cyclic else 2
+
+
+_cycles = st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6, unique=True)
+# permutation groups on up to six points, solvable or not
+perm_specs = st.lists(st.lists(_cycles, min_size=1, max_size=2), min_size=1, max_size=3).map(
+    lambda gens: "perm:" + ",".join(
+        "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in gen) for gen in gens
+    )
+)

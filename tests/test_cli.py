@@ -114,15 +114,21 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
-def test_compute_disagreement_exits_two(capsys, monkeypatch):
+def skew_method_one(monkeypatch):
+    """Make method 1 report twice its exponent, for every family."""
     real = artin.congruence_analysis
 
-    def skewed(group, lattice, family=artin.ALL_CYCLIC):
-        analysis = real(group, lattice, family)
-        analysis.exponent *= 2
-        return analysis
+    def skewed(group, lattice, families):
+        analyses = real(group, lattice, families)
+        for analysis in analyses:
+            analysis.exponent *= 2
+        return analyses
 
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
+
+
+def test_compute_disagreement_exits_two(capsys, monkeypatch):
+    skew_method_one(monkeypatch)
     code, out, err = run_cli(["compute", "--group", "S3"], capsys)
     assert code == 2
     assert out == ""
@@ -367,6 +373,16 @@ def test_sweep_failure_exits_two(capsys, monkeypatch):
     assert code == 2
     assert "sweep FAILED" in out
     assert "expected 1, got 9" in out
+
+
+def test_sweep_disagreement_exits_two_without_crossmethod(capsys, monkeypatch):
+    """A cyclic-family disagreement fails the sweep once per group whichever
+    suites run: every group to order 6 disagrees here."""
+    skew_method_one(monkeypatch)
+    code, out, _ = run_cli(["sweep", "--max-order", "6", "--checks", "cyclic"], capsys)
+    assert code == 2
+    assert "S3 [crossmethod]: expected 4, got 2 (family cyclic)" in out
+    assert out.endswith("sweep FAILED: 8 groups, 8 failures, 0 notes\n")
 
 
 def test_sweep_json_file(tmp_path, capsys):

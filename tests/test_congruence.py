@@ -1,12 +1,13 @@
-"""Method 1's shared per-lattice work against plain references: the
-congruence-pair skeleton, the pair skip, the coset profile that every family
-reads, and the per-H C-set path of the lemma suite."""
+"""Method 1 against plain references: the congruence pairs, the pair skip
+of the one walk that serves every family of a call, the coset profile that
+every family reads, and the per-H C-set path of the lemma suite."""
 
 import random
 from collections import Counter
 from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
 
 from artinx import artin
 from artinx import lattice as lattice_module
@@ -14,8 +15,6 @@ from artinx.artin import (
     ALL_CYCLIC,
     _coset_count,
     _pair_profile,
-    artin_exponent_congruence,
-    _congruence_skeleton,
     c_set_reports,
     compute_exponent_report,
     congruence_analysis,
@@ -23,7 +22,7 @@ from artinx.artin import (
     count_C_sets,
     family_vector,
 )
-from artinx.groups import as_prime_power, group_from_spec
+from artinx.groups import OrderCapError, as_prime_power, group_from_spec
 from artinx.lattice import cached_lattice, closure_mask, enumerate_subgroups, mask_elements
 from artinx.sweep import default_catalog, random_families
 
@@ -31,6 +30,7 @@ from oracles import (
     cyclic_coset_count_p_group,
     cyclic_extensions,
     is_normal_in,
+    perm_specs,
     reference_congruence_pairs,
     reference_pair_profile,
     relabeled,
@@ -108,11 +108,16 @@ def test_roots_mask_count_matches_element_scan(spec):
     assert checked or g.order == 1
 
 
+def v_mask(lattice, pair):
+    return lattice.classes[pair.v_class].representative.mask
+
+
 def assert_profiles_match_reference(g, lattice):
-    for _, vm, um, _, index in _congruence_skeleton(g, lattice):
+    for pair in congruence_pairs(g, lattice):
+        um, vm = pair.u_mask, v_mask(lattice, pair)
         profile = _pair_profile(g, lattice, um, vm)
         assert profile == reference_pair_profile(g, lattice, um, vm), (um, vm)
-        assert sum(profile.values()) == index
+        assert sum(profile.values()) == pair.index
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
@@ -141,8 +146,10 @@ def test_pair_profile_extends_each_cyclic_subgroup_once(spec):
     subgroup <U, v> / U of V/U, however many cosets generate it."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
+    pairs = [(pair.u_mask, v_mask(lattice, pair)) for pair in congruence_pairs(g, lattice)]
+    del lattice._cache["pair_profiles"]  # so that each profile below is built afresh
     lattice.class_of = _CountedLookups(lattice.class_of)
-    for _, vm, um, _, _ in _congruence_skeleton(g, lattice):
+    for um, vm in pairs:
         extensions = {
             closure_mask(g, mask_elements(um) + [v]) for v in mask_elements(vm & ~um)
         }
@@ -188,31 +195,20 @@ def test_c_set_reports_raise_when_the_lattice_lacks_h_prime():
         list(c_set_reports(lattice, full))
 
 
-def test_pairs_are_found_once_per_lattice(monkeypatch):
-    """A second and a third family reuse the first one's pairs: no more
-    normality tests, under the skeleton's test or by conjugating masks."""
+def test_second_call_misses_no_pair_profile():
+    """The lattice caches the coset profiles and no pair list: a second call
+    for the same families walks the pairs again but builds no profile, and
+    gives the same analyses."""
     spec = "S4xC2xC2"
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    calls = {"normalizes": 0, "conjugate_mask": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(artin, "_normalizes", counted("normalizes", artin._normalizes))
-    monkeypatch.setattr(
-        lattice_module, "conjugate_mask", counted("conjugate_mask", lattice_module.conjugate_mask)
-    )
-    first, second, third = random_families(spec, len(lattice.classes), 3)
-    artin_exponent_congruence(g, lattice, first)
-    assert calls["normalizes"] > 0
-    after_first = dict(calls)
-    artin_exponent_congruence(g, lattice, second)
-    artin_exponent_congruence(g, lattice, third)
-    assert calls == after_first
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
+    first = congruence_analysis(g, lattice, families)
+    assert set(lattice._cache) == {"below", "pair_profiles"}
+    built = dict(lattice._cache["pair_profiles"])
+    assert congruence_analysis(g, lattice, families) == first
+    assert lattice._cache["pair_profiles"] == built  # a miss would add a profile
+    assert set(lattice._cache) == {"below", "pair_profiles"}
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + NONABELIAN_P_SUBGROUPS)
@@ -265,15 +261,38 @@ def every_pair_analysis(g, lattice, family):
     return exponent, tuple(best[p] for p in sorted(best))
 
 
-@pytest.mark.parametrize("spec", default_catalog(64))
-def test_pair_skip_keeps_exponent_and_binding_pairs(spec):
-    g = group_from_spec(spec)
+def assert_one_walk_matches_each_family(spec, g):
+    """One call for the cyclic family and the sweep's 20 random families
+    gives each family what a call of its own gives, and what a walk over
+    every pair with none skipped gives."""
     lattice = enumerate_subgroups(g)
-    for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]:
-        skipping = congruence_analysis(g, lattice, family)
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes))]
+    batched = congruence_analysis(g, lattice, families)
+    assert len(batched) == len(families)
+    for family, analysis in zip(families, batched):
+        assert congruence_analysis(g, lattice, [family]) == [analysis], (spec, family)
         exponent, binding = every_pair_analysis(g, lattice, family)
-        assert skipping.exponent == exponent, family
-        assert skipping.binding_pairs == binding, family
+        assert (analysis.exponent, analysis.binding_pairs) == (exponent, binding), (spec, family)
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [S5, "A5xC2"])
+def test_pair_skip_keeps_exponent_and_binding_pairs(spec):
+    assert_one_walk_matches_each_family(spec, group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_pair_skip_keeps_exponent_and_binding_pairs_relabeled(spec):
+    assert_one_walk_matches_each_family(spec, relabeled_group(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_specs)
+def test_pair_skip_keeps_exponent_and_binding_pairs_on_random_perm_specs(spec):
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_one_walk_matches_each_family(spec, g)
 
 
 def count_coset_counts(monkeypatch):
@@ -291,20 +310,20 @@ def count_coset_counts(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["C4xC4xC4", "S4xC2xC2", "SD32"])
 def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
-    """congruence_pairs, which the audit path lists, counts, and so asserts
-    on, every pair of the skeleton exactly once; the audit report counts
-    those pairs besides the skipping walk's."""
+    """congruence_pairs, which the audit path lists, yields the reference
+    scan's pairs and counts each of them exactly once; the audit report
+    counts those pairs besides the skipping walk's."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    skeleton = _congruence_skeleton(g, lattice)
-    every_pair = Counter((u_mask, vm) for _, vm, u_mask, _, _ in skeleton)
-    assert max(every_pair.values()) == 1
+    reference = tuple(reference_congruence_pairs(g, lattice))
     calls = count_coset_counts(monkeypatch)
     pairs = tuple(congruence_pairs(g, lattice))
+    assert pairs == reference
+    every_pair = Counter((pair.u_mask, v_mask(lattice, pair)) for pair in pairs)
+    assert max(every_pair.values()) == 1
     assert calls == every_pair
-    assert len(pairs) == len(skeleton)
     calls.clear()
-    congruence_analysis(g, lattice)
+    congruence_analysis(g, lattice, [ALL_CYCLIC])
     skipping = Counter(calls)
     calls.clear()
     report = compute_exponent_report(g, spec, lattice=lattice, include_pairs=True)
@@ -312,11 +331,11 @@ def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
     assert report.pairs == pairs
 
 
-def test_skipping_counts_fewer_pairs_than_the_skeleton_holds(monkeypatch):
+def test_skipping_counts_fewer_pairs_than_the_walk_yields(monkeypatch):
     g = group_from_spec("C4xC4xC4")
     lattice = enumerate_subgroups(g)
-    skeleton = _congruence_skeleton(g, lattice)
+    every_pair = len(tuple(congruence_pairs(g, lattice)))
     calls = count_coset_counts(monkeypatch)
-    congruence_analysis(g, lattice)
-    assert 0 < sum(calls.values()) < len(skeleton)
+    congruence_analysis(g, lattice, [ALL_CYCLIC])
+    assert 0 < sum(calls.values()) < every_pair
     assert max(calls.values()) == 1

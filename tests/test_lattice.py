@@ -36,6 +36,7 @@ from oracles import (
     join_closure_lattice,
     normalizer,
     normalizer_index,
+    perm_specs,
     quotient_group,
     reference_expand_class,
     reference_mark_table,
@@ -347,16 +348,8 @@ def test_enumeration_matches_join_closure_relabeled(spec):
     assert_matches_join_closure(relabeled_group(spec, "join"))
 
 
-_cycles = st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6, unique=True)
-_perm_specs = st.lists(st.lists(_cycles, min_size=1, max_size=2), min_size=1, max_size=3).map(
-    lambda gens: "perm:" + ",".join(
-        "".join("(" + " ".join(map(str, cyc)) + ")" for cyc in gen) for gen in gens
-    )
-)
-
-
 @settings(max_examples=40, deadline=None)
-@given(_perm_specs)
+@given(perm_specs)
 def test_enumeration_matches_join_closure_on_random_perm_specs(spec):
     """Random permutation groups on up to six points, solvable or not: both
     enumerators agree, and both exponent methods agree on each lattice."""
@@ -449,7 +442,7 @@ def test_below_and_mark_table_match_reference_relabeled(spec):
 
 
 @settings(max_examples=30, deadline=None)
-@given(_perm_specs)
+@given(perm_specs)
 def test_below_and_mark_table_match_reference_on_random_perm_specs(spec):
     try:
         g = group_from_spec(spec)

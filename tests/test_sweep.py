@@ -92,12 +92,6 @@ def test_config_rejects_bad_jobs():
         SweepConfig(jobs=0)
 
 
-def test_config_catalog_specs_must_parse():
-    config = SweepConfig(catalog=("C4", "NOPE"))
-    with pytest.raises(ValueError):
-        config.resolved_catalog()
-
-
 # ---------------------------------------------------------------------------
 # random families
 # ---------------------------------------------------------------------------
@@ -143,11 +137,12 @@ def test_evaluate_group_statuses_follow_check_names():
 def test_evaluate_group_method_disagreement(monkeypatch):
     real = artin.congruence_analysis
 
-    def skewed(group, lattice, family=artin.ALL_CYCLIC):
-        analysis = real(group, lattice, family)
-        if family == artin.ALL_CYCLIC:
-            analysis.exponent *= 2
-        return analysis
+    def skewed(group, lattice, families):
+        analyses = real(group, lattice, families)
+        for family, analysis in zip(families, analyses):
+            if family == artin.ALL_CYCLIC:
+                analysis.exponent *= 2
+        return analyses
 
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
     row = evaluate_group(("S3", CHECK_NAMES))
@@ -165,6 +160,23 @@ def test_evaluate_group_method_disagreement(monkeypatch):
     assert row["statuses"]["crossmethod"] == "fail"
 
 
+def test_crossmethod_walks_the_pairs_once_for_its_random_families(monkeypatch):
+    """The suite hands its 20 random families to one method 1 call, and the
+    report makes the one other call, for the cyclic family."""
+    calls = []
+    real = artin.congruence_analysis
+
+    def counted(group, lattice, families):
+        calls.append(len(families))
+        return real(group, lattice, families)
+
+    for module in (artin, sweep):
+        monkeypatch.setattr(module, "congruence_analysis", counted)
+    row = evaluate_group(("S4", CHECK_NAMES))
+    assert row["statuses"]["crossmethod"] == "ok"
+    assert calls == [1, RANDOM_FAMILIES]
+
+
 def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     """The row holds the report the disagreement carries: the cyclic-family
     marks solve, the predictor and the Sylow report each run once, and both
@@ -175,11 +187,12 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     real_predictor = artin.closed_form_predictor
     real_sylow = artin.sylow_reduction_report
 
-    def skewed(group, lattice, family=artin.ALL_CYCLIC):
-        analysis = real_analysis(group, lattice, family)
-        if family == artin.ALL_CYCLIC:
-            analysis.exponent *= 2
-        return analysis
+    def skewed(group, lattice, families):
+        analyses = real_analysis(group, lattice, families)
+        for family, analysis in zip(families, analyses):
+            if family == artin.ALL_CYCLIC:
+                analysis.exponent *= 2
+        return analyses
 
     def marks(table, family=artin.ALL_CYCLIC):
         # S3 itself; the Sylow report also solves on its Sylow subgroups
@@ -250,8 +263,9 @@ def test_evaluate_group_conductor_cap():
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_tiny_catalog_all_checks():
-    result = run_sweep(SweepConfig(catalog=("C1", "C2", "S3", "Q8")))
+def test_sweep_tiny_catalog_all_checks(monkeypatch):
+    monkeypatch.setattr(sweep, "default_catalog", lambda max_order: ["C1", "C2", "S3", "Q8"])
+    result = run_sweep(SweepConfig())
     assert result.ok
     assert [row["spec"] for row in result.rows] == ["C1", "C2", "S3", "Q8"]
     assert [row["report"]["exponent"] for row in result.rows] == [1, 1, 2, 2]
@@ -305,7 +319,7 @@ def test_sweep_failure_surfaces(monkeypatch):
         return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
-    result = run_sweep(SweepConfig(catalog=("C4",), checks=frozenset({"cyclic"})))
+    result = run_sweep(SweepConfig(max_order=4, checks=frozenset({"cyclic"})))
     assert not result.ok
     assert result.failures[0]["got"] == "9"
     assert summary_to_dict(result)["ok"] is False
@@ -329,7 +343,7 @@ def test_summary_shape_and_determinism():
 
 
 def test_summary_timings_opt_in():
-    result = run_sweep(SweepConfig(catalog=("S3",)))
+    result = run_sweep(SweepConfig(max_order=6))
     summary = summary_to_dict(result, include_timings=True)
-    assert set(summary["timings"]) == {"S3"}
-    assert summary["timings"]["S3"] >= 0
+    assert list(summary["timings"]) == list(result.catalog)
+    assert "S3" in result.catalog and summary["timings"]["S3"] >= 0
