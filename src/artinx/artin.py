@@ -21,8 +21,9 @@ quotient divides n.  Method 2 reads nothing but the table.
 Method 1 gives divisors that are always necessary, so method 2 can never
 return less; the two agreeing is a strong end-to-end check and any
 disagreement is raised loudly rather than reconciled.  The methods share
-only the lattice (its classes, class_of and below()), never each other's
-code: no congruence code reaches method 2.
+only the lattice (its classes, class_of and below(); method 1 also reads
+its normalizers), never each other's code: no congruence code reaches
+method 2.
 """
 
 from __future__ import annotations
@@ -175,37 +176,24 @@ class CongruencePair(NamedTuple):
     constraint: int
 
 
-def _normalizes(
-    group: GroupTable, gens: Sequence[int], mask: int, mask_gens: Sequence[int]
-) -> bool:
-    """Whether every element of gens normalizes the subgroup with bit set
-    mask generated by mask_gens: g<S>g^-1 = <gSg^-1>, which lies in the
-    subgroup exactly when each conjugate of a generator does."""
-    return all(mask >> group.conj(g, x) & 1 for g in gens for x in mask_gens)
-
-
-def _congruence_walk(group: GroupTable, lattice: SubgroupLattice, running: Sequence[int]):
+def _congruence_walk(lattice: SubgroupLattice, running: Sequence[int]):
     """Yield (V class, V mask, U mask, index, needy) for each U normal in V
     with (V:U) a prime power > 1: V over class representatives in class
     order, U over lattice.below() (ascending by mask).  needy lists the
     positions of the running exponents, read afresh at each pair, that the
     index does not divide; a pair with none is skipped before its
-    prime-power and normality tests.  A running exponent of 1 skips nothing."""
-    abelian = group.is_abelian
+    prime-power and normality tests.  A running exponent of 1 skips nothing.
+    U is normal in V when V lies in the normalizer the lattice records."""
+    normalizers = lattice.normalizers
     for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
         V = cls.representative
         vm = V.mask
-        v_gens = lattice.generators_of(vm)
         for u_mask in inside:
             if u_mask == vm:
                 continue
             index = V.order // u_mask.bit_count()
             needy = [i for i, e in enumerate(running) if e % index]
-            if not needy or as_prime_power(index) is None:
-                continue
-            if not abelian and not _normalizes(
-                group, v_gens, u_mask, lattice.generators_of(u_mask)
-            ):
+            if not needy or as_prime_power(index) is None or vm & ~normalizers[u_mask]:
                 continue
             yield v_idx, vm, u_mask, index, needy
 
@@ -216,7 +204,7 @@ def congruence_pairs(
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
-    for v_idx, vm, u_mask, index, _ in _congruence_walk(group, lattice, [1]):
+    for v_idx, vm, u_mask, index, _ in _congruence_walk(lattice, [1]):
         count = _coset_count(group, lattice, u_mask, vm, members)
         constraint = index // gcd(index, count)
         yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
@@ -242,7 +230,7 @@ def congruence_analysis(
     exponents = [1] * len(families)
     # per family: prime -> first pair forcing its highest power
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
-    for v_idx, vm, u_mask, index, needy in _congruence_walk(group, lattice, exponents):
+    for v_idx, vm, u_mask, index, needy in _congruence_walk(lattice, exponents):
         for i in needy:
             count = _coset_count(group, lattice, u_mask, vm, members[i])
             constraint = index // gcd(index, count)

@@ -302,7 +302,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ResourceCapError) as err:
+    except (ValueError, ResourceCapError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MethodDisagreement as err:

@@ -95,9 +95,10 @@ def subgroup_from_mask(group: GroupTable, mask: int, check: bool = False) -> Sub
 
 def conjugate_mask(group: GroupTable, g: int, mask: int) -> int:
     """Bit set of g H g^-1."""
+    mult, row, g_inv = group.mult, group.mult[g], group.inv[g]
     out = 0
     for x in mask_elements(mask):
-        out |= 1 << group.conj(g, x)
+        out |= 1 << mult[row[x]][g_inv]
     return out
 
 
@@ -151,7 +152,8 @@ class SubgroupLattice:
     Classes are sorted by (subgroup order, element tuple of the canonical
     representative); the trivial subgroup is class 0 and the whole group is
     the last class.  class_of maps every subgroup mask (not just the
-    representatives) to its class index.
+    representatives) to its class index, and normalizers maps it to its
+    normalizer in the top class: U is normal in V when V & ~normalizers[U] is 0.
     """
 
     def __init__(
@@ -160,10 +162,12 @@ class SubgroupLattice:
         classes: Sequence[SubgroupClass],
         class_of: dict[int, int],
         generators: dict[int, tuple[int, ...]],
+        normalizers: dict[int, int],
     ) -> None:
         self.group = group
         self.classes = list(classes)
         self.class_of = class_of
+        self.normalizers = normalizers
         self._generators = generators
         self._cache: dict = {}
 
@@ -222,46 +226,58 @@ class SubgroupLattice:
         return below
 
 
-def _expand_class(group: GroupTable, mask: int, ambient: Optional[int] = None) -> dict[int, int]:
+def _expand_class(
+    group: GroupTable, mask: int, ambient: Optional[int] = None
+) -> tuple[dict[int, int], int]:
     """All conjugates of a mask under the ambient subgroup (by default the
-    whole group), each mapped to one conjugating element; the mask itself
-    comes first, mapped to the identity 0."""
+    whole group), each mapped to one conjugating element, the mask itself
+    first, mapped to the identity 0; and the bit set of the mask's
+    normalizer in the ambient subgroup."""
+    if ambient is None:
+        ambient = (1 << group.order) - 1
     if group.is_abelian:
-        return {mask: 0}
+        return {mask: 0}, ambient
     out: dict[int, int] = {}
+    normalizer = 0
+    elements = mask_elements(mask)
     # g and gh give the same conjugate, so one g per left coset gH will do;
-    # the least element of each coset is the first g that reaches it
-    for g in cosets(group, (1 << group.order) - 1 if ambient is None else ambient, mask):
+    # the least element of each coset is the first g that reaches it, and
+    # the cosets whose conjugate is H itself make up its normalizer
+    for g in cosets(group, ambient, mask):
         c = conjugate_mask(group, g, mask)
         if c not in out:
             out[c] = g
-    return out
+        if c == mask:
+            normalizer |= sum(1 << group.mult[g][h] for h in elements)
+    return out, normalizer
 
 
 def _assemble(
-    group: GroupTable, found: Iterable[tuple[dict[int, int], tuple[int, ...]]]
+    group: GroupTable, found: Iterable[tuple[dict[int, int], int, tuple[int, ...]]]
 ) -> SubgroupLattice:
     """The lattice of the given classes; every lattice is built here.
 
-    Each class comes as the dict _expand_class returns, with generators of
-    the mask it was expanded from; every conjugate g H g^-1 is given the
-    generators conjugated by g.  The representative of a class is its
-    conjugate with the lexicographically least element tuple.
+    Each class comes as what _expand_class returns for a mask, plus
+    generators of that mask; every conjugate g H g^-1 is given the
+    generators and the normalizer conjugated by g.  The representative of
+    a class is its conjugate with the lexicographically least element tuple.
     """
     raw = []
-    for conj_to_g, gens in found:
+    for conj_to_g, normalizer, gens in found:
         rep = subgroup_from_mask(group, min(conj_to_g, key=mask_elements))
-        raw.append((rep, conj_to_g, gens))
+        raw.append((rep, conj_to_g, normalizer, gens))
     raw.sort(key=lambda r: (r[0].order, r[0].elements))
     classes = []
     class_of: dict[int, int] = {}
     generators: dict[int, tuple[int, ...]] = {}
-    for idx, (rep, conj_to_g, gens) in enumerate(raw):
+    normalizers: dict[int, int] = {}
+    for idx, (rep, conj_to_g, normalizer, gens) in enumerate(raw):
         classes.append(SubgroupClass(rep, tuple(sorted(conj_to_g, key=mask_elements))))
         for m, g in conj_to_g.items():
             class_of[m] = idx
             generators[m] = tuple(group.conj(g, x) for x in gens)
-    return SubgroupLattice(group, classes, class_of, generators)
+            normalizers[m] = conjugate_mask(group, g, normalizer) if g else normalizer
+    return SubgroupLattice(group, classes, class_of, generators, normalizers)
 
 
 def sublattice(lattice: SubgroupLattice, mask: int) -> SubgroupLattice:
@@ -280,7 +296,7 @@ def sublattice(lattice: SubgroupLattice, mask: int) -> SubgroupLattice:
     seen: set[int] = set()
     for m in lattice.class_of:
         if m & mask == m and m not in seen:
-            found.append((_expand_class(group, m, mask), lattice.generators_of(m)))
+            found.append((*_expand_class(group, m, mask), lattice.generators_of(m)))
             seen.update(found[-1][0])
     return _assemble(group, found)
 
@@ -290,7 +306,8 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
 
     Cyclic extension (Neubüser; GAP's LatticeByCyclicExtension): starting
     from the trivial subgroup, each class base V is extended by every x that
-    normalizes V, lies outside it and has x^p in V for a prime p.  Then
+    normalizes V (a bit test against the normalizer that expanding V's
+    class records), lies outside it and has x^p in V for a prime p.  Then
     W = V<x> is the union of the cosets V, xV, ..., x^(p-1)V, read off by
     walking the powers of x, with no closure; the other elements of W outside
     V give W again and are skipped.  Each new W is expanded into its class
@@ -307,11 +324,11 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
     base is joined with every cyclic subgroup of prime-power order, and as
     g <H, C> g^-1 is the join of g H g^-1 with a cyclic subgroup, and every
     subgroup is generated by elements of prime-power order, every class is
-    reached.  Each class is expanded once, when it is first reached.
+    reached.  Each class is expanded once, when it is first reached, and
+    the expansion records the normalizer of every subgroup in the class.
     """
     n = group.order
-    mult, inv = group.mult, group.inv
-    abelian = group.is_abelian
+    mult = group.mult
     # per prime p dividing |G|: roots[v] is the bit set of the x with x^p = v
     all_roots = []
     for p in prime_factors(n):
@@ -326,38 +343,32 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
             roots[acc] |= 1 << x
         all_roots.append(roots)
 
-    # per class: its conjugates, and generators of its base
-    found = [(_expand_class(group, 1), ())]
+    # per class: its conjugates, its base's normalizer, and generators of its base
+    found = [(*_expand_class(group, 1), ())]
     known = {1}
-    bases: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    bases: list[tuple[int, int, tuple[int, ...]]] = [(1, found[0][1], ())]
 
     def add(mask: int, gens: tuple[int, ...]) -> None:
-        conj_to_g = _expand_class(group, mask)
-        found.append((conj_to_g, gens))
+        conj_to_g, normalizer = _expand_class(group, mask)
+        found.append((conj_to_g, normalizer, gens))
         known.update(conj_to_g)
         if len(known) > max_subgroups:
             raise ResourceCapError(
-                f"more than {max_subgroups} subgroups; raise max_subgroups to proceed"
+                f"the group has more than {max_subgroups} subgroups, the most artinx enumerates"
             )
-        bases.append((mask, gens))
+        bases.append((mask, normalizer, gens))
 
-    def normalizes(x: int, base: int, gens: tuple[int, ...]) -> bool:
-        row, x_inv = mult[x], inv[x]
-        return all(base >> mult[row[v]][x_inv] & 1 for v in gens)
-
-    def extend(base: int, gens: tuple[int, ...]) -> None:
+    def extend(base: int, normalizer: int, gens: tuple[int, ...]) -> None:
         elements = mask_elements(base)
         for roots in all_roots:
             candidates = 0
             for v in elements:
                 candidates |= roots[v]
-            candidates &= ~base
+            candidates &= normalizer & ~base
             while candidates:
                 low = candidates & -candidates
                 candidates ^= low
                 x = low.bit_length() - 1
-                if not abelian and not normalizes(x, base, gens):
-                    continue
                 joined, y = base, x
                 while not base >> y & 1:  # the coset y V, for y = x, x^2, ...
                     row = mult[y]
@@ -370,8 +381,8 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
                     powers = group.cyclic_mask(x)
                     add(joined, tuple(v for v in gens if not powers >> v & 1) + (x,))
 
-    for base, gens in bases:  # the list grows while it is walked
-        extend(base, gens)
+    for base, normalizer, gens in bases:  # the list grows while it is walked
+        extend(base, normalizer, gens)
     extended = len(bases)
     if (1 << n) - 1 in known:
         return _assemble(group, found)
@@ -382,12 +393,12 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
     for g in range(1, n):
         if as_prime_power(group.element_order(g)):
             cyclic.setdefault(group.cyclic_mask(g), g)
-    for i, (base, gens) in enumerate(bases):
+    for i, (base, normalizer, gens) in enumerate(bases):
         if i >= extended:
-            extend(base, gens)
+            extend(base, normalizer, gens)
         rows = [mult[h] for h in mask_elements(base)]
         for cm, x in cyclic.items():
-            if cm & base == cm or normalizes(x, base, gens):
+            if normalizer >> x & 1:  # x lies in the base or normalizes it
                 continue
             joined = closure_mask(group, gens + (x,), base, rows)
             if joined not in known:
@@ -451,7 +462,7 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
             return None
         if closure_mask(group, gens) != mask:
             return None
-        found.append((_expand_class(group, mask), tuple(gens)))
+        found.append((*_expand_class(group, mask), tuple(gens)))
 
     lattice = _assemble(group, found)
     classes = lattice.classes

@@ -554,7 +554,7 @@ def join_closure_lattice(group: GroupTable) -> SubgroupLattice:
     cyclic: dict[int, tuple[int, ...]] = {}
     for g in range(1, group.order):
         cyclic.setdefault(group.cyclic_mask(g), (g,))
-    found = [(_expand_class(group, 1), ())]
+    found = [(*_expand_class(group, 1), ())]
     known = {1}
     queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while queue:
@@ -566,8 +566,8 @@ def join_closure_lattice(group: GroupTable) -> SubgroupLattice:
             joined = closure_mask(group, gens, base)
             if joined in known:
                 continue
-            conj_to_g = _expand_class(group, joined)
-            found.append((conj_to_g, gens))
+            conj_to_g, normalizer = _expand_class(group, joined)
+            found.append((conj_to_g, normalizer, gens))
             known.update(conj_to_g)
             queue.append((joined, gens))
     return _assemble(group, found)

@@ -171,6 +171,48 @@ def test_oversized_group_exits_one(capsys):
     assert "error" in err
 
 
+def test_too_many_subgroups_stderr_pinned(capsys):
+    """C2^8 is within the order cap but past the subgroup cap; the message
+    names the limit, not a parameter the CLI cannot set."""
+    code, out, err = run_cli(["compute", "--group", "x".join(["C2"] * 8)], capsys)
+    assert (code, out, err) == (
+        1, "", "error: the group has more than 100000 subgroups, the most artinx enumerates\n"
+    )
+
+
+def _run_child(argv):
+    """Run the CLI in a child interpreter, so a traceback would reach stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "artinx.cli", *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def assert_one_error_line(out):
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
+
+
+def test_unwritable_sweep_json_exits_one(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    out = _run_child(["sweep", "--max-order", "4", "--json", str(target)])
+    assert_one_error_line(out)
+    assert str(target) in out.stderr
+    assert out.stdout.endswith("sweep ok: 5 groups, 0 failures, 0 notes\n")
+
+
+def test_cache_dir_under_a_file_exits_one(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = _run_child(["compute", "--group", "S3", "--cache", str(blocker / "sub")])
+    assert_one_error_line(out)
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

@@ -248,8 +248,10 @@ def test_closure_from_a_subgroup_fills_whole_cosets():
 
 def assert_expand_class_matches_reference(g):
     for m in sorted(enumerate_subgroups(g).class_of):
+        conj_to_g, n_mask = _expand_class(g, m)
         # the same conjugates, conjugating elements and insertion order
-        assert list(_expand_class(g, m).items()) == list(reference_expand_class(g, m).items())
+        assert list(conj_to_g.items()) == list(reference_expand_class(g, m).items())
+        assert n_mask == normalizer(g, m)
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
@@ -408,6 +410,50 @@ def test_sublattice_of_each_sylow_subgroup_matches_its_own_enumeration(spec):
                 assert closure_mask(g, sub.generators_of(m)) == m
             standalone, _ = subgroup_as_group(g, mask)
             assert class_shape(sub) == class_shape(enumerate_subgroups(standalone)), (spec, p)
+
+
+# ---------------------------------------------------------------------------
+# normalizers recorded at class expansion
+# ---------------------------------------------------------------------------
+
+
+def assert_normalizers_match_reference(g):
+    """Every subgroup's recorded normalizer is the one found by conjugating
+    with every element, in the lattice, in its cache round trip and, cut
+    down to H, in the sublattice of every class representative H; and each
+    class has (G : N(rep)) members, H's classes (H : N_H(rep))."""
+    lattice = enumerate_subgroups(g)
+    reference = {m: normalizer(g, m) for m in lattice.class_of}
+    assert lattice.normalizers == reference
+    loaded = lattice_from_dict(g, lattice_to_dict(lattice, "spec"))
+    assert loaded.normalizers == reference
+    for c in lattice.classes:
+        h = c.representative.mask
+        assert c.size * popcount(lattice.normalizers[h]) == g.order
+        sub = sublattice(lattice, h)
+        assert sub.normalizers == {m: reference[m] & h for m in sub.class_of}
+        for s in sub.classes:
+            assert s.size * popcount(sub.normalizers[s.representative.mask]) == popcount(h)
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [S5, "A5xC2"])
+def test_normalizers_match_conjugation_by_every_element(spec):
+    assert_normalizers_match_reference(group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_normalizers_match_conjugation_by_every_element_relabeled(spec):
+    assert_normalizers_match_reference(relabeled_group(spec, "normalizer"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_specs)
+def test_normalizers_match_conjugation_by_every_element_on_random_perm_specs(spec):
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_normalizers_match_reference(g)
 
 
 # ---------------------------------------------------------------------------
@@ -661,4 +707,4 @@ def test_lattice_from_dict_rejects_wrong_abelian_class_size(spec):
 def test_expand_class_abelian_is_the_mask_alone():
     g = group_from_spec("C2xC4")
     for m in enumerate_subgroups(g).class_of:
-        assert _expand_class(g, m) == {m: 0}
+        assert _expand_class(g, m) == ({m: 0}, (1 << g.order) - 1)
