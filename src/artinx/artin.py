@@ -8,9 +8,8 @@ n >= 1 with n * e_F in the image of the Burnside ring.
 Method 1 (congruences): for every pair U normal in V with prime-power index
 (V:U) > 1, count the cosets vU of V/U whose extension <v, U> lies in F; by
 a counting argument n must be divisible by (V:U) / gcd((V:U), count).  The
-exponent candidate is the lcm of these forced divisors.  Each call walks the
-pairs afresh, one walk serving every family it is given; only each pair's
-coset profile, which every family reads, is cached on the lattice.
+exponent candidate is the lcm of these forced divisors.  A call reads only
+the lattice and keeps nothing: one walk serves every family it is given.
 
 Method 2 (marks): |G| times any ghost vector lies in the image of the
 Burnside ring, so one exact integer back-substitution of |G| * e_F against
@@ -22,8 +21,8 @@ Method 1 gives divisors that are always necessary, so method 2 can never
 return less; the two agreeing is a strong end-to-end check and any
 disagreement is raised loudly rather than reconciled.  The methods share
 only the lattice (its classes, class_of and below(); method 1 also reads
-its normalizers), never each other's code: no congruence code reaches
-method 2.
+its normalizers and its group's table), never each other's code: no
+congruence code reaches method 2.
 """
 
 from __future__ import annotations
@@ -102,27 +101,28 @@ def family_vector(class_cyclic: Sequence[bool], family: Family) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-def _pair_profile(
-    group: GroupTable, lattice: SubgroupLattice, u_mask: int, v_mask: int
-) -> dict[int, int]:
-    """For U normal in V, how many cosets vU of V/U generate a subgroup
-    <v, U> in each lattice class.  <v, U> depends only on the coset, so this
-    is a finite profile; it is cached on the lattice and shared by every
-    family.
+def _coset_count(
+    lattice: SubgroupLattice,
+    memo: dict[int, tuple[int, list]],
+    u_mask: int,
+    v_mask: int,
+    members: Sequence[int],
+) -> int:
+    """Cosets vU of V/U with <v, U> in the family whose ghost vector over
+    the lattice's classes is members, for U normal in V.
 
+    memo belongs to one call of method 1: memo[U] is the bit set of the
+    cosets of N(U)/U walked so far (U included), and each <U, v> found
+    among them as (mask, class, cosets that generate it).  A pair walks
+    only the cosets of V/U that no earlier pair with the same U walked.
+    For v in N(U), <U, v> lies in V exactly when v does, so the count is
+    [U in F] plus the generating cosets of the extensions in F inside V.
     The cosets U v^k with k prime to m = |<U, v> : U| all generate <U, v>,
-    so one walk U v, U v^2, ... back to U counts phi(m) cosets at once and
-    takes them off the elements left to walk.  The coset U itself counts
-    once, for U."""
-    cache = lattice._cache.setdefault("pair_profiles", {})
-    key = (u_mask, v_mask)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    mult = group.mult
-    u_elems = mask_elements(u_mask)
-    profile = {lattice.class_of[u_mask]: 1}
-    todo = v_mask & ~u_mask
+    so one walk U v, U v^2, ... back to U records phi(m) cosets at once."""
+    walked, extensions = memo.get(u_mask, (u_mask, []))
+    todo = v_mask & ~walked
+    mult, class_of = lattice.group.mult, lattice.class_of
+    u_elems = mask_elements(u_mask) if todo else []
     while todo:
         v = (todo & -todo).bit_length() - 1
         layers = []  # bit sets of the cosets v^k U = U v^k, for k = 1, ..., m - 1
@@ -138,24 +138,13 @@ def _pair_profile(
             extension |= bits
             if gcd(k, m) == 1:
                 todo &= ~bits
+                walked |= bits
                 generating += 1
-        cls = lattice.class_of[extension]
-        profile[cls] = profile.get(cls, 0) + generating
-    cache[key] = profile
-    return profile
-
-
-def _coset_count(
-    group: GroupTable,
-    lattice: SubgroupLattice,
-    u_mask: int,
-    v_mask: int,
-    members: Sequence[int],
-) -> int:
-    """Cosets vU of V/U with <v, U> in the family, for U normal in V, whose
-    ghost vector over the lattice's classes is members."""
-    profile = _pair_profile(group, lattice, u_mask, v_mask)
-    return sum(c for cls, c in profile.items() if members[cls])
+        extensions.append((extension, class_of[extension], generating))
+    memo[u_mask] = walked, extensions
+    return members[class_of[u_mask]] + sum(
+        generating for extension, cls, generating in extensions
+        if members[cls] and not extension & ~v_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +187,13 @@ def _congruence_walk(lattice: SubgroupLattice, running: Sequence[int]):
             yield v_idx, vm, u_mask, index, needy
 
 
-def congruence_pairs(
-    group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
-):
+def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    memo: dict[int, tuple[int, list]] = {}
     for v_idx, vm, u_mask, index, _ in _congruence_walk(lattice, [1]):
-        count = _coset_count(group, lattice, u_mask, vm, members)
+        count = _coset_count(lattice, memo, u_mask, vm, members)
         constraint = index // gcd(index, count)
         yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
 
@@ -217,7 +205,7 @@ class CongruenceAnalysis:
 
 
 def congruence_analysis(
-    group: GroupTable, lattice: SubgroupLattice, families: Sequence[Family]
+    lattice: SubgroupLattice, families: Sequence[Family]
 ) -> list[CongruenceAnalysis]:
     """Run method 1 for each family in one walk over the pairs, tracking for
     each prime one pair that forces the highest power of that prime (a
@@ -230,9 +218,10 @@ def congruence_analysis(
     exponents = [1] * len(families)
     # per family: prime -> first pair forcing its highest power
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
+    memo: dict[int, tuple[int, list]] = {}
     for v_idx, vm, u_mask, index, needy in _congruence_walk(lattice, exponents):
         for i in needy:
-            count = _coset_count(group, lattice, u_mask, vm, members[i])
+            count = _coset_count(lattice, memo, u_mask, vm, members[i])
             constraint = index // gcd(index, count)
             # each constraint is a prime power; one that already divides the
             # exponent forces no higher power of its prime
@@ -246,10 +235,8 @@ def congruence_analysis(
     ]
 
 
-def artin_exponent_congruence(
-    group: GroupTable, lattice: SubgroupLattice, family: Family = ALL_CYCLIC
-) -> int:
-    return congruence_analysis(group, lattice, [family])[0].exponent
+def artin_exponent_congruence(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int:
+    return congruence_analysis(lattice, [family])[0].exponent
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +547,7 @@ def compute_exponent_report(
     that same report."""
     if lattice is None:
         lattice = enumerate_subgroups(group)
-    (analysis,) = congruence_analysis(group, lattice, [family])
+    (analysis,) = congruence_analysis(lattice, [family])
     if table is None:
         table = build_mark_table(lattice)
     exponent = artin_exponent_marks(table, family)
@@ -574,7 +561,7 @@ def compute_exponent_report(
         prediction=closed_form_predictor(group),
         prime_parts={p: p_part(exponent, p) for p in prime_factors(exponent)},
         binding_pairs=analysis.binding_pairs,
-        pairs=tuple(congruence_pairs(group, lattice, family)) if include_pairs else None,
+        pairs=tuple(congruence_pairs(lattice, family)) if include_pairs else None,
         sylow=sylow_reduction_report(group, lattice, family, exponent) if include_sylow else None,
     )
     if not report.methods_agree:

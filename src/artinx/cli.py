@@ -1,14 +1,17 @@
 """Command-line front end: exponent reports, mark tables, catalog sweeps.
 
 Exit codes: 0 success, 1 usage or spec errors, 2 correctness alarms (the two
-exponent methods disagree, or a sweep suite fails).
+exponent methods disagree, or a sweep suite fails), 141 with nothing on stderr
+when the reader of stdout goes away first, as for a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 from typing import Optional
 
 from .artin import (
@@ -242,11 +245,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         checks=_parse_checks(args.checks),
         jobs=args.jobs,
     )
-    result = run_sweep(config)
-    _print_sweep(result, args.timings)
-    if args.json:
-        payload = summary_to_dict(result, include_timings=args.timings)
-        with open(args.json, "w", encoding="utf-8") as handle:
+    # opened before the sweep, so that an unusable path fails before the work
+    with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as handle:
+        result = run_sweep(config)
+        _print_sweep(result, args.timings)
+        if handle is not None:
+            payload = summary_to_dict(result, include_timings=args.timings)
             handle.write(json.dumps(payload, indent=2) + "\n")
     return 0 if result.ok else 2
 
@@ -301,7 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout now points at /dev/null, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ResourceCapError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

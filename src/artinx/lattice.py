@@ -17,9 +17,11 @@ from typing import Iterable, Optional, Sequence
 
 from .groups import GroupTable, as_prime_power, prime_factors
 
+MAX_SUBGROUPS = 100_000  # enumerate_subgroups raises ResourceCapError past this many
+
 
 class ResourceCapError(RuntimeError):
-    """Enumeration would exceed a configured resource limit."""
+    """Enumeration would exceed a resource limit."""
 
 
 def mask_elements(mask: int) -> list[int]:
@@ -169,7 +171,7 @@ class SubgroupLattice:
         self.class_of = class_of
         self.normalizers = normalizers
         self._generators = generators
-        self._cache: dict = {}
+        self._below: Optional[list[list[int]]] = None
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -198,9 +200,8 @@ class SubgroupLattice:
         subgroup of prime-power order (of the top class: every subgroup
         lies in it), bit i of lacking[x] marks the i-th subgroup as lacking
         x, and V's subgroups are the AND of lacking[x] over the x outside V."""
-        below = self._cache.get("below")
-        if below is not None:
-            return below
+        if self._below is not None:
+            return self._below
         group = self.group
         masks = sorted(self.class_of)
         everything = (1 << len(masks)) - 1
@@ -222,7 +223,7 @@ class SubgroupLattice:
             for x in mask_elements(gens & ~cls.representative.mask):
                 inside &= lacking[x]
             below.append([masks[i] for i in mask_elements(inside)])
-        self._cache["below"] = below
+        self._below = below
         return below
 
 
@@ -301,7 +302,7 @@ def sublattice(lattice: SubgroupLattice, mask: int) -> SubgroupLattice:
     return _assemble(group, found)
 
 
-def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> SubgroupLattice:
+def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
     """Find every subgroup of the group, organized into conjugacy classes.
 
     Cyclic extension (Neubüser; GAP's LatticeByCyclicExtension): starting
@@ -352,9 +353,9 @@ def enumerate_subgroups(group: GroupTable, max_subgroups: int = 100_000) -> Subg
         conj_to_g, normalizer = _expand_class(group, mask)
         found.append((conj_to_g, normalizer, gens))
         known.update(conj_to_g)
-        if len(known) > max_subgroups:
+        if len(known) > MAX_SUBGROUPS:
             raise ResourceCapError(
-                f"the group has more than {max_subgroups} subgroups, the most artinx enumerates"
+                f"the group has more than {MAX_SUBGROUPS} subgroups, the most artinx enumerates"
             )
         bases.append((mask, normalizer, gens))
 
@@ -491,6 +492,7 @@ def cached_lattice(group: GroupTable, spec_text: str, cache_dir: Optional[str]) 
     """
     if cache_dir is None:
         return enumerate_subgroups(group)
+    os.makedirs(cache_dir, exist_ok=True)  # so that an unusable one fails before any work
     path = lattice_cache_path(cache_dir, spec_text)
     try:
         with open(path, encoding="utf-8") as handle:
@@ -500,7 +502,6 @@ def cached_lattice(group: GroupTable, spec_text: str, cache_dir: Optional[str]) 
     if cached is not None:
         return cached
     lattice = enumerate_subgroups(group)
-    os.makedirs(cache_dir, exist_ok=True)
     payload = json.dumps(lattice_to_dict(lattice, spec_text), separators=(",", ":"), sort_keys=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:

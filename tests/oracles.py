@@ -26,6 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
+from weakref import WeakKeyDictionary
 
 from hypothesis import strategies as st
 
@@ -34,7 +35,6 @@ from artinx.artin import (
     CongruencePair,
     Family,
     SylowComparison,
-    _coset_count,
     artin_exponent_marks,
     family_vector,
 )
@@ -363,6 +363,9 @@ def _coset_rep_array(group: GroupTable, mask: int) -> list[int]:
     return reps
 
 
+_BASIS_PRODUCTS: WeakKeyDictionary = WeakKeyDictionary()  # lattice -> {(i, j): product}
+
+
 def multiply_basis(
     group: GroupTable, lattice: SubgroupLattice, i: int, j: int
 ) -> tuple[int, ...]:
@@ -371,7 +374,7 @@ def multiply_basis(
     Orbits of G on (G/U_i) x (G/U_j) are enumerated directly; the orbit of
     (aU, bV) contributes one copy of [G / (aUa^-1 meet bVb^-1)].
     """
-    cache = lattice._cache.setdefault("basis_products", {})
+    cache = _BASIS_PRODUCTS.setdefault(lattice, {})
     key = (i, j) if i <= j else (j, i)
     if key in cache:
         return cache[key]
@@ -599,7 +602,7 @@ def reference_congruence_pairs(
                 continue
             if not all(conjugate_mask(group, g, u_mask) == u_mask for g in mask_elements(vm)):
                 continue
-            count = _coset_count(group, lattice, u_mask, vm, members)
+            count = reference_coset_count(group, lattice, u_mask, vm, members)
             pairs.append(CongruencePair(
                 v_class=v_idx,
                 u_class=lattice.class_of[u_mask],
@@ -628,6 +631,19 @@ def reference_pair_profile(
         cls = lattice.class_of[mask]
         profile[cls] = profile.get(cls, 0) + 1
     return profile
+
+
+def reference_coset_count(
+    group: GroupTable,
+    lattice: SubgroupLattice,
+    u_mask: int,
+    v_mask: int,
+    members: Sequence[int],
+) -> int:
+    """Cosets vU of V/U with <v, U> in the family whose ghost vector over
+    the lattice's classes is members, from the per-coset profile."""
+    profile = reference_pair_profile(group, lattice, u_mask, v_mask)
+    return sum(c for cls, c in profile.items() if members[cls])
 
 
 def cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> int:
@@ -686,7 +702,7 @@ def cyclic_count(
     if lattice is not None:
         members = family_vector(
             [c.representative.is_cyclic for c in lattice.classes], family)
-        direct = _coset_count(group, lattice, u_mask, v_mask, members)
+        direct = reference_coset_count(group, lattice, u_mask, v_mask, members)
     elif family.classes is not None:
         raise ValueError("explicit-class families require the subgroup lattice")
     else:

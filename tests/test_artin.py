@@ -279,7 +279,7 @@ def test_p_part_reduction_preserves_count(spec):
 
 def test_pairs_c5():
     g, lattice = setup_group("C5")
-    pairs = list(congruence_pairs(g, lattice))
+    pairs = list(congruence_pairs(lattice))
     assert pairs == [
         CongruencePair(v_class=1, u_class=0, u_mask=1, index=5, count=5, constraint=1)
     ]
@@ -287,7 +287,7 @@ def test_pairs_c5():
 
 def test_pairs_s3():
     g, lattice = setup_group("S3")
-    pairs = list(congruence_pairs(g, lattice))
+    pairs = list(congruence_pairs(lattice))
     assert len(pairs) == 3
     c3 = class_rep_mask(lattice, order=3)
     binding = [p for p in pairs if p.u_mask == c3]
@@ -298,7 +298,7 @@ def test_pairs_s3():
 
 def test_pairs_klein():
     g, lattice = setup_group("C2xC2")
-    pairs = list(congruence_pairs(g, lattice))
+    pairs = list(congruence_pairs(lattice))
     assert len(pairs) == 7
     top = [p for p in pairs if p.v_class == 4 and p.u_class != 0]
     assert len(top) == 3  # one per order-2 subgroup, all normal
@@ -308,14 +308,14 @@ def test_pairs_klein():
 def test_pairs_emit_count_zero():
     g, lattice = setup_group("D8")
     klein = class_rep_mask(lattice, order=4, cyclic=False)
-    pairs = [p for p in congruence_pairs(g, lattice) if p.u_mask == klein]
+    pairs = [p for p in congruence_pairs(lattice) if p.u_mask == klein]
     assert pairs and all(p.count == 0 and p.constraint == 1 for p in pairs)
 
 
 @pytest.mark.parametrize("spec", ["S3", "Q8", "D12", "A4", "SD16"])
 def test_pair_invariants(spec):
     g, lattice = setup_group(spec)
-    for pair in congruence_pairs(g, lattice):
+    for pair in congruence_pairs(lattice):
         assert pair.index > 1
         p = min(q for q in range(2, pair.index + 1) if pair.index % q == 0)
         k = pair.index
@@ -343,7 +343,7 @@ KNOWN_EXPONENTS = [
 @pytest.mark.parametrize("spec,expected", KNOWN_EXPONENTS)
 def test_exponent_both_methods(spec, expected):
     g, lattice = setup_group(spec)
-    assert artin_exponent_congruence(g, lattice) == expected
+    assert artin_exponent_congruence(lattice) == expected
     assert artin_exponent_marks(build_mark_table(lattice)) == expected
 
 
@@ -377,30 +377,30 @@ EXPLICIT_FAMILY_EXPONENTS = [
 def test_explicit_family_exponents(spec, classes, expected):
     g, lattice = setup_group(spec)
     fam = Family(classes)
-    assert artin_exponent_congruence(g, lattice, fam) == expected
+    assert artin_exponent_congruence(lattice, fam) == expected
     assert artin_exponent_marks(build_mark_table(lattice), fam) == expected
 
 
 def test_binding_pairs_s3():
     g, lattice = setup_group("S3")
-    (analysis,) = congruence_analysis(g, lattice, [ALL_CYCLIC])
+    (analysis,) = congruence_analysis(lattice, [ALL_CYCLIC])
     assert analysis.exponent == 2
     assert [p.constraint for p in analysis.binding_pairs] == [2]
 
 
 def test_binding_pairs_empty_for_cyclic():
     g, lattice = setup_group("C12")
-    (analysis,) = congruence_analysis(g, lattice, [ALL_CYCLIC])
+    (analysis,) = congruence_analysis(lattice, [ALL_CYCLIC])
     assert analysis.exponent == 1
     assert analysis.binding_pairs == ()
-    assert len(tuple(congruence_pairs(g, lattice))) == 9
+    assert len(tuple(congruence_pairs(lattice))) == 9
 
 
 def test_binding_pairs_achieve_lcm():
     from math import lcm
 
     g, lattice = setup_group("H3")
-    (analysis,) = congruence_analysis(g, lattice, [ALL_CYCLIC])
+    (analysis,) = congruence_analysis(lattice, [ALL_CYCLIC])
     got = 1
     for pair in analysis.binding_pairs:
         got = lcm(got, pair.constraint)
@@ -411,8 +411,8 @@ def test_binding_pairs_achieve_lcm():
 def test_centralizer_index_divides_exponent(spec):
     """Pairs with a nonzero cyclic count force (V : C_V(U)) | A(G)."""
     g, lattice = setup_group(spec)
-    exponent = artin_exponent_congruence(g, lattice)
-    for pair in congruence_pairs(g, lattice):
+    exponent = artin_exponent_congruence(lattice)
+    for pair in congruence_pairs(lattice):
         if pair.count == 0:
             continue
         vm = lattice.classes[pair.v_class].representative.mask
@@ -431,7 +431,7 @@ def test_exponent_is_isomorphism_invariant(spec):
         h = relabeled(g, perm)
         h_lat = enumerate_subgroups(h)
         assert artin_exponent_marks(build_mark_table(h_lat)) == expected
-        assert artin_exponent_congruence(h, h_lat) == expected
+        assert artin_exponent_congruence(h_lat) == expected
 
 
 def assert_marks_method_matches_divisor_scan(spec, g):

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from artinx import artin, cli
+from artinx import lattice as lattice_module
 from artinx.groups import group_from_spec
 from artinx.lattice import (
+    cached_lattice,
     enumerate_subgroups,
     lattice_cache_path,
     lattice_from_dict,
@@ -118,8 +120,8 @@ def skew_method_one(monkeypatch):
     """Make method 1 report twice its exponent, for every family."""
     real = artin.congruence_analysis
 
-    def skewed(group, lattice, families):
-        analyses = real(group, lattice, families)
+    def skewed(lattice, families):
+        analyses = real(lattice, families)
         for analysis in analyses:
             analysis.exponent *= 2
         return analyses
@@ -198,19 +200,49 @@ def assert_one_error_line(out):
 
 
 def test_unwritable_sweep_json_exits_one(tmp_path):
+    """The JSON file is opened before the sweep runs, so no table is printed."""
     target = tmp_path / "missing" / "x.json"
     out = _run_child(["sweep", "--max-order", "4", "--json", str(target)])
     assert_one_error_line(out)
     assert str(target) in out.stderr
-    assert out.stdout.endswith("sweep ok: 5 groups, 0 failures, 0 notes\n")
+    assert out.stdout == ""
 
 
-def test_cache_dir_under_a_file_exits_one(tmp_path):
+def test_cache_dir_under_a_file_exits_one(tmp_path, monkeypatch):
+    """The cache directory is made before the lattice is enumerated, so an
+    unusable one fails with no enumeration."""
     blocker = tmp_path / "file"
     blocker.write_text("")
     out = _run_child(["compute", "--group", "S3", "--cache", str(blocker / "sub")])
     assert_one_error_line(out)
     assert out.stdout == ""
+
+    def no_enumeration(group):
+        raise AssertionError("enumerated before the cache directory was made")
+
+    monkeypatch.setattr(lattice_module, "enumerate_subgroups", no_enumeration)
+    with pytest.raises(OSError):
+        cached_lattice(group_from_spec("S3"), "S3", str(blocker / "sub"))
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that is gone before the first write gets what a process
+    killed by SIGPIPE gives: exit 141 and nothing on stderr, not even at
+    interpreter exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "artinx.cli", "sweep", "--max-order", "8"],
+            env=_child_env(),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, "")
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Method 1 against plain references: the congruence pairs, the pair skip
-of the one walk that serves every family of a call, the coset profile that
-every family reads, and the per-H C-set path of the lemma suite."""
+of the one walk that serves every family of a call, the coset count and the
+per-call memo it walks into, and the per-H C-set path of the lemma suite."""
 
+import pickle
 import random
 from collections import Counter
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,6 @@ from artinx import lattice as lattice_module
 from artinx.artin import (
     ALL_CYCLIC,
     _coset_count,
-    _pair_profile,
     c_set_reports,
     compute_exponent_report,
     congruence_analysis,
@@ -32,6 +32,7 @@ from oracles import (
     is_normal_in,
     perm_specs,
     reference_congruence_pairs,
+    reference_coset_count,
     reference_pair_profile,
     relabeled,
     subgroup_as_group,
@@ -53,7 +54,7 @@ def relabeled_group(spec):
 def assert_pairs_match_reference(spec, g, lattice):
     families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
     for family in families:
-        assert list(congruence_pairs(g, lattice, family)) == reference_congruence_pairs(
+        assert list(congruence_pairs(lattice, family)) == reference_congruence_pairs(
             g, lattice, family
         ), f"{spec}, family {family}"
 
@@ -81,7 +82,7 @@ def test_skeleton_pairs_match_reference_scan_cache_loaded(spec, tmp_path, monkey
     monkeypatch.setattr(lattice_module, "enumerate_subgroups", no_enumeration)
     loaded = cached_lattice(g, spec, str(tmp_path))
     assert_pairs_match_reference(spec, g, loaded)
-    assert list(congruence_pairs(g, loaded)) == list(congruence_pairs(g, fresh))
+    assert list(congruence_pairs(loaded)) == list(congruence_pairs(fresh))
 
 
 @pytest.mark.parametrize("spec", default_catalog(64))
@@ -103,7 +104,7 @@ def test_roots_mask_count_matches_element_scan(spec):
             if not (g.is_abelian or is_normal_in(g, um, vm)):
                 continue
             expected = cyclic_coset_count_p_group(g, um, vm)
-            assert _coset_count(g, lattice, um, vm, members) == expected
+            assert _coset_count(lattice, {}, um, vm, members) == expected
             checked += 1
     assert checked or g.order == 1
 
@@ -112,10 +113,31 @@ def v_mask(lattice, pair):
     return lattice.classes[pair.v_class].representative.mask
 
 
-def assert_profiles_match_reference(g, lattice):
-    for pair in congruence_pairs(g, lattice):
+def pair_profile(lattice, memo, um, vm):
+    """How many cosets of V/U extend U into each lattice class, read off a
+    memo that has counted the pair (U, V): U itself, and the recorded
+    extensions of U that lie inside V."""
+    profile = Counter({lattice.class_of[um]: 1})
+    for extension, cls, generating in memo[um][1]:
+        if extension & vm == extension:
+            profile[cls] += generating
+    return dict(profile)
+
+
+def assert_profiles_match_reference(spec, g, lattice):
+    """Every pair counted in one call's order, through one memo: the pair's
+    profile is the per-coset reference's, and its count, for the cyclic
+    family and three random ones, is the reference count."""
+    cyclic = [c.representative.is_cyclic for c in lattice.classes]
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
+    members = [family_vector(cyclic, family) for family in families]
+    memo = {}
+    for pair in congruence_pairs(lattice):
         um, vm = pair.u_mask, v_mask(lattice, pair)
-        profile = _pair_profile(g, lattice, um, vm)
+        for m in members:
+            expected = reference_coset_count(g, lattice, um, vm, m)
+            assert _coset_count(lattice, memo, um, vm, m) == expected, (um, vm)
+        profile = pair_profile(lattice, memo, um, vm)
         assert profile == reference_pair_profile(g, lattice, um, vm), (um, vm)
         assert sum(profile.values()) == pair.index
 
@@ -123,13 +145,23 @@ def assert_profiles_match_reference(g, lattice):
 @pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
 def test_pair_profile_matches_per_coset_reference(spec):
     g = group_from_spec(spec)
-    assert_profiles_match_reference(g, enumerate_subgroups(g))
+    assert_profiles_match_reference(spec, g, enumerate_subgroups(g))
 
 
 @pytest.mark.parametrize("spec", ["S4", "SD16"])
 def test_pair_profile_matches_per_coset_reference_relabeled(spec):
     g = relabeled_group(spec)
-    assert_profiles_match_reference(g, enumerate_subgroups(g))
+    assert_profiles_match_reference(spec, g, enumerate_subgroups(g))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_specs)
+def test_pair_profile_matches_per_coset_reference_on_random_perm_specs(spec):
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_profiles_match_reference(spec, g, enumerate_subgroups(g))
 
 
 class _CountedLookups(dict):
@@ -140,22 +172,71 @@ class _CountedLookups(dict):
         return super().__getitem__(key)
 
 
+def phi(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+def record_memos(monkeypatch):
+    """Wrap artin._coset_count to keep each memo it is given, by id, with
+    the pairs counted through it and the class lookups each count made."""
+    memos = {}
+    original = artin._coset_count
+
+    def recorded(lattice, memo, u_mask, v_mask, members):
+        _, pairs, lookups = memos.setdefault(id(memo), (memo, [], []))
+        pairs.append((u_mask, v_mask))
+        before = lattice.class_of.lookups
+        count = original(lattice, memo, u_mask, v_mask, members)
+        lookups.append(lattice.class_of.lookups - before)
+        return count
+
+    monkeypatch.setattr(artin, "_coset_count", recorded)
+    return memos
+
+
+def assert_walked_once(g, lattice, memo, pairs):
+    """For each U of the pairs counted through the memo: the cosets walked
+    are those of the V paired with U and lie in N(U); each cyclic <U, v>
+    with v walked is recorded once, with its class and the phi(|<U, v> : U|)
+    cosets that generate it; so every walked coset is counted exactly once."""
+    assert set(memo) == {um for um, _ in pairs}
+    for um, (walked, extensions) in memo.items():
+        inside = um
+        for u, vm in pairs:
+            if u == um:
+                inside |= vm
+        assert walked == inside and not walked & ~lattice.normalizers[um]
+        masks = [extension for extension, _, _ in extensions]
+        assert len(set(masks)) == len(masks), um
+        assert set(masks) == {
+            closure_mask(g, mask_elements(um) + [v]) for v in mask_elements(walked & ~um)
+        }
+        for extension, cls, generating in extensions:
+            assert cls == lattice.class_of[extension]
+            assert generating == phi(extension.bit_count() // um.bit_count())
+        assert 1 + sum(generating for *_, generating in extensions) == (
+            walked.bit_count() // um.bit_count())
+
+
 @pytest.mark.parametrize("spec", ["C8", "C9", "C2xC4", "C2xC2xC2", "D8", "Q16", "S4", "C3xC6"])
-def test_pair_profile_extends_each_cyclic_subgroup_once(spec):
-    """The profile looks up one class for U and one per nontrivial cyclic
-    subgroup <U, v> / U of V/U, however many cosets generate it."""
+def test_pair_profile_extends_each_cyclic_subgroup_once(spec, monkeypatch):
+    """Each call of method 1 counts through one memo of its own, in which
+    every coset of N(U)/U is walked at most once and each cyclic C/U is
+    recorded once, however many pairs with that U read it: besides U's
+    class for each pair, one class is looked up per recorded extension."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    pairs = [(pair.u_mask, v_mask(lattice, pair)) for pair in congruence_pairs(g, lattice)]
-    del lattice._cache["pair_profiles"]  # so that each profile below is built afresh
     lattice.class_of = _CountedLookups(lattice.class_of)
-    for um, vm in pairs:
-        extensions = {
-            closure_mask(g, mask_elements(um) + [v]) for v in mask_elements(vm & ~um)
-        }
-        before = lattice.class_of.lookups
-        _pair_profile(g, lattice, um, vm)
-        assert lattice.class_of.lookups - before == 1 + len(extensions), (um, vm)
+    memos = record_memos(monkeypatch)
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
+    for call in (lambda: list(congruence_pairs(lattice)),
+                 lambda: congruence_analysis(lattice, families)):
+        memos.clear()
+        call()
+        (memo, pairs, lookups), = memos.values()
+        recorded = sum(len(extensions) for _, extensions in memo.values())
+        assert sum(lookups) == len(pairs) + recorded
+        assert_walked_once(g, lattice, memo, pairs)
 
 
 @pytest.mark.parametrize("spec", default_catalog(32) + NONABELIAN_P_SUBGROUPS)
@@ -195,20 +276,22 @@ def test_c_set_reports_raise_when_the_lattice_lacks_h_prime():
         list(c_set_reports(lattice, full))
 
 
-def test_second_call_misses_no_pair_profile():
-    """The lattice caches the coset profiles and no pair list: a second call
-    for the same families walks the pairs again but builds no profile, and
-    gives the same analyses."""
-    spec = "S4xC2xC2"
+@pytest.mark.parametrize("spec", ["S4xC2xC2", "C2xC2xC2xC2", S5])
+def test_calls_keep_nothing_on_the_lattice(spec):
+    """Method 1 is a function of the lattice: once below() has run, a call
+    leaves every attribute of the lattice as it found it, and a second call
+    gives equal analyses and pairs."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
-    first = congruence_analysis(g, lattice, families)
-    assert set(lattice._cache) == {"below", "pair_profiles"}
-    built = dict(lattice._cache["pair_profiles"])
-    assert congruence_analysis(g, lattice, families) == first
-    assert lattice._cache["pair_profiles"] == built  # a miss would add a profile
-    assert set(lattice._cache) == {"below", "pair_profiles"}
+    lattice.below()
+    before = pickle.dumps(vars(lattice))
+    first = congruence_analysis(lattice, families)
+    pairs = list(congruence_pairs(lattice))
+    assert pickle.dumps(vars(lattice)) == before
+    assert congruence_analysis(lattice, families) == first
+    assert list(congruence_pairs(lattice)) == pairs
+    assert pickle.dumps(vars(lattice)) == before
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + NONABELIAN_P_SUBGROUPS)
@@ -254,7 +337,7 @@ def every_pair_analysis(g, lattice, family):
     """The exponent and binding pairs of congruence_analysis, from a walk
     over every pair of congruence_pairs with none skipped."""
     exponent, best = 1, {}
-    for pair in congruence_pairs(g, lattice, family):
+    for pair in congruence_pairs(lattice, family):
         if exponent % pair.constraint:
             exponent = lcm(exponent, pair.constraint)
             best[as_prime_power(pair.constraint)[0]] = pair
@@ -267,10 +350,10 @@ def assert_one_walk_matches_each_family(spec, g):
     every pair with none skipped gives."""
     lattice = enumerate_subgroups(g)
     families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes))]
-    batched = congruence_analysis(g, lattice, families)
+    batched = congruence_analysis(lattice, families)
     assert len(batched) == len(families)
     for family, analysis in zip(families, batched):
-        assert congruence_analysis(g, lattice, [family]) == [analysis], (spec, family)
+        assert congruence_analysis(lattice, [family]) == [analysis], (spec, family)
         exponent, binding = every_pair_analysis(g, lattice, family)
         assert (analysis.exponent, analysis.binding_pairs) == (exponent, binding), (spec, family)
 
@@ -300,9 +383,9 @@ def count_coset_counts(monkeypatch):
     calls = Counter()
     original = artin._coset_count
 
-    def counted(group, lattice, u_mask, v_mask, members):
+    def counted(lattice, memo, u_mask, v_mask, members):
         calls[u_mask, v_mask] += 1
-        return original(group, lattice, u_mask, v_mask, members)
+        return original(lattice, memo, u_mask, v_mask, members)
 
     monkeypatch.setattr(artin, "_coset_count", counted)
     return calls
@@ -317,13 +400,13 @@ def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
     lattice = enumerate_subgroups(g)
     reference = tuple(reference_congruence_pairs(g, lattice))
     calls = count_coset_counts(monkeypatch)
-    pairs = tuple(congruence_pairs(g, lattice))
+    pairs = tuple(congruence_pairs(lattice))
     assert pairs == reference
     every_pair = Counter((pair.u_mask, v_mask(lattice, pair)) for pair in pairs)
     assert max(every_pair.values()) == 1
     assert calls == every_pair
     calls.clear()
-    congruence_analysis(g, lattice, [ALL_CYCLIC])
+    congruence_analysis(lattice, [ALL_CYCLIC])
     skipping = Counter(calls)
     calls.clear()
     report = compute_exponent_report(g, spec, lattice=lattice, include_pairs=True)
@@ -334,8 +417,8 @@ def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
 def test_skipping_counts_fewer_pairs_than_the_walk_yields(monkeypatch):
     g = group_from_spec("C4xC4xC4")
     lattice = enumerate_subgroups(g)
-    every_pair = len(tuple(congruence_pairs(g, lattice)))
+    every_pair = len(tuple(congruence_pairs(lattice)))
     calls = count_coset_counts(monkeypatch)
-    congruence_analysis(g, lattice, [ALL_CYCLIC])
+    congruence_analysis(lattice, [ALL_CYCLIC])
     assert 0 < sum(calls.values()) < every_pair
     assert max(calls.values()) == 1

@@ -137,8 +137,8 @@ def test_evaluate_group_statuses_follow_check_names():
 def test_evaluate_group_method_disagreement(monkeypatch):
     real = artin.congruence_analysis
 
-    def skewed(group, lattice, families):
-        analyses = real(group, lattice, families)
+    def skewed(lattice, families):
+        analyses = real(lattice, families)
         for family, analysis in zip(families, analyses):
             if family == artin.ALL_CYCLIC:
                 analysis.exponent *= 2
@@ -166,9 +166,9 @@ def test_crossmethod_walks_the_pairs_once_for_its_random_families(monkeypatch):
     calls = []
     real = artin.congruence_analysis
 
-    def counted(group, lattice, families):
+    def counted(lattice, families):
         calls.append(len(families))
-        return real(group, lattice, families)
+        return real(lattice, families)
 
     for module in (artin, sweep):
         monkeypatch.setattr(module, "congruence_analysis", counted)
@@ -187,8 +187,8 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     real_predictor = artin.closed_form_predictor
     real_sylow = artin.sylow_reduction_report
 
-    def skewed(group, lattice, families):
-        analyses = real_analysis(group, lattice, families)
+    def skewed(lattice, families):
+        analyses = real_analysis(lattice, families)
         for family, analysis in zip(families, analyses):
             if family == artin.ALL_CYCLIC:
                 analysis.exponent *= 2
