@@ -101,24 +101,25 @@ def family_vector(class_cyclic: Sequence[bool], family: Family) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-def _coset_count(
+def _coset_tally(
     lattice: SubgroupLattice,
     memo: dict[int, tuple[int, list]],
     u_mask: int,
     v_mask: int,
-    members: Sequence[int],
-) -> int:
-    """Cosets vU of V/U with <v, U> in the family whose ghost vector over
-    the lattice's classes is members, for U normal in V.
+) -> list[tuple[int, int]]:
+    """The cosets vU of V/U, for U normal in V, tallied by the lattice class
+    of <v, U>: (class of U, 1) for U itself, then (class, generating cosets)
+    for each extension of U inside V, a class possibly more than once.  A
+    family's coset count is the sum over its member classes, so one tally
+    serves every family that needs the pair.
 
     memo belongs to one call of method 1: memo[U] is the bit set of the
     cosets of N(U)/U walked so far (U included), and each <U, v> found
     among them as (mask, class, cosets that generate it).  A pair walks
     only the cosets of V/U that no earlier pair with the same U walked.
-    For v in N(U), <U, v> lies in V exactly when v does, so the count is
-    [U in F] plus the generating cosets of the extensions in F inside V.
-    The cosets U v^k with k prime to m = |<U, v> : U| all generate <U, v>,
-    so one walk U v, U v^2, ... back to U records phi(m) cosets at once."""
+    For v in N(U), <U, v> lies in V exactly when v does.  The cosets U v^k
+    with k prime to m = |<U, v> : U| all generate <U, v>, so one walk
+    U v, U v^2, ... back to U records phi(m) cosets at once."""
     walked, extensions = memo.get(u_mask, (u_mask, []))
     todo = v_mask & ~walked
     mult, class_of = lattice.group.mult, lattice.class_of
@@ -142,9 +143,9 @@ def _coset_count(
                 generating += 1
         extensions.append((extension, class_of[extension], generating))
     memo[u_mask] = walked, extensions
-    return members[class_of[u_mask]] + sum(
-        generating for extension, cls, generating in extensions
-        if members[cls] and not extension & ~v_mask)
+    return [(class_of[u_mask], 1)] + [
+        (cls, generating) for extension, cls, generating in extensions
+        if not extension & ~v_mask]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +194,7 @@ def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
     memo: dict[int, tuple[int, list]] = {}
     for v_idx, vm, u_mask, index, _ in _congruence_walk(lattice, [1]):
-        count = _coset_count(lattice, memo, u_mask, vm, members)
+        count = sum(n for cls, n in _coset_tally(lattice, memo, u_mask, vm) if members[cls])
         constraint = index // gcd(index, count)
         yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
 
@@ -212,7 +213,9 @@ def congruence_analysis(
     certificate for the lcm).  A family whose exponent the index of a pair
     already divides does not count that pair: its constraint divides its
     index, so it can neither raise the exponent nor become a binding pair.
-    congruence_pairs counts every pair."""
+    A pair that some family counts is tallied once, and each such family
+    sums its own classes from that tally.  congruence_pairs counts every
+    pair."""
     cyclic = [c.representative.is_cyclic for c in lattice.classes]
     members = [family_vector(cyclic, family) for family in families]
     exponents = [1] * len(families)
@@ -220,8 +223,9 @@ def congruence_analysis(
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
     memo: dict[int, tuple[int, list]] = {}
     for v_idx, vm, u_mask, index, needy in _congruence_walk(lattice, exponents):
+        tally = _coset_tally(lattice, memo, u_mask, vm)
         for i in needy:
-            count = _coset_count(lattice, memo, u_mask, vm, members[i])
+            count = sum(n for cls, n in tally if members[i][cls])
             constraint = index // gcd(index, count)
             # each constraint is a prime power; one that already divides the
             # exponent forces no higher power of its prime

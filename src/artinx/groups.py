@@ -1,8 +1,10 @@
 """Finite groups as explicit multiplication tables.
 
 Elements of a group of order n are the integers 0..n-1 with 0 the identity.
-Tables are validated eagerly at construction (identity, Latin square,
-associativity), so everything downstream may assume it really has a group.
+A table is validated at construction (identity, Latin square,
+associativity), so everything downstream may assume it really has a group,
+and its facts are computed there too, once: the inverses, each element's
+order and cyclic subgroup, and whether the group is abelian.
 """
 
 from __future__ import annotations
@@ -251,14 +253,7 @@ def _validate_table(mult: list[list[int]]) -> None:
 class GroupTable:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = (
-        "order",
-        "mult",
-        "inv",
-        "_element_orders",
-        "_cyclic_masks",
-        "_is_abelian",
-    )
+    __slots__ = ("order", "mult", "inv", "is_abelian", "_order_of", "_cyclic_mask_of")
 
     def __init__(self, mult: Sequence[Sequence[int]]) -> None:
         """Validate a copy of mult, normalized to a list of int lists."""
@@ -281,9 +276,28 @@ class GroupTable:
         self.order = n
         self.mult = mult
         self.inv = [row.index(0) for row in mult]
-        self._element_orders: Optional[list[int]] = None
-        self._cyclic_masks: Optional[list[int]] = None
-        self._is_abelian: Optional[bool] = None
+        # each row against its column, one column at a time
+        self.is_abelian = all(map(tuple.__eq__, map(tuple, mult), zip(*mult)))
+        # walk each cyclic subgroup <x> once, for the least x it has not
+        # reached: x^k has order m / d and generates the multiples of d in
+        # <x>, for m = |<x>| and d = gcd(k, m), so one mask serves each d
+        self._order_of = orders = [0] * n
+        self._cyclic_mask_of = masks = [0] * n
+        for x in range(n):
+            if orders[x]:
+                continue
+            powers, y = [0], x
+            while y:
+                powers.append(y)
+                y = mult[y][x]
+            m = len(powers)
+            by_divisor: dict[int, int] = {}
+            for k, power in enumerate(powers):
+                d = math.gcd(k, m)
+                if d not in by_divisor:
+                    by_divisor[d] = sum([1 << z for z in powers[::d]])
+                orders[power] = m // d
+                masks[power] = by_divisor[d]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupTable(order={self.order})"
@@ -309,44 +323,12 @@ class GroupTable:
             acc = self.mult[acc][g]
         return acc
 
-    @property
-    def is_abelian(self) -> bool:
-        if self._is_abelian is None:
-            mult = self.mult
-            self._is_abelian = all(
-                mult[a][b] == mult[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-        return self._is_abelian
-
-    def _fill_cycle_data(self) -> None:
-        orders = [0] * self.order
-        masks = [0] * self.order
-        mult = self.mult
-        for g in range(self.order):
-            mask = 1
-            x = g
-            k = 1
-            while x != 0:
-                mask |= 1 << x
-                x = mult[x][g]
-                k += 1
-            orders[g] = k
-            masks[g] = mask
-        self._element_orders = orders
-        self._cyclic_masks = masks
-
     def element_order(self, g: int) -> int:
-        if self._element_orders is None:
-            self._fill_cycle_data()
-        return self._element_orders[g]
+        return self._order_of[g]
 
     def cyclic_mask(self, g: int) -> int:
         """Bit set of the cyclic subgroup generated by g."""
-        if self._cyclic_masks is None:
-            self._fill_cycle_data()
-        return self._cyclic_masks[g]
+        return self._cyclic_mask_of[g]
 
 
 def is_cyclic_group(group: GroupTable) -> bool:

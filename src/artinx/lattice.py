@@ -202,17 +202,13 @@ class SubgroupLattice:
         x, and V's subgroups are the AND of lacking[x] over the x outside V."""
         if self._below is not None:
             return self._below
-        group = self.group
         masks = sorted(self.class_of)
         everything = (1 << len(masks)) - 1
-        generator_of: dict[int, int] = {}
-        for x in mask_elements(self.classes[-1].representative.mask):
-            if as_prime_power(group.element_order(x)):
-                generator_of.setdefault(group.cyclic_mask(x), x)
-        gens = sum(1 << x for x in generator_of.values())
+        generators = _prime_power_generators(self.group, self.classes[-1].representative.mask)
+        gens = sum(1 << x for x in generators)
         # bit i of containing[x] is set when masks[i] contains x; built as
         # bytes, since flipping one bit of an int copies the whole int
-        containing = {x: bytearray((len(masks) + 7) // 8) for x in generator_of.values()}
+        containing = {x: bytearray((len(masks) + 7) // 8) for x in generators}
         for i, m in enumerate(masks):
             for x in mask_elements(m & gens):
                 containing[x][i >> 3] |= 1 << (i & 7)
@@ -225,6 +221,16 @@ class SubgroupLattice:
             below.append([masks[i] for i in mask_elements(inside)])
         self._below = below
         return below
+
+
+def _prime_power_generators(group: GroupTable, mask: int) -> list[int]:
+    """One generator, the least, of each cyclic subgroup of prime-power
+    order > 1 inside the subgroup with the given bit set, ascending."""
+    first: dict[int, int] = {}
+    for x in mask_elements(mask):
+        if as_prime_power(group.element_order(x)):
+            first.setdefault(group.cyclic_mask(x), x)
+    return list(first.values())
 
 
 def _expand_class(
@@ -390,15 +396,12 @@ def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
 
     # not solvable: visit every base again, and join it with the cyclic
     # subgroups of prime-power order that do not normalize it
-    cyclic: dict[int, int] = {}
-    for g in range(1, n):
-        if as_prime_power(group.element_order(g)):
-            cyclic.setdefault(group.cyclic_mask(g), g)
+    cyclic = _prime_power_generators(group, (1 << n) - 1)
     for i, (base, normalizer, gens) in enumerate(bases):
         if i >= extended:
             extend(base, normalizer, gens)
         rows = [mult[h] for h in mask_elements(base)]
-        for cm, x in cyclic.items():
+        for x in cyclic:
             if normalizer >> x & 1:  # x lies in the base or normalizes it
                 continue
             joined = closure_mask(group, gens + (x,), base, rows)

@@ -6,7 +6,8 @@ any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
 
 The second half holds reference implementations and helpers that only the
-tests use: the all-triples table check, group tables from tuple elements,
+tests use: the all-triples table check, the per-element power walk and the
+pair-scan abelian test, group tables from tuple elements,
 relabelled tables, per-entry marks, the per-conjugate table of marks, the
 divisor-scan exponent and the Fraction conductor, products in the transitive basis, normality and
 normalizer tests, the commutator subgroup, quotient groups, subgroups as
@@ -191,6 +192,27 @@ def reference_validate_table(mult) -> None:
             for c in range(n):
                 if mult[ab][c] != mult[a][mult[b][c]]:
                     raise ValueError("multiplication table is not associative")
+
+
+def reference_cycle_data(mult) -> tuple[list[int], list[int]]:
+    """Each element's order and the bit set of its cyclic subgroup, by
+    walking the powers of every element one by one."""
+    orders, masks = [], []
+    for g in range(len(mult)):
+        mask, x, k = 1, g, 1
+        while x != 0:
+            mask |= 1 << x
+            x = mult[x][g]
+            k += 1
+        orders.append(k)
+        masks.append(mask)
+    return orders, masks
+
+
+def reference_is_abelian(mult) -> bool:
+    """Whether every pair of elements commutes, pair by pair."""
+    n = len(mult)
+    return all(mult[a][b] == mult[b][a] for a in range(n) for b in range(a + 1, n))
 
 
 def relabeled(group: GroupTable, perm: Sequence[int]) -> GroupTable:

@@ -1,6 +1,7 @@
 """Method 1 against plain references: the congruence pairs, the pair skip
-of the one walk that serves every family of a call, the coset count and the
-per-call memo it walks into, and the per-H C-set path of the lemma suite."""
+of the one walk that serves every family of a call, the per-pair coset tally
+and the per-call memo it walks into, and the per-H C-set path of the lemma
+suite."""
 
 import pickle
 import random
@@ -14,7 +15,7 @@ from artinx import artin
 from artinx import lattice as lattice_module
 from artinx.artin import (
     ALL_CYCLIC,
-    _coset_count,
+    _coset_tally,
     c_set_reports,
     compute_exponent_report,
     congruence_analysis,
@@ -104,7 +105,8 @@ def test_roots_mask_count_matches_element_scan(spec):
             if not (g.is_abelian or is_normal_in(g, um, vm)):
                 continue
             expected = cyclic_coset_count_p_group(g, um, vm)
-            assert _coset_count(lattice, {}, um, vm, members) == expected
+            tally = _coset_tally(lattice, {}, um, vm)
+            assert sum(n for cls, n in tally if members[cls]) == expected
             checked += 1
     assert checked or g.order == 1
 
@@ -125,20 +127,26 @@ def pair_profile(lattice, memo, um, vm):
 
 
 def assert_profiles_match_reference(spec, g, lattice):
-    """Every pair counted in one call's order, through one memo: the pair's
-    profile is the per-coset reference's, and its count, for the cyclic
-    family and three random ones, is the reference count."""
+    """Every pair tallied once in one call's order, through one memo: the
+    pair's profile is the per-coset reference's and its tally's, and its
+    count, for the cyclic family and three random ones, summed from that one
+    tally, is the reference count."""
     cyclic = [c.representative.is_cyclic for c in lattice.classes]
     families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
     members = [family_vector(cyclic, family) for family in families]
     memo = {}
     for pair in congruence_pairs(lattice):
         um, vm = pair.u_mask, v_mask(lattice, pair)
+        tally = _coset_tally(lattice, memo, um, vm)
         for m in members:
             expected = reference_coset_count(g, lattice, um, vm, m)
-            assert _coset_count(lattice, memo, um, vm, m) == expected, (um, vm)
+            assert sum(n for cls, n in tally if m[cls]) == expected, (um, vm)
         profile = pair_profile(lattice, memo, um, vm)
         assert profile == reference_pair_profile(g, lattice, um, vm), (um, vm)
+        tallied = Counter()
+        for cls, n in tally:
+            tallied[cls] += n
+        assert dict(tallied) == profile, (um, vm)
         assert sum(profile.values()) == pair.index
 
 
@@ -177,20 +185,20 @@ def phi(m):
 
 
 def record_memos(monkeypatch):
-    """Wrap artin._coset_count to keep each memo it is given, by id, with
-    the pairs counted through it and the class lookups each count made."""
+    """Wrap artin._coset_tally to keep each memo it is given, by id, with
+    the pairs tallied through it and the class lookups each tally made."""
     memos = {}
-    original = artin._coset_count
+    original = artin._coset_tally
 
-    def recorded(lattice, memo, u_mask, v_mask, members):
+    def recorded(lattice, memo, u_mask, v_mask):
         _, pairs, lookups = memos.setdefault(id(memo), (memo, [], []))
         pairs.append((u_mask, v_mask))
         before = lattice.class_of.lookups
-        count = original(lattice, memo, u_mask, v_mask, members)
+        tally = original(lattice, memo, u_mask, v_mask)
         lookups.append(lattice.class_of.lookups - before)
-        return count
+        return tally
 
-    monkeypatch.setattr(artin, "_coset_count", recorded)
+    monkeypatch.setattr(artin, "_coset_tally", recorded)
     return memos
 
 
@@ -378,16 +386,16 @@ def test_pair_skip_keeps_exponent_and_binding_pairs_on_random_perm_specs(spec):
     assert_one_walk_matches_each_family(spec, g)
 
 
-def count_coset_counts(monkeypatch):
-    """Count calls of artin._coset_count, by (U, V)."""
+def count_tallies(monkeypatch):
+    """Count calls of artin._coset_tally, by (U, V)."""
     calls = Counter()
-    original = artin._coset_count
+    original = artin._coset_tally
 
-    def counted(lattice, memo, u_mask, v_mask, members):
+    def counted(lattice, memo, u_mask, v_mask):
         calls[u_mask, v_mask] += 1
-        return original(lattice, memo, u_mask, v_mask, members)
+        return original(lattice, memo, u_mask, v_mask)
 
-    monkeypatch.setattr(artin, "_coset_count", counted)
+    monkeypatch.setattr(artin, "_coset_tally", counted)
     return calls
 
 
@@ -399,7 +407,7 @@ def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     reference = tuple(reference_congruence_pairs(g, lattice))
-    calls = count_coset_counts(monkeypatch)
+    calls = count_tallies(monkeypatch)
     pairs = tuple(congruence_pairs(lattice))
     assert pairs == reference
     every_pair = Counter((pair.u_mask, v_mask(lattice, pair)) for pair in pairs)
@@ -418,7 +426,23 @@ def test_skipping_counts_fewer_pairs_than_the_walk_yields(monkeypatch):
     g = group_from_spec("C4xC4xC4")
     lattice = enumerate_subgroups(g)
     every_pair = len(tuple(congruence_pairs(lattice)))
-    calls = count_coset_counts(monkeypatch)
+    calls = count_tallies(monkeypatch)
     congruence_analysis(lattice, [ALL_CYCLIC])
     assert 0 < sum(calls.values()) < every_pair
     assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("spec", ["C4xC8xC8", "S4xC2xC2", "SD32", S5])
+def test_one_call_tallies_each_pair_at_most_once(spec, monkeypatch):
+    """A call for the cyclic family and the sweep's 20 random families
+    tallies each (U, V) pair at most once, however many of the 21 families
+    need it, and only pairs that some family needs."""
+    g = group_from_spec(spec)
+    lattice = enumerate_subgroups(g)
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes))]
+    assert len(families) == 21
+    every_pair = {(pair.u_mask, v_mask(lattice, pair)) for pair in congruence_pairs(lattice)}
+    calls = count_tallies(monkeypatch)
+    congruence_analysis(lattice, families)
+    assert calls and max(calls.values()) == 1
+    assert set(calls) <= every_pair

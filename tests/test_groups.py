@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artinx import groups
@@ -30,7 +30,14 @@ from artinx.groups import (
 )
 from artinx.sweep import default_catalog
 
-from oracles import reference_group_table, reference_validate_table, relabeled
+from oracles import (
+    perm_specs,
+    reference_cycle_data,
+    reference_group_table,
+    reference_is_abelian,
+    reference_validate_table,
+    relabeled,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,38 @@ def test_relabeled_is_isomorphic():
         assert h.element_order(perm[a]) == g.element_order(a)
         for b in range(8):
             assert h.mul(perm[a], perm[b]) == perm[g.mul(a, b)]
+
+
+def assert_facts_match_reference(g):
+    """Orders, cyclic subgroups and commutativity, computed at construction,
+    are those of the per-element power walk and the pair scan."""
+    orders, masks = reference_cycle_data(g.mult)
+    assert [g.element_order(x) for x in range(g.order)] == orders
+    assert [g.cyclic_mask(x) for x in range(g.order)] == masks
+    assert g.is_abelian == reference_is_abelian(g.mult)
+
+
+@pytest.mark.parametrize("spec", default_catalog(128) + ["S5", "A5xC2"])
+def test_group_facts_match_reference(spec):
+    assert_facts_match_reference(group_from_spec(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(default_catalog(128) + ["S4xC2xC2", "A5xC2"]),
+       st.randoms(use_true_random=False))
+def test_group_facts_match_reference_relabeled(spec, rng):
+    g = group_from_spec(spec)
+    assert_facts_match_reference(relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm_specs)
+def test_group_facts_match_reference_on_random_perm_specs(spec):
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_facts_match_reference(g)
 
 
 def test_relabeled_requires_identity_fixed():
