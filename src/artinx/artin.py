@@ -523,6 +523,9 @@ class ExponentReport:
     binding_pairs: tuple[CongruencePair, ...]
     pairs: Optional[tuple[CongruencePair, ...]] = None
     sylow: Optional[tuple[SylowComparison, ...]] = None
+    # method 1 on further families, from the walk that served the report's
+    # family; report_to_dict does not write it
+    extra_analyses: tuple[tuple[Family, CongruenceAnalysis], ...] = ()
 
     @property
     def methods_agree(self) -> bool:
@@ -545,13 +548,15 @@ def compute_exponent_report(
     table: Optional[MarkTable] = None,
     include_pairs: bool = False,
     include_sylow: bool = False,
+    extra_families: Sequence[Family] = (),
 ) -> ExponentReport:
     """Compute the exponent by both methods and assemble the report, whose
     exponent is the marks value.  A mismatch raises MethodDisagreement with
-    that same report."""
+    that same report.  Method 1's one walk also serves extra_families, whose
+    analyses the report carries unchecked."""
     if lattice is None:
         lattice = enumerate_subgroups(group)
-    (analysis,) = congruence_analysis(lattice, [family])
+    analysis, *extra = congruence_analysis(lattice, [family, *extra_families])
     if table is None:
         table = build_mark_table(lattice)
     exponent = artin_exponent_marks(table, family)
@@ -567,6 +572,7 @@ def compute_exponent_report(
         binding_pairs=analysis.binding_pairs,
         pairs=tuple(congruence_pairs(lattice, family)) if include_pairs else None,
         sylow=sylow_reduction_report(group, lattice, family, exponent) if include_sylow else None,
+        extra_analyses=tuple(zip(extra_families, extra)),
     )
     if not report.methods_agree:
         raise MethodDisagreement(report)

@@ -1,10 +1,12 @@
 """Finite groups as explicit multiplication tables.
 
 Elements of a group of order n are the integers 0..n-1 with 0 the identity.
-A table is validated at construction (identity, Latin square,
-associativity), so everything downstream may assume it really has a group,
-and its facts are computed there too, once: the inverses, each element's
-order and cyclic subgroup, and whether the group is abelian.
+A table is proven to be a group at construction (one set comparison per
+row, the two-sided identity 0 and Light's associativity test; the columns
+need no check, see _validate_table), so everything downstream may assume it
+really has one.  Its facts are computed there too, once: the inverses, each
+element's order and cyclic subgroup, and whether the group is abelian,
+which is whether Light's generators commute.
 """
 
 from __future__ import annotations
@@ -208,22 +210,42 @@ def spec_order(spec: GroupSpec) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _validate_table(mult: list[list[int]]) -> None:
+def _validate_table(mult: list[list[int]]) -> list[int]:
+    """Prove that mult is the table of a group with identity 0, or raise
+    ValueError naming the first of these that fails: square, entries in
+    range, two-sided identity 0, Latin rows, Latin columns, associativity.
+    Returns the generators that Light's test found.
+
+    The proof:
+
+    - a row whose set is {0, ..., n-1} holds n distinct entries in range,
+      so one set comparison per row proves the range and the Latin rows;
+    - Light's test: the elements s with (x*s)*y == x*(s*y) for all x, y
+      contain the identity and are closed under products, so checking them
+      on a set that generates every element by left-normed products proves
+      associativity;
+    - then every element a has a right inverse (0 is in a's row), and a
+      monoid in which every element has a right inverse is a group, whose
+      columns are Latin.
+
+    So the range is read only when some row fails, to tell range from rows,
+    and the columns only when Light's test fails, to tell columns from
+    associativity.
+    """
     n = len(mult)
     if any(len(row) != n for row in mult):
         raise ValueError("multiplication table must be square")
-    if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
+    elements = set(range(n))
+    latin_rows = all(map(elements.__eq__, map(set, mult)))
+    if not latin_rows and (min(map(min, mult)) < 0 or max(map(max, mult)) >= n):
         raise ValueError("multiplication table entries out of range")
     ident = list(range(n))
     if mult[0] != ident or [row[0] for row in mult] != ident:
         raise ValueError("element 0 is not a two-sided identity")
-    if any(len(set(row)) != n for row in mult):
+    if not latin_rows:
         raise ValueError("multiplication table is not a Latin square (rows)")
-    if any(len(set(col)) != n for col in zip(*mult)):
-        raise ValueError("multiplication table is not a Latin square (columns)")
-    # Light's test: the elements s with (x*s)*y == x*(s*y) for all x, y are
-    # closed under products, so checking them on a set that generates every
-    # element by left-normed products proves associativity.
+    # the generators: each element that left-normed products of the earlier
+    # ones do not reach
     gens: list[int] = []
     reached = bytearray(n)
     reached[0] = 1
@@ -247,7 +269,10 @@ def _validate_table(mult: list[list[int]]) -> None:
         times_s_row = itemgetter(*mult[s])  # x -> (x*(s*y) for each y)
         for row in mult:
             if times_s_row(row) != rows[row[s]]:
+                if any(len(set(col)) != n for col in zip(*mult)):
+                    raise ValueError("multiplication table is not a Latin square (columns)")
                 raise ValueError("multiplication table is not associative")
+    return gens
 
 
 class GroupTable:
@@ -272,12 +297,12 @@ class GroupTable:
             raise ValueError("empty multiplication table")
         if n > ORDER_CAP:
             raise OrderCapError(f"group order {n} exceeds the cap of {ORDER_CAP}")
-        _validate_table(mult)
+        gens = _validate_table(mult)
         self.order = n
         self.mult = mult
         self.inv = [row.index(0) for row in mult]
-        # each row against its column, one column at a time
-        self.is_abelian = all(map(tuple.__eq__, map(tuple, mult), zip(*mult)))
+        # the generators generate G, so G is abelian exactly when they commute
+        self.is_abelian = all(mult[a][b] == mult[b][a] for a, b in itertools.combinations(gens, 2))
         # walk each cyclic subgroup <x> once, for the least x it has not
         # reached: x^k has order m / d and generates the multiples of d in
         # <x>, for m = |<x>| and d = gcd(k, m), so one mask serves each d
@@ -305,9 +330,6 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return self.mult[a][b]
 
-    def inv_of(self, a: int) -> int:
-        return self.inv[a]
-
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]
@@ -315,13 +337,6 @@ class GroupTable:
     def commutator(self, a: int, b: int) -> int:
         """a b a^-1 b^-1."""
         return self.mult[self.mult[a][b]][self.inv[self.mult[b][a]]]
-
-    def power(self, g: int, k: int) -> int:
-        k %= self.element_order(g)
-        acc = 0
-        for _ in range(k):
-            acc = self.mult[acc][g]
-        return acc
 
     def element_order(self, g: int) -> int:
         return self._order_of[g]
@@ -357,27 +372,42 @@ def tabulate(elements: Sequence, mul) -> list[list[int]]:
 
 def _product_table(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Table of the direct product A x B, with the pair (i, j) numbered
-    i * |B| + j, the order of itertools.product."""
-    nb = len(b)
-    return [[x * nb + y for x in row_a for y in row_b] for row_a in a for row_b in b]
+    i * |B| + j, the order of itertools.product: the row of (i, j) is, for
+    each x in A's row i, B's row j shifted by x * |B|."""
+    na, nb = len(a), len(b)
+    if nb == 1:  # A x 1 is A, numbered alike
+        return a
+    numbers = list(range(na * nb))
+    shifted = [
+        [itemgetter(*row_b)(numbers[x * nb:(x + 1) * nb]) for x in range(na)] for row_b in b
+    ]
+    return [
+        list(itertools.chain.from_iterable(map(copies.__getitem__, row_a)))
+        for row_a in a
+        for copies in shifted
+    ]
 
 
 def _realize_cyclic(n: int) -> list[list[int]]:
-    return [[(a + b) % n for b in range(n)] for a in range(n)]
+    """Addition mod n: row a is 0..n-1 rotated left by a."""
+    ident = list(range(n))
+    return [ident[a:] + ident[:a] for a in range(n)]
 
 
 def _realize_two_generator(m: int, twist: int, square_offset: int) -> list[list[int]]:
     """Groups <g, h> with g of order m, h^2 = g^square_offset and
-    h g h^-1 = g^twist.  Element (i, f) stands for g^i h^f."""
-    elements = [(i, f) for f in (0, 1) for i in range(m)]
+    h g h^-1 = g^twist.  Element g^i h^f is numbered f * m + i.
 
-    def mul(a, b):
-        i, f = a
-        j, g = b
-        k = i + (twist * j if f else j) + (square_offset if f and g else 0)
-        return (k % m, f ^ g)
-
-    return tabulate(elements, mul)
+    g^i times g^j h^f is g^(i+j) h^f, and g^i h times g^j h^f is
+    g^(i + twist*j + f*square_offset) h^(1-f): rotations of 0..m-1, read
+    through the twist map j -> twist*j mod m for the rows with an h."""
+    numbers = list(range(2 * m))
+    plain = [numbers[i:m] + numbers[:i] for i in range(m)]  # g^(i+j), by j
+    with_h = [numbers[m + i:] + numbers[m:m + i] for i in range(m)]  # g^(i+j) h
+    twisted = itemgetter(*[twist * j % m for j in range(m)])
+    return [plain[i] + with_h[i] for i in range(m)] + [
+        [*twisted(with_h[i]), *twisted(plain[(i + square_offset) % m])] for i in range(m)
+    ]
 
 
 def _realize_dihedral(order: int) -> list[list[int]]:

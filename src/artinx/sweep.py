@@ -22,7 +22,6 @@ from .artin import (
     artin_exponent_marks,
     compute_exponent_report,
     c_set_reports,
-    congruence_analysis,
     report_to_dict,
 )
 from .burnside import build_mark_table, conductor
@@ -106,13 +105,12 @@ def _failure(spec: str, check: str, expected, got, context: str = "") -> dict:
 
 
 def _check_crossmethod(spec, group, lattice, table, report) -> tuple[str, list, list]:
-    """The random families: one method 1 walk serves all of them, and each
-    gets one solve.  evaluate_group records a cyclic-family disagreement,
-    which still fails this suite."""
+    """The random families: the report carries their method 1 analyses,
+    from the one walk that served its cyclic family, and each gets one
+    solve here.  evaluate_group records a cyclic-family disagreement, which
+    still fails this suite."""
     failures = []
-    families = list(random_families(spec, len(lattice.classes)))
-    analyses = congruence_analysis(lattice, families)
-    for i, (fam, analysis) in enumerate(zip(families, analyses)):
+    for i, (fam, analysis) in enumerate(report.extra_analyses):
         m = artin_exponent_marks(table, fam)
         if analysis.exponent != m:
             failures.append(_failure(spec, "crossmethod", analysis.exponent, m,
@@ -250,11 +248,15 @@ def evaluate_group(task: tuple[str, tuple[str, ...]]) -> dict:
     lattice = enumerate_subgroups(group)
     table = build_mark_table(lattice)
 
+    # the crossmethod suite's families ride on the report's method 1 walk
+    families = []
+    if "crossmethod" in checks:
+        families = list(random_families(spec_text, len(lattice.classes)))
     failures: list[dict] = []
     try:
         report = compute_exponent_report(
             group, spec_text, lattice=lattice, table=table,
-            include_sylow="sylow" in checks,
+            include_sylow="sylow" in checks, extra_families=families,
         )
     except MethodDisagreement as err:
         # the suites read the same report; the row fails whichever of them run

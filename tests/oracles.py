@@ -6,8 +6,10 @@ any group whose subgroups are all generated by at most max_gens elements,
 which holds for every group these oracles are pointed at in the tests.
 
 The second half holds reference implementations and helpers that only the
-tests use: the all-triples table check, the per-element power walk and the
-pair-scan abelian test, group tables from tuple elements,
+tests use: the all-triples table check, the per-element power walk, powers
+by repeated multiplication and the pair-scan abelian test, the
+entry-by-entry realizations of C, D, Q, SD and direct products, group
+tables from tuple elements,
 relabelled tables, per-entry marks, the per-conjugate table of marks, the
 divisor-scan exponent and the Fraction conductor, products in the transitive basis, normality and
 normalizer tests, the commutator subgroup, quotient groups, subgroups as
@@ -21,6 +23,7 @@ relation search with the closure-checked center-only bracket rule, and a
 hypothesis strategy of random perm: specs.
 """
 
+import functools
 import itertools
 import sys
 from collections import Counter
@@ -48,6 +51,7 @@ from artinx.burnside import (
     solve_membership,
 )
 from artinx.groups import (
+    FAMILIES,
     DirectProduct,
     GroupTable,
     Named,
@@ -209,6 +213,14 @@ def reference_cycle_data(mult) -> tuple[list[int], list[int]]:
     return orders, masks
 
 
+def power(group: GroupTable, g: int, k: int) -> int:
+    """g**k, by k mod the order of g multiplications on the right."""
+    acc = 0
+    for _ in range(k % group.element_order(g)):
+        acc = group.mult[acc][g]
+    return acc
+
+
 def reference_is_abelian(mult) -> bool:
     """Whether every pair of elements commutes, pair by pair."""
     n = len(mult)
@@ -290,6 +302,51 @@ def _reference_realization(spec):
 
         return list(itertools.product(range(n), repeat=3)), mul
     raise ValueError(f"no reference realization for family {spec.family!r}")
+
+
+def reference_realize_cyclic(n: int) -> list[list[int]]:
+    """Addition mod n, entry by entry."""
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def reference_product_table(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The direct product A x B entry by entry, with (i, j) numbered i * |B| + j."""
+    nb = len(b)
+    return [[x * nb + y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def reference_realize_two_generator(m: int, twist: int, square_offset: int) -> list[list[int]]:
+    """<g, h> with g of order m, h^2 = g^square_offset and h g h^-1 =
+    g^twist, tabulated from (i, f) pairs standing for g^i h^f."""
+    elements = [(i, f) for f in (0, 1) for i in range(m)]
+
+    def mul(a, b):
+        i, f = a
+        j, g = b
+        k = i + (twist * j if f else j) + (square_offset if f and g else 0)
+        return (k % m, f ^ g)
+
+    return tabulate(elements, mul)
+
+
+def reference_realize(spec) -> list[list[int]]:
+    """The table of a spec from the entry-by-entry realizations above: C,
+    D, Q and SD by their own, a product by reference_product_table, and S,
+    A and H (which the library also tabulates) through groups.FAMILIES."""
+    spec = parse_group_spec(spec) if isinstance(spec, str) else spec
+    if isinstance(spec, DirectProduct):
+        return functools.reduce(reference_product_table, map(reference_realize, spec.factors))
+    n = spec.n
+    if spec.family == "C":
+        return reference_realize_cyclic(n)
+    m = n // 2
+    if spec.family == "D":
+        return reference_realize_two_generator(m, -1, 0)
+    if spec.family == "Q":
+        return reference_realize_two_generator(m, -1, m // 2)
+    if spec.family == "SD":
+        return reference_realize_two_generator(m, m // 2 - 1, 0)
+    return FAMILIES[spec.family].realize(n)
 
 
 def reference_group_table(spec) -> list[list[int]]:
@@ -798,7 +855,7 @@ def _reduced_cyclic_count(group: GroupTable, u_mask: int, v_mask: int) -> Option
     if bin(up_mask).count("1") > p:
         shrink = 0  # p-th powers of U_p: its unique subgroup of index p
         for x in mask_elements(up_mask):
-            shrink |= 1 << group.power(x, p)
+            shrink |= 1 << power(group, x, p)
         qtable, reps = quotient_group(group, vp_mask, shrink)
         u_image = 0
         for i, r in enumerate(reps):
@@ -821,9 +878,9 @@ def reference_recognize_2group(group: GroupTable) -> str:
         if group.element_order(g) != half:
             continue
         gm = group.cyclic_mask(g)
-        g_inv = group.inv_of(g)
-        q_square = group.power(g, half // 2)
-        sd_twist = group.power(g, half // 2 - 1)
+        g_inv = group.inv[g]
+        q_square = power(group, g, half // 2)
+        sd_twist = power(group, g, half // 2 - 1)
         for h in range(1, order):
             if gm >> h & 1:
                 continue

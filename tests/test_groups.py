@@ -1,6 +1,7 @@
 """Group construction: spec parsing, realizations, and table validation."""
 
 import math
+import random
 import re
 from pathlib import Path
 
@@ -32,9 +33,11 @@ from artinx.sweep import default_catalog
 
 from oracles import (
     perm_specs,
+    power,
     reference_cycle_data,
     reference_group_table,
     reference_is_abelian,
+    reference_realize,
     reference_validate_table,
     relabeled,
 )
@@ -319,8 +322,8 @@ def test_lagrange_element_orders_divide_group_order():
 def test_group_axioms_spot_checks():
     g = group_from_spec("Q16")
     for a in range(g.order):
-        assert g.mul(a, g.inv_of(a)) == 0
-        assert g.mul(g.inv_of(a), a) == 0
+        assert g.mul(a, g.inv[a]) == 0
+        assert g.mul(g.inv[a], a) == 0
         for b in range(g.order):
             for c in range(0, g.order, 5):
                 assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
@@ -330,9 +333,9 @@ def test_power_and_conj():
     g = group_from_spec("D8")
     r = next(x for x in range(8) if g.element_order(x) == 4)
     s = next(x for x in range(8) if g.element_order(x) == 2 and g.conj(x, r) != r)
-    assert g.power(r, 2) == g.mul(r, r)
-    assert g.power(r, -1) == g.inv_of(r)
-    assert g.conj(s, r) == g.inv_of(r)
+    assert power(g, r, 2) == g.mul(r, r)
+    assert power(g, r, -1) == g.inv[r]
+    assert g.conj(s, r) == g.inv[r]
 
 
 def test_cyclic_mask_lists_powers():
@@ -397,23 +400,88 @@ def _intercalates(mult):
 SWAP_SPECS = ["C2xC2", "C4", "C6", "S3", "C2xC4", "D8", "Q8", "C2xC2xC2", "D12", "SD16"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SWAP_SPECS), st.data())
-def test_validator_matches_all_triples_reference(spec, data):
-    """Intercalate swaps keep a Latin square with identity 0 but usually
-    break associativity; the generator-based check and the all-triples
-    reference must accept and reject the same squares."""
-    mult = [list(row) for row in group_from_spec(spec).mult]
-    for _ in range(data.draw(st.integers(0, 3))):
+_RANGE = "multiplication table entries out of range"
+_IDENTITY = "element 0 is not a two-sided identity"
+_ROWS = "multiplication table is not a Latin square (rows)"
+_COLUMNS = "multiplication table is not a Latin square (columns)"
+_ASSOCIATIVE = "multiplication table is not associative"
+
+
+def _swap(row, c1, c2):
+    row[c1], row[c2] = row[c2], row[c1]
+
+
+def _duplicate_in_a_row(mult, draw, least):
+    """Copy one entry of a row over another, both at index least or more."""
+    n = len(mult)
+    r = draw(st.integers(least, n - 1))
+    c1, c2 = draw(st.lists(st.integers(least, n - 1), min_size=2, max_size=2, unique=True))
+    mult[r][c2] = mult[r][c1]
+
+
+def _break_identity(mult, draw):
+    """Swap two entries of row 0, or two whole rows: every row stays Latin."""
+    n = len(mult)
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    _swap(mult[0] if draw(st.booleans()) else mult, i, j)
+
+
+def _corrupt(kind, mult, draw):
+    """Corrupt mult in place; return the messages the corruption allows."""
+    n = len(mult)
+    if kind in ("entry n", "entry -1"):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mult[r][c] = n if kind == "entry n" else -1
+        return {_RANGE}
+    if kind == "row duplicate":
+        _duplicate_in_a_row(mult, draw, 0)
+        return {_IDENTITY, _ROWS}
+    if kind == "identity":
+        _break_identity(mult, draw)
+        return {_IDENTITY}
+    if kind == "row duplicate and identity":
+        _duplicate_in_a_row(mult, draw, 1)
+        _break_identity(mult, draw)
+        return {_IDENTITY}
+    if kind == "row swap":
+        # one row, away from row 0 and column 0: the rows stay Latin, the
+        # two columns do not
+        r = draw(st.integers(1, n - 1))
+        c1, c2 = draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+        _swap(mult[r], c1, c2)
+        return {_COLUMNS}
+    for _ in range(draw(st.integers(0, 3))):  # intercalate swaps
         cells = _intercalates(mult)
         if not cells:
             break
-        r1, r2, c1, c2 = data.draw(st.sampled_from(cells))
+        r1, r2, c1, c2 = draw(st.sampled_from(cells))
         a, b = mult[r1][c1], mult[r1][c2]
         mult[r1][c1] = mult[r2][c2] = b
         mult[r1][c2] = mult[r2][c1] = a
+    return {"ok", _ASSOCIATIVE}
+
+
+CORRUPTIONS = ("entry n", "entry -1", "row duplicate", "identity",
+               "row duplicate and identity", "row swap", "intercalates")
+CORRUPTED_SPECS = [s for s in default_catalog(64) if spec_order(parse_group_spec(s)) >= 3] \
+    + ["S4xC2", "A4xC2"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(CORRUPTIONS), st.data())
+def test_validator_matches_all_triples_reference(kind, data):
+    """A corrupted catalog table gets the all-triples reference's verdict,
+    message included: the row pass, the range pass run only on its failure,
+    and the column check run only after Light's test fails keep the order
+    square, range, identity, rows, columns, associativity.  Intercalate
+    swaps keep a Latin square with identity 0 but usually break
+    associativity, so there both checks must accept and reject the same
+    squares."""
+    specs = SWAP_SPECS if kind == "intercalates" else CORRUPTED_SPECS
+    mult = [list(row) for row in group_from_spec(data.draw(st.sampled_from(specs))).mult]
+    allowed = _corrupt(kind, mult, data.draw)
     reference = _verdict(reference_validate_table, mult)
-    assert reference in ("ok", "multiplication table is not associative")
+    assert reference in allowed
     assert _verdict(GroupTable, mult) == reference
 
 
@@ -450,6 +518,31 @@ def test_named_table_matches_tuple_realization(spec):
     group = build_group(parse_group_spec(spec))
     assert group.order == spec_order(parse_group_spec(spec))
     assert group.mult == reference_group_table(spec)
+
+
+PRODUCTS_WITH_TABULATED_FACTORS = [
+    "S3xC2", "C2xS3", "A4xC3", "C3xA4", "S4xC2", "C2xS4", "H3xC3", "C3xH3",
+    "S3xS3", "S3xA4", "A4xS3", "S4xC2xC2", "C2xC2xS4", "A4xC2xC2", "H3xS3",
+    "S3xH3", "D8xS3", "Q8xA4", "A4xQ8", "S4xS3", "S4xD8", "C2xH3xC2",
+    "C1xC2", "C2xC1", "S3xC1", "C1xS4", "C1xC1",
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(dict.fromkeys(
+        default_catalog(256)
+        + [f"C{n}" for n in range(1, 257)]
+        + [f"D{n}" for n in range(4, 257, 2)]
+        + [f"Q{2 ** e}" for e in range(3, 9)]
+        + [f"SD{2 ** e}" for e in range(4, 9)]
+        + PRODUCTS_WITH_TABULATED_FACTORS
+    )),
+)
+def test_realization_matches_entry_by_entry_reference(spec):
+    """Rotations, twisted rotations and shifted row copies number every
+    element as the entry-by-entry realizations do."""
+    assert groups._realize(parse_group_spec(spec)) == reference_realize(spec)
 
 
 def test_relabeled_is_isomorphic():
@@ -492,6 +585,18 @@ def test_group_facts_match_reference_on_random_perm_specs(spec):
     except OrderCapError:
         assume(False)
     assert_facts_match_reference(g)
+
+
+@pytest.mark.parametrize("spec", ["C2xC2xS3", "S3xC2xC2", "C2xC2xQ8", "C2xH3", "C3xC3xS3",
+                                  "C2xC2xC2xC2xS3", "C4xC4xC4", "C2xC2xC2xC2xC2xC2"])
+@pytest.mark.parametrize("seed", range(3))
+def test_is_abelian_matches_pair_scan_with_many_generators(spec, seed):
+    """Groups that need three or more of Light's generators, some with a
+    nonabelian factor that a prefix of the generators can miss, as built
+    and relabelled: commuting generators and the pair scan agree."""
+    g = group_from_spec(spec)
+    h = relabeled(g, [0] + random.Random(seed).sample(range(1, g.order), g.order - 1))
+    assert g.is_abelian == h.is_abelian == reference_is_abelian(g.mult)
 
 
 def test_relabeled_requires_identity_fixed():

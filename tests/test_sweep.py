@@ -160,21 +160,72 @@ def test_evaluate_group_method_disagreement(monkeypatch):
     assert row["statuses"]["crossmethod"] == "fail"
 
 
-def test_crossmethod_walks_the_pairs_once_for_its_random_families(monkeypatch):
-    """The suite hands its 20 random families to one method 1 call, and the
-    report makes the one other call, for the cyclic family."""
-    calls = []
+@pytest.mark.parametrize("checks", [CHECK_NAMES, ("cyclic", "sylow")],
+                         ids=["crossmethod", "no-crossmethod"])
+def test_one_method1_walk_serves_the_report_and_the_random_families(checks, monkeypatch):
+    """Each row makes one method 1 call: the report's cyclic family, plus
+    the crossmethod suite's 20 random families when that suite runs; the
+    families are drawn once per row, and not at all without the suite."""
+    calls, drawn = [], []
     real = artin.congruence_analysis
+    real_families = sweep.random_families
 
     def counted(lattice, families):
         calls.append(len(families))
         return real(lattice, families)
 
+    def families(*args):
+        drawn.append(args)
+        return real_families(*args)
+
     for module in (artin, sweep):
-        monkeypatch.setattr(module, "congruence_analysis", counted)
+        monkeypatch.setattr(module, "congruence_analysis", counted, raising=False)
+    monkeypatch.setattr(sweep, "random_families", families)
+    row = evaluate_group(("S4", checks))
+    if "crossmethod" in checks:
+        assert row["statuses"]["crossmethod"] == "ok"
+        assert calls == [1 + RANDOM_FAMILIES]
+        assert drawn == [("S4", 11)]
+    else:
+        assert calls == [1]
+        assert drawn == []
+
+
+@pytest.mark.parametrize("spec", ["S4", "C4xC8", "SD32"])
+def test_random_family_analyses_equal_a_call_of_their_own(spec):
+    """Riding on the report's walk changes no random family's analysis:
+    the report carries each family with what a call for the random families
+    alone gives."""
+    group = group_from_spec(spec)
+    lattice = artin.enumerate_subgroups(group)
+    families = list(random_families(spec, len(lattice.classes)))
+    report = artin.compute_exponent_report(group, spec, lattice=lattice,
+                                           extra_families=families)
+    assert report.extra_analyses == tuple(zip(families, artin.congruence_analysis(lattice, families)))
+    assert "extra_analyses" not in json.dumps(artin.report_to_dict(report))
+
+
+def test_disagreement_carries_the_random_family_analyses(monkeypatch):
+    """The report a MethodDisagreement carries holds the random families'
+    analyses, so the crossmethod suite still checks them on a failing row."""
+    real = artin.congruence_analysis
+
+    def skewed(lattice, families):
+        analyses = real(lattice, families)
+        analyses[0].exponent *= 2  # the report's own, cyclic family
+        return analyses
+
+    group = group_from_spec("S4")
+    lattice = artin.enumerate_subgroups(group)
+    families = list(random_families("S4", len(lattice.classes)))
+    expected = tuple(zip(families, real(lattice, families)))
+    monkeypatch.setattr(artin, "congruence_analysis", skewed)
+    with pytest.raises(artin.MethodDisagreement) as err:
+        artin.compute_exponent_report(group, "S4", lattice=lattice, extra_families=families)
+    assert err.value.report.extra_analyses == expected
     row = evaluate_group(("S4", CHECK_NAMES))
-    assert row["statuses"]["crossmethod"] == "ok"
-    assert calls == [1, RANDOM_FAMILIES]
+    assert row["statuses"]["crossmethod"] == "fail"
+    assert [f["context"] for f in row["failures"]] == ["family cyclic"]
 
 
 def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
