@@ -41,7 +41,6 @@ from .groups import (
 )
 from .lattice import (
     SubgroupLattice,
-    centralizer,
     enumerate_subgroups,
     mask_elements,
     subgroup_from_mask,
@@ -255,6 +254,40 @@ def artin_exponent_marks(table: MarkTable, family: Family = ALL_CYCLIC) -> int:
 
 
 # ---------------------------------------------------------------------------
+# commutator brackets
+# ---------------------------------------------------------------------------
+
+
+def bracket_rows(
+    group: GroupTable, elements: Sequence[int], generators: Sequence[int]
+) -> dict[int, int]:
+    """Map each h in elements to the bit set of its commutators [h, s] =
+    h s h^-1 s^-1 with the s in generators."""
+    mult, inv = group.mult, group.inv
+    rows = {}
+    for h in elements:
+        row_h = mult[h]
+        bits = 0
+        for s in generators:
+            bits |= 1 << mult[row_h[s]][inv[mult[s][h]]]
+        rows[h] = bits
+    return rows
+
+
+def bracket_preimage(rows: dict[int, int], u_mask: int) -> int:
+    """Bit set of the h whose row lies in U: for rows over generators S of a
+    group H and U normal in H, this is H'(U) = {h : [h, H] <= U}, and U = 1
+    gives the center of H.  Testing S is enough because, with U normal, the
+    x in H with [h, x] in U form a subgroup, the preimage of the
+    centralizer of hU in H/U."""
+    out = 0
+    for h, row in rows.items():
+        if not row & ~u_mask:
+            out |= 1 << h
+    return out
+
+
+# ---------------------------------------------------------------------------
 # closed-form predictions
 # ---------------------------------------------------------------------------
 
@@ -302,16 +335,14 @@ def _order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:
     else 2" rule on both candidate readings of the distinguished subgroup,
     reported side by side: {g : [g, G] <= U} (bracket with the whole group)
     and {g : [g, U] <= U} (bracket with U only).  U is central, so the second
-    reading is all of G, which is noncyclic: its rule is the constant 2."""
-    full = (1 << group.order) - 1
-    z_mask = centralizer(group, full)
+    reading is all of G, which is noncyclic: its rule is the constant 2.
+    Both the center and the first reading are bracket preimages of one set
+    of rows over G's generators."""
+    rows = bracket_rows(group, range(group.order), group.generators)
+    z_mask = bracket_preimage(rows, 1)
     if z_mask.bit_count() != 2:
         return None
-    whole = 0
-    for g in range(group.order):
-        if all(z_mask >> group.commutator(g, x) & 1 for x in range(group.order)):
-            whole |= 1 << g
-    sub = subgroup_from_mask(group, whole, check=True)
+    sub = subgroup_from_mask(group, bracket_preimage(rows, z_mask), check=True)
     return {"bracket-whole-group": 4 if sub.is_cyclic else 2, "bracket-center-only": 2}
 
 
@@ -366,92 +397,67 @@ class CSetReport:
         return len(self.c_prime_masks)
 
 
-class _CSetData:
-    """The U-independent part of the C-set counts for one p-group H: its
-    prime, its cyclic subgroups, and its commutator rows {[h, x] : x in S}
-    over a generating set S of H, so that for each U the set
-    H'(U) = {h in H : [h, H] <= U} and normality in H are mask tests.
-
-    With U normal in H, the x with [h, x] in U form a subgroup (the preimage
-    of the centralizer of hU in H/U), so testing x in S is enough.  And
-    [u, x] = u (x u^-1 x^-1) lies in U for all u in U exactly when x
-    normalizes U, so the rows also decide whether U is normal."""
-
-    def __init__(self, group: GroupTable, h_mask: int, generators: Sequence[int]) -> None:
-        pp = as_prime_power(h_mask.bit_count())
-        if pp is None:
-            raise ValueError("H must be a nontrivial p-group")
-        self.p = pp[0]
-        elements = mask_elements(h_mask)
-        self.cyclic = sorted({group.cyclic_mask(x) for x in elements})
-        commutator = group.commutator
-        self.rows = {}
-        for g in elements:
-            row = 0
-            for x in generators:
-                row |= 1 << commutator(g, x)
-            self.rows[g] = row
-
-    def h_prime(self, u_mask: int) -> int:
-        """Bit set of {h in H : [h, H] <= U} when U is normal in H; it
-        contains U exactly when U, a subgroup of H, is normal in H."""
-        out = 0
-        for g, row in self.rows.items():
-            if row & u_mask == row:
-                out |= 1 << g
-        return out
-
-    def is_normal(self, mask: int) -> bool:
-        """Whether a subgroup of H is normal in H: [x, S] <= it for each x in it."""
-        rows = self.rows
-        return all(rows[x] & mask == rows[x] for x in mask_elements(mask))
-
-    def report(self, u_mask: int, h_prime: int) -> CSetReport:
-        """The counts for a cyclic U normal in H, given H'(U).  Every cyclic
-        V with U <= V and (V:U) = p is one of H's cyclic subgroups, of order
-        p|U|."""
-        target = self.p * u_mask.bit_count()
-        c_masks = frozenset(
-            m for m in self.cyclic if m.bit_count() == target and m & u_mask == u_mask
-        )
-        return CSetReport(
-            c_masks=c_masks,
-            c_prime_masks=frozenset(m for m in c_masks if self.is_normal(m)),
-            h_prime_mask=h_prime,
-            c_of_h_prime_masks=frozenset(m for m in c_masks if m & h_prime == m),
-        )
+def _c_set_report(p: int, cyclic: Sequence[int], normal: frozenset[int], u_mask: int,
+                  h_prime: int) -> CSetReport:
+    """The counts for a cyclic U normal in a p-group H, from H's cyclic
+    subgroups, the ones among them normal in H, and H'(U).  Every cyclic V
+    with U <= V and (V:U) = p is one of H's cyclic subgroups, of order p|U|."""
+    target = p * u_mask.bit_count()
+    c_masks = frozenset(m for m in cyclic if m.bit_count() == target and not u_mask & ~m)
+    return CSetReport(
+        c_masks=c_masks,
+        c_prime_masks=c_masks & normal,
+        h_prime_mask=h_prime,
+        c_of_h_prime_masks=frozenset(m for m in c_masks if not m & ~h_prime),
+    )
 
 
 def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     """Count cyclic index-p extensions of U in H, for H a nontrivial p-group
-    and U cyclic and normal in H; with no lattice at hand, H' is proved a
-    subgroup by checking its closure."""
-    data = _CSetData(group, h_mask, mask_elements(h_mask))
+    and U cyclic and normal in H, with no lattice at hand: the bracket rows
+    run over every element of H, so a subgroup M is normal in H exactly
+    when M <= H'(M), and H'(U) is proved a subgroup by checking its
+    closure."""
+    pp = as_prime_power(h_mask.bit_count())
+    if pp is None:
+        raise ValueError("H must be a nontrivial p-group")
+    elements = mask_elements(h_mask)
+    rows = bracket_rows(group, elements, elements)
     if not subgroup_from_mask(group, u_mask).is_cyclic:
         raise ValueError("U must be cyclic")
     if u_mask & h_mask != u_mask:
         raise ValueError("inner subgroup is not contained in the outer one")
-    h_prime = data.h_prime(u_mask)
+    h_prime = bracket_preimage(rows, u_mask)
     if u_mask & h_prime != u_mask:
         raise ValueError("U must be normal in H")
     subgroup_from_mask(group, h_prime, check=True)
-    return data.report(u_mask, h_prime)
+    cyclic = sorted({group.cyclic_mask(x) for x in elements})
+    normal = frozenset(m for m in cyclic if not m & ~bracket_preimage(rows, m))
+    return _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
 
 
 def c_set_reports(lattice: SubgroupLattice, h_mask: int):
     """Yield (U, count_C_sets(group, H, U)) for every cyclic U normal in H,
-    ascending by mask, doing the U-independent work once over the lattice's
-    generators of H.  Each H'(U) is proved a subgroup by finding it in the
-    lattice; a miss means the lattice lacks a subgroup, and raises."""
-    data = _CSetData(lattice.group, h_mask, lattice.generators_of(h_mask))
-    for u_mask in data.cyclic:
-        h_prime = data.h_prime(u_mask)
-        if u_mask & h_prime == u_mask:
+    ascending by mask.  Normality is read off the lattice's normalizers, and
+    H'(U) off bracket rows over the lattice's generators of H, taken once.
+    Each H'(U) is proved a subgroup by finding it in the lattice; a miss
+    means the lattice lacks a subgroup, and raises."""
+    group = lattice.group
+    pp = as_prime_power(h_mask.bit_count())
+    if pp is None:
+        raise ValueError("H must be a nontrivial p-group")
+    elements = mask_elements(h_mask)
+    cyclic = sorted({group.cyclic_mask(x) for x in elements})
+    normal = frozenset(m for m in cyclic if not h_mask & ~lattice.normalizers[m])
+    rows = bracket_rows(group, elements, lattice.generators_of(h_mask))
+    for u_mask in cyclic:
+        if u_mask in normal:
+            h_prime = bracket_preimage(rows, u_mask)
             if h_prime not in lattice.class_of:
                 raise RuntimeError(
                     f"H'(U) = {h_prime:#x} is missing from the lattice; the lattice is incomplete"
                 )
-            yield u_mask, data.report(u_mask, h_prime)
+            yield u_mask, _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
 
 
 # ---------------------------------------------------------------------------

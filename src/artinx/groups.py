@@ -4,9 +4,10 @@ Elements of a group of order n are the integers 0..n-1 with 0 the identity.
 A table is proven to be a group at construction (one set comparison per
 row, the two-sided identity 0 and Light's associativity test; the columns
 need no check, see _validate_table), so everything downstream may assume it
-really has one.  Its facts are computed there too, once: the inverses, each
-element's order and cyclic subgroup, and whether the group is abelian,
-which is whether Light's generators commute.
+really has one.  Its facts are computed there too, once: the inverses, the
+generators that Light's test found, each element's order and cyclic
+subgroup, and whether the group is abelian, which is whether those
+generators commute.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def _validate_table(mult: list[list[int]]) -> list[int]:
 class GroupTable:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = ("order", "mult", "inv", "is_abelian", "_order_of", "_cyclic_mask_of")
+    __slots__ = ("order", "mult", "inv", "generators", "is_abelian", "_order_of", "_cyclic_mask_of")
 
     def __init__(self, mult: Sequence[Sequence[int]]) -> None:
         """Validate a copy of mult, normalized to a list of int lists."""
@@ -297,7 +298,7 @@ class GroupTable:
             raise ValueError("empty multiplication table")
         if n > ORDER_CAP:
             raise OrderCapError(f"group order {n} exceeds the cap of {ORDER_CAP}")
-        gens = _validate_table(mult)
+        self.generators = gens = tuple(_validate_table(mult))
         self.order = n
         self.mult = mult
         self.inv = [row.index(0) for row in mult]

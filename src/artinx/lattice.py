@@ -104,18 +104,6 @@ def conjugate_mask(group: GroupTable, g: int, mask: int) -> int:
     return out
 
 
-def centralizer(group: GroupTable, mask: int) -> int:
-    """Bit set of elements commuting with everything in the given bit set."""
-    members = mask_elements(mask)
-    mult = group.mult
-    out = 0
-    for g in range(group.order):
-        row = mult[g]
-        if all(row[x] == mult[x][g] for x in members):
-            out |= 1 << g
-    return out
-
-
 def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:
     """Left coset representatives of the inner subgroup in the outer one,
     each the least element of its coset, in ascending order."""

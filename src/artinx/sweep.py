@@ -82,11 +82,11 @@ def default_catalog(max_order: int = 64) -> list[str]:
 
 
 def random_families(spec_text: str, class_count: int, count: int = RANDOM_FAMILIES):
-    """Deterministic pseudo-random explicit families for cross-method checks;
-    the seed depends only on the group's spec text and the family index."""
-    for i in range(count):
-        digest = hashlib.sha256(f"artinx.sweep:{spec_text}:{i}".encode()).digest()
-        rng = random.Random(int.from_bytes(digest[:8], "big"))
+    """Deterministic pseudo-random explicit families for cross-method checks,
+    drawn in turn from one generator seeded by the group's spec text alone."""
+    digest = hashlib.sha256(f"artinx.sweep:{spec_text}".encode()).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    for _ in range(count):
         size = rng.randint(0, class_count)
         yield Family(frozenset(rng.sample(range(class_count), size)))
 

@@ -19,8 +19,9 @@ classes by conjugating with every element, the join-closure lattice, the
 congruence-pair scan over every subgroup, and coset counting with the
 per-coset profile, the element-scanning p-group count, the lattice-free
 closure path and the central p-part reduction, the 2-group shape by
-relation search with the closure-checked center-only bracket rule, and a
-hypothesis strategy of random perm: specs.
+relation search, the centralizer and second-center pair scans with the
+predictor's bracket rules read off them and the closure-checked
+center-only bracket rule, and a hypothesis strategy of random perm: specs.
 """
 
 import functools
@@ -67,7 +68,6 @@ from artinx.lattice import (
     SubgroupLattice,
     _assemble,
     _expand_class,
-    centralizer,
     closure_mask,
     conjugate_mask,
     cosets,
@@ -893,6 +893,39 @@ def reference_recognize_2group(group: GroupTable) -> str:
             if order >= 16 and hh == 0 and conj == sd_twist:
                 return "semidihedral"
     return "other"
+
+
+def centralizer(group: GroupTable, mask: int) -> int:
+    """Bit set of elements commuting with everything in the given bit set."""
+    members = mask_elements(mask)
+    mult = group.mult
+    out = 0
+    for g in range(group.order):
+        row = mult[g]
+        if all(row[x] == mult[x][g] for x in members):
+            out |= 1 << g
+    return out
+
+
+def reference_second_center(group: GroupTable) -> int:
+    """Bit set of {g : [g, x] in Z(G) for every x in G}, by scanning every
+    pair of elements."""
+    z_mask = centralizer(group, (1 << group.order) - 1)
+    out = 0
+    for g in range(group.order):
+        if all(z_mask >> group.commutator(g, x) & 1 for x in range(group.order)):
+            out |= 1 << g
+    return out
+
+
+def reference_order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:
+    """The predictor's two bracket rules for a group whose center has order
+    2, from the pair scans of the center and the second center, with the
+    second center closure-checked; None when the center has another order."""
+    if centralizer(group, (1 << group.order) - 1).bit_count() != 2:
+        return None
+    sub = subgroup_from_mask(group, reference_second_center(group), check=True)
+    return {"bracket-whole-group": 4 if sub.is_cyclic else 2, "bracket-center-only": 2}
 
 
 def reference_center_only_rule(group: GroupTable) -> Optional[int]:

@@ -5,6 +5,8 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artinx import artin as artin_module
 from artinx import groups as groups_module
@@ -16,6 +18,9 @@ from artinx.artin import (
     MethodDisagreement,
     artin_exponent_congruence,
     artin_exponent_marks,
+    bracket_preimage,
+    bracket_rows,
+    c_set_reports,
     closed_form_predictor,
     compute_exponent_report,
     congruence_analysis,
@@ -29,26 +34,31 @@ from artinx.artin import (
 )
 from artinx.burnside import build_mark_table
 from artinx.groups import (
+    OrderCapError,
     as_prime_power,
     group_from_spec,
     is_cyclic_group,
     parse_group_spec,
     spec_order,
 )
-from artinx.lattice import centralizer, enumerate_subgroups, mask_elements
+from artinx.lattice import enumerate_subgroups, mask_elements
 from artinx.sweep import default_catalog, random_families
 
 from oracles import (
     brute_force_artin_exponent,
     brute_force_cyclic_coset_count,
     central_reduction_pair,
+    centralizer,
     count_solves,
     cyclic_count,
     cyclic_extensions,
     is_normal_in,
+    perm_specs,
     reference_center_only_rule,
     reference_exponent_marks,
+    reference_order2_center_rules,
     reference_recognize_2group,
+    reference_second_center,
     relabeled,
     standalone_sylow_report,
     subgroup_as_group,
@@ -587,6 +597,54 @@ def test_center_only_rule_is_two_on_every_catalog_2group():
     assert checked == 17
 
 
+def test_order2_center_rules_match_pair_scans_on_catalog_2groups():
+    """The predictor reads the center and the whole-group bracket reading off
+    one set of bracket rows over the generators; the pair scans give the
+    same rules on every 2-group of the catalog to order 128."""
+    checked = 0
+    for spec, group in catalog_2groups().items():
+        if group.order > 128:
+            continue
+        rules = artin_module._order2_center_rules(group)
+        assert rules == reference_order2_center_rules(group), spec
+        checked += rules is not None
+    assert checked == 15
+
+
+def assert_bracket_centers_match_pair_scans(group):
+    """The center and the second center, as bracket preimages of 1 and of
+    the center over rows taken with the group's generators only, are those
+    of the pair scans."""
+    rows = bracket_rows(group, range(group.order), group.generators)
+    center = bracket_preimage(rows, 1)
+    assert center == centralizer(group, full_mask(group))
+    assert bracket_preimage(rows, center) == reference_second_center(group)
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [S5, "A5xC2"])
+def test_bracket_centers_match_pair_scans(spec):
+    assert_bracket_centers_match_pair_scans(group_from_spec(spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(default_catalog(128) + ["S4xC2xC2", "A5xC2"]),
+       st.randoms(use_true_random=False))
+def test_bracket_centers_match_pair_scans_relabeled(spec, rng):
+    g = group_from_spec(spec)
+    assert_bracket_centers_match_pair_scans(
+        relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(perm_specs)
+def test_bracket_centers_match_pair_scans_on_random_perm_specs(spec):
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_bracket_centers_match_pair_scans(g)
+
+
 def test_sylow_subgroup_of_s4_is_dihedral():
     g, lattice = setup_group("S4")
     mask = class_rep_mask(lattice, order=8)
@@ -650,6 +708,8 @@ def test_c_sets_validation():
     g6, _ = setup_group("C6")
     with pytest.raises(ValueError):
         count_C_sets(g6, (1 << 6) - 1, 1)  # H not a p-group
+    with pytest.raises(ValueError, match="nontrivial p-group"):
+        next(c_set_reports(enumerate_subgroups(g6), (1 << 6) - 1))
     reflection = next(cls.representative.mask for cls in lattice.classes
                       if cls.representative.order == 2 and cls.size > 1)
     with pytest.raises(ValueError):

@@ -247,13 +247,19 @@ def test_pair_profile_extends_each_cyclic_subgroup_once(spec, monkeypatch):
         assert_walked_once(g, lattice, memo, pairs)
 
 
-@pytest.mark.parametrize("spec", default_catalog(32) + NONABELIAN_P_SUBGROUPS)
+@pytest.mark.parametrize(
+    "spec", default_catalog(32) + NONABELIAN_P_SUBGROUPS + [S5, "A5xC2", "relabeled:S4xC2"])
 def test_count_c_sets_alone_matches_per_h_path(spec):
     """count_C_sets on one U gives the report of the per-H path, which reads
-    H's commutators over the lattice's generators of H only; the per-H path
-    covers exactly the cyclic U that count_C_sets accepts, and its
-    extensions are the element scan's."""
-    g = group_from_spec(spec)
+    H's commutators over the lattice's generators of H only and normality
+    off the lattice's normalizers, where count_C_sets reads both from
+    commutators with every element of H; the per-H path covers exactly the
+    cyclic U that count_C_sets accepts, and its extensions are the element
+    scan's."""
+    if spec.startswith("relabeled:"):
+        g = relabeled_group(spec.removeprefix("relabeled:"))
+    else:
+        g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     for cls in lattice.classes:
         h = cls.representative

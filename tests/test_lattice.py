@@ -15,7 +15,6 @@ from artinx.groups import OrderCapError, group_from_spec, p_part, prime_factors
 from artinx.lattice import (
     ResourceCapError,
     _expand_class,
-    centralizer,
     closure_mask,
     conjugate_mask,
     cosets,
@@ -30,6 +29,7 @@ from artinx.lattice import (
 from oracles import (
     brute_force_classes,
     brute_force_subgroup_masks,
+    centralizer,
     commutator_closure,
     generated_subgroup,
     is_normal_in,
