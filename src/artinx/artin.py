@@ -9,7 +9,8 @@ Method 1 (congruences): for every pair U normal in V with prime-power index
 (V:U) > 1, count the cosets vU of V/U whose extension <v, U> lies in F; by
 a counting argument n must be divisible by (V:U) / gcd((V:U), count).  The
 exponent candidate is the lcm of these forced divisors.  A call reads only
-the lattice and keeps nothing: one walk serves every family it is given.
+the lattice and keeps nothing: one walk, a step per class V, serves every
+family it is given, and skips a pair whose index divides every exponent.
 
 Method 2 (marks): |G| times any ghost vector lies in the image of the
 Burnside ring, so one exact integer back-substitution of |G| * e_F against
@@ -28,6 +29,7 @@ congruence code reaches method 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -89,10 +91,12 @@ def family_vector(class_cyclic: Sequence[bool], family: Family) -> tuple[int, ..
     n = len(class_cyclic)
     if family.classes is None:
         return tuple(1 if c else 0 for c in class_cyclic)
+    vector = [0] * n
     for i in family.classes:
         if not 0 <= i < n:
             raise ValueError(f"family class index {i} out of range 0..{n - 1}")
-    return tuple(1 if i in family.classes else 0 for i in range(n))
+        vector[i] = 1
+    return tuple(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +104,8 @@ def family_vector(class_cyclic: Sequence[bool], family: Family) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 
 
-def _coset_tally(
-    lattice: SubgroupLattice,
-    memo: dict[int, tuple[int, list]],
-    u_mask: int,
-    v_mask: int,
-) -> list[tuple[int, int]]:
+def _coset_tally(lattice: SubgroupLattice, memo: dict[int, tuple[int, list]],
+                 u_mask: int, v_mask: int) -> list[tuple[int, int]]:
     """The cosets vU of V/U, for U normal in V, tallied by the lattice class
     of <v, U>: (class of U, 1) for U itself, then (class, generating cosets)
     for each extension of U inside V, a class possibly more than once.  A
@@ -166,25 +166,21 @@ class CongruencePair(NamedTuple):
 
 
 def _congruence_walk(lattice: SubgroupLattice, running: Sequence[int]):
-    """Yield (V class, V mask, U mask, index, needy) for each U normal in V
-    with (V:U) a prime power > 1: V over class representatives in class
-    order, U over lattice.below() (ascending by mask).  needy lists the
-    positions of the running exponents, read afresh at each pair, that the
-    index does not divide; a pair with none is skipped before its
-    prime-power and normality tests.  A running exponent of 1 skips nothing.
-    U is normal in V when V lies in the normalizer the lattice records."""
-    normalizers = lattice.normalizers
+    """Yield (V class, V mask, pairs) once per class V, in class order: pairs
+    lists (U mask, index, p) for the U normal in V, ascending by mask, whose
+    index (V:U) is a power of the prime p (tabled once per call) and does not
+    divide the gcd of the running exponents read at V; a gcd of 1 drops only
+    U = V.  U is normal in V when V lies in the normalizer the lattice records."""
+    n, normalizers = lattice.group.order, lattice.normalizers
+    primes = {p ** k: p for p in prime_factors(n) for k in range(1, n.bit_length())}
     for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
-        V = cls.representative
-        vm = V.mask
+        order, vm = cls.representative.order, cls.representative.mask
+        common, pairs = gcd(*running), []
         for u_mask in inside:
-            if u_mask == vm:
-                continue
-            index = V.order // u_mask.bit_count()
-            needy = [i for i, e in enumerate(running) if e % index]
-            if not needy or as_prime_power(index) is None or vm & ~normalizers[u_mask]:
-                continue
-            yield v_idx, vm, u_mask, index, needy
+            index = order // u_mask.bit_count()
+            if common % index and index in primes and not vm & ~normalizers[u_mask]:
+                pairs.append((u_mask, index, primes[index]))
+        yield v_idx, vm, pairs
 
 
 def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
@@ -192,10 +188,11 @@ def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
     memo: dict[int, tuple[int, list]] = {}
-    for v_idx, vm, u_mask, index, _ in _congruence_walk(lattice, [1]):
-        count = sum(n for cls, n in _coset_tally(lattice, memo, u_mask, vm) if members[cls])
-        constraint = index // gcd(index, count)
-        yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
+    for v_idx, vm, pairs in _congruence_walk(lattice, [1]):
+        for u_mask, index, _ in pairs:
+            count = sum(n for cls, n in _coset_tally(lattice, memo, u_mask, vm) if members[cls])
+            constraint = index // gcd(index, count)
+            yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
 
 
 @dataclass
@@ -204,34 +201,43 @@ class CongruenceAnalysis:
     binding_pairs: tuple[CongruencePair, ...]
 
 
-def congruence_analysis(
-    lattice: SubgroupLattice, families: Sequence[Family]
-) -> list[CongruenceAnalysis]:
+def congruence_analysis(lattice: SubgroupLattice,
+                        families: Sequence[Family]) -> list[CongruenceAnalysis]:
     """Run method 1 for each family in one walk over the pairs, tracking for
     each prime one pair that forces the highest power of that prime (a
     certificate for the lcm).  A family whose exponent the index of a pair
     already divides does not count that pair: its constraint divides its
     index, so it can neither raise the exponent nor become a binding pair.
-    A pair that some family counts is tallied once, and each such family
-    sums its own classes from that tally.  congruence_pairs counts every
-    pair."""
+    So a pair whose index divides the exponents' gcd, which only gains
+    factors, is skipped; any other is tallied once, and each family it needs,
+    listed once per index until an exponent moves, sums its classes."""
     cyclic = [c.representative.is_cyclic for c in lattice.classes]
     members = [family_vector(cyclic, family) for family in families]
     exponents = [1] * len(families)
+    common, needy = 1, {}  # the exponents' gcd; index -> families it does not divide
     # per family: prime -> first pair forcing its highest power
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
     memo: dict[int, tuple[int, list]] = {}
-    for v_idx, vm, u_mask, index, needy in _congruence_walk(lattice, exponents):
-        tally = _coset_tally(lattice, memo, u_mask, vm)
-        for i in needy:
-            count = sum(n for cls, n in tally if members[i][cls])
-            constraint = index // gcd(index, count)
-            # each constraint is a prime power; one that already divides the
-            # exponent forces no higher power of its prime
-            if exponents[i] % constraint:
-                exponents[i] = lcm(exponents[i], constraint)
-                best[i][as_prime_power(constraint)[0]] = CongruencePair(
-                    v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
+    for v_idx, vm, pairs in _congruence_walk(lattice, exponents):
+        for u_mask, index, p in pairs:
+            if common % index == 0:
+                continue
+            if index not in needy:
+                needy[index] = [i for i, e in enumerate(exponents) if e % index]
+            tally = _coset_tally(lattice, memo, u_mask, vm)
+            for i in needy[index]:
+                count = 0
+                for cls, n in tally:
+                    if members[i][cls]:
+                        count += n
+                # a power of p: one that divides the exponent forces nothing
+                constraint = index // gcd(index, count)
+                if exponents[i] % constraint:
+                    exponents[i] = lcm(exponents[i], constraint)
+                    best[i][p] = CongruencePair(
+                        v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
+                    common = gcd(*exponents)
+                    needy.clear()  # the list being read lives on until the pair ends
     return [
         CongruenceAnalysis(exponent, tuple(pairs[p] for p in sorted(pairs)))
         for exponent, pairs in zip(exponents, best)
@@ -258,32 +264,32 @@ def artin_exponent_marks(table: MarkTable, family: Family = ALL_CYCLIC) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bracket_rows(
-    group: GroupTable, elements: Sequence[int], generators: Sequence[int]
-) -> dict[int, int]:
-    """Map each h in elements to the bit set of its commutators [h, s] =
-    h s h^-1 s^-1 with the s in generators."""
+def bracket_rows(group: GroupTable, elements: Sequence[int],
+                 generators: Sequence[int]) -> dict[int, int]:
+    """Map each row, the bit set of the commutators [h, s] = h s h^-1 s^-1
+    of an h in elements with the s in generators, to the bit set of the h
+    with that row: a single entry when the h commute with the s."""
     mult, inv = group.mult, group.inv
-    rows = {}
+    rows: dict[int, int] = {}
     for h in elements:
         row_h = mult[h]
         bits = 0
         for s in generators:
             bits |= 1 << mult[row_h[s]][inv[mult[s][h]]]
-        rows[h] = bits
+        rows[bits] = rows.get(bits, 0) | 1 << h
     return rows
 
 
 def bracket_preimage(rows: dict[int, int], u_mask: int) -> int:
-    """Bit set of the h whose row lies in U: for rows over generators S of a
-    group H and U normal in H, this is H'(U) = {h : [h, H] <= U}, and U = 1
-    gives the center of H.  Testing S is enough because, with U normal, the
-    x in H with [h, x] in U form a subgroup, the preimage of the
-    centralizer of hU in H/U."""
+    """Bit set of the h whose row lies in U, one step per distinct row: for
+    rows over generators S of a group H and U normal in H, this is
+    H'(U) = {h : [h, H] <= U}, and U = 1 gives the center of H.  Testing S
+    is enough because, with U normal, the x in H with [h, x] in U form a
+    subgroup, the preimage of the centralizer of hU in H/U."""
     out = 0
-    for h, row in rows.items():
+    for row, hs in rows.items():
         if not row & ~u_mask:
-            out |= 1 << h
+            out |= hs
     return out
 
 
@@ -397,19 +403,20 @@ class CSetReport:
         return len(self.c_prime_masks)
 
 
-def _c_set_report(p: int, cyclic: Sequence[int], normal: frozenset[int], u_mask: int,
+def _cyclic_by_order(group: GroupTable, elements: Sequence[int]) -> dict[int, list[int]]:
+    """The cyclic subgroups <h> of the h in elements, grouped by order."""
+    cyclic = sorted(set(map(group.cyclic_mask, elements)), key=int.bit_count)
+    return {order: list(masks) for order, masks in groupby(cyclic, int.bit_count)}
+
+
+def _c_set_report(p: int, cyclic: dict[int, list[int]], normal: frozenset[int], u_mask: int,
                   h_prime: int) -> CSetReport:
     """The counts for a cyclic U normal in a p-group H, from H's cyclic
-    subgroups, the ones among them normal in H, and H'(U).  Every cyclic V
-    with U <= V and (V:U) = p is one of H's cyclic subgroups, of order p|U|."""
-    target = p * u_mask.bit_count()
-    c_masks = frozenset(m for m in cyclic if m.bit_count() == target and not u_mask & ~m)
-    return CSetReport(
-        c_masks=c_masks,
-        c_prime_masks=c_masks & normal,
-        h_prime_mask=h_prime,
-        c_of_h_prime_masks=frozenset(m for m in c_masks if not m & ~h_prime),
-    )
+    subgroups by order, the normal ones among them, and H'(U).  Every cyclic
+    V with U <= V and (V:U) = p is one of H's cyclic subgroups, of order p|U|."""
+    c_masks = frozenset(m for m in cyclic.get(p * u_mask.bit_count(), ()) if not u_mask & ~m)
+    return CSetReport(c_masks, c_masks & normal, h_prime,
+                      frozenset(m for m in c_masks if not m & ~h_prime))
 
 
 def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
@@ -421,18 +428,18 @@ def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     pp = as_prime_power(h_mask.bit_count())
     if pp is None:
         raise ValueError("H must be a nontrivial p-group")
-    elements = mask_elements(h_mask)
-    rows = bracket_rows(group, elements, elements)
     if not subgroup_from_mask(group, u_mask).is_cyclic:
         raise ValueError("U must be cyclic")
     if u_mask & h_mask != u_mask:
         raise ValueError("inner subgroup is not contained in the outer one")
+    elements = mask_elements(h_mask)
+    rows = bracket_rows(group, elements, elements)
     h_prime = bracket_preimage(rows, u_mask)
     if u_mask & h_prime != u_mask:
         raise ValueError("U must be normal in H")
     subgroup_from_mask(group, h_prime, check=True)
-    cyclic = sorted({group.cyclic_mask(x) for x in elements})
-    normal = frozenset(m for m in cyclic if not m & ~bracket_preimage(rows, m))
+    cyclic = _cyclic_by_order(group, elements)
+    normal = frozenset(m for c in cyclic.values() for m in c if not m & ~bracket_preimage(rows, m))
     return _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
 
 
@@ -447,17 +454,16 @@ def c_set_reports(lattice: SubgroupLattice, h_mask: int):
     if pp is None:
         raise ValueError("H must be a nontrivial p-group")
     elements = mask_elements(h_mask)
-    cyclic = sorted({group.cyclic_mask(x) for x in elements})
-    normal = frozenset(m for m in cyclic if not h_mask & ~lattice.normalizers[m])
+    cyclic = _cyclic_by_order(group, elements)
+    normal = frozenset(m for ms in cyclic.values() for m in ms
+                       if not h_mask & ~lattice.normalizers[m])
     rows = bracket_rows(group, elements, lattice.generators_of(h_mask))
-    for u_mask in cyclic:
-        if u_mask in normal:
-            h_prime = bracket_preimage(rows, u_mask)
-            if h_prime not in lattice.class_of:
-                raise RuntimeError(
-                    f"H'(U) = {h_prime:#x} is missing from the lattice; the lattice is incomplete"
-                )
-            yield u_mask, _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
+    for u_mask in sorted(normal):
+        h_prime = bracket_preimage(rows, u_mask)
+        if h_prime not in lattice.class_of:
+            raise RuntimeError(f"H'(U) = {h_prime:#x} is missing from the lattice; "
+                               "the lattice is incomplete")
+        yield u_mask, _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -211,27 +211,21 @@ def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]
         abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
         cyclic_h = H.is_cyclic
         for u_mask, r in c_set_reports(lattice, H.mask):
-            u_order = u_mask.bit_count()
-            where = f"H order {H.order} in {spec}, U order {u_order}"
-            if (r.c_count - r.c_prime_count) % p:
-                failures.append(_failure(
-                    spec, "lemmas", "counts congruent mod p",
-                    f"{r.c_count} vs {r.c_prime_count}", where))
+            u_order, count = u_mask.bit_count(), r.c_count
+            bad = []  # (expected, got) per failed check
+            if (count - r.c_prime_count) % p:
+                bad.append(("counts congruent mod p", f"{count} vs {r.c_prime_count}"))
             if r.c_prime_masks != r.c_of_h_prime_masks:
-                failures.append(_failure(
-                    spec, "lemmas", "normal members = extensions in H'",
-                    "set mismatch", where))
-            if abelian and 1 < u_order < H.order:
-                if (r.c_count % p != 0) != cyclic_h:
-                    failures.append(_failure(
-                        spec, "lemmas", "count prime to p iff H cyclic",
-                        f"count {r.c_count}, cyclic {cyclic_h}", where))
+                bad.append(("normal members = extensions in H'", "set mismatch"))
+            if abelian and 1 < u_order < H.order and (count % p != 0) != cyclic_h:
+                bad.append(("count prime to p iff H cyclic", f"count {count}, cyclic {cyclic_h}"))
             # [H, H] <= U exactly when H' = {h : [h, H] <= U} is all of H
-            if p == 2 and u_order == 2 and r.h_prime_mask == H.mask:
-                if r.c_count % 2 and not (cyclic_h or (not abelian and H.order == 8)):
-                    failures.append(_failure(
-                        spec, "lemmas", "odd count forces cyclic or nonabelian order 8",
-                        f"count {r.c_count}", where))
+            if p == 2 and u_order == 2 and r.h_prime_mask == H.mask and count % 2 \
+                    and not (cyclic_h or (not abelian and H.order == 8)):
+                bad.append(("odd count forces cyclic or nonabelian order 8", f"count {count}"))
+            if bad:
+                where = f"H order {H.order} in {spec}, U order {u_order}"
+                failures += [_failure(spec, "lemmas", want, got, where) for want, got in bad]
     return ("fail" if failures else "ok"), failures, []
 
 

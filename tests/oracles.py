@@ -21,7 +21,9 @@ per-coset profile, the element-scanning p-group count, the lattice-free
 closure path and the central p-part reduction, the 2-group shape by
 relation search, the centralizer and second-center pair scans with the
 predictor's bracket rules read off them and the closure-checked
-center-only bracket rule, and a hypothesis strategy of random perm: specs.
+center-only bracket rule, method 1's walk with a family list per pair, the
+per-h bracket preimage scan and the lemma suite's reports by scanning every
+cyclic subgroup for each U, and a hypothesis strategy of random perm: specs.
 """
 
 import functools
@@ -35,9 +37,12 @@ from weakref import WeakKeyDictionary
 
 from hypothesis import strategies as st
 
+from artinx import artin as artin_module
 from artinx.artin import (
     ALL_CYCLIC,
+    CongruenceAnalysis,
     CongruencePair,
+    CSetReport,
     Family,
     SylowComparison,
     artin_exponent_marks,
@@ -693,6 +698,45 @@ def reference_congruence_pairs(
     return pairs
 
 
+def reference_congruence_analysis(
+    lattice: SubgroupLattice, families: Sequence[Family]
+) -> list[CongruenceAnalysis]:
+    """Method 1 by the one walk with a family list per pair: V over class
+    representatives in class order, U over lattice.below(); at every pair
+    the families whose running exponent the index does not divide are listed
+    afresh, and a pair with none is skipped before its prime-power and
+    normality tests.  Any other pair is tallied once, through
+    artin._coset_tally looked up at call time (so that a test can count the
+    tallies), and each listed family sums its classes from that tally."""
+    cyclic = [c.representative.is_cyclic for c in lattice.classes]
+    members = [family_vector(cyclic, family) for family in families]
+    exponents = [1] * len(families)
+    best: list[dict[int, CongruencePair]] = [{} for _ in families]
+    memo: dict[int, tuple[int, list]] = {}
+    for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
+        V = cls.representative
+        for u_mask in inside:
+            if u_mask == V.mask:
+                continue
+            index = V.order // u_mask.bit_count()
+            needy = [i for i, e in enumerate(exponents) if e % index]
+            if (not needy or as_prime_power(index) is None
+                    or V.mask & ~lattice.normalizers[u_mask]):
+                continue
+            tally = artin_module._coset_tally(lattice, memo, u_mask, V.mask)
+            for i in needy:
+                count = sum(n for c, n in tally if members[i][c])
+                constraint = index // gcd(index, count)
+                if exponents[i] % constraint:
+                    exponents[i] = lcm(exponents[i], constraint)
+                    best[i][as_prime_power(constraint)[0]] = CongruencePair(
+                        v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
+    return [
+        CongruenceAnalysis(exponent, tuple(pairs[p] for p in sorted(pairs)))
+        for exponent, pairs in zip(exponents, best)
+    ]
+
+
 def reference_pair_profile(
     group: GroupTable, lattice: SubgroupLattice, u_mask: int, v_mask: int
 ) -> dict[int, int]:
@@ -915,6 +959,42 @@ def reference_second_center(group: GroupTable) -> int:
     for g in range(group.order):
         if all(z_mask >> group.commutator(g, x) & 1 for x in range(group.order)):
             out |= 1 << g
+    return out
+
+
+def reference_bracket_preimage(
+    group: GroupTable, elements: Sequence[int], generators: Sequence[int], u_mask: int
+) -> int:
+    """Bit set of the h in elements whose commutators [h, s] = h s h^-1 s^-1
+    with every s in generators lie in the bit set u_mask, testing each h in
+    turn."""
+    out = 0
+    for h in elements:
+        if all(u_mask >> group.commutator(h, s) & 1 for s in generators):
+            out |= 1 << h
+    return out
+
+
+def reference_c_set_reports(
+    lattice: SubgroupLattice, h_mask: int
+) -> list[tuple[int, CSetReport]]:
+    """(U, report) for every cyclic U normal in the p-group H, ascending by
+    mask: normality by conjugation, H'(U) by the per-h scan over the
+    lattice's generators of H, and for each U a scan of all of H's cyclic
+    subgroups for the extensions of order p|U| that contain U."""
+    group = lattice.group
+    p = as_prime_power(h_mask.bit_count())[0]
+    elements = mask_elements(h_mask)
+    generators = lattice.generators_of(h_mask)
+    cyclic = sorted({group.cyclic_mask(x) for x in elements})
+    normal = frozenset(m for m in cyclic if is_normal_in(group, m, h_mask))
+    out = []
+    for u_mask in sorted(normal):
+        h_prime = reference_bracket_preimage(group, elements, generators, u_mask)
+        c_masks = frozenset(m for m in cyclic
+                            if m.bit_count() == p * u_mask.bit_count() and not u_mask & ~m)
+        out.append((u_mask, CSetReport(c_masks, c_masks & normal, h_prime,
+                                       frozenset(m for m in c_masks if not m & ~h_prime))))
     return out
 
 

@@ -716,6 +716,22 @@ def test_c_sets_validation():
         count_C_sets(g, full_mask(g), reflection)  # U not normal in H
 
 
+def test_count_c_sets_checks_u_before_building_bracket_rows(monkeypatch):
+    """A U that is not cyclic, or not inside H, fails with its own message
+    before the |H|^2 bracket rows are built: here H = C2^6, 4,096 pairs."""
+    g = group_from_spec("C2xC2xC2xC2xC2xC2")
+
+    def refuse(*args):
+        raise AssertionError("bracket rows built for a bad argument")
+
+    monkeypatch.setattr(artin_module, "bracket_rows", refuse)
+    klein = g.cyclic_mask(1) | g.cyclic_mask(2) | g.cyclic_mask(g.mul(1, 2))
+    with pytest.raises(ValueError, match="^U must be cyclic$"):
+        count_C_sets(g, full_mask(g), klein)
+    with pytest.raises(ValueError, match="^inner subgroup is not contained in the outer one$"):
+        count_C_sets(g, g.cyclic_mask(1), g.cyclic_mask(2))
+
+
 def test_cyclic_extensions_c8():
     g, _ = setup_group("C8")
     u = g.cyclic_mask(4)  # order 2

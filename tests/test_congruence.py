@@ -1,7 +1,7 @@
 """Method 1 against plain references: the congruence pairs, the pair skip
 of the one walk that serves every family of a call, the per-pair coset tally
 and the per-call memo it walks into, and the per-H C-set path of the lemma
-suite."""
+suite with the grouped bracket rows it reads H'(U) from."""
 
 import pickle
 import random
@@ -10,12 +10,15 @@ from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from artinx import artin
 from artinx import lattice as lattice_module
 from artinx.artin import (
     ALL_CYCLIC,
     _coset_tally,
+    bracket_preimage,
+    bracket_rows,
     c_set_reports,
     compute_exponent_report,
     congruence_analysis,
@@ -32,6 +35,9 @@ from oracles import (
     cyclic_extensions,
     is_normal_in,
     perm_specs,
+    reference_bracket_preimage,
+    reference_c_set_reports,
+    reference_congruence_analysis,
     reference_congruence_pairs,
     reference_coset_count,
     reference_pair_profile,
@@ -452,3 +458,83 @@ def test_one_call_tallies_each_pair_at_most_once(spec, monkeypatch):
     congruence_analysis(lattice, families)
     assert calls and max(calls.values()) == 1
     assert set(calls) <= every_pair
+
+
+def assert_tallies_match_reference(spec, g):
+    """A call for the cyclic family and the sweep's 20 random families skips
+    a pair when its index divides the gcd of the running exponents, and
+    lists the families a pair needs once per index until an exponent moves.
+    It tallies exactly the (U, V) pairs that the walk listing the needy
+    families afresh at every pair tallies, and gives the same analyses: a
+    weaker skip would show as extra tallies, a stronger one as a wrong
+    exponent or binding pair."""
+    lattice = enumerate_subgroups(g)
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes))]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_tallies(mp)
+        analyses = congruence_analysis(lattice, families)
+        tallied = Counter(calls)
+        calls.clear()
+        assert reference_congruence_analysis(lattice, families) == analyses
+    assert calls == tallied and max(tallied.values(), default=1) == 1
+
+
+@pytest.mark.parametrize("spec", ["C4xC8xC8", "S4xC2xC2", "SD32", S5])
+def test_gcd_skip_tallies_the_per_pair_walks_pairs(spec):
+    assert_tallies_match_reference(spec, group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16"])
+def test_gcd_skip_tallies_the_per_pair_walks_pairs_relabeled(spec):
+    assert_tallies_match_reference(spec, relabeled_group(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_specs)
+def test_gcd_skip_tallies_the_per_pair_walks_pairs_on_random_perm_specs(spec):
+    try:
+        g = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_tallies_match_reference(spec, g)
+
+
+def assert_grouped_rows_match_per_h_scan(g):
+    """bracket_rows groups the h by their commutator row, one entry for an
+    abelian group, and bracket_preimage, one step per distinct row, gives
+    the per-h scan's preimage: of every subgroup U of G, over G's rows with
+    its generators, and of every subgroup U of H, over the rows of each
+    class representative H with the lattice's generators of H.  The lemma
+    suite's reports are those of the scan over all of H's cyclic subgroups
+    for each U."""
+    lattice = enumerate_subgroups(g)
+    everything = range(g.order)
+    rows = bracket_rows(g, everything, g.generators)
+    assert sum(hs.bit_count() for hs in rows.values()) == g.order
+    assert (len(rows) == 1) == g.is_abelian
+    for u_mask in lattice.class_of:
+        assert bracket_preimage(rows, u_mask) == reference_bracket_preimage(
+            g, everything, g.generators, u_mask)
+    for cls, inside in zip(lattice.classes, lattice.below()):
+        h = cls.representative
+        elements, generators = mask_elements(h.mask), lattice.generators_of(h.mask)
+        rows = bracket_rows(g, elements, generators)
+        for u_mask in inside:
+            assert bracket_preimage(rows, u_mask) == reference_bracket_preimage(
+                g, elements, generators, u_mask), (h.mask, u_mask)
+        if as_prime_power(h.order) is not None:
+            assert list(c_set_reports(lattice, h.mask)) == reference_c_set_reports(
+                lattice, h.mask), h.mask
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])
+def test_grouped_bracket_rows_match_per_h_scan(spec):
+    assert_grouped_rows_match_per_h_scan(group_from_spec(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(default_catalog(64) + ["S4xC2xC2", A5]), st.randoms(use_true_random=False))
+def test_grouped_bracket_rows_match_per_h_scan_relabeled(spec, rng):
+    g = group_from_spec(spec)
+    assert_grouped_rows_match_per_h_scan(
+        relabeled(g, [0] + rng.sample(range(1, g.order), g.order - 1)))

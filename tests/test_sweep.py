@@ -134,6 +134,34 @@ def test_evaluate_group_statuses_follow_check_names():
     assert list(row["statuses"]) == ["crossmethod", "cyclic", "lemmas", "sylow"]
 
 
+def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
+    """Each lemma check that fails adds one failure, in check order, naming
+    the check, the values it saw, and H and U: here one report for H = U =
+    C2xC2 and U of order 2 breaks all four checks."""
+    group = group_from_spec("C2xC2")
+    full = (1 << group.order) - 1
+    u_mask = group.cyclic_mask(1)
+    report = artin.CSetReport(frozenset({full}), frozenset(), full, frozenset({full}))
+
+    def fake_reports(lattice, h_mask):
+        return iter([(u_mask, report)] if h_mask == full else [])
+
+    monkeypatch.setattr(sweep, "c_set_reports", fake_reports)
+    row = evaluate_group(("C2xC2", ("lemmas",)))
+    context = "H order 4 in C2xC2, U order 2"
+    assert row["statuses"] == {"lemmas": "fail"}
+    assert row["failures"] == [
+        {"group": "C2xC2", "check": "lemmas", "expected": expected, "got": got,
+         "context": context}
+        for expected, got in [
+            ("counts congruent mod p", "1 vs 0"),
+            ("normal members = extensions in H'", "set mismatch"),
+            ("count prime to p iff H cyclic", "count 1, cyclic False"),
+            ("odd count forces cyclic or nonabelian order 8", "count 1"),
+        ]
+    ]
+
+
 def test_evaluate_group_method_disagreement(monkeypatch):
     real = artin.congruence_analysis
 
