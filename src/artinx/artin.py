@@ -165,20 +165,19 @@ class CongruencePair(NamedTuple):
     constraint: int
 
 
-def _congruence_walk(lattice: SubgroupLattice, running: Sequence[int]):
+def _congruence_walk(lattice: SubgroupLattice):
     """Yield (V class, V mask, pairs) once per class V, in class order: pairs
     lists (U mask, index, p) for the U normal in V, ascending by mask, whose
-    index (V:U) is a power of the prime p (tabled once per call) and does not
-    divide the gcd of the running exponents read at V; a gcd of 1 drops only
-    U = V.  U is normal in V when V lies in the normalizer the lattice records."""
+    index (V:U) > 1 is a power of the prime p (tabled once per call).  U is
+    normal in V when V lies in the normalizer the lattice records."""
     n, normalizers = lattice.group.order, lattice.normalizers
     primes = {p ** k: p for p in prime_factors(n) for k in range(1, n.bit_length())}
     for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
         order, vm = cls.representative.order, cls.representative.mask
-        common, pairs = gcd(*running), []
+        pairs = []
         for u_mask in inside:
             index = order // u_mask.bit_count()
-            if common % index and index in primes and not vm & ~normalizers[u_mask]:
+            if index in primes and not vm & ~normalizers[u_mask]:
                 pairs.append((u_mask, index, primes[index]))
         yield v_idx, vm, pairs
 
@@ -188,7 +187,7 @@ def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
     normal subgroups of V with (V:U) a prime power > 1."""
     members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
     memo: dict[int, tuple[int, list]] = {}
-    for v_idx, vm, pairs in _congruence_walk(lattice, [1]):
+    for v_idx, vm, pairs in _congruence_walk(lattice):
         for u_mask, index, _ in pairs:
             count = sum(n for cls, n in _coset_tally(lattice, memo, u_mask, vm) if members[cls])
             constraint = index // gcd(index, count)
@@ -206,38 +205,36 @@ def congruence_analysis(lattice: SubgroupLattice,
     """Run method 1 for each family in one walk over the pairs, tracking for
     each prime one pair that forces the highest power of that prime (a
     certificate for the lcm).  A family whose exponent the index of a pair
-    already divides does not count that pair: its constraint divides its
-    index, so it can neither raise the exponent nor become a binding pair.
-    So a pair whose index divides the exponents' gcd, which only gains
-    factors, is skipped; any other is tallied once, and each family it needs,
-    listed once per index until an exponent moves, sums its classes."""
+    already divides skips that pair: its constraint divides its index, so
+    it can neither raise the exponent nor become a binding pair.  So a pair
+    whose index divides the exponents' gcd is not tallied at all; any other
+    is tallied once, and each family that does not skip it sums its classes."""
     cyclic = [c.representative.is_cyclic for c in lattice.classes]
     members = [family_vector(cyclic, family) for family in families]
     exponents = [1] * len(families)
-    common, needy = 1, {}  # the exponents' gcd; index -> families it does not divide
+    common = 1  # the exponents' gcd
     # per family: prime -> first pair forcing its highest power
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
     memo: dict[int, tuple[int, list]] = {}
-    for v_idx, vm, pairs in _congruence_walk(lattice, exponents):
+    for v_idx, vm, pairs in _congruence_walk(lattice):
         for u_mask, index, p in pairs:
             if common % index == 0:
                 continue
-            if index not in needy:
-                needy[index] = [i for i, e in enumerate(exponents) if e % index]
             tally = _coset_tally(lattice, memo, u_mask, vm)
-            for i in needy[index]:
+            for i, e in enumerate(exponents):
+                if e % index == 0:
+                    continue
                 count = 0
                 for cls, n in tally:
                     if members[i][cls]:
                         count += n
                 # a power of p: one that divides the exponent forces nothing
                 constraint = index // gcd(index, count)
-                if exponents[i] % constraint:
-                    exponents[i] = lcm(exponents[i], constraint)
+                if e % constraint:
+                    exponents[i] = lcm(e, constraint)
                     best[i][p] = CongruencePair(
                         v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
                     common = gcd(*exponents)
-                    needy.clear()  # the list being read lives on until the pair ends
     return [
         CongruenceAnalysis(exponent, tuple(pairs[p] for p in sorted(pairs)))
         for exponent, pairs in zip(exponents, best)

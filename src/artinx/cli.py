@@ -64,11 +64,8 @@ def class_label(order: int, size: int, cyclic: bool) -> str:
 
 
 def _lattice_labels(lattice: SubgroupLattice) -> list[str]:
-    cyclic = set(lattice.cyclic_class_indices())
-    return [
-        class_label(c.representative.order, c.size, i in cyclic)
-        for i, c in enumerate(lattice.classes)
-    ]
+    return [class_label(c.representative.order, c.size, c.representative.is_cyclic)
+            for c in lattice.classes]
 
 
 # ---------------------------------------------------------------------------

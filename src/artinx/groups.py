@@ -335,10 +335,6 @@ class GroupTable:
         """g x g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]
 
-    def commutator(self, a: int, b: int) -> int:
-        """a b a^-1 b^-1."""
-        return self.mult[self.mult[a][b]][self.inv[self.mult[b][a]]]
-
     def element_order(self, g: int) -> int:
         return self._order_of[g]
 

@@ -174,9 +174,6 @@ class SubgroupLattice:
         except KeyError:
             raise KeyError(f"mask {mask:#x} is not a subgroup of this lattice") from None
 
-    def cyclic_class_indices(self) -> list[int]:
-        return [i for i, c in enumerate(self.classes) if c.representative.is_cyclic]
-
     def below(self) -> list[list[int]]:
         """For each class, the subgroup masks inside its representative,
         ascending by mask; computed once per lattice and cached on it.
@@ -254,20 +251,22 @@ def _assemble(
 
     Each class comes as what _expand_class returns for a mask, plus
     generators of that mask; every conjugate g H g^-1 is given the
-    generators and the normalizer conjugated by g.  The representative of
-    a class is its conjugate with the lexicographically least element tuple.
+    generators and the normalizer conjugated by g.  A class's conjugates
+    are sorted once by element tuple, and the first, the lexicographically
+    least, is its representative.
     """
     raw = []
     for conj_to_g, normalizer, gens in found:
-        rep = subgroup_from_mask(group, min(conj_to_g, key=mask_elements))
-        raw.append((rep, conj_to_g, normalizer, gens))
-    raw.sort(key=lambda r: (r[0].order, r[0].elements))
+        conjugates = tuple(sorted(conj_to_g, key=mask_elements))
+        raw.append((SubgroupClass(subgroup_from_mask(group, conjugates[0]), conjugates),
+                    conj_to_g, normalizer, gens))
+    raw.sort(key=lambda r: (r[0].representative.order, r[0].representative.elements))
     classes = []
     class_of: dict[int, int] = {}
     generators: dict[int, tuple[int, ...]] = {}
     normalizers: dict[int, int] = {}
-    for idx, (rep, conj_to_g, normalizer, gens) in enumerate(raw):
-        classes.append(SubgroupClass(rep, tuple(sorted(conj_to_g, key=mask_elements))))
+    for idx, (cls, conj_to_g, normalizer, gens) in enumerate(raw):
+        classes.append(cls)
         for m, g in conj_to_g.items():
             class_of[m] = idx
             generators[m] = tuple(group.conj(g, x) for x in gens)

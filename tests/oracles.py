@@ -660,10 +660,15 @@ def join_closure_lattice(group: GroupTable) -> SubgroupLattice:
     return _assemble(group, found)
 
 
+def commutator(group: GroupTable, a: int, b: int) -> int:
+    """a b a^-1 b^-1."""
+    return group.mult[group.mult[a][b]][group.inv[group.mult[b][a]]]
+
+
 def commutator_closure(group: GroupTable, mask: int) -> int:
     """Subgroup generated by all commutators of pairs from the bit set."""
     members = mask_elements(mask)
-    gens = {group.commutator(a, b) for a in members for b in members}
+    gens = {commutator(group, a, b) for a in members for b in members}
     gens.discard(0)
     return closure_mask(group, gens)
 
@@ -957,7 +962,7 @@ def reference_second_center(group: GroupTable) -> int:
     z_mask = centralizer(group, (1 << group.order) - 1)
     out = 0
     for g in range(group.order):
-        if all(z_mask >> group.commutator(g, x) & 1 for x in range(group.order)):
+        if all(z_mask >> commutator(group, g, x) & 1 for x in range(group.order)):
             out |= 1 << g
     return out
 
@@ -970,7 +975,7 @@ def reference_bracket_preimage(
     turn."""
     out = 0
     for h in elements:
-        if all(u_mask >> group.commutator(h, s) & 1 for s in generators):
+        if all(u_mask >> commutator(group, h, s) & 1 for s in generators):
             out |= 1 << h
     return out
 
@@ -1017,7 +1022,7 @@ def reference_center_only_rule(group: GroupTable) -> Optional[int]:
         return None
     center_only = 0
     for g in range(group.order):
-        if all(z_mask >> group.commutator(g, x) & 1 for x in mask_elements(z_mask)):
+        if all(z_mask >> commutator(group, g, x) & 1 for x in mask_elements(z_mask)):
             center_only |= 1 << g
     return 4 if subgroup_from_mask(group, center_only, check=True).is_cyclic else 2
 

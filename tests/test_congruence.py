@@ -460,23 +460,39 @@ def test_one_call_tallies_each_pair_at_most_once(spec, monkeypatch):
     assert set(calls) <= every_pair
 
 
-def assert_tallies_match_reference(spec, g):
-    """A call for the cyclic family and the sweep's 20 random families skips
-    a pair when its index divides the gcd of the running exponents, and
-    lists the families a pair needs once per index until an exponent moves.
-    It tallies exactly the (U, V) pairs that the walk listing the needy
-    families afresh at every pair tallies, and gives the same analyses: a
-    weaker skip would show as extra tallies, a stronger one as a wrong
-    exponent or binding pair."""
-    lattice = enumerate_subgroups(g)
-    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes))]
-    with pytest.MonkeyPatch.context() as mp:
-        calls = count_tallies(mp)
-        analyses = congruence_analysis(lattice, families)
-        tallied = Counter(calls)
+@pytest.mark.parametrize("max_order, tallies", [(64, 6143), (128, 17896)])
+def test_catalog_tallies_a_pinned_number_of_pairs(max_order, tallies, monkeypatch):
+    """Over the catalog, one call per group for the cyclic family and the
+    sweep's 20 random families tallies a pinned number of pairs, each at
+    most once: a weaker skip fails here by count."""
+    calls, total = count_tallies(monkeypatch), 0
+    for spec in default_catalog(max_order):
+        lattice = enumerate_subgroups(group_from_spec(spec))
         calls.clear()
-        assert reference_congruence_analysis(lattice, families) == analyses
-    assert calls == tallied and max(tallied.values(), default=1) == 1
+        congruence_analysis(lattice, [ALL_CYCLIC, *random_families(spec, len(lattice.classes))])
+        assert max(calls.values(), default=1) == 1, spec
+        total += sum(calls.values())
+    assert total == tallies
+
+
+def assert_tallies_match_reference(spec, g):
+    """A call for the cyclic family alone, with the sweep's 20 random
+    families, or with 39 of them skips a pair when its index divides the
+    gcd of the running exponents, and skips a family for the pair when its
+    index divides that family's exponent.  It tallies exactly the (U, V)
+    pairs that the walk listing the needy families afresh at every pair
+    tallies, and gives the same analyses: a weaker skip would show as extra
+    tallies, a stronger one as a wrong exponent or binding pair."""
+    lattice = enumerate_subgroups(g)
+    for count in (0, 20, 39):
+        families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), count)]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_tallies(mp)
+            analyses = congruence_analysis(lattice, families)
+            tallied = Counter(calls)
+            calls.clear()
+            assert reference_congruence_analysis(lattice, families) == analyses
+        assert calls == tallied and max(tallied.values(), default=1) == 1, (spec, count)
 
 
 @pytest.mark.parametrize("spec", ["C4xC8xC8", "S4xC2xC2", "SD32", S5])
