@@ -37,7 +37,6 @@ from .burnside import MarkTable, build_mark_table, ghost_denominator
 from .groups import (
     GroupTable,
     as_prime_power,
-    is_cyclic_group,
     p_part,
     prime_factors,
 )
@@ -307,10 +306,12 @@ def recognize_2group(group: GroupTable) -> str:
     if order > 1 and (pp is None or pp[0] != 2):
         raise ValueError("recognize_2group expects a 2-group")
     half = order // 2
-    orders = [group.element_order(g) for g in range(order)]
-    if half < 4 or max(orders) != half:
+    # the largest element order is the largest cyclic subgroup's size, and
+    # each involution generates a cyclic subgroup of order 2 of its own
+    sizes = [c.bit_count() for c in group.cyclic_subgroups]
+    if half < 4 or max(sizes) != half:
         return "other"
-    involutions = orders.count(2)
+    involutions = sizes.count(2)
     if involutions == half + 1:
         return "dihedral"
     if involutions == 1:
@@ -351,7 +352,7 @@ def _order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:
 
 def closed_form_predictor(group: GroupTable) -> Prediction:
     """Predicted exponent for the cyclic family, where a formula is known."""
-    if is_cyclic_group(group):
+    if group.is_cyclic:
         return Prediction(1, "cyclic")
     pp = as_prime_power(group.order)
     if pp is None:
@@ -425,7 +426,7 @@ def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     pp = as_prime_power(h_mask.bit_count())
     if pp is None:
         raise ValueError("H must be a nontrivial p-group")
-    if not subgroup_from_mask(group, u_mask).is_cyclic:
+    if u_mask not in group.cyclic_subgroups:
         raise ValueError("U must be cyclic")
     if u_mask & h_mask != u_mask:
         raise ValueError("inner subgroup is not contained in the outer one")

@@ -279,7 +279,8 @@ def _validate_table(mult: list[list[int]]) -> list[int]:
 class GroupTable:
     """A finite group given by its full multiplication table."""
 
-    __slots__ = ("order", "mult", "inv", "generators", "is_abelian", "_order_of", "_cyclic_mask_of")
+    __slots__ = ("order", "mult", "inv", "generators", "is_abelian", "is_cyclic",
+                 "cyclic_subgroups", "_order_of", "_cyclic_mask_of")
 
     def __init__(self, mult: Sequence[Sequence[int]]) -> None:
         """Validate a copy of mult, normalized to a list of int lists."""
@@ -324,6 +325,12 @@ class GroupTable:
                     by_divisor[d] = sum([1 << z for z in powers[::d]])
                 orders[power] = m // d
                 masks[power] = by_divisor[d]
+        # each cyclic subgroup's bit set, mapped to its least generator, in
+        # ascending order of that generator
+        self.cyclic_subgroups = cyclic = {}
+        for x, mask in enumerate(masks):
+            cyclic.setdefault(mask, x)
+        self.is_cyclic = (1 << n) - 1 in cyclic
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupTable(order={self.order})"
@@ -341,10 +348,6 @@ class GroupTable:
     def cyclic_mask(self, g: int) -> int:
         """Bit set of the cyclic subgroup generated by g."""
         return self._cyclic_mask_of[g]
-
-
-def is_cyclic_group(group: GroupTable) -> bool:
-    return any(group.element_order(g) == group.order for g in range(group.order))
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def subgroup_from_mask(group: GroupTable, mask: int, check: bool = False) -> Sub
                 if not mask >> row[b] & 1:
                     raise ValueError(f"mask is not closed: {a}*{b} escapes")
     order = len(elements)
-    is_cyclic = any(group.cyclic_mask(x) == mask for x in elements)
+    is_cyclic = mask in group.cyclic_subgroups
     return Subgroup(mask=mask, order=order, is_cyclic=is_cyclic, elements=elements)
 
 
@@ -211,11 +211,8 @@ class SubgroupLattice:
 def _prime_power_generators(group: GroupTable, mask: int) -> list[int]:
     """One generator, the least, of each cyclic subgroup of prime-power
     order > 1 inside the subgroup with the given bit set, ascending."""
-    first: dict[int, int] = {}
-    for x in mask_elements(mask):
-        if as_prime_power(group.element_order(x)):
-            first.setdefault(group.cyclic_mask(x), x)
-    return list(first.values())
+    return [x for c, x in group.cyclic_subgroups.items()
+            if not c & ~mask and as_prime_power(c.bit_count())]
 
 
 def _expand_class(
@@ -462,7 +459,7 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
         return None
     if not classes or classes[0].representative.order != 1 or classes[-1].representative.order != n:
         return None
-    if not all(group.cyclic_mask(g) in lattice.class_of for g in range(n)):
+    if not group.cyclic_subgroups.keys() <= lattice.class_of.keys():
         return None
     return lattice
 

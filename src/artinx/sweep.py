@@ -29,7 +29,6 @@ from .groups import (
     FAMILIES,
     as_prime_power,
     group_from_spec,
-    is_cyclic_group,
     parse_group_spec,
     spec_order,
 )
@@ -121,7 +120,7 @@ def _check_crossmethod(spec, group, lattice, table, report) -> tuple[str, list, 
 
 def _check_cyclic(spec, group, lattice, table, report) -> tuple[str, list, list]:
     exponent = report.exponent
-    if is_cyclic_group(group):
+    if group.is_cyclic:
         if exponent != 1:
             return "fail", [_failure(spec, "cyclic", 1, exponent, "cyclic group")], []
     elif exponent == 1:

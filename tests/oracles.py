@@ -1027,7 +1027,57 @@ def reference_center_only_rule(group: GroupTable) -> Optional[int]:
     return 4 if subgroup_from_mask(group, center_only, check=True).is_cyclic else 2
 
 
-_cycles = st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6, unique=True)
+def is_p_hyperelementary(lattice: SubgroupLattice, h_mask: int, p: int) -> bool:
+    """Whether H is p-hyperelementary, C ⋊ P with C cyclic of order prime to
+    p and P a p-group: whether H holds an element of order |H|_{p'} whose
+    cyclic subgroup is normal in H, read off the lattice's normalizers."""
+    order = h_mask.bit_count()
+    group, normalizers = lattice.group, lattice.normalizers
+    return any(
+        group.element_order(x) == order // p_part(order, p)
+        and not h_mask & ~normalizers[group.cyclic_mask(x)]
+        for x in mask_elements(h_mask)
+    )
+
+
+def dress_exponent(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int:
+    """The least n >= 1 with n * e_F in the Burnside ring, by Dress's
+    congruences (Dress 1969): a ghost vector x is the ghost of a Burnside
+    ring element exactly when, for every U with w = |N(U):U|, the sum of
+    x(<g, U>) over the cosets gU of N(U)/U is divisible by w.  For n * e_F
+    that sum is n * c_U, with c_U the number of cosets whose <g, U> lies in
+    F, so n must be a multiple of w / gcd(w, c_U); conjugates give the same
+    condition, so one U per class will do.  The cosets g^k U with k prime to
+    the order m of gU all generate <g, U>, so one walk gU, g^2 U, ... back
+    to U counts phi(m) of them at once."""
+    group, class_of = lattice.group, lattice.class_of
+    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    exponent = 1
+    for cls in lattice.classes:
+        u_mask, u_elems = cls.representative.mask, cls.representative.elements
+        normalizer = lattice.normalizers[u_mask]
+        w = normalizer.bit_count() // len(u_elems)
+        count = members[class_of[u_mask]]  # the coset U itself
+        todo = normalizer & ~u_mask
+        while todo:
+            g = (todo & -todo).bit_length() - 1
+            layers, power = [], g  # the bit sets of g^k U, for k = 1, ..., m - 1
+            while not u_mask >> power & 1:
+                layers.append(sum(1 << group.mult[power][u] for u in u_elems))
+                power = group.mult[power][g]
+            m = len(layers) + 1
+            extension = u_mask
+            for k, bits in enumerate(layers, 1):
+                extension |= bits
+                if gcd(k, m) == 1:
+                    todo &= ~bits
+            if members[class_of[extension]]:
+                count += sum(1 for k in range(1, m) if gcd(k, m) == 1)
+        exponent = lcm(exponent, w // gcd(w, count))
+    return exponent
+
+
+_cycles =st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6, unique=True)
 # permutation groups on up to six points, solvable or not
 perm_specs = st.lists(st.lists(_cycles, min_size=1, max_size=2), min_size=1, max_size=3).map(
     lambda gens: "perm:" + ",".join(

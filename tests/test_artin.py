@@ -37,7 +37,6 @@ from artinx.groups import (
     OrderCapError,
     as_prime_power,
     group_from_spec,
-    is_cyclic_group,
     parse_group_spec,
     spec_order,
 )
@@ -589,7 +588,7 @@ def test_center_only_rule_is_two_on_every_catalog_2group():
     checked = 0
     for spec, group in catalog_2groups().items():
         rule = reference_center_only_rule(group)
-        if rule is None or is_cyclic_group(group):
+        if rule is None or group.is_cyclic:
             continue
         checked += 1
         assert rule == 2, spec

@@ -22,7 +22,6 @@ from artinx.groups import (
     as_prime_power,
     build_group,
     group_from_spec,
-    is_cyclic_group,
     p_part,
     parse_group_spec,
     prime_factors,
@@ -220,14 +219,14 @@ def test_cyclic_c4_is_addition_mod_4():
         [2, 3, 0, 1],
         [3, 0, 1, 2],
     ]
-    assert is_cyclic_group(g)
+    assert g.is_cyclic
 
 
 def test_trivial_group():
     g = group_from_spec("C1")
     assert g.order == 1
     assert g.mul(0, 0) == 0
-    assert is_cyclic_group(g)
+    assert g.is_cyclic
 
 
 def test_c12_element_orders():
@@ -557,11 +556,19 @@ def test_relabeled_is_isomorphic():
 
 def assert_facts_match_reference(g):
     """Orders, cyclic subgroups and commutativity, computed at construction,
-    are those of the per-element power walk and the pair scan."""
+    are those of the per-element power walk and the pair scan; the map of
+    cyclic subgroups holds each one once, under its least generator, in
+    ascending order of that generator, and the group is cyclic exactly when
+    some element has order |G|."""
     orders, masks = reference_cycle_data(g.mult)
     assert [g.element_order(x) for x in range(g.order)] == orders
     assert [g.cyclic_mask(x) for x in range(g.order)] == masks
     assert g.is_abelian == reference_is_abelian(g.mult)
+    assert set(g.cyclic_subgroups) == set(masks)
+    assert all(x == masks.index(c) for c, x in g.cyclic_subgroups.items())
+    generators = list(g.cyclic_subgroups.values())
+    assert generators == sorted(generators)
+    assert g.is_cyclic == (g.order in orders)
 
 
 @pytest.mark.parametrize("spec", default_catalog(128) + ["S5", "A5xC2"])
