@@ -45,7 +45,6 @@ from .lattice import (
     enumerate_subgroups,
     mask_elements,
     subgroup_from_mask,
-    sublattice,
 )
 
 
@@ -242,6 +241,31 @@ def congruence_analysis(lattice: SubgroupLattice,
 
 def artin_exponent_congruence(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int:
     return congruence_analysis(lattice, [family])[0].exponent
+
+
+def local_exponent(lattice: SubgroupLattice, h_mask: int, family: Family = ALL_CYCLIC) -> int:
+    """The exponent of a subgroup H, a class representative, for the family
+    restricted to H, read off G's lattice by Dress's congruences (Dress
+    1969; tom Dieck, LNM 766): n * e_F comes from B(H) exactly when, for
+    every U <= H, with V = N_H(U) and w = |V : U|, w divides n * c_U, where
+    c_U counts the cosets vU of V/U whose <v, U> lies in F.  So the exponent
+    is the lcm of w / gcd(w, c_U).  N_H(U) is N_G(U) & H, c_U sums the
+    family's classes (of G) from the one coset tally, and a U whose w
+    divides the running exponent is skipped."""
+    h_idx = lattice.class_of.get(h_mask)
+    if h_idx is None or lattice.classes[h_idx].representative.mask != h_mask:
+        raise ValueError(f"mask {h_mask:#x} is not a class representative of this lattice")
+    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    exponent = 1
+    for u_mask in lattice.below()[h_idx]:
+        v_mask = lattice.normalizers[u_mask] & h_mask
+        w = v_mask.bit_count() // u_mask.bit_count()
+        if exponent % w == 0:
+            continue
+        # each U comes once, so its tally starts from a fresh memo
+        count = sum(n for cls, n in _coset_tally(lattice, {}, u_mask, v_mask) if members[cls])
+        exponent = lcm(exponent, w // gcd(w, count))
+    return exponent
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +515,8 @@ def sylow_reduction_report(
     the exponent of a Sylow p-subgroup P for the restricted family.  The two
     need not agree in general; this is reported, not asserted.
 
-    P's lattice and table of marks are read from G's lattice (sublattice),
-    with no table or enumeration of P's own.  A class of P belongs to the
-    restricted family when its subgroups' class in G belongs to the family."""
+    Each exponent of P is local_exponent's, read off G's lattice, with no
+    table, lattice or solve of P's own."""
     out = []
     for p in prime_factors(group.order):
         sylow_order = p_part(group.order, p)
@@ -506,12 +529,8 @@ def sylow_reduction_report(
             for c in lattice.classes
             if c.representative.order == sylow_order
         )
-        sub_lattice = sublattice(lattice, sylow_mask)
-        sub_family = family if family.classes is None else Family(frozenset(
-            i for i, c in enumerate(sub_lattice.classes)
-            if lattice.class_of[c.representative.mask] in family.classes))
-        sub_exponent = artin_exponent_marks(build_mark_table(sub_lattice), sub_family)
-        out.append(SylowComparison(p, part, sylow_order, sub_exponent))
+        out.append(SylowComparison(p, part, sylow_order,
+                                   local_exponent(lattice, sylow_mask, family)))
     return tuple(out)
 
 

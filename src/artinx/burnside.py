@@ -72,16 +72,14 @@ def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
     count the pairs U' <= W with U' in cl U and W in cl V, so
     M[V][U] = |G : V| * #{U' in cl U : U' <= V} / |cl U|, a tally over
     lattice.below() of V that reads no conjugate of V; the division is
-    exact.  G is the lattice's top class, so a sublattice gives the table
-    of marks of its top subgroup."""
+    exact."""
     reps = [c.representative for c in lattice.classes]
     sizes = [c.size for c in lattice.classes]
     class_of = lattice.class_of
-    top = reps[-1].order
     rows = []
     for rep, inside in zip(reps, lattice.below()):
         tally = Counter(class_of[m] for m in inside)
-        index = top // rep.order
+        index = lattice.group.order // rep.order
         rows.append([(j, index * tally[j] // sizes[j]) for j in sorted(tally)])
     return MarkTable(
         rows,

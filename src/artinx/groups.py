@@ -280,7 +280,7 @@ class GroupTable:
     """A finite group given by its full multiplication table."""
 
     __slots__ = ("order", "mult", "inv", "generators", "is_abelian", "is_cyclic",
-                 "cyclic_subgroups", "_order_of", "_cyclic_mask_of")
+                 "cyclic_subgroups", "_cyclic_mask_of")
 
     def __init__(self, mult: Sequence[Sequence[int]]) -> None:
         """Validate a copy of mult, normalized to a list of int lists."""
@@ -307,11 +307,11 @@ class GroupTable:
         self.is_abelian = all(mult[a][b] == mult[b][a] for a, b in itertools.combinations(gens, 2))
         # walk each cyclic subgroup <x> once, for the least x it has not
         # reached: x^k has order m / d and generates the multiples of d in
-        # <x>, for m = |<x>| and d = gcd(k, m), so one mask serves each d
-        self._order_of = orders = [0] * n
+        # <x>, for m = |<x>| and d = gcd(k, m), so one mask serves each d;
+        # every mask holds the identity, so a mask of 0 marks x unreached
         self._cyclic_mask_of = masks = [0] * n
         for x in range(n):
-            if orders[x]:
+            if masks[x]:
                 continue
             powers, y = [0], x
             while y:
@@ -323,7 +323,6 @@ class GroupTable:
                 d = math.gcd(k, m)
                 if d not in by_divisor:
                     by_divisor[d] = sum([1 << z for z in powers[::d]])
-                orders[power] = m // d
                 masks[power] = by_divisor[d]
         # each cyclic subgroup's bit set, mapped to its least generator, in
         # ascending order of that generator
@@ -341,9 +340,6 @@ class GroupTable:
     def conj(self, g: int, x: int) -> int:
         """g x g^-1."""
         return self.mult[self.mult[g][x]][self.inv[g]]
-
-    def element_order(self, g: int) -> int:
-        return self._order_of[g]
 
     def cyclic_mask(self, g: int) -> int:
         """Bit set of the cyclic subgroup generated by g."""

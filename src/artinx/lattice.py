@@ -143,7 +143,7 @@ class SubgroupLattice:
     representative); the trivial subgroup is class 0 and the whole group is
     the last class.  class_of maps every subgroup mask (not just the
     representatives) to its class index, and normalizers maps it to its
-    normalizer in the top class: U is normal in V when V & ~normalizers[U] is 0.
+    normalizer in the group: U is normal in V when V & ~normalizers[U] is 0.
     """
 
     def __init__(
@@ -182,14 +182,14 @@ class SubgroupLattice:
         outside V.  Then a power of that element of prime-power order lies
         outside V too, and so does every generator of the cyclic subgroup
         of U that the power generates.  So with one generator x per cyclic
-        subgroup of prime-power order (of the top class: every subgroup
-        lies in it), bit i of lacking[x] marks the i-th subgroup as lacking
-        x, and V's subgroups are the AND of lacking[x] over the x outside V."""
+        subgroup of prime-power order of the group, bit i of lacking[x]
+        marks the i-th subgroup as lacking x, and V's subgroups are the AND
+        of lacking[x] over the x outside V."""
         if self._below is not None:
             return self._below
         masks = sorted(self.class_of)
         everything = (1 << len(masks)) - 1
-        generators = _prime_power_generators(self.group, self.classes[-1].representative.mask)
+        generators = _prime_power_generators(self.group)
         gens = sum(1 << x for x in generators)
         # bit i of containing[x] is set when masks[i] contains x; built as
         # bytes, since flipping one bit of an int copies the whole int
@@ -208,31 +208,26 @@ class SubgroupLattice:
         return below
 
 
-def _prime_power_generators(group: GroupTable, mask: int) -> list[int]:
+def _prime_power_generators(group: GroupTable) -> list[int]:
     """One generator, the least, of each cyclic subgroup of prime-power
-    order > 1 inside the subgroup with the given bit set, ascending."""
-    return [x for c, x in group.cyclic_subgroups.items()
-            if not c & ~mask and as_prime_power(c.bit_count())]
+    order > 1, ascending."""
+    return [x for c, x in group.cyclic_subgroups.items() if as_prime_power(c.bit_count())]
 
 
-def _expand_class(
-    group: GroupTable, mask: int, ambient: Optional[int] = None
-) -> tuple[dict[int, int], int]:
-    """All conjugates of a mask under the ambient subgroup (by default the
-    whole group), each mapped to one conjugating element, the mask itself
-    first, mapped to the identity 0; and the bit set of the mask's
-    normalizer in the ambient subgroup."""
-    if ambient is None:
-        ambient = (1 << group.order) - 1
+def _expand_class(group: GroupTable, mask: int) -> tuple[dict[int, int], int]:
+    """All conjugates of a mask, each mapped to one conjugating element, the
+    mask itself first, mapped to the identity 0; and the bit set of the
+    mask's normalizer."""
+    everything = (1 << group.order) - 1
     if group.is_abelian:
-        return {mask: 0}, ambient
+        return {mask: 0}, everything
     out: dict[int, int] = {}
     normalizer = 0
     elements = mask_elements(mask)
     # g and gh give the same conjugate, so one g per left coset gH will do;
     # the least element of each coset is the first g that reaches it, and
     # the cosets whose conjugate is H itself make up its normalizer
-    for g in cosets(group, ambient, mask):
+    for g in cosets(group, everything, mask):
         c = conjugate_mask(group, g, mask)
         if c not in out:
             out[c] = g
@@ -269,27 +264,6 @@ def _assemble(
             generators[m] = tuple(group.conj(g, x) for x in gens)
             normalizers[m] = conjugate_mask(group, g, normalizer) if g else normalizer
     return SubgroupLattice(group, classes, class_of, generators, normalizers)
-
-
-def sublattice(lattice: SubgroupLattice, mask: int) -> SubgroupLattice:
-    """The lattice of the subgroup H with the given bit set, read from the
-    lattice of the whole group G, with no closure and no new element numbers.
-
-    The subgroups of H are the masks of lattice.class_of inside H, grouped
-    into classes by conjugating with H alone; each class starts from one
-    member's generators as recorded in G's lattice.  The result's group is
-    still G, while its top class is H.
-    """
-    if mask not in lattice.class_of:
-        raise ValueError(f"mask {mask:#x} is not a subgroup of this lattice")
-    group = lattice.group
-    found = []
-    seen: set[int] = set()
-    for m in lattice.class_of:
-        if m & mask == m and m not in seen:
-            found.append((*_expand_class(group, m, mask), lattice.generators_of(m)))
-            seen.update(found[-1][0])
-    return _assemble(group, found)
 
 
 def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
@@ -380,7 +354,7 @@ def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
 
     # not solvable: visit every base again, and join it with the cyclic
     # subgroups of prime-power order that do not normalize it
-    cyclic = _prime_power_generators(group, (1 << n) - 1)
+    cyclic = _prime_power_generators(group)
     for i, (base, normalizer, gens) in enumerate(bases):
         if i >= extended:
             extend(base, normalizer, gens)

@@ -13,8 +13,8 @@ tables from tuple elements,
 relabelled tables, per-entry marks, the per-conjugate table of marks, the
 divisor-scan exponent and the Fraction conductor, products in the transitive basis, normality and
 normalizer tests, the commutator subgroup, quotient groups, subgroups as
-standalone tables with the Sylow comparison run on them, the
-element-scanning cyclic extensions, conjugacy
+standalone tables with the local exponent and the Sylow comparison run on
+them, the element-scanning cyclic extensions, conjugacy
 classes by conjugating with every element, the join-closure lattice, the
 congruence-pair scan over every subgroup, and coset counting with the
 per-coset profile, the element-scanning p-group count, the lattice-free
@@ -218,10 +218,15 @@ def reference_cycle_data(mult) -> tuple[list[int], list[int]]:
     return orders, masks
 
 
+def element_order(group: GroupTable, g: int) -> int:
+    """The order of g, the size of the cyclic subgroup it generates."""
+    return group.cyclic_mask(g).bit_count()
+
+
 def power(group: GroupTable, g: int, k: int) -> int:
     """g**k, by k mod the order of g multiplications on the right."""
     acc = 0
-    for _ in range(k % group.element_order(g)):
+    for _ in range(k % element_order(group, g)):
         acc = group.mult[acc][g]
     return acc
 
@@ -575,12 +580,31 @@ def subgroup_as_group(group: GroupTable, mask: int) -> tuple[GroupTable, list[in
     return GroupTable.adopt(mult), elems
 
 
+def standalone_local_exponent(
+    group: GroupTable, lattice: SubgroupLattice, h_mask: int, family: Family
+) -> int:
+    """The exponent of a subgroup H for the family restricted to H, from H as
+    a standalone group: its own validated table, its own enumerated lattice
+    and its own table of marks, with the family moved across by mapping
+    each class representative of H back into G."""
+    sub, elems = subgroup_as_group(group, h_mask)
+    sub_lattice = enumerate_subgroups(sub)
+    sub_family = ALL_CYCLIC
+    if family.classes is not None:
+        kept = []
+        for i, cls in enumerate(sub_lattice.classes):
+            in_g = sum(1 << elems[x] for x in cls.representative.elements)
+            if lattice.class_of[in_g] in family.classes:
+                kept.append(i)
+        sub_family = Family(frozenset(kept))
+    return artin_exponent_marks(build_mark_table(sub_lattice), sub_family)
+
+
 def standalone_sylow_report(
     group: GroupTable, lattice: SubgroupLattice, family: Family, exponent: int
 ) -> tuple[SylowComparison, ...]:
-    """The Sylow comparison with each Sylow subgroup P as a standalone group:
-    its own validated table, its own enumerated lattice, and the family moved
-    across by mapping each class representative of P back into G."""
+    """The Sylow comparison with each Sylow subgroup P as a standalone group,
+    its exponent from standalone_local_exponent."""
     out = []
     for p in prime_factors(group.order):
         sylow_order = p_part(group.order, p)
@@ -592,18 +616,8 @@ def standalone_sylow_report(
             c.representative.mask for c in lattice.classes
             if c.representative.order == sylow_order
         )
-        sub, elems = subgroup_as_group(group, sylow_mask)
-        sub_lattice = enumerate_subgroups(sub)
-        sub_family = ALL_CYCLIC
-        if family.classes is not None:
-            kept = []
-            for i, cls in enumerate(sub_lattice.classes):
-                ambient = sum(1 << elems[x] for x in cls.representative.elements)
-                if lattice.class_of[ambient] in family.classes:
-                    kept.append(i)
-            sub_family = Family(frozenset(kept))
-        sub_exponent = artin_exponent_marks(build_mark_table(sub_lattice), sub_family)
-        out.append(SylowComparison(p, part, sylow_order, sub_exponent))
+        out.append(SylowComparison(p, part, sylow_order,
+                                   standalone_local_exponent(group, lattice, sylow_mask, family)))
     return tuple(out)
 
 
@@ -615,7 +629,7 @@ def cyclic_extensions(group: GroupTable, h_mask: int, u_mask: int, p: int) -> fr
     target = p * u_mask.bit_count()
     out = set()
     for x in mask_elements(h_mask):
-        if group.element_order(x) == target:
+        if element_order(group, x) == target:
             cm = group.cyclic_mask(x)
             if cm & u_mask == u_mask:
                 out.add(cm)
@@ -882,7 +896,7 @@ def central_reduction_pair(
     p = pp[0]
     vp_mask = 0
     for x in v_elems:
-        order = group.element_order(x)
+        order = element_order(group, x)
         while order % p == 0:
             order //= p
         if order == 1:
@@ -924,7 +938,7 @@ def reference_recognize_2group(group: GroupTable) -> str:
     if half < 4:
         return "other"
     for g in range(1, order):
-        if group.element_order(g) != half:
+        if element_order(group, g) != half:
             continue
         gm = group.cyclic_mask(g)
         g_inv = group.inv[g]
@@ -1034,7 +1048,7 @@ def is_p_hyperelementary(lattice: SubgroupLattice, h_mask: int, p: int) -> bool:
     order = h_mask.bit_count()
     group, normalizers = lattice.group, lattice.normalizers
     return any(
-        group.element_order(x) == order // p_part(order, p)
+        element_order(group, x) == order // p_part(order, p)
         and not h_mask & ~normalizers[group.cyclic_mask(x)]
         for x in mask_elements(h_mask)
     )

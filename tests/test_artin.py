@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artinx import artin as artin_module
+from artinx import burnside as burnside_module
 from artinx import groups as groups_module
 from artinx import lattice as lattice_module
 from artinx.artin import (
@@ -51,6 +52,7 @@ from oracles import (
     count_solves,
     cyclic_count,
     cyclic_extensions,
+    element_order,
     is_normal_in,
     perm_specs,
     reference_center_only_rule,
@@ -656,7 +658,7 @@ def test_sylow_subgroup_of_s4_is_dihedral():
 
 def test_subgroup_as_group_rejects_non_closed():
     g, _ = setup_group("S3")
-    reflections = [x for x in range(6) if g.element_order(x) == 2]
+    reflections = [x for x in range(6) if element_order(g, x) == 2]
     mask = 1 | 1 << reflections[0] | 1 << reflections[1]
     with pytest.raises(ValueError):
         subgroup_as_group(g, mask)
@@ -820,7 +822,8 @@ def test_sylow_report_matches_standalone_subgroup(spec):
 
 def test_sylow_report_builds_no_table_or_lattice(monkeypatch):
     """Every prime's comparison reads G's lattice: no group table is
-    validated and no lattice is enumerated."""
+    validated, no lattice is enumerated, no table of marks is built and no
+    solve runs."""
     g, lattice = setup_group("S4xC2xC2")
     calls = Counter()
 
@@ -835,6 +838,11 @@ def test_sylow_report_builds_no_table_or_lattice(monkeypatch):
     for module in (artin_module, lattice_module):
         monkeypatch.setattr(module, "enumerate_subgroups",
                             counted("enumerate", module.enumerate_subgroups))
+    for module in (artin_module, burnside_module):
+        monkeypatch.setattr(module, "build_mark_table",
+                            counted("marks", module.build_mark_table))
+    monkeypatch.setattr(burnside_module, "solve_membership",
+                        counted("solve", burnside_module.solve_membership))
     rows = sylow_reduction_report(g, lattice, ALL_CYCLIC, 2)
     assert [(s.p, s.sylow_order) for s in rows] == [(2, 32), (3, 3)]
     assert calls == {}

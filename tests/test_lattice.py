@@ -2,7 +2,6 @@
 
 import json
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 import artinx.lattice as lattice_module
 from artinx.artin import artin_exponent_congruence, artin_exponent_marks
 from artinx.burnside import build_mark_table
-from artinx.groups import OrderCapError, group_from_spec, p_part, prime_factors
+from artinx.groups import OrderCapError, group_from_spec
 from artinx.lattice import (
     ResourceCapError,
     _expand_class,
@@ -23,7 +22,6 @@ from artinx.lattice import (
     lattice_to_dict,
     mask_elements,
     subgroup_from_mask,
-    sublattice,
 )
 
 from oracles import (
@@ -31,6 +29,7 @@ from oracles import (
     brute_force_subgroup_masks,
     centralizer,
     commutator_closure,
+    element_order,
     generated_subgroup,
     is_normal_in,
     join_closure_lattice,
@@ -42,7 +41,6 @@ from oracles import (
     reference_expand_class,
     reference_mark_table,
     relabeled,
-    subgroup_as_group,
 )
 from artinx.sweep import default_catalog
 
@@ -72,7 +70,7 @@ def test_closure_from_single_generator_matches_cyclic_mask():
 
 def test_generated_subgroup_flags():
     g = group_from_spec("Q8")
-    h = generated_subgroup(g, [x for x in range(8) if g.element_order(x) == 4][:1])
+    h = generated_subgroup(g, [x for x in range(8) if element_order(g, x) == 4][:1])
     assert h.order == 4
     assert h.is_cyclic
     assert generated_subgroup(g, range(8)).order == 8
@@ -88,11 +86,11 @@ def test_subgroup_from_mask_check_rejects_nonclosed():
 
 def test_centralizer_and_normalizer_in_s3():
     g = group_from_spec("S3")
-    flip = next(x for x in range(6) if g.element_order(x) == 2)
+    flip = next(x for x in range(6) if element_order(g, x) == 2)
     c2 = closure_mask(g, [flip])
     assert centralizer(g, c2) == c2
     assert normalizer(g, c2) == c2
-    rot = next(x for x in range(6) if g.element_order(x) == 3)
+    rot = next(x for x in range(6) if element_order(g, x) == 3)
     c3 = closure_mask(g, [rot])
     assert normalizer(g, c3) == (1 << 6) - 1
 
@@ -114,8 +112,8 @@ def test_commutator_closure():
 def test_is_normal_in():
     g = group_from_spec("S3")
     full = (1 << 6) - 1
-    rot = next(x for x in range(6) if g.element_order(x) == 3)
-    flip = next(x for x in range(6) if g.element_order(x) == 2)
+    rot = next(x for x in range(6) if element_order(g, x) == 3)
+    flip = next(x for x in range(6) if element_order(g, x) == 2)
     assert is_normal_in(g, closure_mask(g, [rot]), full)
     assert not is_normal_in(g, closure_mask(g, [flip]), full)
     with pytest.raises(ValueError):
@@ -158,7 +156,7 @@ def test_cosets_partition_and_reps_are_least():
 
 def test_cosets_in_proper_subgroup():
     g = group_from_spec("D8")
-    r = next(x for x in range(8) if g.element_order(x) == 4)
+    r = next(x for x in range(8) if element_order(g, x) == 4)
     outer = closure_mask(g, [r])
     inner = closure_mask(g, [g.mul(r, r)])
     reps = cosets(g, outer, inner)
@@ -170,7 +168,7 @@ def test_quotient_c12_by_c3_is_c4():
     g = group_from_spec("C12")
     q, reps = quotient_group(g, (1 << 12) - 1, g.cyclic_mask(4))
     assert q.order == 4
-    assert sorted(q.element_order(x) for x in range(4)) == [1, 2, 4, 4]
+    assert sorted(element_order(q, x) for x in range(4)) == [1, 2, 4, 4]
     assert len(reps) == 4 and reps[0] == 0
 
 
@@ -179,12 +177,12 @@ def test_quotient_d8_by_center_is_klein():
     z = centralizer(g, (1 << 8) - 1)
     q, _ = quotient_group(g, (1 << 8) - 1, z)
     assert q.order == 4
-    assert all(q.element_order(x) <= 2 for x in range(4))
+    assert all(element_order(q, x) <= 2 for x in range(4))
 
 
 def test_quotient_requires_normal_subgroup():
     g = group_from_spec("S3")
-    s = next(x for x in range(1, 6) if g.element_order(x) == 2)
+    s = next(x for x in range(1, 6) if element_order(g, x) == 2)
     with pytest.raises(ValueError):
         quotient_group(g, (1 << 6) - 1, closure_mask(g, [s]))
 
@@ -243,7 +241,7 @@ def test_closure_from_a_subgroup_fills_whole_cosets():
     """C8 from one generator x, grown from H = <x^2>: x^2 is not among the
     generators, so only adding whole cosets H y reaches x^3, x^5 and x^7."""
     g = group_from_spec("C8")
-    x = next(y for y in range(8) if g.element_order(y) == 8)
+    x = next(y for y in range(8) if element_order(g, y) == 8)
     assert closure_mask(g, [x], g.cyclic_mask(power(g, x, 2))) == (1 << 8) - 1
 
 
@@ -366,75 +364,21 @@ def test_enumeration_matches_join_closure_on_random_perm_specs(spec):
 
 
 # ---------------------------------------------------------------------------
-# sublattices
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("spec", ["C1", "S3", "Q8", "C2xC4", "A4", "S4", "SD16", S5])
-def test_sublattice_of_the_whole_group_is_the_lattice(spec):
-    g = group_from_spec(spec)
-    lattice = enumerate_subgroups(g)
-    whole = sublattice(lattice, (1 << g.order) - 1)
-    assert [c.representative for c in whole.classes] == [
-        c.representative for c in lattice.classes
-    ]
-    assert [c.conjugates for c in whole.classes] == [c.conjugates for c in lattice.classes]
-    assert whole.class_of == lattice.class_of
-    for m in lattice.class_of:
-        assert closure_mask(g, whole.generators_of(m)) == m
-
-
-def class_shape(lattice):
-    """The multiset of (order, class size, cyclic) over the classes."""
-    return Counter(
-        (c.representative.order, c.size, c.representative.is_cyclic) for c in lattice.classes
-    )
-
-
-@pytest.mark.parametrize(
-    "spec", ["S3", "A4", "S4", "D12", "D30", S5, "A5xC2", "S3xS3", "A4xC3", "S4xC2xC2"]
-)
-def test_sublattice_of_each_sylow_subgroup_matches_its_own_enumeration(spec):
-    """Every Sylow subgroup P, each conjugate in turn: the classes read from
-    G's lattice have the shape of P's lattice enumerated as a group of its
-    own, with P as the top class, and each subgroup's recorded generators
-    generate it."""
-    g = group_from_spec(spec)
-    lattice = enumerate_subgroups(g)
-    for p in prime_factors(g.order):
-        cls = next(c for c in lattice.classes if c.representative.order == p_part(g.order, p))
-        for mask in cls.conjugates:
-            sub = sublattice(lattice, mask)
-            assert sub.classes[-1].conjugates == (mask,)
-            assert set(sub.class_of) == {m for m in lattice.class_of if m & mask == m}
-            for m in sub.class_of:
-                assert closure_mask(g, sub.generators_of(m)) == m
-            standalone, _ = subgroup_as_group(g, mask)
-            assert class_shape(sub) == class_shape(enumerate_subgroups(standalone)), (spec, p)
-
-
-# ---------------------------------------------------------------------------
 # normalizers recorded at class expansion
 # ---------------------------------------------------------------------------
 
 
 def assert_normalizers_match_reference(g):
     """Every subgroup's recorded normalizer is the one found by conjugating
-    with every element, in the lattice, in its cache round trip and, cut
-    down to H, in the sublattice of every class representative H; and each
-    class has (G : N(rep)) members, H's classes (H : N_H(rep))."""
+    with every element, in the lattice and in its cache round trip; and each
+    class has (G : N(rep)) members."""
     lattice = enumerate_subgroups(g)
     reference = {m: normalizer(g, m) for m in lattice.class_of}
     assert lattice.normalizers == reference
     loaded = lattice_from_dict(g, lattice_to_dict(lattice, "spec"))
     assert loaded.normalizers == reference
     for c in lattice.classes:
-        h = c.representative.mask
-        assert c.size * popcount(lattice.normalizers[h]) == g.order
-        sub = sublattice(lattice, h)
-        assert sub.normalizers == {m: reference[m] & h for m in sub.class_of}
-        for s in sub.classes:
-            assert s.size * popcount(sub.normalizers[s.representative.mask]) == popcount(h)
+        assert c.size * popcount(lattice.normalizers[c.representative.mask]) == g.order
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + [S5, "A5xC2"])
@@ -496,29 +440,6 @@ def test_below_and_mark_table_match_reference_on_random_perm_specs(spec):
     except OrderCapError:
         assume(False)
     assert_below_and_marks_match_reference(enumerate_subgroups(g))
-
-
-@pytest.mark.parametrize(
-    "spec", ["S3", "A4", "S4", "D12", "D30", S5, "A5xC2", "S3xS3", "A4xC3", "S4xC2xC2"]
-)
-def test_below_and_mark_table_match_reference_on_every_sylow_sublattice(spec):
-    """A sublattice walks only its top subgroup's elements; its index and
-    table still match the references, for every conjugate of every Sylow
-    subgroup."""
-    g = group_from_spec(spec)
-    lattice = enumerate_subgroups(g)
-    for p in prime_factors(g.order):
-        cls = next(c for c in lattice.classes if c.representative.order == p_part(g.order, p))
-        for mask in cls.conjugates:
-            assert_below_and_marks_match_reference(sublattice(lattice, mask))
-
-
-def test_sublattice_rejects_a_mask_outside_the_lattice():
-    g = group_from_spec("S3")
-    lattice = enumerate_subgroups(g)
-    reflections = [x for x in range(6) if g.element_order(x) == 2]
-    with pytest.raises(ValueError, match="not a subgroup of this lattice"):
-        sublattice(lattice, 1 | 1 << reflections[0] | 1 << reflections[1])
 
 
 @pytest.mark.parametrize(

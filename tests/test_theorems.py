@@ -2,7 +2,9 @@
 outside it: Dress's congruences (Dress 1969) give the exponent of every
 family, in agreement with both methods, and the p-part of the Artin exponent
 A(G) of the cyclic family is the largest p-part of A(H) over the
-p-hyperelementary subgroups H of G (Lam, J. Algebra 9, 1968)."""
+p-hyperelementary subgroups H of G (Lam, J. Algebra 9, 1968).  The exponent
+A(H) of each subgroup class, read off G's lattice by local_exponent, is
+pinned to H's own table of marks."""
 
 import random
 
@@ -12,13 +14,14 @@ from artinx.artin import (
     ALL_CYCLIC,
     artin_exponent_marks,
     congruence_analysis,
+    local_exponent,
 )
 from artinx.burnside import build_mark_table
 from artinx.groups import group_from_spec, p_part, prime_factors
-from artinx.lattice import enumerate_subgroups, sublattice
+from artinx.lattice import enumerate_subgroups
 from artinx.sweep import default_catalog, random_families
 
-from oracles import dress_exponent, is_p_hyperelementary, relabeled
+from oracles import dress_exponent, is_p_hyperelementary, relabeled, standalone_local_exponent
 
 OUTSIDE_CATALOG = [
     "A5", "S5", "D10", "D12", "D18", "D20", "S3xS3", "A4xC3",
@@ -54,11 +57,43 @@ def test_dress_congruences_give_both_methods_exponent_relabeled(spec):
     assert_dress_matches_both_methods(spec, relabeled_group(spec))
 
 
+def assert_local_exponent_matches_standalone(spec, group):
+    """For every class representative H, A(H) read off G's lattice equals the
+    exponent from H's own table, lattice and table of marks, for the cyclic
+    family and five random ones."""
+    lattice = enumerate_subgroups(group)
+    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 5)]
+    for cls in lattice.classes:
+        h_mask = cls.representative.mask
+        for family in families:
+            assert local_exponent(lattice, h_mask, family) == standalone_local_exponent(
+                group, lattice, h_mask, family), f"{spec}, H = {h_mask:#x}, family {family}"
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_local_exponent_matches_subgroup_as_group(spec):
+    assert_local_exponent_matches_standalone(spec, group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_local_exponent_matches_subgroup_as_group_relabeled(spec):
+    assert_local_exponent_matches_standalone(spec, relabeled_group(spec))
+
+
+def test_local_exponent_rejects_a_mask_that_is_not_a_representative():
+    lattice = enumerate_subgroups(group_from_spec("S3"))
+    reflections = lattice.classes[1].conjugates
+    with pytest.raises(ValueError, match="not a class representative"):
+        local_exponent(lattice, reflections[1])
+    with pytest.raises(ValueError, match="not a class representative"):
+        local_exponent(lattice, 1 | 1 << 1 | 1 << 2)  # two reflections, not closed
+
+
 @pytest.mark.parametrize("spec", GROUPS)
 def test_exponent_is_read_off_p_hyperelementary_subgroups(spec):
     """For each prime p dividing |G|, the p-part of A(G) is the largest
-    p-part of A(H) over the p-hyperelementary classes H != 1, each A(H) from
-    H's own mark table."""
+    p-part of A(H) over the p-hyperelementary classes H != 1, each A(H) read
+    off G's lattice by local_exponent."""
     group = group_from_spec(spec)
     lattice = enumerate_subgroups(group)
     exponent = artin_exponent_marks(build_mark_table(lattice))
@@ -69,6 +104,6 @@ def test_exponent_is_read_off_p_hyperelementary_subgroups(spec):
             h_mask = cls.representative.mask
             if is_p_hyperelementary(lattice, h_mask, p):
                 if i not in local:
-                    local[i] = artin_exponent_marks(build_mark_table(sublattice(lattice, h_mask)))
+                    local[i] = local_exponent(lattice, h_mask)
                 largest = max(largest, p_part(local[i], p))
         assert p_part(exponent, p) == largest, f"{spec}, p = {p}"
