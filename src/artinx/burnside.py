@@ -14,8 +14,9 @@ conjugate to U and W conjugate to V two ways gives
 so a row needs only the subgroups inside V's representative, which the
 lattice records.  With classes sorted by subgroup order M is lower
 triangular with positive diagonal, and most entries below the diagonal are
-zero too, so each row is stored once, as its nonzero (column, mark) pairs in
-ascending column order; the diagonal comes last.
+zero too, so each row is stored once, as two tuples: the columns of its
+nonzero marks, ascending, and those marks in the same order; the diagonal
+comes last.
 
 Membership of a ghost vector in the image of B(G) is decided by exact
 integer back-substitution, one row at a time from the last class down.
@@ -46,12 +47,13 @@ class NotIntegral:
 class MarkTable:
     """Table of marks plus the per-class data needed to interpret it.
 
-    rows[i] holds the nonzero marks of row i as (j, mark) pairs with j
-    ascending; the last pair is the diagonal (i, mark)."""
+    rows[i] is a pair (columns, marks) of equal-length tuples: the columns j
+    of row i's nonzero marks, ascending, and the marks M[i][j] in the same
+    order.  The last column is the diagonal i, so marks[-1] is M[i][i]."""
 
     def __init__(
         self,
-        rows: list[list[tuple[int, int]]],
+        rows: list[tuple[tuple[int, ...], tuple[int, ...]]],
         class_orders: Sequence[int],
         class_sizes: Sequence[int],
         class_cyclic: Sequence[bool],
@@ -78,9 +80,10 @@ def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
     class_of = lattice.class_of
     rows = []
     for rep, inside in zip(reps, lattice.below()):
-        tally = Counter(class_of[m] for m in inside)
+        tally = Counter(map(class_of.__getitem__, inside))
         index = lattice.group.order // rep.order
-        rows.append([(j, index * tally[j] // sizes[j]) for j in sorted(tally)])
+        columns = tuple(sorted(tally))
+        rows.append((columns, tuple([index * tally[j] // sizes[j] for j in columns])))
     return MarkTable(
         rows,
         class_orders=[r.order for r in reps],
@@ -92,9 +95,9 @@ def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
 def dense_rows(table: MarkTable) -> list[list[int]]:
     """The table of marks as a full n x n matrix of ints."""
     out = []
-    for row in table.rows:
+    for columns, marks in table.rows:
         dense = [0] * table.n
-        for j, m in row:
+        for j, m in zip(columns, marks):
             dense[j] = m
         out.append(dense)
     return out
@@ -105,9 +108,9 @@ def ghost_of(table: MarkTable, coefficients: Sequence[int]) -> tuple[int, ...]:
     if len(coefficients) != table.n:
         raise ValueError("coefficient vector has the wrong length")
     out = [0] * table.n
-    for c, row in zip(coefficients, table.rows):
+    for c, (columns, marks) in zip(coefficients, table.rows):
         if c:
-            for j, m in row:
+            for j, m in zip(columns, marks):
                 out[j] += c * m
     return tuple(out)
 
@@ -126,15 +129,19 @@ def solve_membership(
     rest = list(ghost)
     coeffs = [0] * n
     for i in range(n - 1, -1, -1):
-        row = table.rows[i]
-        d = row[-1][1]
+        columns, marks = table.rows[i]
+        d = marks[-1]
         q, r = divmod(rest[i], d)
         if r:
             return NotIntegral(class_index=i, denominator=d // gcd(r, d))
         if q:
             coeffs[i] = q
-            for j, m in row:
-                rest[j] -= q * m
+            # an index walk, not zip: rows average a handful of marks, and
+            # building a zip per row costs a sweep more than the subtractions
+            k = 0
+            for j in columns:
+                rest[j] -= q * marks[k]
+                k += 1
     return tuple(coeffs)
 
 

@@ -22,7 +22,7 @@ from .artin import (
     compute_exponent_report,
     report_to_dict,
 )
-from .burnside import MarkTable, build_mark_table, dense_rows, mark_table_to_dict
+from .burnside import MarkTable, build_mark_table, mark_table_to_dict
 from .groups import build_group, parse_group_spec, spec_to_text
 from .lattice import ResourceCapError, SubgroupLattice, cached_lattice, enumerate_subgroups
 from .sweep import CHECK_NAMES, RunResult, SweepConfig, run_sweep, summary_to_dict
@@ -156,15 +156,19 @@ def _print_mark_table(text: str, table: MarkTable) -> None:
     noun = "class" if table.n == 1 else "classes"
     print(f"table of marks: {text} (order {table.class_orders[-1]}, {table.n} {noun})")
     head = max(len(label) for label in labels)
-    rows = dense_rows(table)
-    widths = [
-        max(len(labels[j]), max(len(str(row[j])) for row in rows))
-        for j in range(table.n)
-    ]
+    # a column is as wide as its label and its stored marks; the zeros it
+    # also holds never widen it, since no label is shorter than "0"
+    widths = [len(label) for label in labels]
+    for columns, marks in table.rows:
+        for j, m in zip(columns, marks):
+            widths[j] = max(widths[j], len(str(m)))
     print("  " + " " * head + "  " + "  ".join(l.rjust(w) for l, w in zip(labels, widths)))
-    for label, row in zip(labels, rows):
-        cells = "  ".join(str(v).rjust(w) for v, w in zip(row, widths))
-        print(f"  {label.rjust(head)}  {cells}")
+    zeros = ["0".rjust(w) for w in widths]
+    for label, (columns, marks) in zip(labels, table.rows):
+        cells = zeros.copy()
+        for j, m in zip(columns, marks):
+            cells[j] = str(m).rjust(widths[j])
+        print(f"  {label.rjust(head)}  {'  '.join(cells)}")
 
 
 def cmd_marks(args: argparse.Namespace) -> int:

@@ -68,31 +68,34 @@ def closure_mask(
     return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subgroup:
-    """A subgroup as a bit set, with a few precomputed attributes."""
+    """A subgroup as a bit set, with its order and cyclicity precomputed;
+    its element tuple is derived from the mask on each read, not stored."""
 
     mask: int
     order: int = field(compare=False)
     is_cyclic: bool = field(compare=False)
-    elements: tuple[int, ...] = field(compare=False)
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """Element indices of the subgroup, ascending."""
+        return tuple(mask_elements(self.mask))
 
 
 def subgroup_from_mask(group: GroupTable, mask: int, check: bool = False) -> Subgroup:
     """Wrap a bit set as a Subgroup; with check=True verify closure first."""
-    elements = tuple(mask_elements(mask))
     if check:
         if not mask & 1:
             raise ValueError("subgroup mask must contain the identity")
         mult = group.mult
+        elements = mask_elements(mask)
         for a in elements:
             row = mult[a]
             for b in elements:
                 if not mask >> row[b] & 1:
                     raise ValueError(f"mask is not closed: {a}*{b} escapes")
-    order = len(elements)
-    is_cyclic = mask in group.cyclic_subgroups
-    return Subgroup(mask=mask, order=order, is_cyclic=is_cyclic, elements=elements)
+    return Subgroup(mask=mask, order=mask.bit_count(), is_cyclic=mask in group.cyclic_subgroups)
 
 
 def conjugate_mask(group: GroupTable, g: int, mask: int) -> int:
@@ -123,7 +126,7 @@ def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:
     return reps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgroupClass:
     """A conjugacy class of subgroups: canonical representative plus the
     full list of conjugate masks (representative included)."""

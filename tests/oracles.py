@@ -413,7 +413,8 @@ def reference_mark_table(lattice: SubgroupLattice) -> MarkTable:
         hits = [j for w in cls.conjugates for j in range(i + 1) if masks[j] & w == masks[j]]
         tally = Counter(hits)
         scale = top // (reps[i].order * cls.size)
-        rows.append([(j, scale * tally[j]) for j in sorted(tally)])
+        columns = tuple(sorted(tally))
+        rows.append((columns, tuple(scale * tally[j] for j in columns)))
     return MarkTable(
         rows,
         class_orders=[r.order for r in reps],

@@ -76,6 +76,17 @@ def test_generated_subgroup_flags():
     assert generated_subgroup(g, range(8)).order == 8
 
 
+def test_subgroup_records_have_no_instance_dict():
+    """Subgroup and SubgroupClass are slotted, so a lattice's records hold
+    their fields and nothing else; elements is read off the mask."""
+    lattice = enumerate_subgroups(group_from_spec("S4"))
+    for cls in lattice.classes:
+        rep = cls.representative
+        assert not hasattr(cls, "__dict__") and not hasattr(rep, "__dict__")
+        assert rep.elements == tuple(mask_elements(rep.mask))
+        assert rep.order == len(rep.elements)
+
+
 def test_subgroup_from_mask_check_rejects_nonclosed():
     g = group_from_spec("C4")
     with pytest.raises(ValueError):
