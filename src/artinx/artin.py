@@ -1,9 +1,11 @@
 """Artin exponents of finite groups, by two independent methods.
 
-For a family F of subgroups (closed under conjugation, described by lattice
-class indices; the default is all cyclic subgroups), let e_F be the ghost
-vector that is 1 on classes in F and 0 elsewhere.  The exponent is the least
-n >= 1 with n * e_F in the image of the Burnside ring.
+A family F of subgroups, closed under conjugation, is a frozenset of
+lattice class indices, or ALL_CYCLIC (None, the default) for every cyclic
+subgroup.  Let e_F be the ghost vector that is 1 on classes in F and 0
+elsewhere.  The exponent is the least n >= 1 with n * e_F in the image of
+the Burnside ring.  Each method resolves the family with family_members
+against cyclicity flags of its own, the lattice's or the table's.
 
 Method 1 (congruences): for every pair U normal in V with prime-power index
 (V:U) > 1, count the cosets vU of V/U whose extension <v, U> lies in F; by
@@ -41,6 +43,7 @@ from .groups import (
     prime_factors,
 )
 from .lattice import (
+    SubgroupClass,
     SubgroupLattice,
     enumerate_subgroups,
     mask_elements,
@@ -65,36 +68,27 @@ class MethodDisagreement(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family:
-    """A conjugation-closed collection of subgroups, as lattice class
-    indices; classes=None means every cyclic subgroup."""
-
-    classes: Optional[frozenset[int]] = None
-
-
-ALL_CYCLIC = Family(None)
+Family = Optional[frozenset[int]]  # None is ALL_CYCLIC, every cyclic class
+ALL_CYCLIC: Family = None
 
 
 def family_label(family: Family) -> str:
-    if family.classes is None:
+    if family is None:
         return "cyclic"
-    return "classes:" + ",".join(str(i) for i in sorted(family.classes))
+    return "classes:" + ",".join(str(i) for i in sorted(family))
 
 
-def family_vector(class_cyclic: Sequence[bool], family: Family) -> tuple[int, ...]:
-    """Ghost vector of the family idempotent over classes with the given
-    cyclicity flags: 1 on member classes, else 0.  Class indices are checked
-    here, once per method call."""
+def family_members(class_cyclic: Sequence[bool], family: Family) -> frozenset[int]:
+    """The class indices of the family over classes with the given
+    cyclicity flags: ALL_CYCLIC is the cyclic classes, and an explicit
+    family's indices are checked here, once per method call."""
     n = len(class_cyclic)
-    if family.classes is None:
-        return tuple(1 if c else 0 for c in class_cyclic)
-    vector = [0] * n
-    for i in family.classes:
+    if family is None:
+        return frozenset(i for i, cyclic in enumerate(class_cyclic) if cyclic)
+    for i in family:
         if not 0 <= i < n:
             raise ValueError(f"family class index {i} out of range 0..{n - 1}")
-        vector[i] = 1
-    return tuple(vector)
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +177,11 @@ def _congruence_walk(lattice: SubgroupLattice):
 def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
-    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
     memo: dict[int, tuple[int, list]] = {}
     for v_idx, vm, pairs in _congruence_walk(lattice):
         for u_mask, index, _ in pairs:
-            count = sum(n for cls, n in _coset_tally(lattice, memo, u_mask, vm) if members[cls])
+            count = sum(n for cls, n in _coset_tally(lattice, memo, u_mask, vm) if cls in members)
             constraint = index // gcd(index, count)
             yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
 
@@ -208,7 +202,7 @@ def congruence_analysis(lattice: SubgroupLattice,
     whose index divides the exponents' gcd is not tallied at all; any other
     is tallied once, and each family that does not skip it sums its classes."""
     cyclic = [c.representative.is_cyclic for c in lattice.classes]
-    members = [family_vector(cyclic, family) for family in families]
+    members = [family_members(cyclic, family) for family in families]
     exponents = [1] * len(families)
     common = 1  # the exponents' gcd
     # per family: prime -> first pair forcing its highest power
@@ -224,7 +218,7 @@ def congruence_analysis(lattice: SubgroupLattice,
                     continue
                 count = 0
                 for cls, n in tally:
-                    if members[i][cls]:
+                    if cls in members[i]:
                         count += n
                 # a power of p: one that divides the exponent forces nothing
                 constraint = index // gcd(index, count)
@@ -255,7 +249,7 @@ def local_exponent(lattice: SubgroupLattice, h_mask: int, family: Family = ALL_C
     h_idx = lattice.class_of.get(h_mask)
     if h_idx is None or lattice.classes[h_idx].representative.mask != h_mask:
         raise ValueError(f"mask {h_mask:#x} is not a class representative of this lattice")
-    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
     exponent = 1
     for u_mask in lattice.below()[h_idx]:
         v_mask = lattice.normalizers[u_mask] & h_mask
@@ -263,7 +257,7 @@ def local_exponent(lattice: SubgroupLattice, h_mask: int, family: Family = ALL_C
         if exponent % w == 0:
             continue
         # each U comes once, so its tally starts from a fresh memo
-        count = sum(n for cls, n in _coset_tally(lattice, {}, u_mask, v_mask) if members[cls])
+        count = sum(n for cls, n in _coset_tally(lattice, {}, u_mask, v_mask) if cls in members)
         exponent = lcm(exponent, w // gcd(w, count))
     return exponent
 
@@ -276,7 +270,7 @@ def local_exponent(lattice: SubgroupLattice, h_mask: int, family: Family = ALL_C
 def artin_exponent_marks(table: MarkTable, family: Family = ALL_CYCLIC) -> int:
     """Least n >= 1 with n * e_F integral in the transitive basis, from one
     solve of |G| * e_F."""
-    return ghost_denominator(table, family_vector(table.class_cyclic, family))
+    return ghost_denominator(table, family_members(table.class_cyclic, family))
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +459,14 @@ def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     return _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
 
 
-def c_set_reports(lattice: SubgroupLattice, h_mask: int):
+def c_set_reports(lattice: SubgroupLattice, cls: SubgroupClass):
     """Yield (U, count_C_sets(group, H, U)) for every cyclic U normal in H,
-    ascending by mask.  Normality is read off the lattice's normalizers, and
-    H'(U) off bracket rows over the lattice's generators of H, taken once.
-    Each H'(U) is proved a subgroup by finding it in the lattice; a miss
-    means the lattice lacks a subgroup, and raises."""
-    group = lattice.group
+    the class's representative, ascending by mask.  Normality is read off
+    the lattice's normalizers, and H'(U) off bracket rows over the class's
+    recorded generators, taken once.  Each H'(U) is proved a subgroup by
+    finding it in the lattice; a miss means the lattice lacks a subgroup,
+    and raises."""
+    group, h_mask = lattice.group, cls.representative.mask
     pp = as_prime_power(h_mask.bit_count())
     if pp is None:
         raise ValueError("H must be a nontrivial p-group")
@@ -479,7 +474,7 @@ def c_set_reports(lattice: SubgroupLattice, h_mask: int):
     cyclic = _cyclic_by_order(group, elements)
     normal = frozenset(m for ms in cyclic.values() for m in ms
                        if not h_mask & ~lattice.normalizers[m])
-    rows = bracket_rows(group, elements, lattice.generators_of(h_mask))
+    rows = bracket_rows(group, elements, cls.generators)
     for u_mask in sorted(normal):
         h_prime = bracket_preimage(rows, u_mask)
         if h_prime not in lattice.class_of:
@@ -550,6 +545,8 @@ class ExponentReport:
     prediction: Prediction
     prime_parts: dict[int, int]
     binding_pairs: tuple[CongruencePair, ...]
+    # every pair and the Sylow comparison, set by the callers that want them
+    # (compute --audit, the sylow suite); report_to_dict writes them when set
     pairs: Optional[tuple[CongruencePair, ...]] = None
     sylow: Optional[tuple[SylowComparison, ...]] = None
     # method 1 on further families, from the walk that served the report's
@@ -575,8 +572,6 @@ def compute_exponent_report(
     family: Family = ALL_CYCLIC,
     lattice: Optional[SubgroupLattice] = None,
     table: Optional[MarkTable] = None,
-    include_pairs: bool = False,
-    include_sylow: bool = False,
     extra_families: Sequence[Family] = (),
 ) -> ExponentReport:
     """Compute the exponent by both methods and assemble the report, whose
@@ -599,8 +594,6 @@ def compute_exponent_report(
         prediction=closed_form_predictor(group),
         prime_parts={p: p_part(exponent, p) for p in prime_factors(exponent)},
         binding_pairs=analysis.binding_pairs,
-        pairs=tuple(congruence_pairs(lattice, family)) if include_pairs else None,
-        sylow=sylow_reduction_report(group, lattice, family, exponent) if include_sylow else None,
         extra_analyses=tuple(zip(extra_families, extra)),
     )
     if not report.methods_agree:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Collection, Sequence, Union
 
 from .lattice import SubgroupLattice
 
@@ -145,14 +145,15 @@ def solve_membership(
     return tuple(coeffs)
 
 
-def ghost_denominator(table: MarkTable, ghost: Sequence[int]) -> int:
-    """Least n >= 1 with n times the ghost vector in the image of B(G).
+def ghost_denominator(table: MarkTable, support: Collection[int]) -> int:
+    """Least n >= 1 with n * e in the image of B(G), for the ghost vector e
+    that is 1 on the classes in support and 0 elsewhere.
 
     |G| times any ghost vector lies in that image.  With c the coefficients
-    of |G| times this one, n times it solves to n * c / |G|, which is
-    integral exactly when |G| / gcd(|G|, c) divides n."""
+    of |G| * e, n * e solves to n * c / |G|, which is integral exactly when
+    |G| / gcd(|G|, c) divides n."""
     order = table.class_orders[-1]
-    coeffs = solve_membership(table, [order * x for x in ghost])
+    coeffs = solve_membership(table, [order if i in support else 0 for i in range(table.n)])
     if isinstance(coeffs, NotIntegral):
         raise RuntimeError(
             f"|G| times a ghost vector did not solve integrally ({coeffs}); "
@@ -166,9 +167,7 @@ def conductor(table: MarkTable) -> int:
     of the Burnside ring: the lcm of the denominators of the unit vectors."""
     result = 1
     for j in range(table.n):
-        unit = [0] * table.n
-        unit[j] = 1
-        result = lcm(result, ghost_denominator(table, unit))
+        result = lcm(result, ghost_denominator(table, (j,)))
     return result
 
 

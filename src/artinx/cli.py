@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from itertools import islice
 from typing import Optional
 
 from .artin import (
@@ -20,7 +21,9 @@ from .artin import (
     Family,
     MethodDisagreement,
     compute_exponent_report,
+    congruence_pairs,
     report_to_dict,
+    sylow_reduction_report,
 )
 from .burnside import MarkTable, build_mark_table, mark_table_to_dict
 from .groups import build_group, parse_group_spec, spec_to_text
@@ -55,7 +58,7 @@ def _parse_family(classes_arg: Optional[str]) -> Family:
         raise ValueError(
             f"--family-classes wants comma-separated integers, got {classes_arg!r}"
         ) from None
-    return Family(frozenset(indices))
+    return frozenset(indices)
 
 
 def class_label(order: int, size: int, cyclic: bool) -> str:
@@ -128,14 +131,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     text, group = _prepare(args.group)
     lattice = cached_lattice(group, text, args.cache)
     family = _parse_family(args.family_classes)
-    report = compute_exponent_report(
-        group,
-        text,
-        family=family,
-        lattice=lattice,
-        include_pairs=args.audit,
-        include_sylow=args.audit,
-    )
+    report = compute_exponent_report(group, text, family=family, lattice=lattice)
+    if args.audit:
+        report.pairs = tuple(congruence_pairs(lattice, family))
+        report.sylow = sylow_reduction_report(group, lattice, family, report.exponent)
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
     else:
@@ -175,7 +174,12 @@ def cmd_marks(args: argparse.Namespace) -> int:
     text, group = _prepare(args.group)
     table = build_mark_table(enumerate_subgroups(group))
     if args.json:
-        print(json.dumps(mark_table_to_dict(table, text), indent=2))
+        # written in blocks of chunks, never as one string: the indented text
+        # of a large table is several times the size of its matrix of ints
+        chunks = json.JSONEncoder(indent=2).iterencode(mark_table_to_dict(table, text))
+        while block := "".join(islice(chunks, 65536)):
+            sys.stdout.write(block)
+        sys.stdout.write("\n")
     else:
         _print_mark_table(text, table)
     return 0

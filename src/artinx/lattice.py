@@ -128,11 +128,13 @@ def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class SubgroupClass:
-    """A conjugacy class of subgroups: canonical representative plus the
-    full list of conjugate masks (representative included)."""
+    """A conjugacy class of subgroups: canonical representative, the full
+    list of conjugate masks (representative included), and a small
+    generating set of the representative."""
 
     representative: Subgroup
     conjugates: tuple[int, ...]
+    generators: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -154,14 +156,12 @@ class SubgroupLattice:
         group: GroupTable,
         classes: Sequence[SubgroupClass],
         class_of: dict[int, int],
-        generators: dict[int, tuple[int, ...]],
         normalizers: dict[int, int],
     ) -> None:
         self.group = group
         self.classes = list(classes)
         self.class_of = class_of
         self.normalizers = normalizers
-        self._generators = generators
         self._below: Optional[list[list[int]]] = None
 
     def __len__(self) -> int:
@@ -169,13 +169,6 @@ class SubgroupLattice:
 
     def subgroup_count(self) -> int:
         return sum(c.size for c in self.classes)
-
-    def generators_of(self, mask: int) -> tuple[int, ...]:
-        """A small generating set recorded for the subgroup when its class was built."""
-        try:
-            return self._generators[mask]
-        except KeyError:
-            raise KeyError(f"mask {mask:#x} is not a subgroup of this lattice") from None
 
     def below(self) -> list[list[int]]:
         """For each class, the subgroup masks inside its representative,
@@ -246,27 +239,27 @@ def _assemble(
 
     Each class comes as what _expand_class returns for a mask, plus
     generators of that mask; every conjugate g H g^-1 is given the
-    generators and the normalizer conjugated by g.  A class's conjugates
-    are sorted once by element tuple, and the first, the lexicographically
-    least, is its representative.
+    normalizer conjugated by g, and the representative also the generators.
+    A class's conjugates are sorted once by element tuple, and the first,
+    the lexicographically least, is its representative.
     """
     raw = []
     for conj_to_g, normalizer, gens in found:
         conjugates = tuple(sorted(conj_to_g, key=mask_elements))
-        raw.append((SubgroupClass(subgroup_from_mask(group, conjugates[0]), conjugates),
-                    conj_to_g, normalizer, gens))
+        g = conj_to_g[conjugates[0]]
+        cls = SubgroupClass(subgroup_from_mask(group, conjugates[0]), conjugates,
+                            tuple(group.conj(g, x) for x in gens))
+        raw.append((cls, conj_to_g, normalizer))
     raw.sort(key=lambda r: (r[0].representative.order, r[0].representative.elements))
     classes = []
     class_of: dict[int, int] = {}
-    generators: dict[int, tuple[int, ...]] = {}
     normalizers: dict[int, int] = {}
-    for idx, (cls, conj_to_g, normalizer, gens) in enumerate(raw):
+    for idx, (cls, conj_to_g, normalizer) in enumerate(raw):
         classes.append(cls)
         for m, g in conj_to_g.items():
             class_of[m] = idx
-            generators[m] = tuple(group.conj(g, x) for x in gens)
             normalizers[m] = conjugate_mask(group, g, normalizer) if g else normalizer
-    return SubgroupLattice(group, classes, class_of, generators, normalizers)
+    return SubgroupLattice(group, classes, class_of, normalizers)
 
 
 def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
@@ -385,7 +378,7 @@ def lattice_to_dict(lattice: SubgroupLattice, spec_text: str) -> dict:
         "classes": [
             {
                 "rep_bits_hex": format(c.representative.mask, "x"),
-                "rep_generators": list(lattice.generators_of(c.representative.mask)),
+                "rep_generators": list(c.generators),
                 "order": c.representative.order,
                 "conjugate_count": c.size,
             }

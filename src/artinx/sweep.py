@@ -17,12 +17,13 @@ import time
 from dataclasses import dataclass, field
 
 from .artin import (
-    Family,
+    ALL_CYCLIC,
     MethodDisagreement,
     artin_exponent_marks,
     compute_exponent_report,
     c_set_reports,
     report_to_dict,
+    sylow_reduction_report,
 )
 from .burnside import build_mark_table, conductor
 from .groups import (
@@ -81,13 +82,14 @@ def default_catalog(max_order: int = 64) -> list[str]:
 
 
 def random_families(spec_text: str, class_count: int, count: int = RANDOM_FAMILIES):
-    """Deterministic pseudo-random explicit families for cross-method checks,
-    drawn in turn from one generator seeded by the group's spec text alone."""
+    """Deterministic pseudo-random explicit families (frozensets of class
+    indices) for cross-method checks, drawn in turn from one generator
+    seeded by the group's spec text alone."""
     digest = hashlib.sha256(f"artinx.sweep:{spec_text}".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     for _ in range(count):
         size = rng.randint(0, class_count)
-        yield Family(frozenset(rng.sample(range(class_count), size)))
+        yield frozenset(rng.sample(range(class_count), size))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +177,12 @@ def _check_conductor(spec, group, lattice, table, report) -> tuple[str, list, li
 
 
 def _check_sylow(spec, group, lattice, table, report) -> tuple[str, list, list]:
+    """The Sylow comparison for the report's cyclic family, read off the
+    lattice; it goes on the report, which evaluate_group writes after the
+    suites have run."""
+    report.sylow = sylow_reduction_report(group, lattice, ALL_CYCLIC, report.exponent)
     notes = []
-    for comparison in report.sylow or ():
+    for comparison in report.sylow:
         if not comparison.match:
             notes.append({
                 "group": spec, "check": "sylow",
@@ -204,12 +210,11 @@ def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]
         if pp is None:
             continue
         p = pp[0]
-        H = cls.representative
-        gens = lattice.generators_of(H.mask)
+        H, gens = cls.representative, cls.generators
         # H <= C_G(H) exactly when its recorded generators commute pairwise
         abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
         cyclic_h = H.is_cyclic
-        for u_mask, r in c_set_reports(lattice, H.mask):
+        for u_mask, r in c_set_reports(lattice, cls):
             u_order, count = u_mask.bit_count(), r.c_count
             bad = []  # (expected, got) per failed check
             if (count - r.c_prime_count) % p:
@@ -248,8 +253,7 @@ def evaluate_group(task: tuple[str, tuple[str, ...]]) -> dict:
     failures: list[dict] = []
     try:
         report = compute_exponent_report(
-            group, spec_text, lattice=lattice, table=table,
-            include_sylow="sylow" in checks, extra_families=families,
+            group, spec_text, lattice=lattice, table=table, extra_families=families,
         )
     except MethodDisagreement as err:
         # the suites read the same report; the row fails whichever of them run

@@ -46,7 +46,7 @@ from artinx.artin import (
     Family,
     SylowComparison,
     artin_exponent_marks,
-    family_vector,
+    family_members,
 )
 from artinx import burnside
 from artinx.burnside import (
@@ -70,6 +70,7 @@ from artinx.groups import (
     tabulate,
 )
 from artinx.lattice import (
+    SubgroupClass,
     SubgroupLattice,
     _assemble,
     _expand_class,
@@ -374,11 +375,12 @@ def reference_exponent_marks(
 ) -> int:
     """Least divisor n of |G| with n * e_F integral in the transitive basis,
     found by trying every divisor in ascending order."""
-    target = family_vector(table.class_cyclic, family)
+    members = family_members(table.class_cyclic, family)
     for n in range(1, group.order + 1):
         if group.order % n:
             continue
-        if not isinstance(solve_membership(table, [n * x for x in target]), NotIntegral):
+        ghost = [n if i in members else 0 for i in range(table.n)]
+        if not isinstance(solve_membership(table, ghost), NotIntegral):
             return n
     raise AssertionError("|G| times a ghost vector did not solve integrally")
 
@@ -475,7 +477,7 @@ def multiply_basis(
     v_mask = lattice.classes[key[1]].representative.mask
     rep_u = _coset_rep_array(group, u_mask)
     rep_v = _coset_rep_array(group, v_mask)
-    gens = lattice.generators_of(full)
+    gens = lattice.classes[-1].generators
     mult = group.mult
 
     coeffs = [0] * len(lattice.classes)
@@ -591,13 +593,13 @@ def standalone_local_exponent(
     sub, elems = subgroup_as_group(group, h_mask)
     sub_lattice = enumerate_subgroups(sub)
     sub_family = ALL_CYCLIC
-    if family.classes is not None:
+    if family is not None:
         kept = []
         for i, cls in enumerate(sub_lattice.classes):
             in_g = sum(1 << elems[x] for x in cls.representative.elements)
-            if lattice.class_of[in_g] in family.classes:
+            if lattice.class_of[in_g] in family:
                 kept.append(i)
-        sub_family = Family(frozenset(kept))
+        sub_family = frozenset(kept)
     return artin_exponent_marks(build_mark_table(sub_lattice), sub_family)
 
 
@@ -693,7 +695,7 @@ def reference_congruence_pairs(
 ) -> list[CongruencePair]:
     """The congruence pairs by the plain scan: every subgroup against every
     class representative, normality tested by conjugating with all of V."""
-    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
     pairs = []
     for v_idx, cls in enumerate(lattice.classes):
         V = cls.representative
@@ -729,7 +731,7 @@ def reference_congruence_analysis(
     artin._coset_tally looked up at call time (so that a test can count the
     tallies), and each listed family sums its classes from that tally."""
     cyclic = [c.representative.is_cyclic for c in lattice.classes]
-    members = [family_vector(cyclic, family) for family in families]
+    members = [family_members(cyclic, family) for family in families]
     exponents = [1] * len(families)
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
     memo: dict[int, tuple[int, list]] = {}
@@ -745,7 +747,7 @@ def reference_congruence_analysis(
                 continue
             tally = artin_module._coset_tally(lattice, memo, u_mask, V.mask)
             for i in needy:
-                count = sum(n for c, n in tally if members[i][c])
+                count = sum(n for c, n in tally if c in members[i])
                 constraint = index // gcd(index, count)
                 if exponents[i] % constraint:
                     exponents[i] = lcm(exponents[i], constraint)
@@ -781,12 +783,12 @@ def reference_coset_count(
     lattice: SubgroupLattice,
     u_mask: int,
     v_mask: int,
-    members: Sequence[int],
+    members: frozenset[int],
 ) -> int:
-    """Cosets vU of V/U with <v, U> in the family whose ghost vector over
-    the lattice's classes is members, from the per-coset profile."""
+    """Cosets vU of V/U with <v, U> in the family whose lattice classes are
+    members, from the per-coset profile."""
     profile = reference_pair_profile(group, lattice, u_mask, v_mask)
-    return sum(c for cls, c in profile.items() if members[cls])
+    return sum(c for cls, c in profile.items() if cls in members)
 
 
 def cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> int:
@@ -843,15 +845,15 @@ def cyclic_count(
     if not is_normal_in(group, u_mask, v_mask):
         raise ValueError("U must be normal in V")
     if lattice is not None:
-        members = family_vector(
+        members = family_members(
             [c.representative.is_cyclic for c in lattice.classes], family)
         direct = reference_coset_count(group, lattice, u_mask, v_mask, members)
-    elif family.classes is not None:
+    elif family is not None:
         raise ValueError("explicit-class families require the subgroup lattice")
     else:
         direct = _closure_cyclic_count(group, u_mask, v_mask)
     if central_reduction:
-        if family.classes is not None:
+        if family is not None:
             raise ValueError("central reduction applies to the cyclic family only")
         reduced = _reduced_cyclic_count(group, u_mask, v_mask)
         if reduced is not None and reduced != direct:
@@ -996,16 +998,16 @@ def reference_bracket_preimage(
 
 
 def reference_c_set_reports(
-    lattice: SubgroupLattice, h_mask: int
+    lattice: SubgroupLattice, cls: SubgroupClass
 ) -> list[tuple[int, CSetReport]]:
-    """(U, report) for every cyclic U normal in the p-group H, ascending by
-    mask: normality by conjugation, H'(U) by the per-h scan over the
-    lattice's generators of H, and for each U a scan of all of H's cyclic
-    subgroups for the extensions of order p|U| that contain U."""
-    group = lattice.group
+    """(U, report) for every cyclic U normal in the p-group H, the class's
+    representative, ascending by mask: normality by conjugation, H'(U) by
+    the per-h scan over the class's generators, and for each U a scan of
+    all of H's cyclic subgroups for the extensions of order p|U| that
+    contain U."""
+    group, h_mask, generators = lattice.group, cls.representative.mask, cls.generators
     p = as_prime_power(h_mask.bit_count())[0]
     elements = mask_elements(h_mask)
-    generators = lattice.generators_of(h_mask)
     cyclic = sorted({group.cyclic_mask(x) for x in elements})
     normal = frozenset(m for m in cyclic if is_normal_in(group, m, h_mask))
     out = []
@@ -1066,13 +1068,13 @@ def dress_exponent(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int
     the order m of gU all generate <g, U>, so one walk gU, g^2 U, ... back
     to U counts phi(m) of them at once."""
     group, class_of = lattice.group, lattice.class_of
-    members = family_vector([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
     exponent = 1
     for cls in lattice.classes:
         u_mask, u_elems = cls.representative.mask, cls.representative.elements
         normalizer = lattice.normalizers[u_mask]
         w = normalizer.bit_count() // len(u_elems)
-        count = members[class_of[u_mask]]  # the coset U itself
+        count = int(class_of[u_mask] in members)  # the coset U itself
         todo = normalizer & ~u_mask
         while todo:
             g = (todo & -todo).bit_length() - 1
@@ -1086,7 +1088,7 @@ def dress_exponent(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int
                 extension |= bits
                 if gcd(k, m) == 1:
                     todo &= ~bits
-            if members[class_of[extension]]:
+            if class_of[extension] in members:
                 count += sum(1 for k in range(1, m) if gcd(k, m) == 1)
         exponent = lcm(exponent, w // gcd(w, count))
     return exponent

@@ -15,7 +15,6 @@ from artinx import lattice as lattice_module
 from artinx.artin import (
     ALL_CYCLIC,
     CongruencePair,
-    Family,
     MethodDisagreement,
     artin_exponent_congruence,
     artin_exponent_marks,
@@ -28,7 +27,7 @@ from artinx.artin import (
     congruence_pairs,
     count_C_sets,
     family_label,
-    family_vector,
+    family_members,
     recognize_2group,
     report_to_dict,
     sylow_reduction_report,
@@ -100,35 +99,42 @@ def class_rep_mask(lattice, **want):
 # ---------------------------------------------------------------------------
 
 
-def test_family_vector_s3():
+def test_family_members_s3():
     _, lattice = setup_group("S3")
-    assert family_vector(cyclic_flags(lattice), ALL_CYCLIC) == (1, 1, 1, 0)
+    assert family_members(cyclic_flags(lattice), ALL_CYCLIC) == {0, 1, 2}
 
 
-def test_family_vector_q8():
+def test_family_members_q8():
     _, lattice = setup_group("Q8")
-    assert family_vector(cyclic_flags(lattice), ALL_CYCLIC) == (1, 1, 1, 1, 1, 0)
+    assert family_members(cyclic_flags(lattice), ALL_CYCLIC) == {0, 1, 2, 3, 4}
+    assert family_members(cyclic_flags(lattice), frozenset({5})) == {5}
+    assert family_members(cyclic_flags(lattice), frozenset()) == frozenset()
 
 
-def test_family_vector_cyclic_group_all_ones():
+def test_family_members_cyclic_group_all_classes():
     _, lattice = setup_group("C12")
-    assert family_vector(cyclic_flags(lattice), ALL_CYCLIC) == (1,) * 6
+    assert family_members(cyclic_flags(lattice), ALL_CYCLIC) == set(range(6))
 
 
-def test_family_vector_explicit():
+def test_family_members_explicit():
     _, lattice = setup_group("S3")
-    assert family_vector(cyclic_flags(lattice), Family(frozenset({0, 2}))) == (1, 0, 1, 0)
+    family = frozenset({0, 2})
+    assert family_members(cyclic_flags(lattice), family) is family
+    assert family_members(cyclic_flags(lattice), frozenset({3})) == {3}
 
 
 def test_family_label():
     assert family_label(ALL_CYCLIC) == "cyclic"
-    assert family_label(Family(frozenset({2, 0}))) == "classes:0,2"
+    assert family_label(frozenset({2, 0})) == "classes:0,2"
+    assert family_label(frozenset()) == "classes:"
 
 
 def test_family_bad_index_rejected():
-    _, lattice = setup_group("S3")
-    with pytest.raises(ValueError):
-        family_vector(cyclic_flags(lattice), Family(frozenset({7})))
+    for spec, index in [("S3", 4), ("S3", 7), ("S3", -1), ("Q8", 6)]:
+        _, lattice = setup_group(spec)
+        n = len(lattice.classes)
+        with pytest.raises(ValueError, match=rf"^family class index {index} out of range 0\.\.{n - 1}$"):
+            family_members(cyclic_flags(lattice), frozenset({0, index}))
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +189,20 @@ def test_count_requires_normality():
 def test_count_explicit_family():
     g, lattice = setup_group("S3")
     # classes 0 and 1 are the trivial subgroup and the reflections
-    fam = Family(frozenset({0, 1}))
+    fam = frozenset({0, 1})
     assert cyclic_count(g, 1, full_mask(g), fam, lattice) == 4
 
 
 def test_count_explicit_family_needs_lattice():
     g, _ = setup_group("S3")
     with pytest.raises(ValueError):
-        cyclic_count(g, 1, full_mask(g), Family(frozenset({0})))
+        cyclic_count(g, 1, full_mask(g), frozenset({0}))
 
 
 def test_count_central_reduction_rejects_explicit_family():
     g, lattice = setup_group("C12")
     with pytest.raises(ValueError):
-        cyclic_count(g, 1, full_mask(g), Family(frozenset({0})), lattice,
+        cyclic_count(g, 1, full_mask(g), frozenset({0}), lattice,
                      central_reduction=True)
 
 
@@ -387,9 +393,8 @@ EXPLICIT_FAMILY_EXPONENTS = [
 @pytest.mark.parametrize("spec,classes,expected", EXPLICIT_FAMILY_EXPONENTS)
 def test_explicit_family_exponents(spec, classes, expected):
     g, lattice = setup_group(spec)
-    fam = Family(classes)
-    assert artin_exponent_congruence(lattice, fam) == expected
-    assert artin_exponent_marks(build_mark_table(lattice), fam) == expected
+    assert artin_exponent_congruence(lattice, classes) == expected
+    assert artin_exponent_marks(build_mark_table(lattice), classes) == expected
 
 
 def test_binding_pairs_s3():
@@ -710,7 +715,7 @@ def test_c_sets_validation():
     with pytest.raises(ValueError):
         count_C_sets(g6, (1 << 6) - 1, 1)  # H not a p-group
     with pytest.raises(ValueError, match="nontrivial p-group"):
-        next(c_set_reports(enumerate_subgroups(g6), (1 << 6) - 1))
+        next(c_set_reports(enumerate_subgroups(g6), enumerate_subgroups(g6).classes[-1]))
     reflection = next(cls.representative.mask for cls in lattice.classes
                       if cls.representative.order == 2 and cls.size > 1)
     with pytest.raises(ValueError):
@@ -767,35 +772,34 @@ def test_c_set_parity_detects_cyclicity(spec, cyclic):
 # ---------------------------------------------------------------------------
 
 
+def cyclic_sylow_report(spec):
+    """The Sylow comparison for the cyclic family against its exponent."""
+    g, lattice = setup_group(spec)
+    exponent = compute_exponent_report(g, spec, lattice=lattice).exponent
+    return sylow_reduction_report(g, lattice, ALL_CYCLIC, exponent)
+
+
 def test_sylow_report_q8():
-    g, lattice = setup_group("Q8")
-    rep = compute_exponent_report(g, "Q8", lattice=lattice, include_sylow=True)
     assert [(s.p, s.exponent_part, s.sylow_order, s.sylow_exponent, s.match)
-            for s in rep.sylow] == [(2, 2, 8, 2, True)]
+            for s in cyclic_sylow_report("Q8")] == [(2, 2, 8, 2, True)]
 
 
 def test_sylow_report_c6():
-    g, lattice = setup_group("C6")
-    rep = compute_exponent_report(g, "C6", lattice=lattice, include_sylow=True)
-    assert all(s.exponent_part == 1 and s.sylow_exponent == 1 and s.match
-               for s in rep.sylow)
-    assert [s.p for s in rep.sylow] == [2, 3]
+    rows = cyclic_sylow_report("C6")
+    assert all(s.exponent_part == 1 and s.sylow_exponent == 1 and s.match for s in rows)
+    assert [s.p for s in rows] == [2, 3]
 
 
 def test_sylow_report_s3_mismatch():
-    g, lattice = setup_group("S3")
-    rep = compute_exponent_report(g, "S3", lattice=lattice, include_sylow=True)
-    by_p = {s.p: s for s in rep.sylow}
+    by_p = {s.p: s for s in cyclic_sylow_report("S3")}
     assert by_p[2].exponent_part == 2 and by_p[2].sylow_exponent == 1
     assert not by_p[2].match
     assert by_p[3].match
 
 
 def test_sylow_report_s4():
-    g, lattice = setup_group("S4")
-    rep = compute_exponent_report(g, "S4", lattice=lattice, include_sylow=True)
     assert [(s.p, s.exponent_part, s.sylow_order, s.sylow_exponent, s.match)
-            for s in rep.sylow] == [(2, 2, 8, 2, True), (3, 1, 3, 1, True)]
+            for s in cyclic_sylow_report("S4")] == [(2, 2, 8, 2, True), (3, 1, 3, 1, True)]
 
 
 SYLOW_SPECS = default_catalog(128) + [S5, "A5xC2", "S3xS3", "A4xC3", "S4xC2xC2", "D30"]
@@ -850,18 +854,22 @@ def test_sylow_report_builds_no_table_or_lattice(monkeypatch):
 
 def test_report_both_methods():
     g, lattice = setup_group("SD16")
-    rep = compute_exponent_report(g, "SD16", lattice=lattice, include_pairs=True)
+    rep = compute_exponent_report(g, "SD16", lattice=lattice)
     assert rep.exponent == rep.exponent_congruence == rep.exponent_marks == 4
     assert rep.methods_agree is True
     assert rep.prediction_matches is True
     assert rep.prime_parts == {2: 4}
-    assert rep.pairs and all(p.index % p.constraint == 0 for p in rep.pairs)
+    assert rep.pairs is None and rep.sylow is None
+    pairs = tuple(congruence_pairs(lattice))
+    assert pairs and all(p.index % p.constraint == 0 for p in pairs)
 
 
 def test_report_to_dict_shape():
     g, lattice = setup_group("S3")
-    d = report_to_dict(compute_exponent_report(g, "S3", lattice=lattice,
-                                               include_sylow=True))
+    report = compute_exponent_report(g, "S3", lattice=lattice)
+    assert "sylow" not in report_to_dict(report)
+    report.sylow = sylow_reduction_report(g, lattice, ALL_CYCLIC, report.exponent)
+    d = report_to_dict(report)
     assert d["group"] == "S3" and d["order"] == 6
     assert d["exponent"] == 2 and d["methods_agree"] is True
     assert d["prediction"]["branch"] == "not a p-group"

@@ -287,6 +287,19 @@ def test_no_subcommand_exits_one(capsys):
     assert code == 1
 
 
+def test_negative_family_class_stderr_pinned(capsys):
+    """A negative index is out of range, not an index from the end."""
+    code, out, err = run_cli(["compute", "--group", "S3", "--family-classes", "-1"], capsys)
+    assert (code, out, err) == (1, "", "error: family class index -1 out of range 0..3\n")
+
+
+def test_parse_family_gives_all_cyclic_or_a_frozenset():
+    assert cli._parse_family(None) is None
+    family = cli._parse_family("2, 0,,2")
+    assert type(family) is frozenset and family == {0, 2}
+    assert cli._parse_family(",") == frozenset()
+
+
 def test_bad_family_classes_exit_one(capsys):
     code, _, err = run_cli(["compute", "--group", "S3", "--family-classes", "0,9"], capsys)
     assert code == 1

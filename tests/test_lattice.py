@@ -216,10 +216,10 @@ def test_closure_from_a_subgroup_matches_closure_from_identity(spec):
     the breadth-first closure."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    cyclic_gens = sorted({lattice.generators_of(g.cyclic_mask(x)) for x in range(1, g.order)})
+    # one generator of each nontrivial cyclic subgroup
+    cyclic_gens = sorted((x,) for m, x in g.cyclic_subgroups.items() if m != 1)
     for cls in lattice.classes:
-        h = cls.representative.mask
-        h_gens = lattice.generators_of(h)
+        h, h_gens = cls.representative.mask, cls.generators
         for x_gens in cyclic_gens:
             gens = h_gens + x_gens
             assert closure_mask(g, gens, h) == closure_mask(g, gens), (spec, h, gens)
@@ -331,8 +331,8 @@ def test_enumeration_expands_each_class_once(spec, monkeypatch):
 
 def assert_matches_join_closure(g):
     """Cyclic extension and the join-closure oracle give the same classes,
-    representatives, conjugate tuples and class_of, and every recorded
-    generator tuple generates its subgroup."""
+    representatives, conjugate tuples and class_of, and every class's
+    recorded generators generate its representative."""
     lattice = enumerate_subgroups(g)
     reference = join_closure_lattice(g)
     assert [c.representative.mask for c in lattice.classes] == [
@@ -340,8 +340,8 @@ def assert_matches_join_closure(g):
     ]
     assert [c.conjugates for c in lattice.classes] == [c.conjugates for c in reference.classes]
     assert lattice.class_of == reference.class_of
-    for m in lattice.class_of:
-        assert closure_mask(g, lattice.generators_of(m)) == m
+    for c in lattice.classes:
+        assert closure_mask(g, c.generators) == c.representative.mask
     return lattice, reference
 
 
@@ -518,12 +518,9 @@ def test_generators_regenerate_their_subgroup():
     g = group_from_spec("S4")
     lattice = enumerate_subgroups(g)
     for c in lattice.classes:
-        for m in c.conjugates:
-            gens = lattice.generators_of(m)
-            assert closure_mask(g, gens) == m
-            assert len(gens) <= 9
-    with pytest.raises(KeyError):
-        lattice.generators_of(0b1010101)
+        assert type(c.generators) is tuple
+        assert closure_mask(g, c.generators) == c.representative.mask
+        assert len(c.generators) <= 9
 
 
 def test_conjugates_of_normal_subgroup_form_singleton_class():
@@ -563,8 +560,9 @@ def test_lattice_round_trip(spec):
     assert rebuilt is not None
     assert [c.conjugates for c in rebuilt.classes] == [c.conjugates for c in lattice.classes]
     assert rebuilt.class_of == lattice.class_of
-    for m in rebuilt.class_of:
-        assert closure_mask(g, rebuilt.generators_of(m)) == m
+    assert [c.generators for c in rebuilt.classes] == [c.generators for c in lattice.classes]
+    for c in rebuilt.classes:
+        assert closure_mask(g, c.generators) == c.representative.mask
 
 
 def test_lattice_from_dict_rejects_wrong_group():

@@ -98,21 +98,34 @@ def test_config_rejects_bad_jobs():
 
 
 def test_random_families_deterministic():
-    first = [f.classes for f in random_families("S4", 11)]
-    second = [f.classes for f in random_families("S4", 11)]
+    first = list(random_families("S4", 11))
+    second = list(random_families("S4", 11))
     assert first == second
     assert len(first) == RANDOM_FAMILIES
 
 
 def test_random_families_depend_on_spec():
-    a = [f.classes for f in random_families("S4", 11)]
-    b = [f.classes for f in random_families("D8", 11)]
+    a = list(random_families("S4", 11))
+    b = list(random_families("D8", 11))
     assert a != b
 
 
 def test_random_families_stay_in_range():
     for family in random_families("Q16", 7):
-        assert all(0 <= i < 7 for i in family.classes)
+        assert all(0 <= i < 7 for i in family)
+
+
+@pytest.mark.parametrize("spec, class_count, first_three", [
+    ("S4", 11, [{0, 1, 2, 3, 4, 5, 6, 9}, {0, 1, 2, 3, 4, 6, 7, 8, 9, 10}, {10}]),
+    ("D8", 8, [{3, 7}, {6, 7}, set(range(8))]),
+])
+def test_random_families_are_pinned_frozensets(spec, class_count, first_three):
+    """The draws are frozensets of class indices, and the same draws as
+    before families took that form: changing them changes the crossmethod
+    suite's families and the traced family counts."""
+    families = list(random_families(spec, class_count))
+    assert all(type(f) is frozenset for f in families)
+    assert families[:3] == first_three
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +156,8 @@ def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
     u_mask = group.cyclic_mask(1)
     report = artin.CSetReport(frozenset({full}), frozenset(), full, frozenset({full}))
 
-    def fake_reports(lattice, h_mask):
-        return iter([(u_mask, report)] if h_mask == full else [])
+    def fake_reports(lattice, cls):
+        return iter([(u_mask, report)] if cls.representative.mask == full else [])
 
     monkeypatch.setattr(sweep, "c_set_reports", fake_reports)
     row = evaluate_group(("C2xC2", ("lemmas",)))
@@ -289,15 +302,20 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
     monkeypatch.setattr(artin, "artin_exponent_marks", marks)
     monkeypatch.setattr(artin, "closed_form_predictor", predictor)
-    monkeypatch.setattr(artin, "sylow_reduction_report", sylow)
+    for module in (artin, sweep):
+        monkeypatch.setattr(module, "sylow_reduction_report", sylow)
     row = evaluate_group(("S3", CHECK_NAMES))
     assert calls == {"marks": 1, "predictor": 1, "sylow": 1}
 
+    group = group_from_spec("S3")
     with pytest.raises(artin.MethodDisagreement) as err:
-        artin.compute_exponent_report(group_from_spec("S3"), "S3", include_sylow=True)
+        artin.compute_exponent_report(group, "S3")
     carried = err.value.report
     assert (carried.exponent_congruence, carried.exponent_marks) == (4, 2)
     assert [p.constraint for p in carried.binding_pairs] == [2]
+    assert carried.sylow is None
+    carried.sylow = real_sylow(group, artin.enumerate_subgroups(group), artin.ALL_CYCLIC,
+                               carried.exponent)
     assert row["report"] == artin.report_to_dict(carried)
 
 
