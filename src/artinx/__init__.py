@@ -15,8 +15,7 @@ from .burnside import (
     NotIntegral,
     build_mark_table,
     conductor,
-    ghost_of,
-    mark_table_to_dict,
+    mark_table_json,
     solve_membership,
 )
 from .groups import (
@@ -56,9 +55,8 @@ __all__ = [
     "compute_exponent_report",
     "conductor",
     "enumerate_subgroups",
-    "ghost_of",
     "group_from_spec",
-    "mark_table_to_dict",
+    "mark_table_json",
     "parse_group_spec",
     "report_to_dict",
     "run_sweep",

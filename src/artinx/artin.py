@@ -30,7 +30,6 @@ congruence code reaches method 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
@@ -186,10 +185,28 @@ def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
             yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
 
 
-@dataclass
-class CongruenceAnalysis:
-    exponent: int
-    binding_pairs: tuple[CongruencePair, ...]
+class _Record:
+    """Equality and repr over __slots__, for the records whose fields their
+    callers set after construction."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class CongruenceAnalysis(_Record):
+    __slots__ = ("exponent", "binding_pairs")
+
+    def __init__(self, exponent: int, binding_pairs: tuple[CongruencePair, ...]) -> None:
+        self.exponent = exponent
+        self.binding_pairs = binding_pairs
 
 
 def congruence_analysis(lattice: SubgroupLattice,
@@ -339,16 +356,15 @@ def recognize_2group(group: GroupTable) -> str:
     return "other"
 
 
-@dataclass
-class Prediction:
+class Prediction(NamedTuple):
     """Closed-form exponent prediction; value is None outside the covered
-    branches.  details carries the alternative formulas that were considered;
-    shape is recognize_2group's answer, set exactly on the noncyclic 2-group
-    branches."""
+    branches.  details carries the alternative formulas that were considered
+    (a dict of its own per prediction, so it has no default); shape is
+    recognize_2group's answer, set exactly on the noncyclic 2-group branches."""
 
     value: Optional[int]
     branch: str
-    details: dict[str, int] = field(default_factory=dict)
+    details: dict[str, int]
     shape: Optional[str] = None
 
 
@@ -371,10 +387,10 @@ def _order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:
 def closed_form_predictor(group: GroupTable) -> Prediction:
     """Predicted exponent for the cyclic family, where a formula is known."""
     if group.is_cyclic:
-        return Prediction(1, "cyclic")
+        return Prediction(1, "cyclic", {})
     pp = as_prime_power(group.order)
     if pp is None:
-        return Prediction(None, "not a p-group")
+        return Prediction(None, "not a p-group", {})
     p, alpha = pp
     generic = p ** (alpha - 1)
     if p != 2:
@@ -399,8 +415,7 @@ def closed_form_predictor(group: GroupTable) -> Prediction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CSetReport:
+class CSetReport(NamedTuple):
     """Cyclic p-extensions of U inside a p-group H: all of them (c_masks),
     the ones normal in H (c_prime_masks), and for comparison the extensions
     inside H' = {h in H : [h, H] <= U} (the two collections coincide)."""
@@ -488,8 +503,7 @@ def c_set_reports(lattice: SubgroupLattice, cls: SubgroupClass):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SylowComparison:
+class SylowComparison(NamedTuple):
     p: int
     exponent_part: int
     sylow_order: int
@@ -534,24 +548,43 @@ def sylow_reduction_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExponentReport:
-    group: str
-    order: int
-    family: str
-    exponent: int
-    exponent_congruence: int
-    exponent_marks: int
-    prediction: Prediction
-    prime_parts: dict[int, int]
-    binding_pairs: tuple[CongruencePair, ...]
-    # every pair and the Sylow comparison, set by the callers that want them
-    # (compute --audit, the sylow suite); report_to_dict writes them when set
-    pairs: Optional[tuple[CongruencePair, ...]] = None
-    sylow: Optional[tuple[SylowComparison, ...]] = None
-    # method 1 on further families, from the walk that served the report's
-    # family; report_to_dict does not write it
-    extra_analyses: tuple[tuple[Family, CongruenceAnalysis], ...] = ()
+class ExponentReport(_Record):
+    __slots__ = ("group", "order", "family", "exponent", "exponent_congruence",
+                 "exponent_marks", "prediction", "prime_parts", "binding_pairs",
+                 "pairs", "sylow", "extra_analyses")
+
+    def __init__(
+        self,
+        group: str,
+        order: int,
+        family: str,
+        exponent: int,
+        exponent_congruence: int,
+        exponent_marks: int,
+        prediction: Prediction,
+        prime_parts: dict[int, int],
+        binding_pairs: tuple[CongruencePair, ...],
+        pairs: Optional[tuple[CongruencePair, ...]] = None,
+        sylow: Optional[tuple[SylowComparison, ...]] = None,
+        extra_analyses: tuple[tuple[Family, CongruenceAnalysis], ...] = (),
+    ) -> None:
+        self.group = group
+        self.order = order
+        self.family = family
+        self.exponent = exponent
+        self.exponent_congruence = exponent_congruence
+        self.exponent_marks = exponent_marks
+        self.prediction = prediction
+        self.prime_parts = prime_parts
+        self.binding_pairs = binding_pairs
+        # every pair and the Sylow comparison, set by the callers that want
+        # them (compute --audit, the sylow suite); report_to_dict writes them
+        # when set
+        self.pairs = pairs
+        self.sylow = sylow
+        # method 1 on further families, from the walk that served the
+        # report's family; report_to_dict does not write it
+        self.extra_analyses = extra_analyses
 
     @property
     def methods_agree(self) -> bool:

@@ -27,16 +27,15 @@ rational solution without any rational arithmetic.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Collection, Sequence, Union
+from typing import Collection, Iterator, NamedTuple, Sequence, Union
 
 from .lattice import SubgroupLattice
 
 
-@dataclass(frozen=True)
-class NotIntegral:
+class NotIntegral(NamedTuple):
     """Witness that a ghost vector is not in the image of the Burnside ring:
     back-substitution hit a non-integer at this class index."""
 
@@ -90,29 +89,6 @@ def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
         class_sizes=sizes,
         class_cyclic=[r.is_cyclic for r in reps],
     )
-
-
-def dense_rows(table: MarkTable) -> list[list[int]]:
-    """The table of marks as a full n x n matrix of ints."""
-    out = []
-    for columns, marks in table.rows:
-        dense = [0] * table.n
-        for j, m in zip(columns, marks):
-            dense[j] = m
-        out.append(dense)
-    return out
-
-
-def ghost_of(table: MarkTable, coefficients: Sequence[int]) -> tuple[int, ...]:
-    """Mark vector of an element given by basis coefficients."""
-    if len(coefficients) != table.n:
-        raise ValueError("coefficient vector has the wrong length")
-    out = [0] * table.n
-    for c, (columns, marks) in zip(coefficients, table.rows):
-        if c:
-            for j, m in zip(columns, marks):
-                out[j] += c * m
-    return tuple(out)
 
 
 def solve_membership(
@@ -171,13 +147,25 @@ def conductor(table: MarkTable) -> int:
     return result
 
 
-def mark_table_to_dict(table: MarkTable, spec_text: str) -> dict:
-    """JSON-ready description of a table of marks."""
-    return {
+def mark_table_json(table: MarkTable, spec_text: str) -> Iterator[str]:
+    """The table as a JSON document indented by 2: its schema, group, class
+    orders, sizes and cyclicity, and "marks", the n x n matrix of ints.  The
+    text comes in pieces, one per matrix row, each built from the row's
+    stored marks, so that no more than one row of the matrix is ever held."""
+    head = json.dumps({
         "schema": 1,
         "group": spec_text,
-        "class_orders": list(table.class_orders),
-        "class_sizes": list(table.class_sizes),
-        "class_cyclic": list(table.class_cyclic),
-        "marks": dense_rows(table),
-    }
+        "class_orders": table.class_orders,
+        "class_sizes": table.class_sizes,
+        "class_cyclic": table.class_cyclic,
+    }, indent=2)
+    yield head[:-2] + ',\n  "marks": [\n'  # reopens the object that head closed
+    zeros = ["      0"] * table.n
+    separator = ""
+    for columns, marks in table.rows:
+        cells = zeros.copy()
+        for j, m in zip(columns, marks):
+            cells[j] = f"      {m}"
+        yield separator + "    [\n" + ",\n".join(cells) + "\n    ]"
+        separator = ",\n"
+    yield "\n  ]\n}"

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import islice
 from typing import Optional
 
 from .artin import (
@@ -25,7 +24,7 @@ from .artin import (
     report_to_dict,
     sylow_reduction_report,
 )
-from .burnside import MarkTable, build_mark_table, mark_table_to_dict
+from .burnside import MarkTable, build_mark_table, mark_table_json
 from .groups import build_group, parse_group_spec, spec_to_text
 from .lattice import ResourceCapError, SubgroupLattice, cached_lattice, enumerate_subgroups
 from .sweep import CHECK_NAMES, RunResult, SweepConfig, run_sweep, summary_to_dict
@@ -174,11 +173,8 @@ def cmd_marks(args: argparse.Namespace) -> int:
     text, group = _prepare(args.group)
     table = build_mark_table(enumerate_subgroups(group))
     if args.json:
-        # written in blocks of chunks, never as one string: the indented text
-        # of a large table is several times the size of its matrix of ints
-        chunks = json.JSONEncoder(indent=2).iterencode(mark_table_to_dict(table, text))
-        while block := "".join(islice(chunks, 65536)):
-            sys.stdout.write(block)
+        # row by row: the matrix of a large table is never held whole
+        sys.stdout.writelines(mark_table_json(table, text))
         sys.stdout.write("\n")
     else:
         _print_mark_table(text, table)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
@@ -83,42 +82,57 @@ def p_part(n: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Named:
-    """A group of a family in FAMILIES, by the family's letters and its
-    parameter: Named("SD", 16) is the semidihedral group of order 16."""
-
+class _NamedFields(NamedTuple):
     family: str
     n: int
 
-    def __post_init__(self) -> None:
-        entry = FAMILIES.get(self.family)
+
+class Named(_NamedFields):
+    """A group of a family in FAMILIES, by the family's letters and its
+    parameter: Named("SD", 16) is the semidihedral group of order 16."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, family: str, n: int) -> Named:
+        entry = FAMILIES.get(family)
         if entry is None:
-            raise GroupSpecError(f"unknown group family {self.family!r}")
-        if not entry.accepts(self.n):
-            raise GroupSpecError(f"{entry.rule}, got {self.n}")
+            raise GroupSpecError(f"unknown group family {family!r}")
+        if not entry.accepts(n):
+            raise GroupSpecError(f"{entry.rule}, got {n}")
+        return super().__new__(cls, family, n)
 
 
-@dataclass(frozen=True)
-class DirectProduct:
-    factors: tuple["GroupSpec", ...]
+class _DirectProductFields(NamedTuple):
+    factors: tuple[GroupSpec, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.factors) < 2:
+
+class DirectProduct(_DirectProductFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, factors: tuple[GroupSpec, ...]) -> DirectProduct:
+        if len(factors) < 2:
             raise GroupSpecError("direct product needs at least two factors")
+        return super().__new__(cls, factors)
 
 
-@dataclass(frozen=True)
-class PermGenerators:
+class _PermGeneratorsFields(NamedTuple):
+    generators: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+class PermGenerators(_PermGeneratorsFields):
     """Generators given in cycle notation; each generator is a tuple of cycles,
     each cycle a tuple of 1-based points.  A generator's cycles are composed
     left to right, the rightmost cycle applied first."""
 
-    generators: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __new__(cls, generators: tuple[tuple[tuple[int, ...], ...], ...]) -> PermGenerators:
+        if not generators:
             raise GroupSpecError("permutation spec needs at least one generator")
+        return super().__new__(cls, generators)
 
 
 GroupSpec = Union[Named, DirectProduct, PermGenerators]

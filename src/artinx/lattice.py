@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .groups import GroupTable, as_prime_power, prime_factors
 
@@ -68,14 +67,14 @@ def closure_mask(
     return mask
 
 
-@dataclass(frozen=True, slots=True)
-class Subgroup:
-    """A subgroup as a bit set, with its order and cyclicity precomputed;
-    its element tuple is derived from the mask on each read, not stored."""
+class Subgroup(NamedTuple):
+    """A subgroup as a bit set, with its order and cyclicity precomputed
+    from the mask (so equal masks give equal records); its element tuple is
+    derived from the mask on each read, not stored."""
 
     mask: int
-    order: int = field(compare=False)
-    is_cyclic: bool = field(compare=False)
+    order: int
+    is_cyclic: bool
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -126,8 +125,7 @@ def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:
     return reps
 
 
-@dataclass(frozen=True, slots=True)
-class SubgroupClass:
+class SubgroupClass(NamedTuple):
     """A conjugacy class of subgroups: canonical representative, the full
     list of conjugate masks (representative included), and a small
     generating set of the representative."""

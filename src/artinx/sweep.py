@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .artin import (
     ALL_CYCLIC,
@@ -40,24 +40,30 @@ CONDUCTOR_ORDER_CAP = 24  # the exact-conductor suite is asserted on small group
 RANDOM_FAMILIES = 20
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class _SweepConfigFields(NamedTuple):
+    max_order: int
+    checks: frozenset
+    jobs: int
+
+
+class SweepConfig(_SweepConfigFields):
     """What to sweep: order bound, suites, worker count."""
 
-    max_order: int = 64
-    checks: frozenset = frozenset(CHECK_NAMES)
-    jobs: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_order <= 256:
+    def __new__(cls, max_order: int = 64, checks: frozenset = frozenset(CHECK_NAMES),
+                jobs: int = 1) -> SweepConfig:
+        if not 1 <= max_order <= 256:
             raise ValueError("max_order must be between 1 and 256")
-        if not self.checks:
+        if not checks:
             raise ValueError("checks must name at least one suite")
-        unknown = set(self.checks) - set(CHECK_NAMES)
+        unknown = set(checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
-        if self.jobs < 1:
+        if jobs < 1:
             raise ValueError("jobs must be at least 1")
+        return super().__new__(cls, max_order, checks, jobs)
 
 
 def default_catalog(max_order: int = 64) -> list[str]:
@@ -280,13 +286,12 @@ def evaluate_group(task: tuple[str, tuple[str, ...]]) -> dict:
     }
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """Everything a sweep produced, in catalog order."""
 
     config: SweepConfig
     catalog: tuple[str, ...]
-    rows: list[dict] = field(default_factory=list)
+    rows: list[dict]
 
     @property
     def failures(self) -> list[dict]:

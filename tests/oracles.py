@@ -10,7 +10,9 @@ tests use: the all-triples table check, the per-element power walk, powers
 by repeated multiplication and the pair-scan abelian test, the
 entry-by-entry realizations of C, D, Q, SD and direct products, group
 tables from tuple elements,
-relabelled tables, per-entry marks, the per-conjugate table of marks, the
+relabelled tables, per-entry marks, the dense table of marks with its
+JSON form and the ghost vectors of basis coefficients, the per-conjugate
+table of marks, the
 divisor-scan exponent and the Fraction conductor, products in the transitive basis, normality and
 normalizer tests, the commutator subgroup, quotient groups, subgroups as
 standalone tables with the local exponent and the Sylow comparison run on
@@ -53,7 +55,6 @@ from artinx.burnside import (
     MarkTable,
     NotIntegral,
     build_mark_table,
-    dense_rows,
     solve_membership,
 )
 from artinx.groups import (
@@ -368,6 +369,42 @@ def reference_group_table(spec) -> list[list[int]]:
     )
     index = {e: i for i, e in enumerate(elements)}
     return [[index[mul(a, b)] for b in elements] for a in elements]
+
+
+def dense_rows(table: MarkTable) -> list[list[int]]:
+    """The table of marks as a full n x n matrix of ints."""
+    out = []
+    for columns, marks in table.rows:
+        dense = [0] * table.n
+        for j, m in zip(columns, marks):
+            dense[j] = m
+        out.append(dense)
+    return out
+
+
+def mark_table_to_dict(table: MarkTable, spec_text: str) -> dict:
+    """The table as the dict whose json.dumps(..., indent=2) is the text
+    that burnside.mark_table_json streams, with the dense matrix whole."""
+    return {
+        "schema": 1,
+        "group": spec_text,
+        "class_orders": list(table.class_orders),
+        "class_sizes": list(table.class_sizes),
+        "class_cyclic": list(table.class_cyclic),
+        "marks": dense_rows(table),
+    }
+
+
+def ghost_of(table: MarkTable, coefficients: Sequence[int]) -> tuple[int, ...]:
+    """Mark vector of an element given by basis coefficients."""
+    if len(coefficients) != table.n:
+        raise ValueError("coefficient vector has the wrong length")
+    out = [0] * table.n
+    for c, (columns, marks) in zip(coefficients, table.rows):
+        if c:
+            for j, m in zip(columns, marks):
+                out[j] += c * m
+    return tuple(out)
 
 
 def reference_exponent_marks(

@@ -18,8 +18,6 @@ from artinx.artin import (
 from artinx.burnside import (
     build_mark_table,
     conductor,
-    dense_rows,
-    ghost_of,
     solve_membership,
 )
 from artinx.groups import as_prime_power, group_from_spec
@@ -28,6 +26,8 @@ from artinx.sweep import RANDOM_FAMILIES, SweepConfig, default_catalog, run_swee
 
 from oracles import (
     brute_force_artin_exponent,
+    dense_rows,
+    ghost_of,
     multiply_basis,
     multiply_elements,
     relabeled,

@@ -1,5 +1,6 @@
 """Tables of marks, ghost vectors, membership, conductor, multiplication."""
 
+import json
 import random
 import tracemalloc
 
@@ -11,9 +12,7 @@ from artinx.burnside import (
     NotIntegral,
     build_mark_table,
     conductor,
-    dense_rows,
-    ghost_of,
-    mark_table_to_dict,
+    mark_table_json,
     solve_membership,
 )
 from artinx.groups import group_from_spec
@@ -23,7 +22,10 @@ from artinx.sweep import default_catalog
 from oracles import (
     brute_force_mark,
     count_solves,
+    dense_rows,
+    ghost_of,
     mark,
+    mark_table_to_dict,
     multiply_basis,
     multiply_elements,
     normalizer,
@@ -338,10 +340,36 @@ def test_multiplication_commutes_and_distributes():
 
 def test_mark_table_serialization():
     _, _, table = setup_group("S3")
-    data = mark_table_to_dict(table, "S3")
+    data = json.loads("".join(mark_table_json(table, "S3")))
     assert data["schema"] == 1
     assert data["group"] == "S3"
     assert data["marks"] == dense_rows(table)
     assert data["class_orders"] == [1, 2, 3, 6]
     assert data["class_sizes"] == [1, 3, 1, 1]
     assert data["class_cyclic"] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("spec", ["C1", "C2", "S3", "Q8", "D12", "S4", "A5", "C2xC2xC2xC2", "A5xC2"])
+def test_mark_table_json_is_the_dense_dict_dumped(spec):
+    """The rows streamed from the sparse table are the bytes of the dense
+    matrix dumped whole, marks of several digits and spec text needing
+    escapes included."""
+    _, _, table = setup_group(spec)
+    for text in (spec, 'a "quoted"\\spec\u00e9'):
+        pieces = list(mark_table_json(table, text))
+        assert len(pieces) == table.n + 2
+        assert "".join(pieces) == json.dumps(mark_table_to_dict(table, text), indent=2)
+
+
+def test_mark_table_json_of_c2_to_the_sixth_holds_one_row_at_a_time():
+    """C2^6's matrix is 2,825 x 2,825, about 64 MB of list slots when held
+    whole; streaming it row by row peaks under 1 MB beside its table."""
+    table = build_mark_table(enumerate_subgroups(group_from_spec("C2xC2xC2xC2xC2xC2")))
+    tracemalloc.start()
+    try:
+        size = sum(map(len, mark_table_json(table, "C2xC2xC2xC2xC2xC2")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size + 1 == 71_934_321  # the printed document, final newline included
+    assert peak < 1_000_000, peak

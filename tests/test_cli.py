@@ -116,6 +116,25 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_dataclasses():
+    """No record is a dataclass, so importing the CLI loads neither
+    dataclasses nor the inspect module it pulls in.  -S keeps a site .pth
+    file from importing them first."""
+    probe = ("import sys, artinx.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=_child_env(), capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for root, _, names in os.walk(src):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as handle:
+                    assert "dataclass" not in handle.read(), name
+
+
 def skew_method_one(monkeypatch):
     """Make method 1 report twice its exponent, for every family."""
     real = artin.congruence_analysis

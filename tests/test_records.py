@@ -1,0 +1,125 @@
+"""The records: named tuples that print, check and pickle as the classes
+they replaced did, and the two records whose fields callers set."""
+
+import pickle
+
+import pytest
+
+from artinx.artin import (
+    CongruenceAnalysis,
+    Prediction,
+    closed_form_predictor,
+    compute_exponent_report,
+)
+from artinx.burnside import NotIntegral
+from artinx.groups import (
+    DirectProduct,
+    GroupSpecError,
+    Named,
+    PermGenerators,
+    group_from_spec,
+    parse_group_spec,
+)
+from artinx.lattice import subgroup_from_mask
+from artinx.sweep import CHECK_NAMES, SweepConfig
+
+
+@pytest.mark.parametrize("record, text", [
+    (Named("SD", 16), "Named(family='SD', n=16)"),
+    (parse_group_spec("C2xQ8"),
+     "DirectProduct(factors=(Named(family='C', n=2), Named(family='Q', n=8)))"),
+    (parse_group_spec("perm:(1 2 3),(1 2)"),
+     "PermGenerators(generators=(((1, 2, 3),), ((1, 2),)))"),
+    (NotIntegral(class_index=2, denominator=3), "NotIntegral(class_index=2, denominator=3)"),
+    (subgroup_from_mask(group_from_spec("C4"), 0b101), "Subgroup(mask=5, order=2, is_cyclic=True)"),
+    (SweepConfig(max_order=16, checks=frozenset({"cyclic"}), jobs=2),
+     "SweepConfig(max_order=16, checks=frozenset({'cyclic'}), jobs=2)"),
+    (CongruenceAnalysis(2, ()), "CongruenceAnalysis(exponent=2, binding_pairs=())"),
+], ids=["Named", "DirectProduct", "PermGenerators", "NotIntegral", "Subgroup", "SweepConfig",
+        "CongruenceAnalysis"])
+def test_repr_pinned(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Named("X", 3), GroupSpecError, "unknown group family 'X'"),
+    (lambda: Named("SD", 12), GroupSpecError, "semidihedral order must be a power of two >= 16, got 12"),
+    (lambda: Named("C", 0), GroupSpecError, "cyclic order must be >= 1, got 0"),
+    (lambda: Named("SD", 16)._replace(n=12), GroupSpecError,
+     "semidihedral order must be a power of two >= 16, got 12"),
+    (lambda: DirectProduct((Named("C", 2),)), GroupSpecError,
+     "direct product needs at least two factors"),
+    (lambda: parse_group_spec("C2xC2")._replace(factors=()), GroupSpecError,
+     "direct product needs at least two factors"),
+    (lambda: PermGenerators(()), GroupSpecError, "permutation spec needs at least one generator"),
+    (lambda: SweepConfig(max_order=0), ValueError, "max_order must be between 1 and 256"),
+    (lambda: SweepConfig(max_order=257), ValueError, "max_order must be between 1 and 256"),
+    (lambda: SweepConfig(checks=frozenset()), ValueError, "checks must name at least one suite"),
+    (lambda: SweepConfig(checks=frozenset({"bogus", "also", "cyclic"})), ValueError,
+     "unknown checks: also, bogus"),
+    (lambda: SweepConfig(jobs=0), ValueError, "jobs must be at least 1"),
+    (lambda: SweepConfig()._replace(jobs=0), ValueError, "jobs must be at least 1"),
+], ids=["Named-family", "Named-rule", "Named-zero", "Named-replace", "DirectProduct",
+        "DirectProduct-replace", "PermGenerators", "SweepConfig-order-low",
+        "SweepConfig-order-high", "SweepConfig-no-checks", "SweepConfig-unknown-checks",
+        "SweepConfig-jobs", "SweepConfig-replace"])
+def test_invalid_values_raise_the_same_errors(build, error, message):
+    """Construction and _replace run the same checks, with the messages
+    the records have always given."""
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_replace_builds_a_checked_record_of_the_same_class():
+    config = SweepConfig()._replace(max_order=16)
+    assert type(config) is SweepConfig
+    assert config == SweepConfig(max_order=16, checks=frozenset(CHECK_NAMES), jobs=1)
+    assert Named("SD", 16)._replace(n=32) == Named("SD", 32)
+
+
+@pytest.mark.parametrize("record", [
+    Named("SD", 16),
+    parse_group_spec("C2xS3"),
+    SweepConfig(max_order=16, checks=frozenset({"cyclic", "sylow"}), jobs=2),
+], ids=lambda value: type(value).__name__)
+def test_pickle_round_trip(record):
+    """--jobs sends the specs and the config to pool workers pickled."""
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)
+
+
+def test_equal_masks_give_equal_subgroups():
+    group = group_from_spec("S3")
+    a, b = subgroup_from_mask(group, 0b11), subgroup_from_mask(group, 0b11)
+    assert a == b and hash(a) == hash(b)
+    assert a != subgroup_from_mask(group, 0b1)
+
+
+def test_predictions_never_share_a_details_dict():
+    """details has no default to share: each prediction is built with a
+    dict of its own, on every branch."""
+    with pytest.raises(TypeError):
+        Prediction(1, "cyclic")
+    predictions = [closed_form_predictor(group_from_spec(spec))
+                   for spec in ("C4", "C6", "S3", "A4", "C3xC3", "Q8", "D8", "SD16", "C2xC4")]
+    assert {p.branch for p in predictions} == {
+        "cyclic", "not a p-group", "odd p-group", "Q or D", "SD", "2-group other"}
+    assert len({id(p.details) for p in predictions}) == len(predictions)
+    predictions[0].details["added"] = 1
+    assert all("added" not in p.details for p in predictions[1:])
+
+
+def test_mutable_records_take_new_values_but_no_new_fields():
+    report = compute_exponent_report(group_from_spec("S3"), "S3")
+    report.sylow = ()
+    report.exponent_congruence *= 2
+    assert (report.sylow, report.exponent_congruence) == ((), 4)
+    assert not report.methods_agree
+    analysis = CongruenceAnalysis(2, ())
+    analysis.exponent *= 2
+    assert analysis == CongruenceAnalysis(4, ()) != CongruenceAnalysis(2, ())
+    for record in (report, analysis):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.unknown_field = 1
