@@ -42,11 +42,12 @@ from .groups import (
     prime_factors,
 )
 from .lattice import (
+    IncompleteLattice,
     SubgroupClass,
     SubgroupLattice,
+    check_subgroup,
     enumerate_subgroups,
     mask_elements,
-    subgroup_from_mask,
 )
 
 
@@ -109,7 +110,8 @@ def _coset_tally(lattice: SubgroupLattice, memo: dict[int, tuple[int, list]],
     only the cosets of V/U that no earlier pair with the same U walked.
     For v in N(U), <U, v> lies in V exactly when v does.  The cosets U v^k
     with k prime to m = |<U, v> : U| all generate <U, v>, so one walk
-    U v, U v^2, ... back to U records phi(m) cosets at once."""
+    U v, U v^2, ... back to U records phi(m) cosets at once.  A <U, v> that
+    the lattice lacks raises IncompleteLattice."""
     walked, extensions = memo.get(u_mask, (u_mask, []))
     todo = v_mask & ~walked
     mult, class_of = lattice.group.mult, lattice.class_of
@@ -131,7 +133,11 @@ def _coset_tally(lattice: SubgroupLattice, memo: dict[int, tuple[int, list]],
                 todo &= ~bits
                 walked |= bits
                 generating += 1
-        extensions.append((extension, class_of[extension], generating))
+        try:
+            extensions.append((extension, class_of[extension], generating))
+        except KeyError:
+            raise IncompleteLattice(f"<U, v> = {extension:#x} is missing from the lattice; "
+                                    "the lattice is incomplete") from None
     memo[u_mask] = walked, extensions
     return [(class_of[u_mask], 1)] + [
         (cls, generating) for extension, cls, generating in extensions
@@ -164,7 +170,7 @@ def _congruence_walk(lattice: SubgroupLattice):
     n, normalizers = lattice.group.order, lattice.normalizers
     primes = {p ** k: p for p in prime_factors(n) for k in range(1, n.bit_length())}
     for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
-        order, vm = cls.representative.order, cls.representative.mask
+        order, vm = cls.order, cls.mask
         pairs = []
         for u_mask in inside:
             index = order // u_mask.bit_count()
@@ -176,7 +182,7 @@ def _congruence_walk(lattice: SubgroupLattice):
 def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
     """Yield every congruence pair: V over class representatives, U over all
     normal subgroups of V with (V:U) a prime power > 1."""
-    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.is_cyclic for c in lattice.classes], family)
     memo: dict[int, tuple[int, list]] = {}
     for v_idx, vm, pairs in _congruence_walk(lattice):
         for u_mask, index, _ in pairs:
@@ -218,7 +224,7 @@ def congruence_analysis(lattice: SubgroupLattice,
     it can neither raise the exponent nor become a binding pair.  So a pair
     whose index divides the exponents' gcd is not tallied at all; any other
     is tallied once, and each family that does not skip it sums its classes."""
-    cyclic = [c.representative.is_cyclic for c in lattice.classes]
+    cyclic = [c.is_cyclic for c in lattice.classes]
     members = [family_members(cyclic, family) for family in families]
     exponents = [1] * len(families)
     common = 1  # the exponents' gcd
@@ -264,9 +270,9 @@ def local_exponent(lattice: SubgroupLattice, h_mask: int, family: Family = ALL_C
     family's classes (of G) from the one coset tally, and a U whose w
     divides the running exponent is skipped."""
     h_idx = lattice.class_of.get(h_mask)
-    if h_idx is None or lattice.classes[h_idx].representative.mask != h_mask:
+    if h_idx is None or lattice.classes[h_idx].mask != h_mask:
         raise ValueError(f"mask {h_mask:#x} is not a class representative of this lattice")
-    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.is_cyclic for c in lattice.classes], family)
     exponent = 1
     for u_mask in lattice.below()[h_idx]:
         v_mask = lattice.normalizers[u_mask] & h_mask
@@ -380,8 +386,10 @@ def _order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:
     z_mask = bracket_preimage(rows, 1)
     if z_mask.bit_count() != 2:
         return None
-    sub = subgroup_from_mask(group, bracket_preimage(rows, z_mask), check=True)
-    return {"bracket-whole-group": 4 if sub.is_cyclic else 2, "bracket-center-only": 2}
+    sub = bracket_preimage(rows, z_mask)
+    check_subgroup(group, sub)
+    return {"bracket-whole-group": 4 if sub in group.cyclic_subgroups else 2,
+            "bracket-center-only": 2}
 
 
 def closed_form_predictor(group: GroupTable) -> Prediction:
@@ -468,7 +476,7 @@ def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
     h_prime = bracket_preimage(rows, u_mask)
     if u_mask & h_prime != u_mask:
         raise ValueError("U must be normal in H")
-    subgroup_from_mask(group, h_prime, check=True)
+    check_subgroup(group, h_prime)
     cyclic = _cyclic_by_order(group, elements)
     normal = frozenset(m for c in cyclic.values() for m in c if not m & ~bracket_preimage(rows, m))
     return _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
@@ -481,7 +489,7 @@ def c_set_reports(lattice: SubgroupLattice, cls: SubgroupClass):
     recorded generators, taken once.  Each H'(U) is proved a subgroup by
     finding it in the lattice; a miss means the lattice lacks a subgroup,
     and raises."""
-    group, h_mask = lattice.group, cls.representative.mask
+    group, h_mask = lattice.group, cls.mask
     pp = as_prime_power(h_mask.bit_count())
     if pp is None:
         raise ValueError("H must be a nontrivial p-group")
@@ -493,8 +501,8 @@ def c_set_reports(lattice: SubgroupLattice, cls: SubgroupClass):
     for u_mask in sorted(normal):
         h_prime = bracket_preimage(rows, u_mask)
         if h_prime not in lattice.class_of:
-            raise RuntimeError(f"H'(U) = {h_prime:#x} is missing from the lattice; "
-                               "the lattice is incomplete")
+            raise IncompleteLattice(f"H'(U) = {h_prime:#x} is missing from the lattice; "
+                                    "the lattice is incomplete")
         yield u_mask, _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
 
 
@@ -533,11 +541,7 @@ def sylow_reduction_report(
         if sylow_order == group.order:
             out.append(SylowComparison(p, part, sylow_order, exponent))
             continue
-        sylow_mask = next(
-            c.representative.mask
-            for c in lattice.classes
-            if c.representative.order == sylow_order
-        )
+        sylow_mask = next(c.mask for c in lattice.classes if c.order == sylow_order)
         out.append(SylowComparison(p, part, sylow_order,
                                    local_exponent(lattice, sylow_mask, family)))
     return tuple(out)

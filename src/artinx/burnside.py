@@ -74,20 +74,19 @@ def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
     M[V][U] = |G : V| * #{U' in cl U : U' <= V} / |cl U|, a tally over
     lattice.below() of V that reads no conjugate of V; the division is
     exact."""
-    reps = [c.representative for c in lattice.classes]
-    sizes = [c.size for c in lattice.classes]
-    class_of = lattice.class_of
+    classes, class_of = lattice.classes, lattice.class_of
+    sizes = [c.size for c in classes]
     rows = []
-    for rep, inside in zip(reps, lattice.below()):
+    for cls, inside in zip(classes, lattice.below()):
         tally = Counter(map(class_of.__getitem__, inside))
-        index = lattice.group.order // rep.order
+        index = lattice.group.order // cls.order
         columns = tuple(sorted(tally))
         rows.append((columns, tuple([index * tally[j] // sizes[j] for j in columns])))
     return MarkTable(
         rows,
-        class_orders=[r.order for r in reps],
+        class_orders=[c.order for c in classes],
         class_sizes=sizes,
-        class_cyclic=[r.is_cyclic for r in reps],
+        class_cyclic=[c.is_cyclic for c in classes],
     )
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: exponent reports, mark tables, catalog sweeps.
 
 Exit codes: 0 success, 1 usage or spec errors, 2 correctness alarms (the two
-exponent methods disagree, or a sweep suite fails), 141 with nothing on stderr
-when the reader of stdout goes away first, as for a process killed by SIGPIPE.
+exponent methods disagree, a sweep suite fails, or the lattice lacks a
+subgroup a method reaches), 141 with nothing on stderr when the reader of
+stdout goes away first, as for a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from .artin import (
 )
 from .burnside import MarkTable, build_mark_table, mark_table_json
 from .groups import build_group, parse_group_spec, spec_to_text
-from .lattice import ResourceCapError, SubgroupLattice, cached_lattice, enumerate_subgroups
+from .lattice import (
+    IncompleteLattice,
+    ResourceCapError,
+    SubgroupLattice,
+    cached_lattice,
+    enumerate_subgroups,
+)
 from .sweep import CHECK_NAMES, RunResult, SweepConfig, run_sweep, summary_to_dict
 
 
@@ -66,8 +73,7 @@ def class_label(order: int, size: int, cyclic: bool) -> str:
 
 
 def _lattice_labels(lattice: SubgroupLattice) -> list[str]:
-    return [class_label(c.representative.order, c.size, c.representative.is_cyclic)
-            for c in lattice.classes]
+    return [class_label(c.order, c.size, c.is_cyclic) for c in lattice.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +322,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, ResourceCapError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except MethodDisagreement as err:
+    except (MethodDisagreement, IncompleteLattice) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,10 @@ class ResourceCapError(RuntimeError):
     """Enumeration would exceed a resource limit."""
 
 
+class IncompleteLattice(RuntimeError):
+    """A subgroup that a computation reached is missing from the lattice."""
+
+
 def mask_elements(mask: int) -> list[int]:
     """Element indices contained in a bit set, ascending; one step per set bit."""
     out = []
@@ -67,34 +71,18 @@ def closure_mask(
     return mask
 
 
-class Subgroup(NamedTuple):
-    """A subgroup as a bit set, with its order and cyclicity precomputed
-    from the mask (so equal masks give equal records); its element tuple is
-    derived from the mask on each read, not stored."""
-
-    mask: int
-    order: int
-    is_cyclic: bool
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        """Element indices of the subgroup, ascending."""
-        return tuple(mask_elements(self.mask))
-
-
-def subgroup_from_mask(group: GroupTable, mask: int, check: bool = False) -> Subgroup:
-    """Wrap a bit set as a Subgroup; with check=True verify closure first."""
-    if check:
-        if not mask & 1:
-            raise ValueError("subgroup mask must contain the identity")
-        mult = group.mult
-        elements = mask_elements(mask)
-        for a in elements:
-            row = mult[a]
-            for b in elements:
-                if not mask >> row[b] & 1:
-                    raise ValueError(f"mask is not closed: {a}*{b} escapes")
-    return Subgroup(mask=mask, order=mask.bit_count(), is_cyclic=mask in group.cyclic_subgroups)
+def check_subgroup(group: GroupTable, mask: int) -> None:
+    """Prove a bit set a subgroup: it holds the identity and is closed under
+    the product; raise ValueError otherwise."""
+    if not mask & 1:
+        raise ValueError("subgroup mask must contain the identity")
+    mult = group.mult
+    elements = mask_elements(mask)
+    for a in elements:
+        row = mult[a]
+        for b in elements:
+            if not mask >> row[b] & 1:
+                raise ValueError(f"mask is not closed: {a}*{b} escapes")
 
 
 def conjugate_mask(group: GroupTable, g: int, mask: int) -> int:
@@ -126,17 +114,16 @@ def cosets(group: GroupTable, outer: int, inner: int) -> list[int]:
 
 
 class SubgroupClass(NamedTuple):
-    """A conjugacy class of subgroups: canonical representative, the full
-    list of conjugate masks (representative included), and a small
-    generating set of the representative."""
+    """A conjugacy class of subgroups, as its representative, the conjugate
+    least in element order: its bit set, order, cyclicity and a small
+    generating set, and the number of conjugates in the class.  The other
+    conjugates are the masks that the lattice's class_of maps to the class."""
 
-    representative: Subgroup
-    conjugates: tuple[int, ...]
+    mask: int
+    order: int
+    is_cyclic: bool
+    size: int
     generators: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.conjugates)
 
 
 class SubgroupLattice:
@@ -195,7 +182,7 @@ class SubgroupLattice:
         below = []
         for cls in self.classes:
             inside = everything
-            for x in mask_elements(gens & ~cls.representative.mask):
+            for x in mask_elements(gens & ~cls.mask):
                 inside &= lacking[x]
             below.append([masks[i] for i in mask_elements(inside)])
         self._below = below
@@ -237,18 +224,17 @@ def _assemble(
 
     Each class comes as what _expand_class returns for a mask, plus
     generators of that mask; every conjugate g H g^-1 is given the
-    normalizer conjugated by g, and the representative also the generators.
-    A class's conjugates are sorted once by element tuple, and the first,
-    the lexicographically least, is its representative.
+    normalizer conjugated by g.  A class's representative is its conjugate
+    least in element order, and it gets the generators conjugated to it.
     """
     raw = []
     for conj_to_g, normalizer, gens in found:
-        conjugates = tuple(sorted(conj_to_g, key=mask_elements))
-        g = conj_to_g[conjugates[0]]
-        cls = SubgroupClass(subgroup_from_mask(group, conjugates[0]), conjugates,
+        rep = min(conj_to_g, key=mask_elements)
+        g = conj_to_g[rep]
+        cls = SubgroupClass(rep, rep.bit_count(), rep in group.cyclic_subgroups, len(conj_to_g),
                             tuple(group.conj(g, x) for x in gens))
         raw.append((cls, conj_to_g, normalizer))
-    raw.sort(key=lambda r: (r[0].representative.order, r[0].representative.elements))
+    raw.sort(key=lambda r: (r[0].order, mask_elements(r[0].mask)))
     classes = []
     class_of: dict[int, int] = {}
     normalizers: dict[int, int] = {}
@@ -302,10 +288,10 @@ def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
             roots[acc] |= 1 << x
         all_roots.append(roots)
 
-    # per class: its conjugates, its base's normalizer, and generators of its base
+    # per class: its conjugates, its base's normalizer, and generators of its
+    # base; the base is the first conjugate, as _expand_class lists it
     found = [(*_expand_class(group, 1), ())]
     known = {1}
-    bases: list[tuple[int, int, tuple[int, ...]]] = [(1, found[0][1], ())]
 
     def add(mask: int, gens: tuple[int, ...]) -> None:
         conj_to_g, normalizer = _expand_class(group, mask)
@@ -315,7 +301,6 @@ def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
             raise ResourceCapError(
                 f"the group has more than {MAX_SUBGROUPS} subgroups, the most artinx enumerates"
             )
-        bases.append((mask, normalizer, gens))
 
     def extend(base: int, normalizer: int, gens: tuple[int, ...]) -> None:
         elements = mask_elements(base)
@@ -340,16 +325,17 @@ def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
                     powers = group.cyclic_mask(x)
                     add(joined, tuple(v for v in gens if not powers >> v & 1) + (x,))
 
-    for base, normalizer, gens in bases:  # the list grows while it is walked
-        extend(base, normalizer, gens)
-    extended = len(bases)
+    for conj_to_g, normalizer, gens in found:  # the list grows while it is walked
+        extend(next(iter(conj_to_g)), normalizer, gens)
+    extended = len(found)
     if (1 << n) - 1 in known:
         return _assemble(group, found)
 
     # not solvable: visit every base again, and join it with the cyclic
     # subgroups of prime-power order that do not normalize it
     cyclic = _prime_power_generators(group)
-    for i, (base, normalizer, gens) in enumerate(bases):
+    for i, (conj_to_g, normalizer, gens) in enumerate(found):
+        base = next(iter(conj_to_g))
         if i >= extended:
             extend(base, normalizer, gens)
         rows = [mult[h] for h in mask_elements(base)]
@@ -375,9 +361,9 @@ def lattice_to_dict(lattice: SubgroupLattice, spec_text: str) -> dict:
         "order": lattice.group.order,
         "classes": [
             {
-                "rep_bits_hex": format(c.representative.mask, "x"),
+                "rep_bits_hex": format(c.mask, "x"),
                 "rep_generators": list(c.generators),
-                "order": c.representative.order,
+                "order": c.order,
                 "conjugate_count": c.size,
             }
             for c in lattice.classes
@@ -422,10 +408,10 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
 
     lattice = _assemble(group, found)
     classes = lattice.classes
-    rebuilt = [(c.representative.mask, c.representative.order, c.size) for c in classes]
+    rebuilt = [(c.mask, c.order, c.size) for c in classes]
     if rebuilt != [s[:3] for s in stored] or len(lattice.class_of) != lattice.subgroup_count():
         return None
-    if not classes or classes[0].representative.order != 1 or classes[-1].representative.order != n:
+    if not classes or classes[0].order != 1 or classes[-1].order != n:
         return None
     if not group.cyclic_subgroups.keys() <= lattice.class_of.keys():
         return None

@@ -211,16 +211,16 @@ def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]
       cyclic or nonabelian of order 8.
     """
     failures = []
-    for cls in lattice.classes:
-        pp = as_prime_power(cls.representative.order)
+    for H in lattice.classes:
+        pp = as_prime_power(H.order)
         if pp is None:
             continue
         p = pp[0]
-        H, gens = cls.representative, cls.generators
+        gens = H.generators
         # H <= C_G(H) exactly when its recorded generators commute pairwise
         abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
         cyclic_h = H.is_cyclic
-        for u_mask, r in c_set_reports(lattice, cls):
+        for u_mask, r in c_set_reports(lattice, H):
             u_order, count = u_mask.bit_count(), r.c_count
             bad = []  # (expected, got) per failed check
             if (count - r.c_prime_count) % p:

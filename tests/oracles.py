@@ -75,13 +75,12 @@ from artinx.lattice import (
     SubgroupLattice,
     _assemble,
     _expand_class,
+    check_subgroup,
     closure_mask,
     conjugate_mask,
     cosets,
     enumerate_subgroups,
-    Subgroup,
     mask_elements,
-    subgroup_from_mask,
 )
 
 
@@ -100,6 +99,15 @@ def brute_force_classes(group: GroupTable, max_gens: int = 3) -> set[frozenset[i
     for mask in brute_force_subgroup_masks(group, max_gens):
         classes.add(frozenset(conjugate_mask(group, g, mask) for g in range(group.order)))
     return classes
+
+
+def class_conjugates(lattice: SubgroupLattice) -> list[tuple[int, ...]]:
+    """Per lattice class, its conjugate masks read off class_of, ascending
+    in element order."""
+    out: list[list[int]] = [[] for _ in lattice.classes]
+    for mask, idx in lattice.class_of.items():
+        out[idx].append(mask)
+    return [tuple(sorted(masks, key=mask_elements)) for masks in out]
 
 
 def brute_force_mark(group: GroupTable, u_mask: int, v_mask: int) -> int:
@@ -444,21 +452,21 @@ def reference_mark_table(lattice: SubgroupLattice) -> MarkTable:
     """The table of marks by testing every class j <= i against every
     conjugate W of class i: each W arises from |N_G(V) : V| = |G : V| / |cl V|
     cosets, so M[V][U] = (|G : V| / |cl V|) * #{W in cl V : U <= W}."""
-    reps = [c.representative for c in lattice.classes]
-    masks = [r.mask for r in reps]
-    top = reps[-1].order
+    classes = lattice.classes
+    masks = [c.mask for c in classes]
+    top = classes[-1].order
     rows = []
-    for i, cls in enumerate(lattice.classes):
-        hits = [j for w in cls.conjugates for j in range(i + 1) if masks[j] & w == masks[j]]
+    for i, (cls, conjugates) in enumerate(zip(classes, class_conjugates(lattice))):
+        hits = [j for w in conjugates for j in range(i + 1) if masks[j] & w == masks[j]]
         tally = Counter(hits)
-        scale = top // (reps[i].order * cls.size)
+        scale = top // (cls.order * cls.size)
         columns = tuple(sorted(tally))
         rows.append((columns, tuple(scale * tally[j] for j in columns)))
     return MarkTable(
         rows,
-        class_orders=[r.order for r in reps],
-        class_sizes=[c.size for c in lattice.classes],
-        class_cyclic=[r.is_cyclic for r in reps],
+        class_orders=[c.order for c in classes],
+        class_sizes=[c.size for c in classes],
+        class_cyclic=[c.is_cyclic for c in classes],
     )
 
 
@@ -510,8 +518,8 @@ def multiply_basis(
 
     order = group.order
     full = (1 << order) - 1
-    u_mask = lattice.classes[key[0]].representative.mask
-    v_mask = lattice.classes[key[1]].representative.mask
+    u_mask = lattice.classes[key[0]].mask
+    v_mask = lattice.classes[key[1]].mask
     rep_u = _coset_rep_array(group, u_mask)
     rep_v = _coset_rep_array(group, v_mask)
     gens = lattice.classes[-1].generators
@@ -581,10 +589,6 @@ def normalizer_index(lattice: SubgroupLattice, class_index: int) -> int:
     return lattice.classes[class_index].size
 
 
-def generated_subgroup(group: GroupTable, generators) -> Subgroup:
-    return subgroup_from_mask(group, closure_mask(group, generators))
-
-
 def normalizer(group: GroupTable, mask: int) -> int:
     """Bit set of {g : g H g^-1 == H}."""
     out = 0
@@ -633,7 +637,7 @@ def standalone_local_exponent(
     if family is not None:
         kept = []
         for i, cls in enumerate(sub_lattice.classes):
-            in_g = sum(1 << elems[x] for x in cls.representative.elements)
+            in_g = sum(1 << elems[x] for x in mask_elements(cls.mask))
             if lattice.class_of[in_g] in family:
                 kept.append(i)
         sub_family = frozenset(kept)
@@ -652,10 +656,7 @@ def standalone_sylow_report(
         if sylow_order == group.order:
             out.append(SylowComparison(p, part, sylow_order, exponent))
             continue
-        sylow_mask = next(
-            c.representative.mask for c in lattice.classes
-            if c.representative.order == sylow_order
-        )
+        sylow_mask = next(c.mask for c in lattice.classes if c.order == sylow_order)
         out.append(SylowComparison(p, part, sylow_order,
                                    standalone_local_exponent(group, lattice, sylow_mask, family)))
     return tuple(out)
@@ -732,10 +733,9 @@ def reference_congruence_pairs(
 ) -> list[CongruencePair]:
     """The congruence pairs by the plain scan: every subgroup against every
     class representative, normality tested by conjugating with all of V."""
-    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.is_cyclic for c in lattice.classes], family)
     pairs = []
-    for v_idx, cls in enumerate(lattice.classes):
-        V = cls.representative
+    for v_idx, V in enumerate(lattice.classes):
         vm = V.mask
         for u_mask in sorted(lattice.class_of):
             if u_mask == vm or u_mask & vm != u_mask:
@@ -767,13 +767,12 @@ def reference_congruence_analysis(
     normality tests.  Any other pair is tallied once, through
     artin._coset_tally looked up at call time (so that a test can count the
     tallies), and each listed family sums its classes from that tally."""
-    cyclic = [c.representative.is_cyclic for c in lattice.classes]
+    cyclic = [c.is_cyclic for c in lattice.classes]
     members = [family_members(cyclic, family) for family in families]
     exponents = [1] * len(families)
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
     memo: dict[int, tuple[int, list]] = {}
-    for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
-        V = cls.representative
+    for v_idx, (V, inside) in enumerate(zip(lattice.classes, lattice.below())):
         for u_mask in inside:
             if u_mask == V.mask:
                 continue
@@ -850,8 +849,8 @@ def cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> i
 
 def mark(group: GroupTable, lattice: SubgroupLattice, u_class: int, v_class: int) -> int:
     """Number of cosets of G/V fixed by U (classes given by index)."""
-    U = lattice.classes[u_class].representative
-    V = lattice.classes[v_class].representative
+    U = lattice.classes[u_class]
+    V = lattice.classes[v_class]
     if group.is_abelian:
         return group.order // V.order if U.mask & V.mask == U.mask else 0
     full = (1 << group.order) - 1
@@ -883,7 +882,7 @@ def cyclic_count(
         raise ValueError("U must be normal in V")
     if lattice is not None:
         members = family_members(
-            [c.representative.is_cyclic for c in lattice.classes], family)
+            [c.is_cyclic for c in lattice.classes], family)
         direct = reference_coset_count(group, lattice, u_mask, v_mask, members)
     elif family is not None:
         raise ValueError("explicit-class families require the subgroup lattice")
@@ -941,7 +940,7 @@ def central_reduction_pair(
             order //= p
         if order == 1:
             vp_mask |= 1 << x
-    subgroup_from_mask(group, vp_mask, check=True)
+    check_subgroup(group, vp_mask)
     up_mask = vp_mask & u_mask
     if bin(vp_mask).count("1") * len(u_elems) != len(v_elems) * bin(up_mask).count("1"):
         raise AssertionError("p-part indices disagree under the central hypothesis")
@@ -1042,7 +1041,7 @@ def reference_c_set_reports(
     the per-h scan over the class's generators, and for each U a scan of
     all of H's cyclic subgroups for the extensions of order p|U| that
     contain U."""
-    group, h_mask, generators = lattice.group, cls.representative.mask, cls.generators
+    group, h_mask, generators = lattice.group, cls.mask, cls.generators
     p = as_prime_power(h_mask.bit_count())[0]
     elements = mask_elements(h_mask)
     cyclic = sorted({group.cyclic_mask(x) for x in elements})
@@ -1063,8 +1062,10 @@ def reference_order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]
     second center closure-checked; None when the center has another order."""
     if centralizer(group, (1 << group.order) - 1).bit_count() != 2:
         return None
-    sub = subgroup_from_mask(group, reference_second_center(group), check=True)
-    return {"bracket-whole-group": 4 if sub.is_cyclic else 2, "bracket-center-only": 2}
+    sub = reference_second_center(group)
+    check_subgroup(group, sub)
+    return {"bracket-whole-group": 4 if sub in group.cyclic_subgroups else 2,
+            "bracket-center-only": 2}
 
 
 def reference_center_only_rule(group: GroupTable) -> Optional[int]:
@@ -1078,7 +1079,8 @@ def reference_center_only_rule(group: GroupTable) -> Optional[int]:
     for g in range(group.order):
         if all(z_mask >> commutator(group, g, x) & 1 for x in mask_elements(z_mask)):
             center_only |= 1 << g
-    return 4 if subgroup_from_mask(group, center_only, check=True).is_cyclic else 2
+    check_subgroup(group, center_only)
+    return 4 if center_only in group.cyclic_subgroups else 2
 
 
 def is_p_hyperelementary(lattice: SubgroupLattice, h_mask: int, p: int) -> bool:
@@ -1105,10 +1107,10 @@ def dress_exponent(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int
     the order m of gU all generate <g, U>, so one walk gU, g^2 U, ... back
     to U counts phi(m) of them at once."""
     group, class_of = lattice.group, lattice.class_of
-    members = family_members([c.representative.is_cyclic for c in lattice.classes], family)
+    members = family_members([c.is_cyclic for c in lattice.classes], family)
     exponent = 1
     for cls in lattice.classes:
-        u_mask, u_elems = cls.representative.mask, cls.representative.elements
+        u_mask, u_elems = cls.mask, mask_elements(cls.mask)
         normalizer = lattice.normalizers[u_mask]
         w = normalizer.bit_count() // len(u_elems)
         count = int(class_of[u_mask] in members)  # the coset U itself

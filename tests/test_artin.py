@@ -75,7 +75,7 @@ def setup_group(spec):
 
 
 def cyclic_flags(lattice):
-    return [c.representative.is_cyclic for c in lattice.classes]
+    return [c.is_cyclic for c in lattice.classes]
 
 
 def full_mask(group):
@@ -84,8 +84,7 @@ def full_mask(group):
 
 def class_rep_mask(lattice, **want):
     """Mask of the first class representative matching the given properties."""
-    for cls in lattice.classes:
-        rep = cls.representative
+    for rep in lattice.classes:
         if "order" in want and rep.order != want["order"]:
             continue
         if "cyclic" in want and rep.is_cyclic != want["cyclic"]:
@@ -212,7 +211,7 @@ def test_count_matches_brute_force(spec):
     g, lattice = setup_group(spec)
     masks = sorted(lattice.class_of)
     for cls in lattice.classes:
-        vm = cls.representative.mask
+        vm = cls.mask
         for um in masks:
             if um == vm or um & vm != um or not is_normal_in(g, um, vm):
                 continue
@@ -226,7 +225,7 @@ def test_count_central_reduction_consistent(spec):
     g, lattice = setup_group(spec)
     masks = sorted(lattice.class_of)
     for cls in lattice.classes:
-        vm = cls.representative.mask
+        vm = cls.mask
         for um in masks:
             if um == vm or um & vm != um or not is_normal_in(g, um, vm):
                 continue
@@ -276,7 +275,7 @@ def test_p_part_reduction_preserves_count(spec):
     masks = sorted(lattice.class_of)
     hit = 0
     for cls in lattice.classes:
-        vm = cls.representative.mask
+        vm = cls.mask
         for um in masks:
             if um == vm or um & vm != um or not is_normal_in(g, um, vm):
                 continue
@@ -431,7 +430,7 @@ def test_centralizer_index_divides_exponent(spec):
     for pair in congruence_pairs(lattice):
         if pair.count == 0:
             continue
-        vm = lattice.classes[pair.v_class].representative.mask
+        vm = lattice.classes[pair.v_class].mask
         cv = centralizer(g, pair.u_mask) & vm
         index = bin(vm).count("1") // bin(cv).count("1")
         assert exponent % index == 0
@@ -716,8 +715,8 @@ def test_c_sets_validation():
         count_C_sets(g6, (1 << 6) - 1, 1)  # H not a p-group
     with pytest.raises(ValueError, match="nontrivial p-group"):
         next(c_set_reports(enumerate_subgroups(g6), enumerate_subgroups(g6).classes[-1]))
-    reflection = next(cls.representative.mask for cls in lattice.classes
-                      if cls.representative.order == 2 and cls.size > 1)
+    reflection = next(cls.mask for cls in lattice.classes
+                      if cls.order == 2 and cls.size > 1)
     with pytest.raises(ValueError):
         count_C_sets(g, full_mask(g), reflection)  # U not normal in H
 
@@ -756,8 +755,7 @@ def test_c_set_parity_detects_cyclicity(spec, cyclic):
     fm = full_mask(g)
     p = min(q for q in range(2, g.order + 1) if g.order % q == 0)
     checked = 0
-    for cls in lattice.classes:
-        u = cls.representative
+    for u in lattice.classes:
         if not u.is_cyclic or u.mask == fm or u.order == 1:
             continue
         r = count_C_sets(g, fm, u.mask)

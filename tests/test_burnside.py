@@ -96,7 +96,7 @@ def test_marks_match_brute_force(spec):
     rows = dense_rows(table)
     for i, ci in enumerate(lattice.classes):
         for j, cj in enumerate(lattice.classes):
-            expected = brute_force_mark(g, cj.representative.mask, ci.representative.mask)
+            expected = brute_force_mark(g, cj.mask, ci.mask)
             assert rows[i][j] == expected
             assert mark(g, lattice, j, i) == expected
 
@@ -113,7 +113,7 @@ def test_mark_table_shape_invariants(spec):
         assert rows[i][0] == g.order // table.class_orders[i]
         assert rows[n - 1][i] == 1
         # diagonal: index of the subgroup in its normalizer
-        nz = normalizer(g, lattice.classes[i].representative.mask)
+        nz = normalizer(g, lattice.classes[i].mask)
         assert rows[i][i] == bin(nz).count("1") // table.class_orders[i]
         # the stored row: exactly the nonzero marks, ascending, diagonal last
         columns, marks = table.rows[i]

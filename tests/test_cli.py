@@ -618,6 +618,23 @@ def test_cache_rebuilds_malformed_files(tmp_path, capsys, name):
     assert json.loads(entry.read_text(encoding="utf-8")) == rebuilt
 
 
+def test_compute_names_an_incomplete_lattice(tmp_path, capsys):
+    """S4's cache entry without class 4 (order 4, noncyclic, three
+    conjugates) still loads, but method 1 reaches the missing subgroup and
+    the run stops with a named error and the correctness-alarm code."""
+    cache = tmp_path / "cache"
+    run_cli(["compute", "--group", "S4", "--cache", str(cache)], capsys)
+    entry = Path(lattice_cache_path(str(cache), "S4"))
+    full = json.loads(entry.read_text(encoding="utf-8"))
+    dropped = full["classes"].pop(4)
+    entry.write_text(json.dumps(full), encoding="utf-8")
+    code, out, err = run_cli(["compute", "--group", "S4", "--cache", str(cache)], capsys)
+    missing = int(dropped["rep_bits_hex"], 16)
+    assert (code, out) == (2, "")
+    assert err == (f"error: <U, v> = {missing:#x} is missing from the lattice; "
+                   "the lattice is incomplete\n")
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the loader proves every cyclic class present, not every noncyclic one",
@@ -629,8 +646,8 @@ def test_cache_rejects_an_entry_missing_a_noncyclic_class(tmp_path, capsys):
     dropped = {**full, "classes": full["classes"][:4] + full["classes"][5:]}
     group = group_from_spec("S4")
     noncyclic = enumerate_subgroups(group).classes[4]
-    assert (noncyclic.representative.order, noncyclic.size) == (4, 3)
-    assert not noncyclic.representative.is_cyclic
+    assert (noncyclic.order, noncyclic.size) == (4, 3)
+    assert not noncyclic.is_cyclic
     assert lattice_from_dict(group, dropped) is None
 
 

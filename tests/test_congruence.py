@@ -27,7 +27,13 @@ from artinx.artin import (
     family_members,
 )
 from artinx.groups import OrderCapError, as_prime_power, group_from_spec
-from artinx.lattice import cached_lattice, closure_mask, enumerate_subgroups, mask_elements
+from artinx.lattice import (
+    IncompleteLattice,
+    cached_lattice,
+    closure_mask,
+    enumerate_subgroups,
+    mask_elements,
+)
 from artinx.sweep import default_catalog, random_families
 
 from oracles import (
@@ -99,11 +105,11 @@ def test_roots_mask_count_matches_element_scan(spec):
     representative, against the element scan of cyclic_coset_count_p_group."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    members = family_members([c.representative.is_cyclic for c in lattice.classes], ALL_CYCLIC)
+    members = family_members([c.is_cyclic for c in lattice.classes], ALL_CYCLIC)
     checked = 0
     for cls in lattice.classes:
-        vm = cls.representative.mask
-        if as_prime_power(cls.representative.order) is None:
+        vm = cls.mask
+        if as_prime_power(cls.order) is None:
             continue
         for um in lattice.class_of:
             if um == vm or um & vm != um or lattice.class_of[um] not in members:
@@ -118,7 +124,7 @@ def test_roots_mask_count_matches_element_scan(spec):
 
 
 def v_mask(lattice, pair):
-    return lattice.classes[pair.v_class].representative.mask
+    return lattice.classes[pair.v_class].mask
 
 
 def pair_profile(lattice, memo, um, vm):
@@ -137,7 +143,7 @@ def assert_profiles_match_reference(spec, g, lattice):
     pair's profile is the per-coset reference's and its tally's, and its
     count, for the cyclic family and three random ones, summed from that one
     tally, is the reference count."""
-    cyclic = [c.representative.is_cyclic for c in lattice.classes]
+    cyclic = [c.is_cyclic for c in lattice.classes]
     families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 3)]
     members = [family_members(cyclic, family) for family in families]
     memo = {}
@@ -267,13 +273,12 @@ def test_count_c_sets_alone_matches_per_h_path(spec):
     else:
         g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    for cls in lattice.classes:
-        h = cls.representative
+    for h in lattice.classes:
         pp = as_prime_power(h.order)
         if pp is None:
             continue
-        reports = dict(c_set_reports(lattice, cls))
-        for um in sorted({g.cyclic_mask(x) for x in h.elements}):
+        reports = dict(c_set_reports(lattice, h))
+        for um in sorted({g.cyclic_mask(x) for x in mask_elements(h.mask)}):
             if um in reports:
                 assert count_C_sets(g, h.mask, um) == reports[um]
                 assert reports[um].c_masks == cyclic_extensions(g, h.mask, um, pp[0])
@@ -292,8 +297,20 @@ def test_c_set_reports_raise_when_the_lattice_lacks_h_prime():
     center = next(r.h_prime_mask for um, r in c_set_reports(lattice, top) if um == 1)
     assert center.bit_count() == 2
     del lattice.class_of[center]
-    with pytest.raises(RuntimeError, match="missing from the lattice"):
+    with pytest.raises(IncompleteLattice, match="missing from the lattice"):
         list(c_set_reports(lattice, top))
+
+
+def test_coset_tally_raises_when_the_lattice_lacks_an_extension():
+    """Every <U, v> a tally reaches is looked up in the lattice, so one it
+    lacks raises the named error, not a KeyError: for U = 1 in S3 and v a
+    3-cycle, <U, v> is the normal C3."""
+    g = group_from_spec("S3")
+    lattice = enumerate_subgroups(g)
+    c3 = next(c.mask for c in lattice.classes if c.order == 3)
+    del lattice.class_of[c3]
+    with pytest.raises(IncompleteLattice, match=f"<U, v> = {c3:#x} is missing"):
+        artin._coset_tally(lattice, {}, 1, c3)
 
 
 @pytest.mark.parametrize("spec", ["S4xC2xC2", "C2xC2xC2xC2", S5])
@@ -323,8 +340,7 @@ def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
     inside H' are the element scan's."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    for cls in lattice.classes:
-        h = cls.representative
+    for h in lattice.classes:
         pp = as_prime_power(h.order)
         if pp is None:
             continue
@@ -343,7 +359,7 @@ def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
             r = count_C_sets(sub, (1 << sub.order) - 1, um)
             expected.append((ambient(um), ambient_set(r.c_masks), ambient_set(r.c_prime_masks),
                              ambient(r.h_prime_mask), ambient_set(r.c_of_h_prime_masks)))
-        reports = list(c_set_reports(lattice, cls))
+        reports = list(c_set_reports(lattice, h))
         got = [
             (um, r.c_masks, r.c_prime_masks, r.h_prime_mask, r.c_of_h_prime_masks)
             for um, r in reports
@@ -531,16 +547,15 @@ def assert_grouped_rows_match_per_h_scan(g):
     for u_mask in lattice.class_of:
         assert bracket_preimage(rows, u_mask) == reference_bracket_preimage(
             g, everything, g.generators, u_mask)
-    for cls, inside in zip(lattice.classes, lattice.below()):
-        h = cls.representative
-        elements, generators = mask_elements(h.mask), cls.generators
+    for h, inside in zip(lattice.classes, lattice.below()):
+        elements, generators = mask_elements(h.mask), h.generators
         rows = bracket_rows(g, elements, generators)
         for u_mask in inside:
             assert bracket_preimage(rows, u_mask) == reference_bracket_preimage(
                 g, elements, generators, u_mask), (h.mask, u_mask)
         if as_prime_power(h.order) is not None:
-            assert list(c_set_reports(lattice, cls)) == reference_c_set_reports(
-                lattice, cls), h.mask
+            assert list(c_set_reports(lattice, h)) == reference_c_set_reports(
+                lattice, h), h.mask
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])

@@ -1,7 +1,9 @@
 """Subgroup lattices: enumeration, conjugacy classes, and serialization."""
 
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from artinx.groups import OrderCapError, group_from_spec
 from artinx.lattice import (
     ResourceCapError,
     _expand_class,
+    check_subgroup,
     closure_mask,
     conjugate_mask,
     cosets,
@@ -21,16 +24,15 @@ from artinx.lattice import (
     lattice_from_dict,
     lattice_to_dict,
     mask_elements,
-    subgroup_from_mask,
 )
 
 from oracles import (
     brute_force_classes,
     brute_force_subgroup_masks,
     centralizer,
+    class_conjugates,
     commutator_closure,
     element_order,
-    generated_subgroup,
     is_normal_in,
     join_closure_lattice,
     normalizer,
@@ -70,29 +72,28 @@ def test_closure_from_single_generator_matches_cyclic_mask():
 
 def test_generated_subgroup_flags():
     g = group_from_spec("Q8")
-    h = generated_subgroup(g, [x for x in range(8) if element_order(g, x) == 4][:1])
-    assert h.order == 4
-    assert h.is_cyclic
-    assert generated_subgroup(g, range(8)).order == 8
+    h = closure_mask(g, [x for x in range(8) if element_order(g, x) == 4][:1])
+    assert h.bit_count() == 4
+    assert h in g.cyclic_subgroups
+    assert closure_mask(g, range(8)).bit_count() == 8
 
 
 def test_subgroup_records_have_no_instance_dict():
-    """Subgroup and SubgroupClass are slotted, so a lattice's records hold
-    their fields and nothing else; elements is read off the mask."""
+    """SubgroupClass is slotted, so a lattice's records hold their five
+    fields and nothing else."""
     lattice = enumerate_subgroups(group_from_spec("S4"))
     for cls in lattice.classes:
-        rep = cls.representative
-        assert not hasattr(cls, "__dict__") and not hasattr(rep, "__dict__")
-        assert rep.elements == tuple(mask_elements(rep.mask))
-        assert rep.order == len(rep.elements)
+        assert not hasattr(cls, "__dict__")
+        assert cls._fields == ("mask", "order", "is_cyclic", "size", "generators")
 
 
-def test_subgroup_from_mask_check_rejects_nonclosed():
+def test_check_subgroup_rejects_nonclosed():
     g = group_from_spec("C4")
-    with pytest.raises(ValueError):
-        subgroup_from_mask(g, 0b0011 | 0b1000, check=True)  # {0, 1, 3} not closed
-    with pytest.raises(ValueError):
-        subgroup_from_mask(g, 0b0110, check=True)  # missing identity
+    with pytest.raises(ValueError, match=r"mask is not closed: 1\*1 escapes"):
+        check_subgroup(g, 0b0011 | 0b1000)  # {0, 1, 3} not closed
+    with pytest.raises(ValueError, match="subgroup mask must contain the identity"):
+        check_subgroup(g, 0b0110)  # missing identity
+    assert check_subgroup(g, 0b0101) is None
 
 
 def test_centralizer_and_normalizer_in_s3():
@@ -219,7 +220,7 @@ def test_closure_from_a_subgroup_matches_closure_from_identity(spec):
     # one generator of each nontrivial cyclic subgroup
     cyclic_gens = sorted((x,) for m, x in g.cyclic_subgroups.items() if m != 1)
     for cls in lattice.classes:
-        h, h_gens = cls.representative.mask, cls.generators
+        h, h_gens = cls.mask, cls.generators
         for x_gens in cyclic_gens:
             gens = h_gens + x_gens
             assert closure_mask(g, gens, h) == closure_mask(g, gens), (spec, h, gens)
@@ -290,10 +291,9 @@ def test_enumeration_matches_brute_force(spec):
     else:
         g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    found = {m for c in lattice.classes for m in c.conjugates}
-    assert found == brute_force_subgroup_masks(g)
+    assert set(lattice.class_of) == brute_force_subgroup_masks(g)
     expected_classes = brute_force_classes(g)
-    assert {frozenset(c.conjugates) for c in lattice.classes} == expected_classes
+    assert {frozenset(c) for c in class_conjugates(lattice)} == expected_classes
 
 
 class _Counted:
@@ -331,17 +331,15 @@ def test_enumeration_expands_each_class_once(spec, monkeypatch):
 
 def assert_matches_join_closure(g):
     """Cyclic extension and the join-closure oracle give the same classes,
-    representatives, conjugate tuples and class_of, and every class's
+    representatives, conjugates and class_of, and every class's
     recorded generators generate its representative."""
     lattice = enumerate_subgroups(g)
     reference = join_closure_lattice(g)
-    assert [c.representative.mask for c in lattice.classes] == [
-        c.representative.mask for c in reference.classes
-    ]
-    assert [c.conjugates for c in lattice.classes] == [c.conjugates for c in reference.classes]
+    assert [c.mask for c in lattice.classes] == [c.mask for c in reference.classes]
+    assert class_conjugates(lattice) == class_conjugates(reference)
     assert lattice.class_of == reference.class_of
     for c in lattice.classes:
-        assert closure_mask(g, c.generators) == c.representative.mask
+        assert closure_mask(g, c.generators) == c.mask
     return lattice, reference
 
 
@@ -389,7 +387,7 @@ def assert_normalizers_match_reference(g):
     loaded = lattice_from_dict(g, lattice_to_dict(lattice, "spec"))
     assert loaded.normalizers == reference
     for c in lattice.classes:
-        assert c.size * popcount(lattice.normalizers[c.representative.mask]) == g.order
+        assert c.size * popcount(lattice.normalizers[c.mask]) == g.order
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + [S5, "A5xC2"])
@@ -423,9 +421,7 @@ def assert_below_and_marks_match_reference(lattice):
     built from it is the per-conjugate reference table."""
     masks = sorted(lattice.class_of)
     below = lattice.below()
-    assert below == [
-        [m for m in masks if m & c.representative.mask == m] for c in lattice.classes
-    ]
+    assert below == [[m for m in masks if m & c.mask == m] for c in lattice.classes]
     assert lattice.below() is below
     table, reference = build_mark_table(lattice), reference_mark_table(lattice)
     assert table.rows == reference.rows
@@ -472,36 +468,33 @@ def test_known_subgroup_counts(spec, subgroups, classes):
 
 def test_class_ordering_and_endpoints():
     lattice = enumerate_subgroups(group_from_spec("S4"))
-    orders = [c.representative.order for c in lattice.classes]
+    orders = [c.order for c in lattice.classes]
     assert orders == sorted(orders)
     assert orders[0] == 1
     assert orders[-1] == 24
     # ties broken by the representative's element tuple
     for a, b in zip(lattice.classes, lattice.classes[1:]):
-        ka = (a.representative.order, a.representative.elements)
-        kb = (b.representative.order, b.representative.elements)
+        ka = (a.order, mask_elements(a.mask))
+        kb = (b.order, mask_elements(b.mask))
         assert ka < kb
 
 
 def test_canonical_representative_is_least_conjugate():
-    """Over the catalog to order 64, A5 and S5: each class's conjugates
-    ascend by element tuple, and the first is the representative, so no
-    conjugate has a lesser tuple."""
+    """Over the catalog to order 64, A5 and S5: each class's representative
+    is its conjugate least in element order, with the conjugates read off
+    class_of, so no conjugate has a lesser element tuple."""
     for spec in default_catalog(64) + [A5, S5]:
         lattice = enumerate_subgroups(group_from_spec(spec))
-        for c in lattice.classes:
-            tuples = [tuple(mask_elements(m)) for m in c.conjugates]
-            assert tuples == sorted(set(tuples)), spec
-            assert c.conjugates[0] == c.representative.mask, spec
-            assert c.representative.elements == tuples[0], spec
+        for c, conjugates in zip(lattice.classes, class_conjugates(lattice)):
+            tuples = [tuple(mask_elements(m)) for m in conjugates]
+            assert len(set(tuples)) == len(tuples), spec
+            assert conjugates[0] == c.mask, spec
 
 
 def test_class_of_covers_every_subgroup():
     g = group_from_spec("D12")
     lattice = enumerate_subgroups(g)
-    for idx, c in enumerate(lattice.classes):
-        for m in c.conjugates:
-            assert lattice.class_of[m] == idx
+    assert set(lattice.class_of) == brute_force_subgroup_masks(g)
     assert len(lattice.class_of) == lattice.subgroup_count()
 
 
@@ -509,9 +502,9 @@ def test_class_size_equals_normalizer_index():
     g = group_from_spec("S4")
     lattice = enumerate_subgroups(g)
     for c in lattice.classes:
-        n_mask = normalizer(g, c.representative.mask)
+        n_mask = normalizer(g, c.mask)
         assert c.size == g.order // popcount(n_mask)
-        assert normalizer_index(lattice, lattice.class_of[c.representative.mask]) == c.size
+        assert normalizer_index(lattice, lattice.class_of[c.mask]) == c.size
 
 
 def test_generators_regenerate_their_subgroup():
@@ -519,7 +512,7 @@ def test_generators_regenerate_their_subgroup():
     lattice = enumerate_subgroups(g)
     for c in lattice.classes:
         assert type(c.generators) is tuple
-        assert closure_mask(g, c.generators) == c.representative.mask
+        assert closure_mask(g, c.generators) == c.mask
         assert len(c.generators) <= 9
 
 
@@ -527,6 +520,49 @@ def test_conjugates_of_normal_subgroup_form_singleton_class():
     g = group_from_spec("Q8")
     lattice = enumerate_subgroups(g)
     assert all(c.size == 1 for c in lattice.classes)
+
+
+def assert_flat_records(g, spec):
+    """Each class record describes its representative, the conjugate least
+    in element order among the masks class_of maps to the class, and counts
+    those masks; a cache round trip rebuilds equal records."""
+    lattice = enumerate_subgroups(g)
+    for c, conjugates in zip(lattice.classes, class_conjugates(lattice)):
+        assert c.order == c.mask.bit_count()
+        cyclic = any(element_order(g, x) == c.order for x in mask_elements(c.mask))
+        assert c.is_cyclic == (c.mask in g.cyclic_subgroups) == cyclic
+        assert c.size == len(conjugates)
+        assert c.mask == conjugates[0]
+    rebuilt = lattice_from_dict(g, json.loads(json.dumps(lattice_to_dict(lattice, spec))))
+    assert rebuilt.classes == lattice.classes
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5, "perm:(1 2 3 4 5 6 7),(1 2)(3 6)"])
+def test_class_records_describe_the_least_conjugate(spec):
+    assert_flat_records(group_from_spec(spec), spec)
+
+
+@pytest.mark.parametrize("spec", ["S4", "SD16", "C2xQ8", A5])
+def test_class_records_describe_the_least_conjugate_relabeled(spec):
+    assert_flat_records(relabeled_group(spec, "flat"), spec)
+
+
+def test_c2_6_lattice_retains_little_memory():
+    """One flat record per class and no per-class conjugate tuple: the 2,825
+    classes of C2^6, with class_of and the normalizers, stay under 1.15 MB
+    traced (about 1.0 MB; with a Subgroup record and a conjugate tuple per
+    class they took 1.3 MB)."""
+    g = group_from_spec("C2xC2xC2xC2xC2xC2")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lattice = enumerate_subgroups(g)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(lattice) == 2825
+    assert retained < 1_150_000, retained
 
 
 def test_resource_cap(monkeypatch):
@@ -539,7 +575,7 @@ def test_resource_cap(monkeypatch):
 def test_conjugate_mask_is_group_action():
     g = group_from_spec("S4")
     lattice = enumerate_subgroups(g)
-    m = lattice.classes[3].representative.mask
+    m = lattice.classes[3].mask
     for a in range(0, 24, 5):
         for b in range(0, 24, 7):
             lhs = conjugate_mask(g, a, conjugate_mask(g, b, m))
@@ -558,11 +594,10 @@ def test_lattice_round_trip(spec):
     lattice = enumerate_subgroups(g)
     rebuilt = lattice_from_dict(g, json.loads(json.dumps(lattice_to_dict(lattice, spec))))
     assert rebuilt is not None
-    assert [c.conjugates for c in rebuilt.classes] == [c.conjugates for c in lattice.classes]
+    assert rebuilt.classes == lattice.classes
     assert rebuilt.class_of == lattice.class_of
-    assert [c.generators for c in rebuilt.classes] == [c.generators for c in lattice.classes]
     for c in rebuilt.classes:
-        assert closure_mask(g, c.generators) == c.representative.mask
+        assert closure_mask(g, c.generators) == c.mask
 
 
 def test_lattice_from_dict_rejects_wrong_group():

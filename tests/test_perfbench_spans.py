@@ -5,7 +5,7 @@ import importlib.util
 import os
 import sys
 
-import artinx.cli  # noqa: F401  (imports every module the tracer wraps)
+from artinx import cli  # imports every module the tracer wraps
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -30,3 +30,24 @@ def test_tracer_installs_and_uninstalls_against_the_package():
         tracer.uninstall()
     for (module, name), original in originals.items():
         assert getattr(sys.modules[f"artinx.{module}"], name) is original, name
+
+
+def test_tracer_counts_an_enumeration_and_the_cache_outcomes(tmp_path, capsys):
+    """The tracer's hooks read the lattice records: the first cached compute
+    of S4 enumerates 30 subgroups in 11 classes and counts as a cache miss,
+    and the second one loads the entry and counts as a hit."""
+    tracer = load_spans().Tracer()
+    argv = ["compute", "--group", "S4", "--json", "--cache", str(tmp_path)]
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+        first = tracer.counts.copy()
+        assert cli.main(argv) == 0
+        second = tracer.counts.copy()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    keys = ("lattice.enumerations", "lattice.subgroups", "lattice.classes",
+            "lattice.cache_misses", "lattice.cache_hits", "lattice.cache_rejects")
+    assert [first[key] for key in keys] == [1, 30, 11, 1, 0, 0]
+    assert [second[key] for key in keys] == [1, 30, 11, 1, 1, 0]

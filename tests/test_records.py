@@ -20,7 +20,7 @@ from artinx.groups import (
     group_from_spec,
     parse_group_spec,
 )
-from artinx.lattice import subgroup_from_mask
+from artinx.lattice import SubgroupClass, enumerate_subgroups
 from artinx.sweep import CHECK_NAMES, SweepConfig
 
 
@@ -31,12 +31,13 @@ from artinx.sweep import CHECK_NAMES, SweepConfig
     (parse_group_spec("perm:(1 2 3),(1 2)"),
      "PermGenerators(generators=(((1, 2, 3),), ((1, 2),)))"),
     (NotIntegral(class_index=2, denominator=3), "NotIntegral(class_index=2, denominator=3)"),
-    (subgroup_from_mask(group_from_spec("C4"), 0b101), "Subgroup(mask=5, order=2, is_cyclic=True)"),
+    (enumerate_subgroups(group_from_spec("C4")).classes[1],
+     "SubgroupClass(mask=5, order=2, is_cyclic=True, size=1, generators=(2,))"),
     (SweepConfig(max_order=16, checks=frozenset({"cyclic"}), jobs=2),
      "SweepConfig(max_order=16, checks=frozenset({'cyclic'}), jobs=2)"),
     (CongruenceAnalysis(2, ()), "CongruenceAnalysis(exponent=2, binding_pairs=())"),
-], ids=["Named", "DirectProduct", "PermGenerators", "NotIntegral", "Subgroup", "SweepConfig",
-        "CongruenceAnalysis"])
+], ids=["Named", "DirectProduct", "PermGenerators", "NotIntegral", "SubgroupClass",
+        "SweepConfig", "CongruenceAnalysis"])
 def test_repr_pinned(record, text):
     assert repr(record) == text
 
@@ -90,10 +91,12 @@ def test_pickle_round_trip(record):
 
 
 def test_equal_masks_give_equal_subgroups():
+    """Two enumerations of one group give equal, equally hashed class
+    records, and classes with different masks differ."""
     group = group_from_spec("S3")
-    a, b = subgroup_from_mask(group, 0b11), subgroup_from_mask(group, 0b11)
-    assert a == b and hash(a) == hash(b)
-    assert a != subgroup_from_mask(group, 0b1)
+    a, b = enumerate_subgroups(group).classes, enumerate_subgroups(group).classes
+    assert a == b and list(map(hash, a)) == list(map(hash, b))
+    assert type(a[1]) is SubgroupClass and a[1] != a[0]
 
 
 def test_predictions_never_share_a_details_dict():

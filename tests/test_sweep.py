@@ -157,7 +157,7 @@ def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
     report = artin.CSetReport(frozenset({full}), frozenset(), full, frozenset({full}))
 
     def fake_reports(lattice, cls):
-        return iter([(u_mask, report)] if cls.representative.mask == full else [])
+        return iter([(u_mask, report)] if cls.mask == full else [])
 
     monkeypatch.setattr(sweep, "c_set_reports", fake_reports)
     row = evaluate_group(("C2xC2", ("lemmas",)))
