@@ -191,28 +191,9 @@ def congruence_pairs(lattice: SubgroupLattice, family: Family = ALL_CYCLIC):
             yield CongruencePair(v_idx, lattice.class_of[u_mask], u_mask, index, count, constraint)
 
 
-class _Record:
-    """Equality and repr over __slots__, for the records whose fields their
-    callers set after construction."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class CongruenceAnalysis(_Record):
-    __slots__ = ("exponent", "binding_pairs")
-
-    def __init__(self, exponent: int, binding_pairs: tuple[CongruencePair, ...]) -> None:
-        self.exponent = exponent
-        self.binding_pairs = binding_pairs
+class CongruenceAnalysis(NamedTuple):
+    exponent: int
+    binding_pairs: tuple[CongruencePair, ...]
 
 
 def congruence_analysis(lattice: SubgroupLattice,
@@ -552,7 +533,7 @@ def sylow_reduction_report(
 # ---------------------------------------------------------------------------
 
 
-class ExponentReport(_Record):
+class ExponentReport:
     __slots__ = ("group", "order", "family", "exponent", "exponent_congruence",
                  "exponent_marks", "prediction", "prime_parts", "binding_pairs",
                  "pairs", "sylow", "extra_analyses")

@@ -43,25 +43,21 @@ class NotIntegral(NamedTuple):
     denominator: int
 
 
-class MarkTable:
+class MarkTable(NamedTuple):
     """Table of marks plus the per-class data needed to interpret it.
 
     rows[i] is a pair (columns, marks) of equal-length tuples: the columns j
     of row i's nonzero marks, ascending, and the marks M[i][j] in the same
     order.  The last column is the diagonal i, so marks[-1] is M[i][i]."""
 
-    def __init__(
-        self,
-        rows: list[tuple[tuple[int, ...], tuple[int, ...]]],
-        class_orders: Sequence[int],
-        class_sizes: Sequence[int],
-        class_cyclic: Sequence[bool],
-    ) -> None:
-        self.rows = rows
-        self.n = len(self.rows)
-        self.class_orders = list(class_orders)
-        self.class_sizes = list(class_sizes)
-        self.class_cyclic = list(class_cyclic)
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    class_orders: list[int]
+    class_sizes: list[int]
+    class_cyclic: list[bool]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
 
 def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
@@ -98,13 +94,14 @@ def solve_membership(
 
     Coefficient i is fixed by entry i once every larger class's row has been
     subtracted, because row i is zero to the right of its diagonal."""
-    n = table.n
+    rows = table.rows
+    n = len(rows)
     if len(ghost) != n:
         raise ValueError("ghost vector has the wrong length")
     rest = list(ghost)
     coeffs = [0] * n
     for i in range(n - 1, -1, -1):
-        columns, marks = table.rows[i]
+        columns, marks = rows[i]
         d = marks[-1]
         q, r = divmod(rest[i], d)
         if r:

@@ -438,7 +438,7 @@ def cached_lattice(group: GroupTable, spec_text: str, cache_dir: Optional[str]) 
     try:
         with open(path, encoding="utf-8") as handle:
             cached = lattice_from_dict(group, json.load(handle))
-    except (OSError, ValueError):  # ValueError covers bad JSON and bad UTF-8
+    except (OSError, ValueError, RecursionError):  # bad JSON or UTF-8, or JSON nested too deep
         cached = None
     if cached is not None:
         return cached

@@ -1,7 +1,9 @@
 """Exit codes, human output, JSON schemas, cache behavior of the CLI."""
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import artinx
 from artinx import artin, cli
 from artinx import lattice as lattice_module
 from artinx.groups import group_from_spec
@@ -135,15 +138,28 @@ def test_cli_import_loads_no_dataclasses():
                     assert "dataclass" not in handle.read(), name
 
 
+def test_records_use_one_mechanism():
+    """Every class defined in an artinx module is a named tuple (a tuple
+    subclass), an exception, or one of the classes that hold state a record
+    cannot: the group table, the lattice, the one mutable record and the
+    CLI's parser."""
+    allowed = {"GroupTable", "SubgroupLattice", "ExponentReport", "_Parser"}
+    others = []
+    for info in pkgutil.iter_modules(artinx.__path__, "artinx."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and value.__module__ == module.__name__
+                    and not issubclass(value, (tuple, Exception)) and name not in allowed):
+                others.append(f"{module.__name__}.{name}")
+    assert others == []
+
+
 def skew_method_one(monkeypatch):
     """Make method 1 report twice its exponent, for every family."""
     real = artin.congruence_analysis
 
     def skewed(lattice, families):
-        analyses = real(lattice, families)
-        for analysis in analyses:
-            analysis.exponent *= 2
-        return analyses
+        return [a._replace(exponent=a.exponent * 2) for a in real(lattice, families)]
 
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
 
@@ -593,6 +609,7 @@ def _malformed_payloads() -> dict:
         "not-utf8": b"\xff\xfe\x00{",
         "mask-past-order": json.dumps(past_order).encode(),
         "negative-mask": json.dumps(negative).encode(),
+        "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
     }
 
 

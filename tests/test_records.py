@@ -1,5 +1,5 @@
 """The records: named tuples that print, check and pickle as the classes
-they replaced did, and the two records whose fields callers set."""
+they replaced did, and the one record whose fields callers set."""
 
 import pickle
 
@@ -11,7 +11,7 @@ from artinx.artin import (
     closed_form_predictor,
     compute_exponent_report,
 )
-from artinx.burnside import NotIntegral
+from artinx.burnside import MarkTable, NotIntegral, build_mark_table
 from artinx.groups import (
     DirectProduct,
     GroupSpecError,
@@ -36,8 +36,11 @@ from artinx.sweep import CHECK_NAMES, SweepConfig
     (SweepConfig(max_order=16, checks=frozenset({"cyclic"}), jobs=2),
      "SweepConfig(max_order=16, checks=frozenset({'cyclic'}), jobs=2)"),
     (CongruenceAnalysis(2, ()), "CongruenceAnalysis(exponent=2, binding_pairs=())"),
+    (build_mark_table(enumerate_subgroups(group_from_spec("C2"))),
+     "MarkTable(rows=[((0,), (2,)), ((0, 1), (1, 1))], class_orders=[1, 2], "
+     "class_sizes=[1, 1], class_cyclic=[True, True])"),
 ], ids=["Named", "DirectProduct", "PermGenerators", "NotIntegral", "SubgroupClass",
-        "SweepConfig", "CongruenceAnalysis"])
+        "SweepConfig", "CongruenceAnalysis", "MarkTable"])
 def test_repr_pinned(record, text):
     assert repr(record) == text
 
@@ -114,15 +117,24 @@ def test_predictions_never_share_a_details_dict():
 
 
 def test_mutable_records_take_new_values_but_no_new_fields():
+    """ExponentReport, whose pairs and sylow callers set, is the one
+    mutable record; method 1's analysis and the mark table are named
+    tuples, changed only by _replace."""
     report = compute_exponent_report(group_from_spec("S3"), "S3")
     report.sylow = ()
     report.exponent_congruence *= 2
     assert (report.sylow, report.exponent_congruence) == ((), 4)
     assert not report.methods_agree
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(AttributeError):
+        report.unknown_field = 1
     analysis = CongruenceAnalysis(2, ())
-    analysis.exponent *= 2
-    assert analysis == CongruenceAnalysis(4, ()) != CongruenceAnalysis(2, ())
-    for record in (report, analysis):
-        assert not hasattr(record, "__dict__")
+    table = build_mark_table(enumerate_subgroups(group_from_spec("S3")))
+    for record, field in ((analysis, "exponent"), (table, "rows")):
         with pytest.raises(AttributeError):
-            record.unknown_field = 1
+            setattr(record, field, getattr(record, field))
+    doubled = analysis._replace(exponent=analysis.exponent * 2)
+    assert type(doubled) is CongruenceAnalysis
+    assert doubled == CongruenceAnalysis(4, ()) != analysis == CongruenceAnalysis(2, ())
+    shrunk = table._replace(rows=table.rows[:1])
+    assert type(shrunk) is MarkTable and (shrunk.n, table.n) == (1, 4)
