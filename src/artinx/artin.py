@@ -23,7 +23,7 @@ quotient divides n.  Method 2 reads nothing but the table.
 Method 1 gives divisors that are always necessary, so method 2 can never
 return less; the two agreeing is a strong end-to-end check and any
 disagreement is raised loudly rather than reconciled.  The methods share
-only the lattice (its classes, class_of and below(); method 1 also reads
+only the lattice (its classes, class_of and below; method 1 also reads
 its normalizers and its group's table), never each other's code: no
 congruence code reaches method 2.
 """
@@ -169,7 +169,7 @@ def _congruence_walk(lattice: SubgroupLattice):
     normal in V when V lies in the normalizer the lattice records."""
     n, normalizers = lattice.group.order, lattice.normalizers
     primes = {p ** k: p for p in prime_factors(n) for k in range(1, n.bit_length())}
-    for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below())):
+    for v_idx, (cls, inside) in enumerate(zip(lattice.classes, lattice.below)):
         order, vm = cls.order, cls.mask
         pairs = []
         for u_mask in inside:
@@ -255,7 +255,7 @@ def local_exponent(lattice: SubgroupLattice, h_mask: int, family: Family = ALL_C
         raise ValueError(f"mask {h_mask:#x} is not a class representative of this lattice")
     members = family_members([c.is_cyclic for c in lattice.classes], family)
     exponent = 1
-    for u_mask in lattice.below()[h_idx]:
+    for u_mask in lattice.below[h_idx]:
         v_mask = lattice.normalizers[u_mask] & h_mask
         w = v_mask.bit_count() // u_mask.bit_count()
         if exponent % w == 0:

@@ -12,7 +12,7 @@ conjugate to U and W conjugate to V two ways gives
     M[V][U] = |G : V| * #{U' in cl U : U' <= V} / |cl U|,
 
 so a row needs only the subgroups inside V's representative, which the
-lattice records.  With classes sorted by subgroup order M is lower
+lattice's below index lists.  With classes sorted by subgroup order M is lower
 triangular with positive diagonal, and most entries below the diagonal are
 zero too, so each row is stored once, as two tuples: the columns of its
 nonzero marks, ascending, and those marks in the same order; the diagonal
@@ -68,12 +68,12 @@ def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
     |cl U| * #{W in cl V : U <= W} and |cl V| * #{U' in cl U : U' <= V}
     count the pairs U' <= W with U' in cl U and W in cl V, so
     M[V][U] = |G : V| * #{U' in cl U : U' <= V} / |cl U|, a tally over
-    lattice.below() of V that reads no conjugate of V; the division is
+    lattice.below of V that reads no conjugate of V; the division is
     exact."""
     classes, class_of = lattice.classes, lattice.class_of
     sizes = [c.size for c in classes]
     rows = []
-    for cls, inside in zip(classes, lattice.below()):
+    for cls, inside in zip(classes, lattice.below):
         tally = Counter(map(class_of.__getitem__, inside))
         index = lattice.group.order // cls.order
         columns = tuple(sorted(tally))

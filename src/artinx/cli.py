@@ -201,7 +201,7 @@ def _parse_checks(checks_arg: Optional[str]) -> frozenset:
 def _print_sweep(result: RunResult, timings: bool) -> None:
     checks = [c for c in CHECK_NAMES if c in result.config.checks]
     print(
-        f"sweep: {len(result.catalog)} groups, max order {result.config.max_order}, "
+        f"sweep: {len(result.rows)} groups, max order {result.config.max_order}, "
         f"checks: {' '.join(checks)}"
     )
     name_w = max(5, max(len(row["spec"]) for row in result.rows))

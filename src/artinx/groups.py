@@ -138,6 +138,7 @@ class PermGenerators(_PermGeneratorsFields):
 GroupSpec = Union[Named, DirectProduct, PermGenerators]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_POINT_RE = re.compile(r"-?[0-9]+")
 
 
 def _parse_family_token(token: str) -> Named:
@@ -168,7 +169,9 @@ def _parse_perm_generators(body: str) -> PermGenerators:
         for cyc in _CYCLE_RE.finditer(chunk):
             points = cyc.group(1).split()
             try:
-                values = tuple(int(p) for p in points)
+                if not all(map(_POINT_RE.fullmatch, points)):
+                    raise ValueError("int() also reads '+', '_' and non-ASCII digits")
+                values = tuple(map(int, points))
             except ValueError as exc:
                 raise GroupSpecError(f"non-integer point in cycle {cyc.group(0)!r}") from exc
             if any(v < 1 for v in values):
@@ -510,7 +513,7 @@ FAMILIES: dict[str, _Family] = {
     "A": _Family("alternating degree must be >= 1", _positive, _half_factorial, _realize_alternating),
     "H": _Family("Heisenberg parameter must be prime", is_prime, _cube, _realize_heisenberg),
 }
-_FAMILY_RE = re.compile("(" + "|".join(FAMILIES) + r")(\d+)\Z")
+_FAMILY_RE = re.compile("(" + "|".join(FAMILIES) + r")([0-9]+)\Z")
 
 
 def _cycles_to_perm(cycles: Iterable[tuple[int, ...]], degree: int) -> tuple[int, ...]:

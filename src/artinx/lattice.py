@@ -4,7 +4,8 @@ Subgroups are represented as bit sets over the element indices: bit x of the
 mask is set exactly when element x belongs to the subgroup.  The lattice
 groups all subgroups into conjugacy classes, each with a canonical
 representative, and is the index structure everything downstream (tables of
-marks, Artin exponents) is expressed against.
+marks, Artin exponents) is expressed against: with each subgroup's class and
+normalizer, it lists the subgroups inside each class representative.
 """
 
 from __future__ import annotations
@@ -126,67 +127,59 @@ class SubgroupClass(NamedTuple):
     generators: tuple[int, ...]
 
 
-class SubgroupLattice:
-    """All subgroups of a group, organized by conjugacy class.
+class SubgroupLattice(NamedTuple):
+    """All subgroups of a group, organized by conjugacy class; _assemble
+    builds every lattice.
 
     Classes are sorted by (subgroup order, element tuple of the canonical
     representative); the trivial subgroup is class 0 and the whole group is
     the last class.  class_of maps every subgroup mask (not just the
     representatives) to its class index, and normalizers maps it to its
     normalizer in the group: U is normal in V when V & ~normalizers[U] is 0.
+    below lists, for each class, the subgroup masks inside its
+    representative (see _below_index).
     """
 
-    def __init__(
-        self,
-        group: GroupTable,
-        classes: Sequence[SubgroupClass],
-        class_of: dict[int, int],
-        normalizers: dict[int, int],
-    ) -> None:
-        self.group = group
-        self.classes = list(classes)
-        self.class_of = class_of
-        self.normalizers = normalizers
-        self._below: Optional[list[list[int]]] = None
-
-    def __len__(self) -> int:
-        return len(self.classes)
+    group: GroupTable
+    classes: list[SubgroupClass]
+    class_of: dict[int, int]
+    normalizers: dict[int, int]
+    below: list[list[int]]
 
     def subgroup_count(self) -> int:
         return sum(c.size for c in self.classes)
 
-    def below(self) -> list[list[int]]:
-        """For each class, the subgroup masks inside its representative,
-        ascending by mask; computed once per lattice and cached on it.
 
-        A subgroup U is not inside V exactly when it holds an element
-        outside V.  Then a power of that element of prime-power order lies
-        outside V too, and so does every generator of the cyclic subgroup
-        of U that the power generates.  So with one generator x per cyclic
-        subgroup of prime-power order of the group, bit i of lacking[x]
-        marks the i-th subgroup as lacking x, and V's subgroups are the AND
-        of lacking[x] over the x outside V."""
-        if self._below is not None:
-            return self._below
-        masks = sorted(self.class_of)
-        everything = (1 << len(masks)) - 1
-        generators = _prime_power_generators(self.group)
-        gens = sum(1 << x for x in generators)
-        # bit i of containing[x] is set when masks[i] contains x; built as
-        # bytes, since flipping one bit of an int copies the whole int
-        containing = {x: bytearray((len(masks) + 7) // 8) for x in generators}
-        for i, m in enumerate(masks):
-            for x in mask_elements(m & gens):
-                containing[x][i >> 3] |= 1 << (i & 7)
-        lacking = {x: everything ^ int.from_bytes(bits, "little") for x, bits in containing.items()}
-        below = []
-        for cls in self.classes:
-            inside = everything
-            for x in mask_elements(gens & ~cls.mask):
-                inside &= lacking[x]
-            below.append([masks[i] for i in mask_elements(inside)])
-        self._below = below
-        return below
+def _below_index(group: GroupTable, classes: Sequence[SubgroupClass],
+                 class_of: dict[int, int]) -> list[list[int]]:
+    """For each class, the subgroup masks inside its representative,
+    ascending by mask.
+
+    A subgroup U is not inside V exactly when it holds an element
+    outside V.  Then a power of that element of prime-power order lies
+    outside V too, and so does every generator of the cyclic subgroup
+    of U that the power generates.  So with one generator x per cyclic
+    subgroup of prime-power order of the group, bit i of lacking[x]
+    marks the i-th subgroup as lacking x, and V's subgroups are the AND
+    of lacking[x] over the x outside V."""
+    masks = sorted(class_of)
+    everything = (1 << len(masks)) - 1
+    generators = _prime_power_generators(group)
+    gens = sum(1 << x for x in generators)
+    # bit i of containing[x] is set when masks[i] contains x; built as
+    # bytes, since flipping one bit of an int copies the whole int
+    containing = {x: bytearray((len(masks) + 7) // 8) for x in generators}
+    for i, m in enumerate(masks):
+        for x in mask_elements(m & gens):
+            containing[x][i >> 3] |= 1 << (i & 7)
+    lacking = {x: everything ^ int.from_bytes(bits, "little") for x, bits in containing.items()}
+    below = []
+    for cls in classes:
+        inside = everything
+        for x in mask_elements(gens & ~cls.mask):
+            inside &= lacking[x]
+        below.append([masks[i] for i in mask_elements(inside)])
+    return below
 
 
 def _prime_power_generators(group: GroupTable) -> list[int]:
@@ -243,7 +236,8 @@ def _assemble(
         for m, g in conj_to_g.items():
             class_of[m] = idx
             normalizers[m] = conjugate_mask(group, g, normalizer) if g else normalizer
-    return SubgroupLattice(group, classes, class_of, normalizers)
+    return SubgroupLattice(group, classes, class_of, normalizers,
+                           _below_index(group, classes, class_of))
 
 
 def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
@@ -382,7 +376,8 @@ def lattice_from_dict(group: GroupTable, data: dict) -> Optional[SubgroupLattice
     group must be present, and so must every cyclic subgroup.  A stale or
     foreign entry yields None rather than a wrong lattice; so does anything
     but a dict.  The check does not prove that every noncyclic class is
-    present.
+    present, and an entry that lacks one can give both methods the same
+    wrong exponent.
     """
     if not isinstance(data, dict):
         return None

@@ -87,13 +87,13 @@ def default_catalog(max_order: int = 64) -> list[str]:
     return sorted(specs, key=lambda s: (spec_order(parse_group_spec(s)), s))
 
 
-def random_families(spec_text: str, class_count: int, count: int = RANDOM_FAMILIES):
-    """Deterministic pseudo-random explicit families (frozensets of class
-    indices) for cross-method checks, drawn in turn from one generator
-    seeded by the group's spec text alone."""
+def random_families(spec_text: str, class_count: int):
+    """RANDOM_FAMILIES deterministic pseudo-random explicit families
+    (frozensets of class indices) for cross-method checks, drawn in turn
+    from one generator seeded by the group's spec text alone."""
     digest = hashlib.sha256(f"artinx.sweep:{spec_text}".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
-    for _ in range(count):
+    for _ in range(RANDOM_FAMILIES):
         size = rng.randint(0, class_count)
         yield frozenset(rng.sample(range(class_count), size))
 
@@ -290,7 +290,6 @@ class RunResult(NamedTuple):
     """Everything a sweep produced, in catalog order."""
 
     config: SweepConfig
-    catalog: tuple[str, ...]
     rows: list[dict]
 
     @property
@@ -308,9 +307,8 @@ class RunResult(NamedTuple):
 
 def run_sweep(config: SweepConfig) -> RunResult:
     """Evaluate every catalog group, in order, optionally across workers."""
-    catalog = tuple(default_catalog(config.max_order))
     checks = tuple(c for c in CHECK_NAMES if c in config.checks)
-    tasks = [(spec, checks) for spec in catalog]
+    tasks = [(spec, checks) for spec in default_catalog(config.max_order)]
     if config.jobs > 1 and len(tasks) > 1:
         import multiprocessing
 
@@ -320,7 +318,7 @@ def run_sweep(config: SweepConfig) -> RunResult:
             rows = pool.map(evaluate_group, tasks, chunksize=1)
     else:
         rows = [evaluate_group(task) for task in tasks]
-    return RunResult(config=config, catalog=catalog, rows=rows)
+    return RunResult(config=config, rows=rows)
 
 
 def summary_to_dict(result: RunResult, include_timings: bool = False) -> dict:
@@ -330,7 +328,7 @@ def summary_to_dict(result: RunResult, include_timings: bool = False) -> dict:
         "schema": 1,
         "max_order": result.config.max_order,
         "checks": [c for c in CHECK_NAMES if c in result.config.checks],
-        "group_count": len(result.catalog),
+        "group_count": len(result.rows),
         "ok": result.ok,
         "failures": result.failures,
         "notes": result.notes,

@@ -35,7 +35,6 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
-from weakref import WeakKeyDictionary
 
 from hypothesis import strategies as st
 
@@ -500,9 +499,6 @@ def _coset_rep_array(group: GroupTable, mask: int) -> list[int]:
     return reps
 
 
-_BASIS_PRODUCTS: WeakKeyDictionary = WeakKeyDictionary()  # lattice -> {(i, j): product}
-
-
 def multiply_basis(
     group: GroupTable, lattice: SubgroupLattice, i: int, j: int
 ) -> tuple[int, ...]:
@@ -511,21 +507,26 @@ def multiply_basis(
     Orbits of G on (G/U_i) x (G/U_j) are enumerated directly; the orbit of
     (aU, bV) contributes one copy of [G / (aUa^-1 meet bVb^-1)].
     """
-    cache = _BASIS_PRODUCTS.setdefault(lattice, {})
-    key = (i, j) if i <= j else (j, i)
-    if key in cache:
-        return cache[key]
+    classes = lattice.classes
+    i, j = min(i, j), max(i, j)
+    coeffs = [0] * len(classes)
+    for stab in _orbit_stabilizers(group, classes[i].mask, classes[j].mask, classes[-1].generators):
+        coeffs[lattice.class_of[stab]] += 1
+    return tuple(coeffs)
 
+
+@functools.lru_cache(maxsize=1 << 14)
+def _orbit_stabilizers(group: GroupTable, u_mask: int, v_mask: int,
+                       gens: tuple[int, ...]) -> tuple[int, ...]:
+    """One stabilizer aUa^-1 meet bVb^-1 per orbit of G, generated by gens,
+    on (G/U) x (G/V); cached, since the ring tests multiply the same basis
+    pairs many times."""
     order = group.order
-    full = (1 << order) - 1
-    u_mask = lattice.classes[key[0]].mask
-    v_mask = lattice.classes[key[1]].mask
     rep_u = _coset_rep_array(group, u_mask)
     rep_v = _coset_rep_array(group, v_mask)
-    gens = lattice.classes[-1].generators
     mult = group.mult
 
-    coeffs = [0] * len(lattice.classes)
+    stabilizers = []
     seen: set[tuple[int, int]] = set()
     for a in sorted(set(rep_u)):
         for b in sorted(set(rep_v)):
@@ -544,11 +545,8 @@ def multiply_basis(
             stab = conjugate_mask(group, a, u_mask) & conjugate_mask(group, b, v_mask)
             if len(orbit) * bin(stab).count("1") != order:
                 raise AssertionError("orbit size does not match its stabilizer")
-            coeffs[lattice.class_of[stab]] += 1
-
-    result = tuple(coeffs)
-    cache[key] = result
-    return result
+            stabilizers.append(stab)
+    return tuple(stabilizers)
 
 
 def multiply_elements(
@@ -761,7 +759,7 @@ def reference_congruence_analysis(
     lattice: SubgroupLattice, families: Sequence[Family]
 ) -> list[CongruenceAnalysis]:
     """Method 1 by the one walk with a family list per pair: V over class
-    representatives in class order, U over lattice.below(); at every pair
+    representatives in class order, U over lattice.below; at every pair
     the families whose running exponent the index does not divide are listed
     afresh, and a pair with none is skipped before its prime-power and
     normality tests.  Any other pair is tallied once, through
@@ -772,7 +770,7 @@ def reference_congruence_analysis(
     exponents = [1] * len(families)
     best: list[dict[int, CongruencePair]] = [{} for _ in families]
     memo: dict[int, tuple[int, list]] = {}
-    for v_idx, (V, inside) in enumerate(zip(lattice.classes, lattice.below())):
+    for v_idx, (V, inside) in enumerate(zip(lattice.classes, lattice.below)):
         for u_mask in inside:
             if u_mask == V.mask:
                 continue

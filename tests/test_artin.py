@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -476,7 +477,7 @@ def test_marks_method_solves_once_per_call(spec, monkeypatch):
     g, lattice = setup_group(spec)
     table = build_mark_table(lattice)
     calls = count_solves(monkeypatch)
-    families = [ALL_CYCLIC, *random_families(spec, table.n, count=5)]
+    families = [ALL_CYCLIC, *islice(random_families(spec, table.n), 5)]
     for done, family in enumerate(families, start=1):
         artin_exponent_marks(table, family)
         assert len(calls) == done
@@ -816,7 +817,7 @@ def test_sylow_report_matches_standalone_subgroup(spec):
         g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
     table = build_mark_table(lattice)
-    for family in [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 4)]:
+    for family in [ALL_CYCLIC, *islice(random_families(spec, len(lattice.classes)), 4)]:
         exponent = artin_exponent_marks(table, family)
         assert sylow_reduction_report(g, lattice, family, exponent) == \
             standalone_sylow_report(g, lattice, family, exponent), (spec, family)

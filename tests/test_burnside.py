@@ -124,11 +124,10 @@ def test_mark_table_shape_invariants(spec):
 
 def test_mark_table_of_c2_to_the_sixth_stays_small():
     """The largest panel lattice, C2^6 (2,825 classes, 95,706 nonzero marks):
-    with the lattice and its below() index built beforehand, building the
+    with the lattice and its below index built beforehand, building the
     table allocates under 3 MB at its peak.  Rows of (j, mark) pair tuples
     take about 6 MB; two flat tuples per row take about 2 MB."""
     lattice = enumerate_subgroups(group_from_spec("C2xC2xC2xC2xC2xC2"))
-    lattice.below()
     tracemalloc.start()
     try:
         table = build_mark_table(lattice)

@@ -141,9 +141,8 @@ def test_cli_import_loads_no_dataclasses():
 def test_records_use_one_mechanism():
     """Every class defined in an artinx module is a named tuple (a tuple
     subclass), an exception, or one of the classes that hold state a record
-    cannot: the group table, the lattice, the one mutable record and the
-    CLI's parser."""
-    allowed = {"GroupTable", "SubgroupLattice", "ExponentReport", "_Parser"}
+    cannot: the group table, the one mutable record and the CLI's parser."""
+    allowed = {"GroupTable", "ExponentReport", "_Parser"}
     others = []
     for info in pkgutil.iter_modules(artinx.__path__, "artinx."):
         module = importlib.import_module(info.name)
@@ -656,14 +655,22 @@ def test_compute_names_an_incomplete_lattice(tmp_path, capsys):
     strict=True,
     reason="the loader proves every cyclic class present, not every noncyclic one",
 )
-def test_cache_rejects_an_entry_missing_a_noncyclic_class(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "spec, index, order, size",
+    # S4 without its normal Klein four group (class 5) loads, and then both
+    # methods agree on exponent 4 for --family-classes 1,8, the transposition
+    # class and A4, where the full lattice gives 12
+    [("S4", 4, 4, 3), ("S4", 5, 4, 1), ("A4xC2", 9, 8, 1)],
+)
+def test_cache_rejects_an_entry_missing_a_noncyclic_class(tmp_path, capsys, spec, index,
+                                                          order, size):
     cache = tmp_path / "cache"
-    run_cli(["compute", "--group", "S4", "--cache", str(cache)], capsys)
-    full = json.loads(Path(lattice_cache_path(str(cache), "S4")).read_text(encoding="utf-8"))
-    dropped = {**full, "classes": full["classes"][:4] + full["classes"][5:]}
-    group = group_from_spec("S4")
-    noncyclic = enumerate_subgroups(group).classes[4]
-    assert (noncyclic.order, noncyclic.size) == (4, 3)
+    run_cli(["compute", "--group", spec, "--cache", str(cache)], capsys)
+    full = json.loads(Path(lattice_cache_path(str(cache), spec)).read_text(encoding="utf-8"))
+    dropped = {**full, "classes": full["classes"][:index] + full["classes"][index + 1:]}
+    group = group_from_spec(spec)
+    noncyclic = enumerate_subgroups(group).classes[index]
+    assert (noncyclic.order, noncyclic.size) == (order, size)
     assert not noncyclic.is_cyclic
     assert lattice_from_dict(group, dropped) is None
 

@@ -134,6 +134,17 @@ SPEC_ERROR_MESSAGES = [
     ("C2xQ12", "quaternion order must be a power of two >= 8, got 12"),
     ("", "group spec is empty"),
     ("perm:", "empty permutation in generator list"),
+    # digits are ASCII 0-9 alone, as int() would also read signs,
+    # underscores and other scripts' digits
+    ("C\u0661\u0662", "malformed group token 'C\u0661\u0662'"),
+    ("C1_2", "malformed group token 'C1_2'"),
+    ("C+3", "malformed group token 'C+3'"),
+    ("perm:(1_0 2)", "non-integer point in cycle '(1_0 2)'"),
+    ("perm:(+1 2)", "non-integer point in cycle '(+1 2)'"),
+    ("perm:(\uff11 2)", "non-integer point in cycle '(\uff11 2)'"),
+    ("perm:(1 \u0662)", "non-integer point in cycle '(1 \u0662)'"),
+    ("perm:(0 1)", "cycle points must be >= 1 in '(0 1)'"),
+    ("perm:(-1 2)", "cycle points must be >= 1 in '(-1 2)'"),
 ]
 
 ORDER_CAP_MESSAGES = [

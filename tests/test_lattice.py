@@ -79,9 +79,11 @@ def test_generated_subgroup_flags():
 
 
 def test_subgroup_records_have_no_instance_dict():
-    """SubgroupClass is slotted, so a lattice's records hold their five
-    fields and nothing else."""
+    """SubgroupLattice and SubgroupClass are named tuples, so the lattice
+    and its class records hold their five fields and nothing else."""
     lattice = enumerate_subgroups(group_from_spec("S4"))
+    assert not hasattr(lattice, "__dict__")
+    assert lattice._fields == ("group", "classes", "class_of", "normalizers", "below")
     for cls in lattice.classes:
         assert not hasattr(cls, "__dict__")
         assert cls._fields == ("mask", "order", "is_cyclic", "size", "generators")
@@ -321,12 +323,12 @@ def test_enumeration_expands_each_class_once(spec, monkeypatch):
     monkeypatch.setattr(lattice_module, "_expand_class", expand)
     monkeypatch.setattr(lattice_module, "closure_mask", closure)
     lattice = enumerate_subgroups(g)
-    assert expand.calls == len(lattice)
+    assert expand.calls == len(lattice.classes)
     if spec in SOLVABLE:
         assert closure.calls == 0
     else:
         cyclic_count = len({g.cyclic_mask(x) for x in range(g.order)})
-        assert 0 < closure.calls <= len(lattice) * cyclic_count
+        assert 0 < closure.calls <= len(lattice.classes) * cyclic_count
 
 
 def assert_matches_join_closure(g):
@@ -416,13 +418,11 @@ def test_normalizers_match_conjugation_by_every_element_on_random_perm_specs(spe
 
 
 def assert_below_and_marks_match_reference(lattice):
-    """below() lists, for each class, the masks of class_of inside its
-    representative, ascending, and is computed once; the table of marks
-    built from it is the per-conjugate reference table."""
+    """below lists, for each class, the masks of class_of inside its
+    representative, ascending; the table of marks built from it is the
+    per-conjugate reference table."""
     masks = sorted(lattice.class_of)
-    below = lattice.below()
-    assert below == [[m for m in masks if m & c.mask == m] for c in lattice.classes]
-    assert lattice.below() is below
+    assert lattice.below == [[m for m in masks if m & c.mask == m] for c in lattice.classes]
     table, reference = build_mark_table(lattice), reference_mark_table(lattice)
     assert table.rows == reference.rows
     assert (table.class_orders, table.class_sizes, table.class_cyclic) == (
@@ -463,7 +463,7 @@ def test_below_and_mark_table_match_reference_on_random_perm_specs(spec):
 def test_known_subgroup_counts(spec, subgroups, classes):
     lattice = enumerate_subgroups(group_from_spec(spec))
     assert lattice.subgroup_count() == subgroups
-    assert len(lattice) == classes
+    assert len(lattice.classes) == classes
 
 
 def test_class_ordering_and_endpoints():
@@ -551,17 +551,17 @@ def test_c2_6_lattice_retains_little_memory():
     """One flat record per class and no per-class conjugate tuple: the 2,825
     classes of C2^6, with class_of and the normalizers, stay under 1.15 MB
     traced (about 1.0 MB; with a Subgroup record and a conjugate tuple per
-    class they took 1.3 MB)."""
+    class they took 1.3 MB).  The below index is left out of the count."""
     g = group_from_spec("C2xC2xC2xC2xC2xC2")
     gc.collect()
     tracemalloc.start()
     try:
-        lattice = enumerate_subgroups(g)
+        lattice = enumerate_subgroups(g)._replace(below=[])
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(lattice) == 2825
+    assert len(lattice.classes) == 2825
     assert retained < 1_150_000, retained
 
 
@@ -594,8 +594,7 @@ def test_lattice_round_trip(spec):
     lattice = enumerate_subgroups(g)
     rebuilt = lattice_from_dict(g, json.loads(json.dumps(lattice_to_dict(lattice, spec))))
     assert rebuilt is not None
-    assert rebuilt.classes == lattice.classes
-    assert rebuilt.class_of == lattice.class_of
+    assert rebuilt == lattice  # all five fields, normalizers and below too
     for c in rebuilt.classes:
         assert closure_mask(g, c.generators) == c.mask
 

@@ -439,5 +439,6 @@ def test_summary_shape_and_determinism():
 def test_summary_timings_opt_in():
     result = run_sweep(SweepConfig(max_order=6))
     summary = summary_to_dict(result, include_timings=True)
-    assert list(summary["timings"]) == list(result.catalog)
-    assert "S3" in result.catalog and summary["timings"]["S3"] >= 0
+    assert list(summary["timings"]) == [row["spec"] for row in result.rows] == default_catalog(6)
+    assert summary["group_count"] == len(result.rows)
+    assert "S3" in summary["timings"] and summary["timings"]["S3"] >= 0

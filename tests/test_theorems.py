@@ -7,6 +7,7 @@ A(H) of each subgroup class, read off G's lattice by local_exponent, is
 pinned to H's own table of marks."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -46,7 +47,7 @@ def relabeled_group(spec):
 def assert_dress_matches_both_methods(spec, group):
     lattice = enumerate_subgroups(group)
     table = build_mark_table(lattice)
-    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 5)]
+    families = [ALL_CYCLIC, *islice(random_families(spec, len(lattice.classes)), 5)]
     congruence = [a.exponent for a in congruence_analysis(lattice, families)]
     for family, exponent in zip(families, congruence):
         assert dress_exponent(lattice, family) == exponent == artin_exponent_marks(
@@ -68,7 +69,7 @@ def assert_local_exponent_matches_standalone(spec, group):
     exponent from H's own table, lattice and table of marks, for the cyclic
     family and five random ones."""
     lattice = enumerate_subgroups(group)
-    families = [ALL_CYCLIC, *random_families(spec, len(lattice.classes), 5)]
+    families = [ALL_CYCLIC, *islice(random_families(spec, len(lattice.classes)), 5)]
     for cls in lattice.classes:
         h_mask = cls.mask
         for family in families:
