@@ -26,7 +26,7 @@ from .artin import (
     sylow_reduction_report,
 )
 from .burnside import MarkTable, build_mark_table, mark_table_json
-from .groups import build_group, parse_group_spec, spec_to_text
+from .groups import ascii_int, build_group, parse_group_spec, spec_to_text
 from .lattice import (
     IncompleteLattice,
     ResourceCapError,
@@ -59,7 +59,7 @@ def _parse_family(classes_arg: Optional[str]) -> Family:
     if classes_arg is None:
         return ALL_CYCLIC
     try:
-        indices = [int(part) for part in classes_arg.split(",") if part.strip()]
+        indices = [ascii_int(part) for part in classes_arg.split(",") if part.strip()]
     except ValueError:
         raise ValueError(
             f"--family-classes wants comma-separated integers, got {classes_arg!r}"
@@ -192,21 +192,14 @@ def cmd_marks(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_checks(checks_arg: Optional[str]) -> frozenset:
-    if checks_arg is None:
-        return frozenset(CHECK_NAMES)
-    return frozenset(part.strip() for part in checks_arg.split(",") if part.strip())
-
-
 def _print_sweep(result: RunResult, timings: bool) -> None:
-    checks = [c for c in CHECK_NAMES if c in result.config.checks]
     print(
         f"sweep: {len(result.rows)} groups, max order {result.config.max_order}, "
-        f"checks: {' '.join(checks)}"
+        f"checks: {' '.join(CHECK_NAMES)}"
     )
     name_w = max(5, max(len(row["spec"]) for row in result.rows))
     header = ["group".ljust(name_w), "order".rjust(5), "A".rjust(4)]
-    header += [c.rjust(max(len(c), 4)) for c in checks]
+    header += [c.rjust(max(len(c), 4)) for c in CHECK_NAMES]
     if timings:
         header.append("seconds".rjust(8))
     print("  ".join(header))
@@ -219,8 +212,8 @@ def _print_sweep(result: RunResult, timings: bool) -> None:
             str(report["order"]).rjust(5),
             str(report["exponent"]).rjust(4),
         ]
-        for c in checks:
-            status = cell.get(row["statuses"].get(c, "skip"), "?")
+        for c in CHECK_NAMES:
+            status = cell[row["statuses"][c]]
             if status == "rep" and (row["spec"], c) in noted:
                 status = "rep*"
             line.append(status.rjust(max(len(c), 4)))
@@ -247,11 +240,7 @@ def _print_sweep(result: RunResult, timings: bool) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        max_order=args.max_order,
-        checks=_parse_checks(args.checks),
-        jobs=args.jobs,
-    )
+    config = SweepConfig(max_order=args.max_order, jobs=args.jobs)
     # opened before the sweep, so that an unusable path fails before the work
     with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as handle:
         result = run_sweep(config)
@@ -295,13 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     marks.set_defaults(func=cmd_marks)
 
     sweep = sub.add_parser("sweep", help="run check suites over the built-in catalog")
-    sweep.add_argument("--max-order", type=int, default=64, help="catalog order bound (default 64)")
     sweep.add_argument(
-        "--checks",
-        metavar="NAME,...",
-        help=f"suites to run (default all): {','.join(CHECK_NAMES)}",
+        "--max-order", type=ascii_int, default=64, help="catalog order bound (default 64)"
     )
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    sweep.add_argument("--jobs", type=ascii_int, default=1, help="worker processes (default 1)")
     sweep.add_argument("--json", metavar="FILE", help="also write the summary JSON to FILE")
     sweep.add_argument("--timings", action="store_true", help="include per-group timings")
     sweep.set_defaults(func=cmd_sweep)

@@ -138,7 +138,16 @@ class PermGenerators(_PermGeneratorsFields):
 GroupSpec = Union[Named, DirectProduct, PermGenerators]
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-_POINT_RE = re.compile(r"-?[0-9]+")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def ascii_int(text: str) -> int:
+    """The integer that specs and CLI options write: an optional '-' and
+    ASCII digits, around whitespace.  int() alone also reads '+', '_' and
+    non-ASCII digits."""
+    if not _INTEGER_RE.fullmatch(text.strip()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def _parse_family_token(token: str) -> Named:
@@ -169,9 +178,7 @@ def _parse_perm_generators(body: str) -> PermGenerators:
         for cyc in _CYCLE_RE.finditer(chunk):
             points = cyc.group(1).split()
             try:
-                if not all(map(_POINT_RE.fullmatch, points)):
-                    raise ValueError("int() also reads '+', '_' and non-ASCII digits")
-                values = tuple(map(int, points))
+                values = tuple(map(ascii_int, points))
             except ValueError as exc:
                 raise GroupSpecError(f"non-integer point in cycle {cyc.group(0)!r}") from exc
             if any(v < 1 for v in values):

@@ -4,9 +4,9 @@ generated family of small groups.
 The catalog covers every cyclic group up to the order bound, every abelian
 group as an invariant-factor chain of up to three cyclic factors, the
 dihedral / quaternion / semidihedral 2-power families, and a few standbys
-(S3, S4, A4, H3).  Checks are named suites; crossmethod, cyclic, oddp,
-conductor and lemmas fail the run on violation, while twogroup and sylow are
-report-only comparisons whose mismatches become notes.
+(S3, S4, A4, H3).  Every group runs every suite in CHECK_NAMES; crossmethod,
+cyclic, oddp, conductor and lemmas fail the run on violation, while twogroup
+and sylow are report-only comparisons whose mismatches become notes.
 """
 
 from __future__ import annotations
@@ -42,28 +42,21 @@ RANDOM_FAMILIES = 20
 
 class _SweepConfigFields(NamedTuple):
     max_order: int
-    checks: frozenset
     jobs: int
 
 
 class SweepConfig(_SweepConfigFields):
-    """What to sweep: order bound, suites, worker count."""
+    """What to sweep: order bound and worker count; every suite runs."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __new__(cls, max_order: int = 64, checks: frozenset = frozenset(CHECK_NAMES),
-                jobs: int = 1) -> SweepConfig:
+    def __new__(cls, max_order: int = 64, jobs: int = 1) -> SweepConfig:
         if not 1 <= max_order <= 256:
             raise ValueError("max_order must be between 1 and 256")
-        if not checks:
-            raise ValueError("checks must name at least one suite")
-        unknown = set(checks) - set(CHECK_NAMES)
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(sorted(unknown))}")
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        return super().__new__(cls, max_order, checks, jobs)
+        return super().__new__(cls, max_order, jobs)
 
 
 def default_catalog(max_order: int = 64) -> list[str]:
@@ -89,7 +82,7 @@ def default_catalog(max_order: int = 64) -> list[str]:
 
 def random_families(spec_text: str, class_count: int):
     """RANDOM_FAMILIES deterministic pseudo-random explicit families
-    (frozensets of class indices) for cross-method checks, drawn in turn
+    (frozensets of class indices) for the crossmethod suite, drawn in turn
     from one generator seeded by the group's spec text alone."""
     digest = hashlib.sha256(f"artinx.sweep:{spec_text}".encode()).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
@@ -112,18 +105,19 @@ def _failure(spec: str, check: str, expected, got, context: str = "") -> dict:
 
 
 def _check_crossmethod(spec, group, lattice, table, report) -> tuple[str, list, list]:
-    """The random families: the report carries their method 1 analyses,
-    from the one walk that served its cyclic family, and each gets one
-    solve here.  evaluate_group records a cyclic-family disagreement, which
-    still fails this suite."""
+    """The cyclic family, whose two exponents the report compared, then the
+    random families: the report carries their method 1 analyses, from the
+    one walk that served its cyclic family, and each gets one solve here."""
     failures = []
+    if not report.methods_agree:
+        failures.append(_failure(spec, "crossmethod", report.exponent_congruence,
+                                 report.exponent_marks, "family cyclic"))
     for i, (fam, analysis) in enumerate(report.extra_analyses):
         m = artin_exponent_marks(table, fam)
         if analysis.exponent != m:
             failures.append(_failure(spec, "crossmethod", analysis.exponent, m,
                                      f"random family {i}"))
-    status = "fail" if failures or not report.methods_agree else "ok"
-    return status, failures, []
+    return ("fail" if failures else "ok"), failures, []
 
 
 def _check_cyclic(spec, group, lattice, table, report) -> tuple[str, list, list]:
@@ -172,7 +166,7 @@ def _check_twogroup(spec, group, lattice, table, report) -> tuple[str, list, lis
 def _check_conductor(spec, group, lattice, table, report) -> tuple[str, list, list]:
     """The conductor equals |G| for every finite G: the congruence at U = 1
     forces |G| to divide it, and |G| times any ghost vector comes from the
-    Burnside ring.  So this checks the solver and the table of marks, not a
+    Burnside ring.  So this tests the solver and the table of marks, not a
     property of the group."""
     if group.order > CONDUCTOR_ORDER_CAP:
         return "skip", [], []
@@ -244,37 +238,30 @@ def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]
 # ---------------------------------------------------------------------------
 
 
-def evaluate_group(task: tuple[str, tuple[str, ...]]) -> dict:
-    """Run the requested checks for one group; the unit of parallel work."""
-    spec_text, checks = task
+def evaluate_group(spec_text: str) -> dict:
+    """Run every suite for one group; the unit of parallel work."""
     started = time.perf_counter()
     group = group_from_spec(spec_text)
     lattice = enumerate_subgroups(group)
     table = build_mark_table(lattice)
 
     # the crossmethod suite's families ride on the report's method 1 walk
-    families = []
-    if "crossmethod" in checks:
-        families = list(random_families(spec_text, len(lattice.classes)))
-    failures: list[dict] = []
+    families = list(random_families(spec_text, len(lattice.classes)))
     try:
         report = compute_exponent_report(
             group, spec_text, lattice=lattice, table=table, extra_families=families,
         )
     except MethodDisagreement as err:
-        # the suites read the same report; the row fails whichever of them run
-        report = err.report
-        failures.append(_failure(spec_text, "crossmethod", report.exponent_congruence,
-                                 report.exponent_marks, "family cyclic"))
+        report = err.report  # the crossmethod suite records the disagreement
+    failures: list[dict] = []
     notes: list[dict] = []
     statuses: dict[str, str] = {}
     for name in CHECK_NAMES:
-        if name in checks:
-            # looked up at call time, so a replaced suite is the one that runs
-            suite = globals()[f"_check_{name}"]
-            statuses[name], f, n = suite(spec_text, group, lattice, table, report)
-            failures += f
-            notes += n
+        # looked up at call time, so a replaced suite is the one that runs
+        suite = globals()[f"_check_{name}"]
+        statuses[name], f, n = suite(spec_text, group, lattice, table, report)
+        failures += f
+        notes += n
 
     return {
         "spec": spec_text,
@@ -307,17 +294,16 @@ class RunResult(NamedTuple):
 
 def run_sweep(config: SweepConfig) -> RunResult:
     """Evaluate every catalog group, in order, optionally across workers."""
-    checks = tuple(c for c in CHECK_NAMES if c in config.checks)
-    tasks = [(spec, checks) for spec in default_catalog(config.max_order)]
-    if config.jobs > 1 and len(tasks) > 1:
+    specs = default_catalog(config.max_order)
+    if config.jobs > 1 and len(specs) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(min(config.jobs, len(tasks))) as pool:
+        with multiprocessing.Pool(min(config.jobs, len(specs))) as pool:
             # one group at a time: the catalog is sorted by order, so larger
             # chunks would leave its heavy tail to a single worker
-            rows = pool.map(evaluate_group, tasks, chunksize=1)
+            rows = pool.map(evaluate_group, specs, chunksize=1)
     else:
-        rows = [evaluate_group(task) for task in tasks]
+        rows = [evaluate_group(spec) for spec in specs]
     return RunResult(config=config, rows=rows)
 
 
@@ -327,7 +313,7 @@ def summary_to_dict(result: RunResult, include_timings: bool = False) -> dict:
     out = {
         "schema": 1,
         "max_order": result.config.max_order,
-        "checks": [c for c in CHECK_NAMES if c in result.config.checks],
+        "checks": list(CHECK_NAMES),
         "group_count": len(result.rows),
         "ok": result.ok,
         "failures": result.failures,

@@ -144,7 +144,7 @@ def test_criterion_04_conductor_equals_order():
 
 def test_criterion_05_cross_method_equivalence():
     assert RANDOM_FAMILIES == 20
-    result = run_sweep(SweepConfig(max_order=64, checks=frozenset({"crossmethod"})))
+    result = run_sweep(SweepConfig(max_order=64))
     assert result.ok
     assert all(row["statuses"]["crossmethod"] == "ok" for row in result.rows)
     assert all(
@@ -158,7 +158,7 @@ def test_criterion_05_cross_method_equivalence():
 
 
 def test_criterion_06_counting_lemma_suite():
-    result = run_sweep(SweepConfig(max_order=64, checks=frozenset({"lemmas"})))
+    result = run_sweep(SweepConfig(max_order=64))
     assert result.ok
     assert all(row["statuses"]["lemmas"] == "ok" for row in result.rows)
     print(

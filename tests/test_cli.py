@@ -1,5 +1,6 @@
 """Exit codes, human output, JSON schemas, cache behavior of the CLI."""
 
+import argparse
 import importlib
 import json
 import os
@@ -22,6 +23,7 @@ from artinx.lattice import (
     lattice_from_dict,
     lattice_to_dict,
 )
+from artinx.sweep import SweepConfig
 
 
 def run_cli(argv, capsys):
@@ -338,9 +340,21 @@ def test_bad_family_classes_exit_one(capsys):
     code, _, err = run_cli(["compute", "--group", "S3", "--family-classes", "0,9"], capsys)
     assert code == 1
     assert "out of range" in err
-    code, _, err = run_cli(["compute", "--group", "S3", "--family-classes", "1,x"], capsys)
-    assert code == 1
-    assert "comma-separated" in err
+    # int() alone reads all but 1,x: as 10, 2, 0 and 3, and 1
+    for classes in ("1,x", "1_0", "+2", "0,\u0663", "\uff11"):
+        code, out, err = run_cli(["compute", "--group", "S3", "--family-classes", classes],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert "comma-separated" in err
+
+
+@pytest.mark.parametrize("option", ["--max-order", "--jobs"])
+@pytest.mark.parametrize("value", ["x", "+4", "0_4", "\u0668", "\uff14"])
+def test_bad_sweep_integers_exit_one(option, value, capsys):
+    """--max-order and --jobs read integers as specs do: ASCII digits only."""
+    code, out, err = run_cli(["sweep", option, value], capsys)
+    assert (code, out) == (1, "")
+    assert f"argument {option}: invalid ascii_int value: {value!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -353,12 +367,13 @@ def test_bad_family_classes_exit_one(capsys):
         (["compute", "--group", "S3", "--family", "cyclic"],
          "unrecognized arguments: --family cyclic"),
         (["sweep", "--max", "8"], "unrecognized arguments: --max 8"),
+        (["sweep", "--checks", "cyclic"], "unrecognized arguments: --checks cyclic"),
         (["compute", "--group", "S3", "--fam", "0"], "unrecognized arguments: --fam 0"),
         (["compute", "--group", "S3", "--method", "marks"],
          "unrecognized arguments: --method marks"),
     ],
-    ids=["sweep --cache", "marks --cache", "compute --family", "sweep --max", "compute --fam",
-         "compute --method"],
+    ids=["sweep --cache", "marks --cache", "compute --family", "sweep --max", "sweep --checks",
+         "compute --fam", "compute --method"],
 )
 def test_removed_options_are_refused(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -367,19 +382,23 @@ def test_removed_options_are_refused(argv, message, capsys):
     assert message in err
 
 
-def test_bad_sweep_checks_exit_one(capsys):
-    code, _, err = run_cli(["sweep", "--checks", "bogus"], capsys)
-    assert code == 1
-    assert "unknown checks" in err
-
-
-@pytest.mark.parametrize("checks", ["", ",,"])
-def test_empty_sweep_checks_exit_one(checks, capsys):
-    # an empty gate would run no suite and pass every group
-    code, out, err = run_cli(["sweep", "--max-order", "4", "--checks", checks], capsys)
-    assert code == 1
-    assert out == ""
-    assert "checks must name at least one suite" in err
+def test_settable_options_are_pinned():
+    """Every value a caller can set, per subcommand: a new option is a new
+    configuration to test, so adding one changes this list on purpose."""
+    (subcommands,) = [action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    options = {
+        name: [option for action in parser._actions
+               if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings]
+        for name, parser in subcommands.choices.items()
+    }
+    assert options == {
+        "compute": ["--group", "--family-classes", "--json", "--audit", "--cache"],
+        "marks": ["--group", "--json"],
+        "sweep": ["--max-order", "--jobs", "--json", "--timings"],
+    }
+    assert SweepConfig._fields == ("max_order", "jobs")
 
 
 def test_help_exits_zero(capsys):
@@ -466,21 +485,21 @@ def test_compute_audit_json_bytes_pinned(spec, classes, capsys):
 
 
 def test_sweep_oddp_passes(capsys):
-    code, out, _ = run_cli(["sweep", "--max-order", "27", "--checks", "oddp"], capsys)
+    code, out, _ = run_cli(["sweep", "--max-order", "27"], capsys)
     assert code == 0
     assert "sweep ok" in out
     assert "0 failures" in out
 
 
 def test_sweep_sylow_reports_s3_without_failing(capsys):
-    code, out, _ = run_cli(["sweep", "--max-order", "16", "--checks", "sylow"], capsys)
+    code, out, _ = run_cli(["sweep", "--max-order", "16"], capsys)
     assert code == 0
     assert "S3 [sylow]" in out
     assert "mismatch (report-only)" in out
 
 
 def test_sweep_conductor_passes(capsys):
-    code, out, _ = run_cli(["sweep", "--max-order", "24", "--checks", "conductor"], capsys)
+    code, out, _ = run_cli(["sweep", "--max-order", "24"], capsys)
     assert code == 0
     assert "0 failures" in out
 
@@ -490,26 +509,26 @@ def test_sweep_failure_exits_two(capsys, monkeypatch):
         return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
-    code, out, _ = run_cli(["sweep", "--max-order", "4", "--checks", "cyclic"], capsys)
+    code, out, _ = run_cli(["sweep", "--max-order", "4"], capsys)
     assert code == 2
     assert "sweep FAILED" in out
     assert "expected 1, got 9" in out
 
 
 def test_sweep_disagreement_exits_two_without_crossmethod(capsys, monkeypatch):
-    """A cyclic-family disagreement fails the sweep once per group whichever
-    suites run: every group to order 6 disagrees here."""
+    """A cyclic-family disagreement fails crossmethod once per group, beside
+    the random families: every group to order 6 disagrees here on all 21."""
     skew_method_one(monkeypatch)
-    code, out, _ = run_cli(["sweep", "--max-order", "6", "--checks", "cyclic"], capsys)
+    code, out, _ = run_cli(["sweep", "--max-order", "6"], capsys)
     assert code == 2
     assert "S3 [crossmethod]: expected 4, got 2 (family cyclic)" in out
-    assert out.endswith("sweep FAILED: 8 groups, 8 failures, 0 notes\n")
+    assert out.endswith("sweep FAILED: 8 groups, 168 failures, 1 notes\n")
 
 
 def test_sweep_json_file(tmp_path, capsys):
     target = tmp_path / "summary.json"
     code, _, _ = run_cli(
-        ["sweep", "--max-order", "16", "--checks", "cyclic,crossmethod", "--json", str(target)],
+        ["sweep", "--max-order", "16", "--json", str(target)],
         capsys,
     )
     assert code == 0
@@ -522,7 +541,7 @@ def test_sweep_json_file(tmp_path, capsys):
 
 def test_sweep_json_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["sweep", "--max-order", "16", "--checks", "cyclic", "--json"]
+    args = ["sweep", "--max-order", "16", "--json"]
     run_cli(args + [str(a)], capsys)
     run_cli(args + [str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
@@ -540,7 +559,7 @@ def test_sweep_parallel_output_matches_serial(tmp_path, capsys):
 def test_sweep_timings_opt_in(tmp_path, capsys):
     target = tmp_path / "summary.json"
     code, out, _ = run_cli(
-        ["sweep", "--max-order", "8", "--checks", "cyclic", "--timings", "--json", str(target)],
+        ["sweep", "--max-order", "8", "--timings", "--json", str(target)],
         capsys,
     )
     assert code == 0
@@ -680,7 +699,7 @@ def test_cache_rejects_an_entry_missing_a_noncyclic_class(tmp_path, capsys, spec
     [
         ["compute", "--group", "D8"],
         ["marks", "--group", "D8"],
-        ["sweep", "--max-order", "8", "--checks", "cyclic"],
+        ["sweep", "--max-order", "8"],
     ],
     ids=["compute", "marks", "sweep"],
 )

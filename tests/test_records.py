@@ -21,7 +21,7 @@ from artinx.groups import (
     parse_group_spec,
 )
 from artinx.lattice import SubgroupClass, enumerate_subgroups
-from artinx.sweep import CHECK_NAMES, SweepConfig
+from artinx.sweep import SweepConfig
 
 
 @pytest.mark.parametrize("record, text", [
@@ -33,8 +33,7 @@ from artinx.sweep import CHECK_NAMES, SweepConfig
     (NotIntegral(class_index=2, denominator=3), "NotIntegral(class_index=2, denominator=3)"),
     (enumerate_subgroups(group_from_spec("C4")).classes[1],
      "SubgroupClass(mask=5, order=2, is_cyclic=True, size=1, generators=(2,))"),
-    (SweepConfig(max_order=16, checks=frozenset({"cyclic"}), jobs=2),
-     "SweepConfig(max_order=16, checks=frozenset({'cyclic'}), jobs=2)"),
+    (SweepConfig(max_order=16, jobs=2), "SweepConfig(max_order=16, jobs=2)"),
     (CongruenceAnalysis(2, ()), "CongruenceAnalysis(exponent=2, binding_pairs=())"),
     (build_mark_table(enumerate_subgroups(group_from_spec("C2"))),
      "MarkTable(rows=[((0,), (2,)), ((0, 1), (1, 1))], class_orders=[1, 2], "
@@ -58,15 +57,11 @@ def test_repr_pinned(record, text):
     (lambda: PermGenerators(()), GroupSpecError, "permutation spec needs at least one generator"),
     (lambda: SweepConfig(max_order=0), ValueError, "max_order must be between 1 and 256"),
     (lambda: SweepConfig(max_order=257), ValueError, "max_order must be between 1 and 256"),
-    (lambda: SweepConfig(checks=frozenset()), ValueError, "checks must name at least one suite"),
-    (lambda: SweepConfig(checks=frozenset({"bogus", "also", "cyclic"})), ValueError,
-     "unknown checks: also, bogus"),
     (lambda: SweepConfig(jobs=0), ValueError, "jobs must be at least 1"),
     (lambda: SweepConfig()._replace(jobs=0), ValueError, "jobs must be at least 1"),
 ], ids=["Named-family", "Named-rule", "Named-zero", "Named-replace", "DirectProduct",
         "DirectProduct-replace", "PermGenerators", "SweepConfig-order-low",
-        "SweepConfig-order-high", "SweepConfig-no-checks", "SweepConfig-unknown-checks",
-        "SweepConfig-jobs", "SweepConfig-replace"])
+        "SweepConfig-order-high", "SweepConfig-jobs", "SweepConfig-replace"])
 def test_invalid_values_raise_the_same_errors(build, error, message):
     """Construction and _replace run the same checks, with the messages
     the records have always given."""
@@ -78,14 +73,14 @@ def test_invalid_values_raise_the_same_errors(build, error, message):
 def test_replace_builds_a_checked_record_of_the_same_class():
     config = SweepConfig()._replace(max_order=16)
     assert type(config) is SweepConfig
-    assert config == SweepConfig(max_order=16, checks=frozenset(CHECK_NAMES), jobs=1)
+    assert config == SweepConfig(max_order=16, jobs=1)
     assert Named("SD", 16)._replace(n=32) == Named("SD", 32)
 
 
 @pytest.mark.parametrize("record", [
     Named("SD", 16),
     parse_group_spec("C2xS3"),
-    SweepConfig(max_order=16, checks=frozenset({"cyclic", "sylow"}), jobs=2),
+    SweepConfig(max_order=16, jobs=2),
 ], ids=lambda value: type(value).__name__)
 def test_pickle_round_trip(record):
     """--jobs sends the specs and the config to pool workers pickled."""

@@ -82,11 +82,6 @@ def test_config_rejects_bad_max_order():
         SweepConfig(max_order=300)
 
 
-def test_config_rejects_unknown_checks():
-    with pytest.raises(ValueError, match="bogus"):
-        SweepConfig(checks=frozenset({"bogus"}))
-
-
 def test_config_rejects_bad_jobs():
     with pytest.raises(ValueError):
         SweepConfig(jobs=0)
@@ -134,17 +129,19 @@ def test_random_families_are_pinned_frozensets(spec, class_count, first_three):
 
 
 def test_evaluate_group_s3():
-    row = evaluate_group(("S3", ("crossmethod", "cyclic", "sylow")))
+    row = evaluate_group("S3")
     assert row["spec"] == "S3"
     assert row["report"]["exponent"] == 2
-    assert row["statuses"] == {"crossmethod": "ok", "cyclic": "ok", "sylow": "report"}
+    statuses = row["statuses"]
+    assert statuses["crossmethod"] == statuses["cyclic"] == "ok"
+    assert statuses["sylow"] == "report"
     assert row["failures"] == []
     assert any("mismatch (report-only)" in n["message"] for n in row["notes"])
 
 
 def test_evaluate_group_statuses_follow_check_names():
-    row = evaluate_group(("S3", ("sylow", "lemmas", "cyclic", "crossmethod")))
-    assert list(row["statuses"]) == ["crossmethod", "cyclic", "lemmas", "sylow"]
+    row = evaluate_group("S3")
+    assert list(row["statuses"]) == list(CHECK_NAMES)
 
 
 def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
@@ -160,9 +157,9 @@ def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
         return iter([(u_mask, report)] if cls.mask == full else [])
 
     monkeypatch.setattr(sweep, "c_set_reports", fake_reports)
-    row = evaluate_group(("C2xC2", ("lemmas",)))
+    row = evaluate_group("C2xC2")
     context = "H order 4 in C2xC2, U order 2"
-    assert row["statuses"] == {"lemmas": "fail"}
+    assert row["statuses"]["lemmas"] == "fail"
     assert row["failures"] == [
         {"group": "C2xC2", "check": "lemmas", "expected": expected, "got": got,
          "context": context}
@@ -184,7 +181,7 @@ def test_evaluate_group_method_disagreement(monkeypatch):
                 for family, a in zip(families, analyses)]
 
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
-    row = evaluate_group(("S3", CHECK_NAMES))
+    row = evaluate_group("S3")
     report = row["report"]
     assert report["method"] == "both"
     assert report["exponent"] == report["exponent_marks"] == 2
@@ -199,12 +196,9 @@ def test_evaluate_group_method_disagreement(monkeypatch):
     assert row["statuses"]["crossmethod"] == "fail"
 
 
-@pytest.mark.parametrize("checks", [CHECK_NAMES, ("cyclic", "sylow")],
-                         ids=["crossmethod", "no-crossmethod"])
-def test_one_method1_walk_serves_the_report_and_the_random_families(checks, monkeypatch):
+def test_one_method1_walk_serves_the_report_and_the_random_families(monkeypatch):
     """Each row makes one method 1 call: the report's cyclic family, plus
-    the crossmethod suite's 20 random families when that suite runs; the
-    families are drawn once per row, and not at all without the suite."""
+    the crossmethod suite's 20 random families, drawn once per row."""
     calls, drawn = [], []
     real = artin.congruence_analysis
     real_families = sweep.random_families
@@ -220,14 +214,10 @@ def test_one_method1_walk_serves_the_report_and_the_random_families(checks, monk
     for module in (artin, sweep):
         monkeypatch.setattr(module, "congruence_analysis", counted, raising=False)
     monkeypatch.setattr(sweep, "random_families", families)
-    row = evaluate_group(("S4", checks))
-    if "crossmethod" in checks:
-        assert row["statuses"]["crossmethod"] == "ok"
-        assert calls == [1 + RANDOM_FAMILIES]
-        assert drawn == [("S4", 11)]
-    else:
-        assert calls == [1]
-        assert drawn == []
+    row = evaluate_group("S4")
+    assert row["statuses"]["crossmethod"] == "ok"
+    assert calls == [1 + RANDOM_FAMILIES]
+    assert drawn == [("S4", 11)]
 
 
 @pytest.mark.parametrize("spec", ["S4", "C4xC8", "SD32"])
@@ -263,7 +253,7 @@ def test_disagreement_carries_the_random_family_analyses(monkeypatch):
     with pytest.raises(artin.MethodDisagreement) as err:
         artin.compute_exponent_report(group, "S4", lattice=lattice, extra_families=families)
     assert err.value.report.extra_analyses == expected
-    row = evaluate_group(("S4", CHECK_NAMES))
+    row = evaluate_group("S4")
     assert row["statuses"]["crossmethod"] == "fail"
     assert [f["context"] for f in row["failures"]] == ["family cyclic"]
 
@@ -301,7 +291,7 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     monkeypatch.setattr(artin, "closed_form_predictor", predictor)
     for module in (artin, sweep):
         monkeypatch.setattr(module, "sylow_reduction_report", sylow)
-    row = evaluate_group(("S3", CHECK_NAMES))
+    row = evaluate_group("S3")
     assert calls == {"marks": 1, "predictor": 1, "sylow": 1}
 
     group = group_from_spec("S3")
@@ -336,18 +326,18 @@ def test_evaluate_group_runs_the_predictor_once(spec, monkeypatch):
     for module in (artin, sweep):
         monkeypatch.setattr(module, "closed_form_predictor", predictor, raising=False)
         monkeypatch.setattr(module, "recognize_2group", recognize, raising=False)
-    row = evaluate_group((spec, CHECK_NAMES))
+    row = evaluate_group(spec)
     assert row["statuses"]["twogroup"] == "report"
     assert calls == {"predictor": 1, "recognize": 1}
 
 
 def test_evaluate_group_skips_inapplicable_checks():
-    row = evaluate_group(("C6", ("oddp", "twogroup")))
-    assert row["statuses"] == {"oddp": "skip", "twogroup": "skip"}
+    row = evaluate_group("C6")
+    assert (row["statuses"]["oddp"], row["statuses"]["twogroup"]) == ("skip", "skip")
 
 
 def test_evaluate_group_conductor_cap():
-    row = evaluate_group(("C32", ("conductor",)))
+    row = evaluate_group("C32")
     assert row["statuses"]["conductor"] == "skip"
     assert 32 > CONDUCTOR_ORDER_CAP
 
@@ -366,7 +356,7 @@ def test_sweep_tiny_catalog_all_checks(monkeypatch):
 
 
 def test_sweep_oddp_examples():
-    result = run_sweep(SweepConfig(max_order=27, checks=frozenset({"oddp"})))
+    result = run_sweep(SweepConfig(max_order=27))
     assert result.ok
     by_spec = {row["spec"]: row for row in result.rows}
     for spec, exponent in (("C3xC3", 3), ("C3xC9", 9), ("C3xC3xC3", 9), ("H3", 9)):
@@ -413,7 +403,7 @@ def test_sweep_failure_surfaces(monkeypatch):
         return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
-    result = run_sweep(SweepConfig(max_order=4, checks=frozenset({"cyclic"})))
+    result = run_sweep(SweepConfig(max_order=4))
     assert not result.ok
     assert result.failures[0]["got"] == "9"
     assert summary_to_dict(result)["ok"] is False
@@ -425,12 +415,12 @@ def test_sweep_failure_surfaces(monkeypatch):
 
 
 def test_summary_shape_and_determinism():
-    config = SweepConfig(max_order=12, checks=frozenset({"crossmethod", "cyclic"}))
+    config = SweepConfig(max_order=12)
     first = summary_to_dict(run_sweep(config))
     second = summary_to_dict(run_sweep(config))
     assert json.dumps(first) == json.dumps(second)
     assert first["schema"] == 1
-    assert first["checks"] == ["crossmethod", "cyclic"]
+    assert first["checks"] == list(CHECK_NAMES)
     assert first["group_count"] == len(first["groups"]) == len(first["reports"])
     assert first["ok"] is True
     assert "timings" not in first
