@@ -1,19 +1,21 @@
 """Finite groups as explicit multiplication tables.
 
 Elements of a group of order n are the integers 0..n-1 with 0 the identity.
-A table is proven to be a group at construction (one set comparison per
-row, the two-sided identity 0 and Light's associativity test; the columns
-need no check, see _validate_table), so everything downstream may assume it
-really has one.  Its facts are computed there too, once: the inverses, the
-generators that Light's test found, each element's order and cyclic
-subgroup, and whether the group is abelian, which is whether those
-generators commute.
+A table is proven to be a group at construction, on its rows as bytes: the
+range by one byte translation, the two-sided identity 0, Light's
+associativity test by one byte translation per generator and row, and a 0
+in every row; the rows and columns then need no check of their own, see
+_validate_table.  So everything downstream may assume it really has one.
+Its facts are computed there too, once: the generators that Light's test
+found, each element's order, inverse and cyclic subgroup, and whether the
+group is abelian, which is whether those generators commute.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from functools import reduce
 from operator import itemgetter
@@ -241,34 +243,36 @@ def _validate_table(mult: list[list[int]]) -> list[int]:
     range, two-sided identity 0, Latin rows, Latin columns, associativity.
     Returns the generators that Light's test found.
 
-    The proof:
+    The proof, on each row as bytes (ORDER_CAP is 256, so every entry in
+    range fits in one byte):
 
-    - a row whose set is {0, ..., n-1} holds n distinct entries in range,
-      so one set comparison per row proves the range and the Latin rows;
+    - bytearray() refuses an entry outside 0..255, and deleting the bytes
+      0..n-1 from the rows leaves nothing exactly when every entry is
+      below n;
     - Light's test: the elements s with (x*s)*y == x*(s*y) for all x, y
       contain the identity and are closed under products, so checking them
       on a set that generates every element by left-normed products proves
-      associativity;
-    - then every element a has a right inverse (0 is in a's row), and a
-      monoid in which every element has a right inverse is a group, whose
-      columns are Latin.
+      associativity.  For one s and x, the row of x*s must equal s's row
+      translated through x's row, which maps each s*y to x*(s*y);
+    - then the table is a monoid, and when every row holds 0 every element
+      has a right inverse, and a monoid in which every element has a right
+      inverse is a group, whose rows and columns are Latin.
 
-    So the range is read only when some row fails, to tell range from rows,
-    and the columns only when Light's test fails, to tell columns from
-    associativity.
+    So the rows and columns are read, by _not_a_group, only when Light's
+    test or the inverses fail, to pick the message.
     """
     n = len(mult)
     if any(len(row) != n for row in mult):
         raise ValueError("multiplication table must be square")
-    elements = set(range(n))
-    latin_rows = all(map(elements.__eq__, map(set, mult)))
-    if not latin_rows and (min(map(min, mult)) < 0 or max(map(max, mult)) >= n):
+    ident = bytes(range(n))
+    try:
+        rows = list(map(bytearray, mult))
+    except ValueError:  # an entry outside 0..255
+        rows = None
+    if rows is None or b"".join(rows).translate(None, ident):
         raise ValueError("multiplication table entries out of range")
-    ident = list(range(n))
-    if mult[0] != ident or [row[0] for row in mult] != ident:
+    if rows[0] != ident or bytes([row[0] for row in mult]) != ident:
         raise ValueError("element 0 is not a two-sided identity")
-    if not latin_rows:
-        raise ValueError("multiplication table is not a Latin square (rows)")
     # the generators: each element that left-normed products of the earlier
     # ones do not reach
     gens: list[int] = []
@@ -289,15 +293,27 @@ def _validate_table(mult: list[list[int]]) -> list[int]:
                         reached[y] = 1
                         new.append(y)
             frontier = new
-    rows = [tuple(row) for row in mult]
+    pad = bytes(256 - n)
+    tables = [row + pad for row in rows]  # translate() takes 256 bytes
     for s in gens:
-        times_s_row = itemgetter(*mult[s])  # x -> (x*(s*y) for each y)
-        for row in mult:
-            if times_s_row(row) != rows[row[s]]:
-                if any(len(set(col)) != n for col in zip(*mult)):
-                    raise ValueError("multiplication table is not a Latin square (columns)")
-                raise ValueError("multiplication table is not associative")
+        times_x = rows[s].translate  # x's table -> (x*(s*y) for each y)
+        if list(map(times_x, tables)) != [rows[row[s]] for row in mult]:
+            raise ValueError(_not_a_group(mult))
+    if not all(0 in row for row in rows):
+        raise ValueError(_not_a_group(mult))
     return gens
+
+
+def _not_a_group(mult: list[list[int]]) -> str:
+    """What fails first for a square table in range with identity 0 that is
+    not a group: its rows, else its columns, else associativity."""
+    n = len(mult)
+    elements = set(range(n))
+    if not all(map(elements.__eq__, map(set, mult))):
+        return "multiplication table is not a Latin square (rows)"
+    if any(len(set(col)) != n for col in zip(*mult)):
+        return "multiplication table is not a Latin square (columns)"
+    return "multiplication table is not associative"
 
 
 class GroupTable:
@@ -307,8 +323,10 @@ class GroupTable:
                  "cyclic_subgroups", "_cyclic_mask_of")
 
     def __init__(self, mult: Sequence[Sequence[int]]) -> None:
-        """Validate a copy of mult, normalized to a list of int lists."""
-        self._set_table([list(map(int, row)) for row in mult])
+        """Validate a copy of mult, normalized to a list of int lists; an
+        entry that is not an integer, such as a float or a string, raises
+        TypeError."""
+        self._set_table([list(map(operator.index, row)) for row in mult])
 
     @classmethod
     def adopt(cls, mult: list[list[int]]) -> GroupTable:
@@ -326,14 +344,15 @@ class GroupTable:
         self.generators = gens = tuple(_validate_table(mult))
         self.order = n
         self.mult = mult
-        self.inv = [row.index(0) for row in mult]
         # the generators generate G, so G is abelian exactly when they commute
         self.is_abelian = all(mult[a][b] == mult[b][a] for a, b in itertools.combinations(gens, 2))
         # walk each cyclic subgroup <x> once, for the least x it has not
         # reached: x^k has order m / d and generates the multiples of d in
-        # <x>, for m = |<x>| and d = gcd(k, m), so one mask serves each d;
-        # every mask holds the identity, so a mask of 0 marks x unreached
+        # <x>, for m = |<x>| and d = gcd(k, m), so one mask serves each d,
+        # and x^(m-k) is the inverse of x^k; every mask holds the identity,
+        # so a mask of 0 marks x unreached
         self._cyclic_mask_of = masks = [0] * n
+        self.inv = inv = [0] * n
         for x in range(n):
             if masks[x]:
                 continue
@@ -348,6 +367,7 @@ class GroupTable:
                 if d not in by_divisor:
                     by_divisor[d] = sum([1 << z for z in powers[::d]])
                 masks[power] = by_divisor[d]
+                inv[power] = powers[-k]
         # each cyclic subgroup's bit set, mapped to its least generator, in
         # ascending order of that generator
         self.cyclic_subgroups = cyclic = {}

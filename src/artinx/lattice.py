@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import partial
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .groups import GroupTable, as_prime_power, prime_factors
@@ -132,10 +133,12 @@ class SubgroupLattice(NamedTuple):
     builds every lattice.
 
     Classes are sorted by (subgroup order, element tuple of the canonical
-    representative); the trivial subgroup is class 0 and the whole group is
-    the last class.  class_of maps every subgroup mask (not just the
-    representatives) to its class index, and normalizers maps it to its
-    normalizer in the group: U is normal in V when V & ~normalizers[U] is 0.
+    representative), which _assemble reads off the bits of each mask's
+    complement, from bit 0 up, with no element lists; the trivial subgroup
+    is class 0 and the whole group is the last class.  class_of maps every
+    subgroup mask (not just the representatives) to its class index, and
+    normalizers maps it to its normalizer in the group: U is normal in V
+    when V & ~normalizers[U] is 0.
     below lists, for each class, the subgroup masks inside its
     representative (see _below_index).
     """
@@ -210,6 +213,12 @@ def _expand_class(group: GroupTable, mask: int) -> tuple[dict[int, int], int]:
     return out, normalizer
 
 
+def _element_order_key(n: int, mask: int) -> str:
+    """A key that orders the bit sets of one size over n elements as their
+    ascending element tuples: the complement's bits, from bit 0 up."""
+    return format(mask ^ ((1 << n) - 1), f"0{n}b")[::-1]
+
+
 def _assemble(
     group: GroupTable, found: Iterable[tuple[dict[int, int], int, tuple[int, ...]]]
 ) -> SubgroupLattice:
@@ -219,15 +228,21 @@ def _assemble(
     generators of that mask; every conjugate g H g^-1 is given the
     normalizer conjugated by g.  A class's representative is its conjugate
     least in element order, and it gets the generators conjugated to it.
+
+    Element order needs no element lists: for two masks of one size, the
+    lowest bit where they differ is set in the one whose ascending element
+    tuple is less, so their tuples compare as their complements' bits do,
+    read from bit 0 up, which is what _element_order_key spells.
     """
+    key = partial(_element_order_key, group.order)
     raw = []
     for conj_to_g, normalizer, gens in found:
-        rep = min(conj_to_g, key=mask_elements)
+        rep = next(iter(conj_to_g)) if len(conj_to_g) == 1 else min(conj_to_g, key=key)
         g = conj_to_g[rep]
         cls = SubgroupClass(rep, rep.bit_count(), rep in group.cyclic_subgroups, len(conj_to_g),
                             tuple(group.conj(g, x) for x in gens))
         raw.append((cls, conj_to_g, normalizer))
-    raw.sort(key=lambda r: (r[0].order, mask_elements(r[0].mask)))
+    raw.sort(key=lambda r: (r[0].order, key(r[0].mask)))
     classes = []
     class_of: dict[int, int] = {}
     normalizers: dict[int, int] = {}
@@ -238,6 +253,19 @@ def _assemble(
             normalizers[m] = conjugate_mask(group, g, normalizer) if g else normalizer
     return SubgroupLattice(group, classes, class_of, normalizers,
                            _below_index(group, classes, class_of))
+
+
+def _powers(group: GroupTable, k: int) -> list[int]:
+    """x^k for every element x, in element order, for k >= 1: square and
+    multiply on the whole list of elements at once, reading k's bits from
+    the highest down."""
+    mult = group.mult
+    acc = list(range(group.order))
+    for bit in bin(k)[3:]:
+        acc = [mult[a][a] for a in acc]
+        if bit == "1":
+            acc = [mult[a][x] for x, a in enumerate(acc)]
+    return acc
 
 
 def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
@@ -272,14 +300,8 @@ def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
     all_roots = []
     for p in prime_factors(n):
         roots = [0] * n
-        for x in range(n):
-            acc, sq, k = 0, x, p  # x^p by square-and-multiply
-            while k:
-                if k & 1:
-                    acc = mult[acc][sq]
-                sq = mult[sq][sq]
-                k >>= 1
-            roots[acc] |= 1 << x
+        for x, v in enumerate(_powers(group, p)):
+            roots[v] |= 1 << x
         all_roots.append(roots)
 
     # per class: its conjugates, its base's normalizer, and generators of its

@@ -386,6 +386,53 @@ def test_validation_rejects_non_associative():
         GroupTable(mult)
 
 
+def test_outside_entries_must_be_integers():
+    """The copying constructor reads entries with operator.index: a float
+    or a string is refused instead of truncated or parsed, while a bool
+    still reads as 0 or 1."""
+    for mult in ([[0, 1.7], [1.2, 0]], ["01", "10"], [[0, "x"], [1, 0]], [[0, 1.0], [1, 0]]):
+        with pytest.raises(TypeError):
+            GroupTable(mult)
+    assert GroupTable([[False, True], [True, False]]).mult == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize(
+    "n, entry", [(n, entry) for n in (5, 256) for entry in sorted({-1, n, 256, 300})] + [(5, 255)]
+)
+def test_entries_out_of_range_get_the_range_message(n, entry):
+    """An entry that no byte holds gets the range message, as one that a
+    byte holds but is not below n does, whether n is small or the cap."""
+    for row, col in ((0, 0), (n - 1, n - 1), (1, n - 2)):
+        mult = groups._realize_cyclic(n)
+        mult[row][col] = entry
+        with pytest.raises(ValueError, match=re.escape(_RANGE)):
+            GroupTable(mult)
+        assert _verdict(reference_validate_table, mult) == _RANGE
+
+
+def test_a_monoid_without_inverses_fails_on_its_rows():
+    """{0, 1} with 1*1 = 1 has identity 0 and is associative, so it passes
+    Light's test; only the lack of 0 in row 1 tells it from a group."""
+    mult = [[0, 1], [1, 1]]
+    assert _verdict(reference_validate_table, mult) == _ROWS
+    for construct in (GroupTable, GroupTable.adopt):
+        with pytest.raises(ValueError, match=re.escape(_ROWS)):
+            construct([list(row) for row in mult])
+
+
+@pytest.mark.parametrize("spec", ["C256", "C2xC128"])
+def test_relabeled_tables_at_the_cap_are_accepted(spec):
+    """Tables of order 256, relabelled and passed through the copying
+    constructor, hold the entry 255 and are proved groups; relabeled
+    validates the copy."""
+    g = group_from_spec(spec)
+    rng = random.Random(spec)
+    perm = [0] + rng.sample(range(1, 256), 255)
+    h = relabeled(g, perm)
+    assert h.order == 256 and h.generators
+    assert_facts_match_reference(h)
+
+
 def _verdict(check, mult):
     try:
         check(mult)
@@ -581,6 +628,7 @@ def assert_facts_match_reference(g):
     generators = list(g.cyclic_subgroups.values())
     assert generators == sorted(generators)
     assert g.is_cyclic == (g.order in orders)
+    assert g.inv == [row.index(0) for row in g.mult]
 
 
 @pytest.mark.parametrize("spec", default_catalog(128) + ["S5", "A5xC2"])

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 import artinx.lattice as lattice_module
 from artinx.artin import artin_exponent_congruence, artin_exponent_marks
 from artinx.burnside import build_mark_table
-from artinx.groups import OrderCapError, group_from_spec
+from artinx.groups import OrderCapError, group_from_spec, prime_factors
 from artinx.lattice import (
     ResourceCapError,
+    _element_order_key,
     _expand_class,
+    _powers,
     check_subgroup,
     closure_mask,
     conjugate_mask,
@@ -477,6 +479,44 @@ def test_class_ordering_and_endpoints():
         ka = (a.order, mask_elements(a.mask))
         kb = (b.order, mask_elements(b.mask))
         assert ka < kb
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_element_order_key_sorts_masks_of_one_size_as_element_tuples(data):
+    """The key _assemble sorts by, on masks of one size over up to 256
+    elements: some drawn at random, some one swap of an element apart."""
+    n = data.draw(st.integers(1, 256))
+    size = data.draw(st.integers(0, n))
+    masks = [sum(1 << x for x in perm[:size])
+             for perm in data.draw(st.lists(st.permutations(range(n)), min_size=1, max_size=6))]
+    if 0 < size < n:
+        for _ in range(data.draw(st.integers(0, 6))):
+            base = data.draw(st.sampled_from(masks))
+            inside = data.draw(st.sampled_from(mask_elements(base)))
+            outside = data.draw(st.sampled_from(mask_elements(base ^ ((1 << n) - 1))))
+            masks.append(base ^ 1 << inside ^ 1 << outside)
+    assert sorted(masks, key=lambda m: _element_order_key(n, m)) == sorted(masks, key=mask_elements)
+
+
+@pytest.mark.parametrize(
+    "spec", default_catalog(128) + ["S4xC2xC2", A5, S5, "perm:(1 2 3 4 5 6 7),(1 2)(3 6)"]
+)
+def test_class_order_is_element_tuple_order(spec):
+    """Classes ascend by (order, element tuple of the representative), and
+    each representative is its class's least conjugate in element order,
+    both read with element lists and not with _assemble's key."""
+    lattice = enumerate_subgroups(group_from_spec(spec))
+    keys = [(c.order, mask_elements(c.mask)) for c in lattice.classes]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert [conj[0] for conj in class_conjugates(lattice)] == [c.mask for c in lattice.classes]
+
+
+@pytest.mark.parametrize("spec", default_catalog(64) + ["S4xC2xC2", A5])
+def test_whole_list_powers_match_one_element_at_a_time(spec):
+    g = group_from_spec(spec)
+    for k in prime_factors(g.order) + [1, 6]:
+        assert _powers(g, k) == [power(g, x, k) for x in range(g.order)], k
 
 
 def test_canonical_representative_is_least_conjugate():
