@@ -34,7 +34,7 @@ from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .burnside import MarkTable, build_mark_table, ghost_denominator
+from .burnside import MarkTable, ghost_denominator
 from .groups import (
     GroupTable,
     as_prime_power,
@@ -46,7 +46,6 @@ from .lattice import (
     SubgroupClass,
     SubgroupLattice,
     check_subgroup,
-    enumerate_subgroups,
     mask_elements,
 )
 
@@ -503,19 +502,17 @@ class SylowComparison(NamedTuple):
         return self.exponent_part == self.sylow_exponent
 
 
-def sylow_reduction_report(
-    group: GroupTable,
-    lattice: SubgroupLattice,
-    family: Family,
-    exponent: int,
-) -> tuple[SylowComparison, ...]:
-    """For each prime p dividing |G|, compare the p-part of the exponent with
-    the exponent of a Sylow p-subgroup P for the restricted family.  The two
-    need not agree in general; this is reported, not asserted.
+def sylow_reduction_report(lattice: SubgroupLattice, family: Family,
+                           exponent: int) -> tuple[SylowComparison, ...]:
+    """For each prime p dividing |G|, G the lattice's group, compare the
+    p-part of the exponent with the exponent of a Sylow p-subgroup P for the
+    restricted family.  The two need not agree in general; this is reported,
+    not asserted.
 
     Each exponent of P is local_exponent's, read off G's lattice, with no
     table, lattice or solve of P's own."""
     out = []
+    group = lattice.group
     for p in prime_factors(group.order):
         sylow_order = p_part(group.order, p)
         part = p_part(exponent, p)
@@ -585,31 +582,28 @@ class ExponentReport:
 
 
 def compute_exponent_report(
-    group: GroupTable,
+    lattice: SubgroupLattice,
+    table: MarkTable,
     spec_text: str,
     family: Family = ALL_CYCLIC,
-    lattice: Optional[SubgroupLattice] = None,
-    table: Optional[MarkTable] = None,
     extra_families: Sequence[Family] = (),
 ) -> ExponentReport:
-    """Compute the exponent by both methods and assemble the report, whose
-    exponent is the marks value.  A mismatch raises MethodDisagreement with
-    that same report.  Method 1's one walk also serves extra_families, whose
-    analyses the report carries unchecked."""
-    if lattice is None:
-        lattice = enumerate_subgroups(group)
+    """Compute the exponent by both methods, method 1 on the lattice and
+    method 2 on its table of marks, and assemble the report, whose exponent
+    is the marks value; the group is the lattice's, and spec_text names it.
+    A mismatch raises MethodDisagreement with that same report.  Method 1's
+    one walk also serves extra_families, whose analyses the report carries
+    unchecked."""
     analysis, *extra = congruence_analysis(lattice, [family, *extra_families])
-    if table is None:
-        table = build_mark_table(lattice)
     exponent = artin_exponent_marks(table, family)
     report = ExponentReport(
         group=spec_text,
-        order=group.order,
+        order=lattice.group.order,
         family=family_label(family),
         exponent=exponent,
         exponent_congruence=analysis.exponent,
         exponent_marks=exponent,
-        prediction=closed_form_predictor(group),
+        prediction=closed_form_predictor(lattice.group),
         prime_parts={p: p_part(exponent, p) for p in prime_factors(exponent)},
         binding_pairs=analysis.binding_pairs,
         extra_analyses=tuple(zip(extra_families, extra)),

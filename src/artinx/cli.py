@@ -81,7 +81,7 @@ def _lattice_labels(lattice: SubgroupLattice) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _print_report(report: ExponentReport, lattice: SubgroupLattice, audit: bool) -> None:
+def _print_report(report: ExponentReport, lattice: SubgroupLattice) -> None:
     labels = _lattice_labels(lattice)
     print(f"group: {report.group} (order {report.order})")
     print(f"family: {report.family}")
@@ -106,21 +106,20 @@ def _print_report(report: ExponentReport, lattice: SubgroupLattice, audit: bool)
             f"  U={labels[pair.u_class]} normal in V={labels[pair.v_class]}: "
             f"index {pair.index}, count {pair.count}, forces {pair.constraint}"
         )
-    if audit:
+    if report.pairs is not None:  # set by compute --audit alone
         if report.prediction.details:
             rules = ", ".join(
                 f"{name}={value}" for name, value in sorted(report.prediction.details.items())
             )
             print(f"prediction rules: {rules}")
-        if report.pairs is not None:
-            binding = set(report.binding_pairs)
-            print(f"congruence audit ({len(report.pairs)} pairs, * = binding):")
-            for pair in report.pairs:
-                star = "*" if pair in binding else " "
-                print(
-                    f" {star} U={labels[pair.u_class]} normal in V={labels[pair.v_class]}: "
-                    f"index {pair.index}, count {pair.count}, constraint {pair.constraint}"
-                )
+        binding = set(report.binding_pairs)
+        print(f"congruence audit ({len(report.pairs)} pairs, * = binding):")
+        for pair in report.pairs:
+            star = "*" if pair in binding else " "
+            print(
+                f" {star} U={labels[pair.u_class]} normal in V={labels[pair.v_class]}: "
+                f"index {pair.index}, count {pair.count}, constraint {pair.constraint}"
+            )
         if report.sylow is not None:
             print("sylow comparison (report-only):")
             for row in report.sylow:
@@ -134,16 +133,16 @@ def _print_report(report: ExponentReport, lattice: SubgroupLattice, audit: bool)
 
 def cmd_compute(args: argparse.Namespace) -> int:
     text, group = _prepare(args.group)
+    family = _parse_family(args.family_classes)  # before anything is built
     lattice = cached_lattice(group, text, args.cache)
-    family = _parse_family(args.family_classes)
-    report = compute_exponent_report(group, text, family=family, lattice=lattice)
+    report = compute_exponent_report(lattice, build_mark_table(lattice), text, family)
     if args.audit:
         report.pairs = tuple(congruence_pairs(lattice, family))
-        report.sylow = sylow_reduction_report(group, lattice, family, report.exponent)
+        report.sylow = sylow_reduction_report(lattice, family, report.exponent)
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
     else:
-        _print_report(report, lattice, args.audit)
+        _print_report(report, lattice)
     return 0
 
 

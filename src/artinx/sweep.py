@@ -92,8 +92,9 @@ def random_families(spec_text: str, class_count: int):
 
 
 # ---------------------------------------------------------------------------
-# individual check suites: each takes (spec, group, lattice, table, report)
-# and returns a status plus failures/notes
+# individual check suites: each takes (lattice, table, report), reads the
+# group from lattice.group and its spec from report.group, and returns a
+# status plus failures/notes
 # ---------------------------------------------------------------------------
 
 
@@ -104,11 +105,11 @@ def _failure(spec: str, check: str, expected, got, context: str = "") -> dict:
     return entry
 
 
-def _check_crossmethod(spec, group, lattice, table, report) -> tuple[str, list, list]:
+def _check_crossmethod(lattice, table, report) -> tuple[str, list, list]:
     """The cyclic family, whose two exponents the report compared, then the
     random families: the report carries their method 1 analyses, from the
     one walk that served its cyclic family, and each gets one solve here."""
-    failures = []
+    spec, failures = report.group, []
     if not report.methods_agree:
         failures.append(_failure(spec, "crossmethod", report.exponent_congruence,
                                  report.exponent_marks, "family cyclic"))
@@ -120,26 +121,26 @@ def _check_crossmethod(spec, group, lattice, table, report) -> tuple[str, list, 
     return ("fail" if failures else "ok"), failures, []
 
 
-def _check_cyclic(spec, group, lattice, table, report) -> tuple[str, list, list]:
+def _check_cyclic(lattice, table, report) -> tuple[str, list, list]:
     exponent = report.exponent
-    if group.is_cyclic:
+    if lattice.group.is_cyclic:
         if exponent != 1:
-            return "fail", [_failure(spec, "cyclic", 1, exponent, "cyclic group")], []
+            return "fail", [_failure(report.group, "cyclic", 1, exponent, "cyclic group")], []
     elif exponent == 1:
-        return "fail", [_failure(spec, "cyclic", "> 1", 1, "noncyclic group")], []
+        return "fail", [_failure(report.group, "cyclic", "> 1", 1, "noncyclic group")], []
     return "ok", [], []
 
 
-def _check_oddp(spec, group, lattice, table, report) -> tuple[str, list, list]:
+def _check_oddp(lattice, table, report) -> tuple[str, list, list]:
     prediction = report.prediction
     if prediction.branch != "odd p-group":
         return "skip", [], []
     if report.exponent != prediction.value:
-        return "fail", [_failure(spec, "oddp", prediction.value, report.exponent)], []
+        return "fail", [_failure(report.group, "oddp", prediction.value, report.exponent)], []
     return "ok", [], []
 
 
-def _check_twogroup(spec, group, lattice, table, report) -> tuple[str, list, list]:
+def _check_twogroup(lattice, table, report) -> tuple[str, list, list]:
     shape, details = report.prediction.shape, report.prediction.details
     if shape is None:
         return "skip", [], []
@@ -149,43 +150,43 @@ def _check_twogroup(spec, group, lattice, table, report) -> tuple[str, list, lis
     cor_value = details.get("bracket-whole-group")
     if exponent != thm_value:
         notes.append({
-            "group": spec, "check": "twogroup",
+            "group": report.group, "check": "twogroup",
             "message": f"computed {exponent} vs power-formula value {thm_value} "
                        f"(shape {shape}) -- mismatch (report-only)",
         })
     if cor_value is not None and shape in ("quaternion", "dihedral", "semidihedral") \
             and exponent != cor_value:
         notes.append({
-            "group": spec, "check": "twogroup",
+            "group": report.group, "check": "twogroup",
             "message": f"computed {exponent} vs cyclic-commutator-rule value {cor_value} "
                        f"(shape {shape}) -- mismatch (report-only)",
         })
     return "report", [], notes
 
 
-def _check_conductor(spec, group, lattice, table, report) -> tuple[str, list, list]:
+def _check_conductor(lattice, table, report) -> tuple[str, list, list]:
     """The conductor equals |G| for every finite G: the congruence at U = 1
     forces |G| to divide it, and |G| times any ghost vector comes from the
     Burnside ring.  So this tests the solver and the table of marks, not a
     property of the group."""
-    if group.order > CONDUCTOR_ORDER_CAP:
+    if report.order > CONDUCTOR_ORDER_CAP:
         return "skip", [], []
     got = conductor(table)
-    if got != group.order:
-        return "fail", [_failure(spec, "conductor", group.order, got)], []
+    if got != report.order:
+        return "fail", [_failure(report.group, "conductor", report.order, got)], []
     return "ok", [], []
 
 
-def _check_sylow(spec, group, lattice, table, report) -> tuple[str, list, list]:
+def _check_sylow(lattice, table, report) -> tuple[str, list, list]:
     """The Sylow comparison for the report's cyclic family, read off the
     lattice; it goes on the report, which evaluate_group writes after the
     suites have run."""
-    report.sylow = sylow_reduction_report(group, lattice, ALL_CYCLIC, report.exponent)
+    report.sylow = sylow_reduction_report(lattice, ALL_CYCLIC, report.exponent)
     notes = []
     for comparison in report.sylow:
         if not comparison.match:
             notes.append({
-                "group": spec, "check": "sylow",
+                "group": report.group, "check": "sylow",
                 "message": f"p={comparison.p}: exponent part {comparison.exponent_part} "
                            f"vs Sylow-subgroup exponent {comparison.sylow_exponent} "
                            f"-- mismatch (report-only)",
@@ -193,7 +194,7 @@ def _check_sylow(spec, group, lattice, table, report) -> tuple[str, list, list]:
     return "report", [], notes
 
 
-def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]:
+def _check_lemmas(lattice, table, report) -> tuple[str, list, list]:
     """Counting-set checks over every (H, U) with H a p-subgroup (one per
     conjugacy class) and U a cyclic subgroup normal in H:
 
@@ -204,7 +205,7 @@ def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]
     - for 2-groups with |U| = 2 and [H,H] <= U, an odd count forces H
       cyclic or nonabelian of order 8.
     """
-    failures = []
+    group, spec, failures = lattice.group, report.group, []
     for H in lattice.classes:
         pp = as_prime_power(H.order)
         if pp is None:
@@ -241,16 +242,13 @@ def _check_lemmas(spec, group, lattice, table, report) -> tuple[str, list, list]
 def evaluate_group(spec_text: str) -> dict:
     """Run every suite for one group; the unit of parallel work."""
     started = time.perf_counter()
-    group = group_from_spec(spec_text)
-    lattice = enumerate_subgroups(group)
+    lattice = enumerate_subgroups(group_from_spec(spec_text))
     table = build_mark_table(lattice)
 
     # the crossmethod suite's families ride on the report's method 1 walk
     families = list(random_families(spec_text, len(lattice.classes)))
     try:
-        report = compute_exponent_report(
-            group, spec_text, lattice=lattice, table=table, extra_families=families,
-        )
+        report = compute_exponent_report(lattice, table, spec_text, extra_families=families)
     except MethodDisagreement as err:
         report = err.report  # the crossmethod suite records the disagreement
     failures: list[dict] = []
@@ -259,7 +257,7 @@ def evaluate_group(spec_text: str) -> dict:
     for name in CHECK_NAMES:
         # looked up at call time, so a replaced suite is the one that runs
         suite = globals()[f"_check_{name}"]
-        statuses[name], f, n = suite(spec_text, group, lattice, table, report)
+        statuses[name], f, n = suite(lattice, table, report)
         failures += f
         notes += n
 

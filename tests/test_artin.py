@@ -774,8 +774,8 @@ def test_c_set_parity_detects_cyclicity(spec, cyclic):
 def cyclic_sylow_report(spec):
     """The Sylow comparison for the cyclic family against its exponent."""
     g, lattice = setup_group(spec)
-    exponent = compute_exponent_report(g, spec, lattice=lattice).exponent
-    return sylow_reduction_report(g, lattice, ALL_CYCLIC, exponent)
+    exponent = compute_exponent_report(lattice, build_mark_table(lattice), spec).exponent
+    return sylow_reduction_report(lattice, ALL_CYCLIC, exponent)
 
 
 def test_sylow_report_q8():
@@ -819,7 +819,7 @@ def test_sylow_report_matches_standalone_subgroup(spec):
     table = build_mark_table(lattice)
     for family in [ALL_CYCLIC, *islice(random_families(spec, len(lattice.classes)), 4)]:
         exponent = artin_exponent_marks(table, family)
-        assert sylow_reduction_report(g, lattice, family, exponent) == \
+        assert sylow_reduction_report(lattice, family, exponent) == \
             standalone_sylow_report(g, lattice, family, exponent), (spec, family)
 
 
@@ -838,22 +838,20 @@ def test_sylow_report_builds_no_table_or_lattice(monkeypatch):
 
     monkeypatch.setattr(groups_module, "_validate_table",
                         counted("validate", groups_module._validate_table))
-    for module in (artin_module, lattice_module):
-        monkeypatch.setattr(module, "enumerate_subgroups",
-                            counted("enumerate", module.enumerate_subgroups))
-    for module in (artin_module, burnside_module):
-        monkeypatch.setattr(module, "build_mark_table",
-                            counted("marks", module.build_mark_table))
+    monkeypatch.setattr(lattice_module, "enumerate_subgroups",
+                        counted("enumerate", lattice_module.enumerate_subgroups))
+    monkeypatch.setattr(burnside_module, "build_mark_table",
+                        counted("marks", burnside_module.build_mark_table))
     monkeypatch.setattr(burnside_module, "solve_membership",
                         counted("solve", burnside_module.solve_membership))
-    rows = sylow_reduction_report(g, lattice, ALL_CYCLIC, 2)
+    rows = sylow_reduction_report(lattice, ALL_CYCLIC, 2)
     assert [(s.p, s.sylow_order) for s in rows] == [(2, 32), (3, 3)]
     assert calls == {}
 
 
 def test_report_both_methods():
     g, lattice = setup_group("SD16")
-    rep = compute_exponent_report(g, "SD16", lattice=lattice)
+    rep = compute_exponent_report(lattice, build_mark_table(lattice), "SD16")
     assert rep.exponent == rep.exponent_congruence == rep.exponent_marks == 4
     assert rep.methods_agree is True
     assert rep.prediction_matches is True
@@ -865,9 +863,9 @@ def test_report_both_methods():
 
 def test_report_to_dict_shape():
     g, lattice = setup_group("S3")
-    report = compute_exponent_report(g, "S3", lattice=lattice)
+    report = compute_exponent_report(lattice, build_mark_table(lattice), "S3")
     assert "sylow" not in report_to_dict(report)
-    report.sylow = sylow_reduction_report(g, lattice, ALL_CYCLIC, report.exponent)
+    report.sylow = sylow_reduction_report(lattice, ALL_CYCLIC, report.exponent)
     d = report_to_dict(report)
     assert d["group"] == "S3" and d["order"] == 6
     assert d["exponent"] == 2 and d["methods_agree"] is True
@@ -881,7 +879,7 @@ def test_report_to_dict_shape():
 
 def test_method_disagreement_attributes():
     g, lattice = setup_group("S3")
-    report = compute_exponent_report(g, "S3", lattice=lattice)
+    report = compute_exponent_report(lattice, build_mark_table(lattice), "S3")
     report.exponent_congruence = 4
     err = MethodDisagreement(report)
     assert err.report is report

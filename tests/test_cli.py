@@ -348,6 +348,25 @@ def test_bad_family_classes_exit_one(capsys):
         assert "comma-separated" in err
 
 
+def test_bad_family_classes_fail_before_anything_is_built(tmp_path, capsys, monkeypatch):
+    """--family-classes is read right after the group spec, so a bad value
+    exits 1 before any lattice is enumerated or cache entry written, and a
+    bad group spec still fails first."""
+    def no_enumeration(group):
+        raise AssertionError("enumerated before --family-classes was read")
+
+    monkeypatch.setattr(lattice_module, "enumerate_subgroups", no_enumeration)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    argv = ["compute", "--group", "S3", "--family-classes", "x", "--cache", str(cache)]
+    assert run_cli(argv, capsys) == (
+        1, "", "error: --family-classes wants comma-separated integers, got 'x'\n")
+    assert list(cache.iterdir()) == []
+    code, out, err = run_cli(["compute", "--group", "S3x", "--family-classes", "x"], capsys)
+    assert (code, out) == (1, "")
+    assert "--family-classes" not in err
+
+
 @pytest.mark.parametrize("option", ["--max-order", "--jobs"])
 @pytest.mark.parametrize("value", ["x", "+4", "0_4", "\u0668", "\uff14"])
 def test_bad_sweep_integers_exit_one(option, value, capsys):
@@ -505,8 +524,8 @@ def test_sweep_conductor_passes(capsys):
 
 
 def test_sweep_failure_exits_two(capsys, monkeypatch):
-    def broken(spec, group, lattice, table, report):
-        return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
+    def broken(lattice, table, report):
+        return "fail", [{"group": report.group, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
     code, out, _ = run_cli(["sweep", "--max-order", "4"], capsys)

@@ -27,6 +27,7 @@ from artinx.artin import (
     count_C_sets,
     family_members,
 )
+from artinx.burnside import build_mark_table
 from artinx.groups import OrderCapError, as_prime_power, group_from_spec
 from artinx.lattice import (
     IncompleteLattice,
@@ -445,7 +446,7 @@ def test_kept_pairs_count_every_skeleton_pair_once(spec, monkeypatch):
     congruence_analysis(lattice, [ALL_CYCLIC])
     skipping = Counter(calls)
     calls.clear()
-    report = compute_exponent_report(g, spec, lattice=lattice)
+    report = compute_exponent_report(lattice, build_mark_table(lattice), spec)
     assert calls == skipping
     assert report.pairs is None
 

@@ -115,7 +115,8 @@ def test_mutable_records_take_new_values_but_no_new_fields():
     """ExponentReport, whose pairs and sylow callers set, is the one
     mutable record; method 1's analysis and the mark table are named
     tuples, changed only by _replace."""
-    report = compute_exponent_report(group_from_spec("S3"), "S3")
+    lattice = enumerate_subgroups(group_from_spec("S3"))
+    report = compute_exponent_report(lattice, build_mark_table(lattice), "S3")
     report.sylow = ()
     report.exponent_congruence *= 2
     assert (report.sylow, report.exponent_congruence) == ((), 4)

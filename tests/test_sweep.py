@@ -1,12 +1,15 @@
 """Catalog generation, check suites, sweep driver, summary serialization."""
 
+import inspect
 import json
 from collections import Counter
 
 import pytest
 
 from artinx import artin, sweep
+from artinx.burnside import build_mark_table
 from artinx.groups import group_from_spec, parse_group_spec, spec_order
+from artinx.lattice import enumerate_subgroups
 from artinx.sweep import (
     CHECK_NAMES,
     CONDUCTOR_ORDER_CAP,
@@ -144,6 +147,27 @@ def test_evaluate_group_statuses_follow_check_names():
     assert list(row["statuses"]) == list(CHECK_NAMES)
 
 
+def test_every_computation_reads_its_group_from_the_lattice():
+    """One handle: artin builds no lattice or table of marks, a report
+    reads the group's order and prediction from the lattice it is given,
+    and every suite takes (lattice, table, report), with no group or spec."""
+    assert not hasattr(artin, "enumerate_subgroups")
+    assert not hasattr(artin, "build_mark_table")
+    q8 = group_from_spec("Q8")
+    lattice = enumerate_subgroups(q8)
+    report = artin.compute_exponent_report(lattice, build_mark_table(lattice), "Q8")
+    assert (report.group, report.order, report.exponent) == ("Q8", 8, 2)
+    assert report.prediction == artin.closed_form_predictor(q8)
+    assert report.prediction[:2] == (2, "Q or D") and report.prediction.shape == "quaternion"
+    assert list(inspect.signature(artin.compute_exponent_report).parameters) == \
+        ["lattice", "table", "spec_text", "family", "extra_families"]
+    assert list(inspect.signature(artin.sylow_reduction_report).parameters) == \
+        ["lattice", "family", "exponent"]
+    for name in CHECK_NAMES:
+        suite = getattr(sweep, f"_check_{name}")
+        assert list(inspect.signature(suite).parameters) == ["lattice", "table", "report"], name
+
+
 def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
     """Each lemma check that fails adds one failure, in check order, naming
     the check, the values it saw, and H and U: here one report for H = U =
@@ -225,10 +249,9 @@ def test_random_family_analyses_equal_a_call_of_their_own(spec):
     """Riding on the report's walk changes no random family's analysis:
     the report carries each family with what a call for the random families
     alone gives."""
-    group = group_from_spec(spec)
-    lattice = artin.enumerate_subgroups(group)
+    lattice = enumerate_subgroups(group_from_spec(spec))
     families = list(random_families(spec, len(lattice.classes)))
-    report = artin.compute_exponent_report(group, spec, lattice=lattice,
+    report = artin.compute_exponent_report(lattice, build_mark_table(lattice), spec,
                                            extra_families=families)
     assert report.extra_analyses == tuple(zip(families, artin.congruence_analysis(lattice, families)))
     assert "extra_analyses" not in json.dumps(artin.report_to_dict(report))
@@ -245,13 +268,13 @@ def test_disagreement_carries_the_random_family_analyses(monkeypatch):
         analyses[0] = analyses[0]._replace(exponent=analyses[0].exponent * 2)
         return analyses
 
-    group = group_from_spec("S4")
-    lattice = artin.enumerate_subgroups(group)
+    lattice = enumerate_subgroups(group_from_spec("S4"))
     families = list(random_families("S4", len(lattice.classes)))
     expected = tuple(zip(families, real(lattice, families)))
     monkeypatch.setattr(artin, "congruence_analysis", skewed)
     with pytest.raises(artin.MethodDisagreement) as err:
-        artin.compute_exponent_report(group, "S4", lattice=lattice, extra_families=families)
+        artin.compute_exponent_report(lattice, build_mark_table(lattice), "S4",
+                                      extra_families=families)
     assert err.value.report.extra_analyses == expected
     row = evaluate_group("S4")
     assert row["statuses"]["crossmethod"] == "fail"
@@ -294,15 +317,14 @@ def test_evaluate_group_disagreement_runs_the_report_once(monkeypatch):
     row = evaluate_group("S3")
     assert calls == {"marks": 1, "predictor": 1, "sylow": 1}
 
-    group = group_from_spec("S3")
+    lattice = enumerate_subgroups(group_from_spec("S3"))
     with pytest.raises(artin.MethodDisagreement) as err:
-        artin.compute_exponent_report(group, "S3")
+        artin.compute_exponent_report(lattice, build_mark_table(lattice), "S3")
     carried = err.value.report
     assert (carried.exponent_congruence, carried.exponent_marks) == (4, 2)
     assert [p.constraint for p in carried.binding_pairs] == [2]
     assert carried.sylow is None
-    carried.sylow = real_sylow(group, artin.enumerate_subgroups(group), artin.ALL_CYCLIC,
-                               carried.exponent)
+    carried.sylow = real_sylow(lattice, artin.ALL_CYCLIC, carried.exponent)
     assert row["report"] == artin.report_to_dict(carried)
 
 
@@ -399,8 +421,8 @@ def test_sweep_pool_is_no_larger_than_the_catalog(monkeypatch):
 
 
 def test_sweep_failure_surfaces(monkeypatch):
-    def broken(spec, group, lattice, table, report):
-        return "fail", [{"group": spec, "check": "cyclic", "expected": "1", "got": "9"}], []
+    def broken(lattice, table, report):
+        return "fail", [{"group": report.group, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
     result = run_sweep(SweepConfig(max_order=4))
