@@ -30,7 +30,6 @@ congruence code reaches method 2.
 
 from __future__ import annotations
 
-from itertools import groupby
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -43,7 +42,6 @@ from .groups import (
 )
 from .lattice import (
     IncompleteLattice,
-    SubgroupClass,
     SubgroupLattice,
     check_subgroup,
     mask_elements,
@@ -240,21 +238,19 @@ def artin_exponent_congruence(lattice: SubgroupLattice, family: Family = ALL_CYC
     return congruence_analysis(lattice, [family])[0].exponent
 
 
-def local_exponent(lattice: SubgroupLattice, h_mask: int, family: Family = ALL_CYCLIC) -> int:
-    """The exponent of a subgroup H, a class representative, for the family
+def local_exponent(lattice: SubgroupLattice, h: int, family: Family = ALL_CYCLIC) -> int:
+    """The exponent of H, the representative of class h, for the family
     restricted to H, read off G's lattice by Dress's congruences (Dress
     1969; tom Dieck, LNM 766): n * e_F comes from B(H) exactly when, for
     every U <= H, with V = N_H(U) and w = |V : U|, w divides n * c_U, where
     c_U counts the cosets vU of V/U whose <v, U> lies in F.  So the exponent
-    is the lcm of w / gcd(w, c_U).  N_H(U) is N_G(U) & H, c_U sums the
-    family's classes (of G) from the one coset tally, and a U whose w
-    divides the running exponent is skipped."""
-    h_idx = lattice.class_of.get(h_mask)
-    if h_idx is None or lattice.classes[h_idx].mask != h_mask:
-        raise ValueError(f"mask {h_mask:#x} is not a class representative of this lattice")
+    is the lcm of w / gcd(w, c_U).  The U are the lattice's below[h],
+    N_H(U) is N_G(U) & H, c_U sums the family's classes (of G) from the one
+    coset tally, and a U whose w divides the running exponent is skipped."""
+    h_mask = lattice.classes[h].mask
     members = family_members([c.is_cyclic for c in lattice.classes], family)
     exponent = 1
-    for u_mask in lattice.below[h_idx]:
+    for u_mask in lattice.below[h]:
         v_mask = lattice.normalizers[u_mask] & h_mask
         w = v_mask.bit_count() // u_mask.bit_count()
         if exponent % w == 0:
@@ -422,68 +418,38 @@ class CSetReport(NamedTuple):
         return len(self.c_prime_masks)
 
 
-def _cyclic_by_order(group: GroupTable, elements: Sequence[int]) -> dict[int, list[int]]:
-    """The cyclic subgroups <h> of the h in elements, grouped by order."""
-    cyclic = sorted(set(map(group.cyclic_mask, elements)), key=int.bit_count)
-    return {order: list(masks) for order, masks in groupby(cyclic, int.bit_count)}
-
-
-def _c_set_report(p: int, cyclic: dict[int, list[int]], normal: frozenset[int], u_mask: int,
-                  h_prime: int) -> CSetReport:
-    """The counts for a cyclic U normal in a p-group H, from H's cyclic
-    subgroups by order, the normal ones among them, and H'(U).  Every cyclic
-    V with U <= V and (V:U) = p is one of H's cyclic subgroups, of order p|U|."""
-    c_masks = frozenset(m for m in cyclic.get(p * u_mask.bit_count(), ()) if not u_mask & ~m)
-    return CSetReport(c_masks, c_masks & normal, h_prime,
-                      frozenset(m for m in c_masks if not m & ~h_prime))
-
-
-def count_C_sets(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
-    """Count cyclic index-p extensions of U in H, for H a nontrivial p-group
-    and U cyclic and normal in H, with no lattice at hand: the bracket rows
-    run over every element of H, so a subgroup M is normal in H exactly
-    when M <= H'(M), and H'(U) is proved a subgroup by checking its
-    closure."""
-    pp = as_prime_power(h_mask.bit_count())
-    if pp is None:
-        raise ValueError("H must be a nontrivial p-group")
-    if u_mask not in group.cyclic_subgroups:
-        raise ValueError("U must be cyclic")
-    if u_mask & h_mask != u_mask:
-        raise ValueError("inner subgroup is not contained in the outer one")
-    elements = mask_elements(h_mask)
-    rows = bracket_rows(group, elements, elements)
-    h_prime = bracket_preimage(rows, u_mask)
-    if u_mask & h_prime != u_mask:
-        raise ValueError("U must be normal in H")
-    check_subgroup(group, h_prime)
-    cyclic = _cyclic_by_order(group, elements)
-    normal = frozenset(m for c in cyclic.values() for m in c if not m & ~bracket_preimage(rows, m))
-    return _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
-
-
-def c_set_reports(lattice: SubgroupLattice, cls: SubgroupClass):
-    """Yield (U, count_C_sets(group, H, U)) for every cyclic U normal in H,
-    the class's representative, ascending by mask.  Normality is read off
-    the lattice's normalizers, and H'(U) off bracket rows over the class's
-    recorded generators, taken once.  Each H'(U) is proved a subgroup by
-    finding it in the lattice; a miss means the lattice lacks a subgroup,
-    and raises."""
-    group, h_mask = lattice.group, cls.mask
-    pp = as_prime_power(h_mask.bit_count())
+def count_C_sets(lattice: SubgroupLattice, h: int) -> list[tuple[int, CSetReport]]:
+    """(U, report) for every cyclic U normal in H, the representative of
+    class h, a nontrivial p-group, ascending by mask.  Every cyclic V with
+    U <= V and (V:U) = p is one of H's cyclic subgroups, of order p|U|.
+    Normality is read off the lattice's normalizers, and H'(U) off bracket
+    rows over the class's recorded generators, taken once.  Each H'(U) is
+    proved a subgroup by finding it in the lattice; a miss means the lattice
+    lacks a subgroup, and raises.  A list, not a generator, so that a call
+    does all of its work before it returns."""
+    group, cls = lattice.group, lattice.classes[h]
+    h_mask = cls.mask
+    pp = as_prime_power(cls.order)
     if pp is None:
         raise ValueError("H must be a nontrivial p-group")
     elements = mask_elements(h_mask)
-    cyclic = _cyclic_by_order(group, elements)
-    normal = frozenset(m for ms in cyclic.values() for m in ms
+    by_order: dict[int, list[int]] = {}  # H's cyclic subgroups by order
+    for m in set(map(group.cyclic_mask, elements)):
+        by_order.setdefault(m.bit_count(), []).append(m)
+    normal = frozenset(m for ms in by_order.values() for m in ms
                        if not h_mask & ~lattice.normalizers[m])
     rows = bracket_rows(group, elements, cls.generators)
+    out = []
     for u_mask in sorted(normal):
         h_prime = bracket_preimage(rows, u_mask)
         if h_prime not in lattice.class_of:
             raise IncompleteLattice(f"H'(U) = {h_prime:#x} is missing from the lattice; "
                                     "the lattice is incomplete")
-        yield u_mask, _c_set_report(pp[0], cyclic, normal, u_mask, h_prime)
+        c_masks = frozenset(m for m in by_order.get(pp[0] * u_mask.bit_count(), ())
+                            if not u_mask & ~m)
+        out.append((u_mask, CSetReport(c_masks, c_masks & normal, h_prime,
+                                       frozenset(m for m in c_masks if not m & ~h_prime))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +475,9 @@ def sylow_reduction_report(lattice: SubgroupLattice, family: Family,
     restricted family.  The two need not agree in general; this is reported,
     not asserted.
 
-    Each exponent of P is local_exponent's, read off G's lattice, with no
-    table, lattice or solve of P's own."""
+    Each exponent of P is local_exponent's on the first class of order
+    |G|_p, read off G's lattice, with no table, lattice or solve of P's
+    own."""
     out = []
     group = lattice.group
     for p in prime_factors(group.order):
@@ -519,9 +486,8 @@ def sylow_reduction_report(lattice: SubgroupLattice, family: Family,
         if sylow_order == group.order:
             out.append(SylowComparison(p, part, sylow_order, exponent))
             continue
-        sylow_mask = next(c.mask for c in lattice.classes if c.order == sylow_order)
-        out.append(SylowComparison(p, part, sylow_order,
-                                   local_exponent(lattice, sylow_mask, family)))
+        sylow = next(i for i, c in enumerate(lattice.classes) if c.order == sylow_order)
+        out.append(SylowComparison(p, part, sylow_order, local_exponent(lattice, sylow, family)))
     return tuple(out)
 
 

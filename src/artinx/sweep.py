@@ -21,7 +21,7 @@ from .artin import (
     MethodDisagreement,
     artin_exponent_marks,
     compute_exponent_report,
-    c_set_reports,
+    count_C_sets,
     report_to_dict,
     sylow_reduction_report,
 )
@@ -196,7 +196,8 @@ def _check_sylow(lattice, table, report) -> tuple[str, list, list]:
 
 def _check_lemmas(lattice, table, report) -> tuple[str, list, list]:
     """Counting-set checks over every (H, U) with H a p-subgroup (one per
-    conjugacy class) and U a cyclic subgroup normal in H:
+    conjugacy class) and U a cyclic subgroup normal in H, each class's
+    reports from one count_C_sets(lattice, h) call:
 
     - the full and normal-members extension counts agree mod p;
     - the normal members are exactly the extensions inside H';
@@ -206,7 +207,7 @@ def _check_lemmas(lattice, table, report) -> tuple[str, list, list]:
       cyclic or nonabelian of order 8.
     """
     group, spec, failures = lattice.group, report.group, []
-    for H in lattice.classes:
+    for h, H in enumerate(lattice.classes):
         pp = as_prime_power(H.order)
         if pp is None:
             continue
@@ -215,7 +216,7 @@ def _check_lemmas(lattice, table, report) -> tuple[str, list, list]:
         # H <= C_G(H) exactly when its recorded generators commute pairwise
         abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
         cyclic_h = H.is_cyclic
-        for u_mask, r in c_set_reports(lattice, H):
+        for u_mask, r in count_C_sets(lattice, h):
             u_order, count = u_mask.bit_count(), r.c_count
             bad = []  # (expected, got) per failed check
             if (count - r.c_prime_count) % p:

@@ -25,7 +25,8 @@ relation search, the centralizer and second-center pair scans with the
 predictor's bracket rules read off them and the closure-checked
 center-only bracket rule, method 1's walk with a family list per pair, the
 per-h bracket preimage scan and the lemma suite's reports by scanning every
-cyclic subgroup for each U, and a hypothesis strategy of random perm: specs.
+cyclic subgroup for each U, one pair's report with no lattice at hand, and a
+hypothesis strategy of random perm: specs.
 """
 
 import functools
@@ -47,6 +48,8 @@ from artinx.artin import (
     Family,
     SylowComparison,
     artin_exponent_marks,
+    bracket_preimage,
+    bracket_rows,
     family_members,
 )
 from artinx import burnside
@@ -70,7 +73,6 @@ from artinx.groups import (
     tabulate,
 )
 from artinx.lattice import (
-    SubgroupClass,
     SubgroupLattice,
     _assemble,
     _expand_class,
@@ -1031,15 +1033,14 @@ def reference_bracket_preimage(
     return out
 
 
-def reference_c_set_reports(
-    lattice: SubgroupLattice, cls: SubgroupClass
-) -> list[tuple[int, CSetReport]]:
-    """(U, report) for every cyclic U normal in the p-group H, the class's
-    representative, ascending by mask: normality by conjugation, H'(U) by
-    the per-h scan over the class's generators, and for each U a scan of
-    all of H's cyclic subgroups for the extensions of order p|U| that
-    contain U."""
-    group, h_mask, generators = lattice.group, cls.mask, cls.generators
+def reference_c_set_reports(lattice: SubgroupLattice, h: int) -> list[tuple[int, CSetReport]]:
+    """(U, report) for every cyclic U normal in the p-group H, the
+    representative of class h, ascending by mask: normality by conjugation,
+    H'(U) by the per-h scan over the class's generators, and for each U a
+    scan of all of H's cyclic subgroups for the extensions of order p|U|
+    that contain U."""
+    group, cls = lattice.group, lattice.classes[h]
+    h_mask, generators = cls.mask, cls.generators
     p = as_prime_power(h_mask.bit_count())[0]
     elements = mask_elements(h_mask)
     cyclic = sorted({group.cyclic_mask(x) for x in elements})
@@ -1052,6 +1053,34 @@ def reference_c_set_reports(
         out.append((u_mask, CSetReport(c_masks, c_masks & normal, h_prime,
                                        frozenset(m for m in c_masks if not m & ~h_prime))))
     return out
+
+
+def standalone_c_set_report(group: GroupTable, h_mask: int, u_mask: int) -> CSetReport:
+    """The lemma suite's report for one pair with no lattice at hand, for H
+    a nontrivial p-group and U cyclic and normal in H: H is proved a
+    subgroup first, the bracket rows run over every element of H, so a
+    subgroup M is normal in H exactly when M <= H'(M), and H'(U) is proved
+    a subgroup by checking its closure."""
+    check_subgroup(group, h_mask)
+    pp = as_prime_power(h_mask.bit_count())
+    if pp is None:
+        raise ValueError("H must be a nontrivial p-group")
+    if u_mask not in group.cyclic_subgroups:
+        raise ValueError("U must be cyclic")
+    if u_mask & h_mask != u_mask:
+        raise ValueError("inner subgroup is not contained in the outer one")
+    elements = mask_elements(h_mask)
+    rows = bracket_rows(group, elements, elements)
+    h_prime = bracket_preimage(rows, u_mask)
+    if u_mask & h_prime != u_mask:
+        raise ValueError("U must be normal in H")
+    check_subgroup(group, h_prime)
+    cyclic = {group.cyclic_mask(x) for x in elements}
+    normal = frozenset(m for m in cyclic if not m & ~bracket_preimage(rows, m))
+    c_masks = frozenset(m for m in cyclic
+                        if m.bit_count() == pp[0] * u_mask.bit_count() and not u_mask & ~m)
+    return CSetReport(c_masks, c_masks & normal, h_prime,
+                      frozenset(m for m in c_masks if not m & ~h_prime))
 
 
 def reference_order2_center_rules(group: GroupTable) -> Optional[dict[str, int]]:

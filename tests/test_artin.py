@@ -21,7 +21,6 @@ from artinx.artin import (
     artin_exponent_marks,
     bracket_preimage,
     bracket_rows,
-    c_set_reports,
     closed_form_predictor,
     compute_exponent_report,
     congruence_analysis,
@@ -44,6 +43,7 @@ from artinx.groups import (
 from artinx.lattice import enumerate_subgroups, mask_elements
 from artinx.sweep import default_catalog, random_families
 
+import oracles
 from oracles import (
     brute_force_artin_exponent,
     brute_force_cyclic_coset_count,
@@ -61,6 +61,7 @@ from oracles import (
     reference_recognize_2group,
     reference_second_center,
     relabeled,
+    standalone_c_set_report,
     standalone_sylow_report,
     subgroup_as_group,
 )
@@ -674,9 +675,14 @@ def test_subgroup_as_group_rejects_non_closed():
 # ---------------------------------------------------------------------------
 
 
+def top_reports(lattice):
+    """count_C_sets's reports for the whole group, the last class, by U."""
+    return dict(count_C_sets(lattice, len(lattice.classes) - 1))
+
+
 def test_c_sets_c9():
-    g, _ = setup_group("C9")
-    r = count_C_sets(g, full_mask(g), g.cyclic_mask(3))
+    g, lattice = setup_group("C9")
+    r = top_reports(lattice)[g.cyclic_mask(3)]
     assert (r.c_count, r.c_prime_count) == (1, 1)
     assert r.c_masks == {full_mask(g)}
 
@@ -684,45 +690,62 @@ def test_c_sets_c9():
 def test_c_sets_elementary_abelian():
     g, lattice = setup_group("C3xC3")
     u = class_rep_mask(lattice, order=3)
-    r = count_C_sets(g, full_mask(g), u)
+    r = top_reports(lattice)[u]
     assert (r.c_count, r.c_prime_count) == (0, 0)
 
 
 def test_c_sets_q8_center():
     g, lattice = setup_group("Q8")
     z = class_rep_mask(lattice, order=2)
-    r = count_C_sets(g, full_mask(g), z)
+    r = top_reports(lattice)[z]
     assert (r.c_count, r.c_prime_count) == (3, 3)
     assert r.h_prime_mask == full_mask(g)
     assert r.c_of_h_prime_masks == r.c_masks
 
 
 def test_c_sets_d16_center():
-    g, _ = setup_group("D16")
+    g, lattice = setup_group("D16")
     z = centralizer(g, full_mask(g))
-    r = count_C_sets(g, full_mask(g), z)
+    r = top_reports(lattice)[z]
     assert (r.c_count, r.c_prime_count) == (1, 1)
     assert bin(r.h_prime_mask).count("1") == 4
     assert r.c_prime_masks == r.c_of_h_prime_masks
 
 
 def test_c_sets_validation():
+    """count_C_sets takes a class index, and a class that is not a
+    nontrivial p-group has no reports: C6 itself, and the trivial class."""
+    lattice = enumerate_subgroups(group_from_spec("C6"))
+    for h in (len(lattice.classes) - 1, 0):
+        with pytest.raises(ValueError, match="nontrivial p-group"):
+            count_C_sets(lattice, h)
+
+
+def test_standalone_c_set_report_validation():
+    """The lattice-free reference takes one (H, U) pair and checks it: H a
+    nontrivial p-group, and U cyclic and normal in H."""
     g, lattice = setup_group("D8")
     klein = class_rep_mask(lattice, order=4, cyclic=False)
-    with pytest.raises(ValueError):
-        count_C_sets(g, full_mask(g), klein)  # noncyclic U
-    g6, _ = setup_group("C6")
-    with pytest.raises(ValueError):
-        count_C_sets(g6, (1 << 6) - 1, 1)  # H not a p-group
-    with pytest.raises(ValueError, match="nontrivial p-group"):
-        next(c_set_reports(enumerate_subgroups(g6), enumerate_subgroups(g6).classes[-1]))
+    with pytest.raises(ValueError, match="^U must be cyclic$"):
+        standalone_c_set_report(g, full_mask(g), klein)
     reflection = next(cls.mask for cls in lattice.classes
                       if cls.order == 2 and cls.size > 1)
-    with pytest.raises(ValueError):
-        count_C_sets(g, full_mask(g), reflection)  # U not normal in H
+    with pytest.raises(ValueError, match="^U must be normal in H$"):
+        standalone_c_set_report(g, full_mask(g), reflection)
+    g6 = group_from_spec("C6")
+    with pytest.raises(ValueError, match="nontrivial p-group"):
+        standalone_c_set_report(g6, full_mask(g6), 1)
 
 
-def test_count_c_sets_checks_u_before_building_bracket_rows(monkeypatch):
+def test_standalone_c_set_report_rejects_an_h_that_is_not_a_subgroup():
+    """H is proved a subgroup before anything else: elements 0-3 of S4 are
+    four elements, a 2-power count, but not closed under the product."""
+    g = group_from_spec("S4")
+    with pytest.raises(ValueError, match="^mask is not closed"):
+        standalone_c_set_report(g, 0b1111, 1)
+
+
+def test_standalone_c_set_report_checks_arguments_before_building_bracket_rows(monkeypatch):
     """A U that is not cyclic, or not inside H, fails with its own message
     before the |H|^2 bracket rows are built: here H = C2^6, 4,096 pairs."""
     g = group_from_spec("C2xC2xC2xC2xC2xC2")
@@ -730,12 +753,12 @@ def test_count_c_sets_checks_u_before_building_bracket_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("bracket rows built for a bad argument")
 
-    monkeypatch.setattr(artin_module, "bracket_rows", refuse)
+    monkeypatch.setattr(oracles, "bracket_rows", refuse)
     klein = g.cyclic_mask(1) | g.cyclic_mask(2) | g.cyclic_mask(g.mul(1, 2))
     with pytest.raises(ValueError, match="^U must be cyclic$"):
-        count_C_sets(g, full_mask(g), klein)
+        standalone_c_set_report(g, full_mask(g), klein)
     with pytest.raises(ValueError, match="^inner subgroup is not contained in the outer one$"):
-        count_C_sets(g, g.cyclic_mask(1), g.cyclic_mask(2))
+        standalone_c_set_report(g, g.cyclic_mask(1), g.cyclic_mask(2))
 
 
 def test_cyclic_extensions_c8():
@@ -755,11 +778,12 @@ def test_c_set_parity_detects_cyclicity(spec, cyclic):
     g, lattice = setup_group(spec)
     fm = full_mask(g)
     p = min(q for q in range(2, g.order + 1) if g.order % q == 0)
+    reports = top_reports(lattice)
     checked = 0
     for u in lattice.classes:
         if not u.is_cyclic or u.mask == fm or u.order == 1:
             continue
-        r = count_C_sets(g, fm, u.mask)
+        r = reports[u.mask]
         assert r.c_count == r.c_prime_count  # abelian: everything is normal
         assert (r.c_count % p != 0) == cyclic
         checked += 1

@@ -20,7 +20,6 @@ from artinx.artin import (
     _coset_tally,
     bracket_preimage,
     bracket_rows,
-    c_set_reports,
     compute_exponent_report,
     congruence_analysis,
     congruence_pairs,
@@ -50,6 +49,7 @@ from oracles import (
     reference_coset_count,
     reference_pair_profile,
     relabeled,
+    standalone_c_set_report,
     subgroup_as_group,
 )
 
@@ -264,43 +264,43 @@ def test_pair_profile_extends_each_cyclic_subgroup_once(spec, monkeypatch):
 @pytest.mark.parametrize(
     "spec", default_catalog(32) + NONABELIAN_P_SUBGROUPS + [S5, "A5xC2", "relabeled:S4xC2"])
 def test_count_c_sets_alone_matches_per_h_path(spec):
-    """count_C_sets on one U gives the report of the per-H path, which reads
-    H's commutators over the lattice's generators of H only and normality
-    off the lattice's normalizers, where count_C_sets reads both from
-    commutators with every element of H; the per-H path covers exactly the
-    cyclic U that count_C_sets accepts, and its extensions are the element
-    scan's."""
+    """The lattice-free reference on one U gives the report of count_C_sets,
+    which reads H's commutators over the lattice's generators of H only and
+    normality off the lattice's normalizers, where the reference reads both
+    from commutators with every element of H; count_C_sets covers exactly
+    the cyclic U that the reference accepts, and its extensions are the
+    element scan's."""
     if spec.startswith("relabeled:"):
         g = relabeled_group(spec.removeprefix("relabeled:"))
     else:
         g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    for h in lattice.classes:
+    for i, h in enumerate(lattice.classes):
         pp = as_prime_power(h.order)
         if pp is None:
             continue
-        reports = dict(c_set_reports(lattice, h))
+        reports = dict(count_C_sets(lattice, i))
         for um in sorted({g.cyclic_mask(x) for x in mask_elements(h.mask)}):
             if um in reports:
-                assert count_C_sets(g, h.mask, um) == reports[um]
+                assert standalone_c_set_report(g, h.mask, um) == reports[um]
                 assert reports[um].c_masks == cyclic_extensions(g, h.mask, um, pp[0])
             else:
                 with pytest.raises(ValueError, match="U must be normal in H"):
-                    count_C_sets(g, h.mask, um)
+                    standalone_c_set_report(g, h.mask, um)
 
 
-def test_c_set_reports_raise_when_the_lattice_lacks_h_prime():
+def test_count_c_sets_raises_when_the_lattice_lacks_h_prime():
     """H'(U) is proved a subgroup by its lookup in the lattice, so a lattice
-    that lacks it raises instead of yielding a report: for U = 1 in D8,
+    that lacks it raises instead of returning reports: for U = 1 in D8,
     H'(U) is the center."""
     g = group_from_spec("D8")
     lattice = enumerate_subgroups(g)
-    top = lattice.classes[-1]
-    center = next(r.h_prime_mask for um, r in c_set_reports(lattice, top) if um == 1)
+    top = len(lattice.classes) - 1
+    center = dict(count_C_sets(lattice, top))[1].h_prime_mask
     assert center.bit_count() == 2
     del lattice.class_of[center]
     with pytest.raises(IncompleteLattice, match="missing from the lattice"):
-        list(c_set_reports(lattice, top))
+        count_C_sets(lattice, top)
 
 
 def test_coset_tally_raises_when_the_lattice_lacks_an_extension():
@@ -334,14 +334,14 @@ def test_calls_keep_nothing_on_the_lattice(spec):
 
 @pytest.mark.parametrize("spec", default_catalog(64) + NONABELIAN_P_SUBGROUPS)
 def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
-    """The lemma suite reads the per-H reports in the ambient group, from the
-    lattice's generators of H; they are count_C_sets's reports of H as a
-    standalone table, with every element as a generator, for each cyclic U
-    normal in H, mapped back through its elements, and their extensions
-    inside H' are the element scan's."""
+    """The lemma suite reads count_C_sets's per-H reports in the ambient
+    group, from the lattice's generators of H; they are the lattice-free
+    reference's reports of H as a standalone table, with every element as a
+    generator, for each cyclic U normal in H, mapped back through its
+    elements, and their extensions inside H' are the element scan's."""
     g = group_from_spec(spec)
     lattice = enumerate_subgroups(g)
-    for h in lattice.classes:
+    for i, h in enumerate(lattice.classes):
         pp = as_prime_power(h.order)
         if pp is None:
             continue
@@ -357,10 +357,10 @@ def test_c_set_reports_in_ambient_group_match_standalone_subgroup(spec):
         for um in sorted({sub.cyclic_mask(x) for x in range(sub.order)}):
             if not is_normal_in(sub, um, (1 << sub.order) - 1):
                 continue
-            r = count_C_sets(sub, (1 << sub.order) - 1, um)
+            r = standalone_c_set_report(sub, (1 << sub.order) - 1, um)
             expected.append((ambient(um), ambient_set(r.c_masks), ambient_set(r.c_prime_masks),
                              ambient(r.h_prime_mask), ambient_set(r.c_of_h_prime_masks)))
-        reports = list(c_set_reports(lattice, h))
+        reports = count_C_sets(lattice, i)
         got = [
             (um, r.c_masks, r.c_prime_masks, r.h_prime_mask, r.c_of_h_prime_masks)
             for um, r in reports
@@ -551,15 +551,14 @@ def assert_grouped_rows_match_per_h_scan(g):
     for u_mask in lattice.class_of:
         assert bracket_preimage(rows, u_mask) == reference_bracket_preimage(
             g, everything, g.generators, u_mask)
-    for h, inside in zip(lattice.classes, lattice.below):
+    for i, (h, inside) in enumerate(zip(lattice.classes, lattice.below)):
         elements, generators = mask_elements(h.mask), h.generators
         rows = bracket_rows(g, elements, generators)
         for u_mask in inside:
             assert bracket_preimage(rows, u_mask) == reference_bracket_preimage(
                 g, elements, generators, u_mask), (h.mask, u_mask)
         if as_prime_power(h.order) is not None:
-            assert list(c_set_reports(lattice, h)) == reference_c_set_reports(
-                lattice, h), h.mask
+            assert count_C_sets(lattice, i) == reference_c_set_reports(lattice, i), h.mask
 
 
 @pytest.mark.parametrize("spec", default_catalog(64) + [A5, S5])

@@ -6,6 +6,9 @@ import os
 import sys
 
 from artinx import cli  # imports every module the tracer wraps
+from artinx import sweep
+from artinx.groups import as_prime_power, group_from_spec
+from artinx.lattice import enumerate_subgroups
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -51,3 +54,21 @@ def test_tracer_counts_an_enumeration_and_the_cache_outcomes(tmp_path, capsys):
             "lattice.cache_misses", "lattice.cache_hits", "lattice.cache_rejects")
     assert [first[key] for key in keys] == [1, 30, 11, 1, 0, 0]
     assert [second[key] for key in keys] == [1, 30, 11, 1, 1, 0]
+
+
+def test_tracer_times_the_lemma_suite_c_set_step():
+    """The lemma suite's C-set step runs under the name the tracer binds, so
+    artin.count_c_sets_s reads its time: one traced D8 row records one
+    count_C_sets span per class of prime-power order, the trivial class
+    excepted."""
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        sweep.evaluate_group("D8")
+    finally:
+        tracer.uninstall()
+    lattice = enumerate_subgroups(group_from_spec("D8"))
+    p_classes = sum(as_prime_power(c.order) is not None for c in lattice.classes)
+    assert p_classes == len(lattice.classes) - 1 == 7
+    assert [span[0] for span in tracer.spans].count("artin.count_C_sets") == p_classes
+    assert tracer.layer_times()["artin.count_c_sets_s"] > 0

@@ -1,15 +1,19 @@
 """Catalog generation, check suites, sweep driver, summary serialization."""
 
+import importlib
 import inspect
 import json
+import pkgutil
+import typing
 from collections import Counter
 
 import pytest
 
+import artinx
 from artinx import artin, sweep
 from artinx.burnside import build_mark_table
 from artinx.groups import group_from_spec, parse_group_spec, spec_order
-from artinx.lattice import enumerate_subgroups
+from artinx.lattice import SubgroupClass, enumerate_subgroups
 from artinx.sweep import (
     CHECK_NAMES,
     CONDUCTOR_ORDER_CAP,
@@ -168,6 +172,30 @@ def test_every_computation_reads_its_group_from_the_lattice():
         assert list(inspect.signature(suite).parameters) == ["lattice", "table", "report"], name
 
 
+def test_a_lattice_class_is_named_by_its_index():
+    """One C-set routine, and one handle on a lattice class: count_C_sets
+    and local_exponent take the class index h, artin keeps no second C-set
+    routine, and no artinx function takes a SubgroupClass record, which a
+    caller could take from another lattice or alter."""
+    assert list(inspect.signature(artin.count_C_sets).parameters) == ["lattice", "h"]
+    assert list(inspect.signature(artin.local_exponent).parameters) == \
+        ["lattice", "h", "family"]
+    assert not hasattr(artin, "c_set_reports")
+    checked = 0
+    for info in pkgutil.iter_modules(artinx.__path__):
+        module = importlib.import_module(f"artinx.{info.name}")
+        owned = [v for v in vars(module).values()
+                 if getattr(v, "__module__", None) == module.__name__]
+        functions = [v for v in owned if inspect.isfunction(v)]
+        functions += [f for c in owned if inspect.isclass(c)
+                      for f in vars(c).values() if inspect.isfunction(f)]
+        for fn in functions:
+            for name, hint in typing.get_type_hints(fn).items():
+                assert hint is not SubgroupClass, (fn.__qualname__, name)
+            checked += 1
+    assert checked > 100
+
+
 def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
     """Each lemma check that fails adds one failure, in check order, naming
     the check, the values it saw, and H and U: here one report for H = U =
@@ -177,10 +205,10 @@ def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
     u_mask = group.cyclic_mask(1)
     report = artin.CSetReport(frozenset({full}), frozenset(), full, frozenset({full}))
 
-    def fake_reports(lattice, cls):
-        return iter([(u_mask, report)] if cls.mask == full else [])
+    def fake_count(lattice, h):
+        return [(u_mask, report)] if lattice.classes[h].mask == full else []
 
-    monkeypatch.setattr(sweep, "c_set_reports", fake_reports)
+    monkeypatch.setattr(sweep, "count_C_sets", fake_count)
     row = evaluate_group("C2xC2")
     context = "H order 4 in C2xC2, U order 2"
     assert row["statuses"]["lemmas"] == "fail"
