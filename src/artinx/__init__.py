@@ -5,9 +5,9 @@ from .artin import (
     ExponentReport,
     Family,
     MethodDisagreement,
-    artin_exponent_congruence,
     artin_exponent_marks,
     compute_exponent_report,
+    congruence_analysis,
     report_to_dict,
 )
 from .burnside import (
@@ -47,13 +47,13 @@ __all__ = [
     "ResourceCapError",
     "SubgroupLattice",
     "SweepConfig",
-    "artin_exponent_congruence",
     "artin_exponent_marks",
     "build_group",
     "build_mark_table",
     "cached_lattice",
     "compute_exponent_report",
     "conductor",
+    "congruence_analysis",
     "enumerate_subgroups",
     "group_from_spec",
     "mark_table_json",

@@ -234,10 +234,6 @@ def congruence_analysis(lattice: SubgroupLattice,
     ]
 
 
-def artin_exponent_congruence(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int:
-    return congruence_analysis(lattice, [family])[0].exponent
-
-
 def local_exponent(lattice: SubgroupLattice, h: int, family: Family = ALL_CYCLIC) -> int:
     """The exponent of H, the representative of class h, for the family
     restricted to H, read off G's lattice by Dress's congruences (Dress
@@ -409,14 +405,6 @@ class CSetReport(NamedTuple):
     h_prime_mask: int
     c_of_h_prime_masks: frozenset[int]
 
-    @property
-    def c_count(self) -> int:
-        return len(self.c_masks)
-
-    @property
-    def c_prime_count(self) -> int:
-        return len(self.c_prime_masks)
-
 
 def count_C_sets(lattice: SubgroupLattice, h: int) -> list[tuple[int, CSetReport]]:
     """(U, report) for every cyclic U normal in H, the representative of
@@ -434,7 +422,7 @@ def count_C_sets(lattice: SubgroupLattice, h: int) -> list[tuple[int, CSetReport
         raise ValueError("H must be a nontrivial p-group")
     elements = mask_elements(h_mask)
     by_order: dict[int, list[int]] = {}  # H's cyclic subgroups by order
-    for m in set(map(group.cyclic_mask, elements)):
+    for m in {group.cyclic_masks[x] for x in elements}:
         by_order.setdefault(m.bit_count(), []).append(m)
     normal = frozenset(m for ms in by_order.values() for m in ms
                        if not h_mask & ~lattice.normalizers[m])

@@ -55,10 +55,6 @@ class MarkTable(NamedTuple):
     class_sizes: list[int]
     class_cyclic: list[bool]
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
 
 def build_mark_table(lattice: SubgroupLattice) -> MarkTable:
     """The table of marks in the lattice's class order, as sparse rows.
@@ -125,7 +121,7 @@ def ghost_denominator(table: MarkTable, support: Collection[int]) -> int:
     of |G| * e, n * e solves to n * c / |G|, which is integral exactly when
     |G| / gcd(|G|, c) divides n."""
     order = table.class_orders[-1]
-    coeffs = solve_membership(table, [order if i in support else 0 for i in range(table.n)])
+    coeffs = solve_membership(table, [order if i in support else 0 for i in range(len(table.rows))])
     if isinstance(coeffs, NotIntegral):
         raise RuntimeError(
             f"|G| times a ghost vector did not solve integrally ({coeffs}); "
@@ -138,7 +134,7 @@ def conductor(table: MarkTable) -> int:
     """Least n >= 1 such that n times every ghost vector lies in the image
     of the Burnside ring: the lcm of the denominators of the unit vectors."""
     result = 1
-    for j in range(table.n):
+    for j in range(len(table.rows)):
         result = lcm(result, ghost_denominator(table, (j,)))
     return result
 
@@ -156,7 +152,7 @@ def mark_table_json(table: MarkTable, spec_text: str) -> Iterator[str]:
         "class_cyclic": table.class_cyclic,
     }, indent=2)
     yield head[:-2] + ',\n  "marks": [\n'  # reopens the object that head closed
-    zeros = ["      0"] * table.n
+    zeros = ["      0"] * len(table.rows)
     separator = ""
     for columns, marks in table.rows:
         cells = zeros.copy()

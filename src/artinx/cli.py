@@ -30,7 +30,6 @@ from .groups import ascii_int, build_group, parse_group_spec, spec_to_text
 from .lattice import (
     IncompleteLattice,
     ResourceCapError,
-    SubgroupLattice,
     cached_lattice,
     enumerate_subgroups,
 )
@@ -72,8 +71,9 @@ def class_label(order: int, size: int, cyclic: bool) -> str:
     return f"{'C' if cyclic else 'N'}{order}*{size}"
 
 
-def _lattice_labels(lattice: SubgroupLattice) -> list[str]:
-    return [class_label(c.order, c.size, c.is_cyclic) for c in lattice.classes]
+def _class_labels(table: MarkTable) -> list[str]:
+    """One label per class of the table of marks, in its column order."""
+    return list(map(class_label, table.class_orders, table.class_sizes, table.class_cyclic))
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +81,8 @@ def _lattice_labels(lattice: SubgroupLattice) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _print_report(report: ExponentReport, lattice: SubgroupLattice) -> None:
-    labels = _lattice_labels(lattice)
+def _print_report(report: ExponentReport, table: MarkTable) -> None:
+    labels = _class_labels(table)
     print(f"group: {report.group} (order {report.order})")
     print(f"family: {report.family}")
     print(f"exponent: {report.exponent}")
@@ -135,14 +135,15 @@ def cmd_compute(args: argparse.Namespace) -> int:
     text, group = _prepare(args.group)
     family = _parse_family(args.family_classes)  # before anything is built
     lattice = cached_lattice(group, text, args.cache)
-    report = compute_exponent_report(lattice, build_mark_table(lattice), text, family)
+    table = build_mark_table(lattice)
+    report = compute_exponent_report(lattice, table, text, family)
     if args.audit:
         report.pairs = tuple(congruence_pairs(lattice, family))
         report.sylow = sylow_reduction_report(lattice, family, report.exponent)
     if args.json:
         print(json.dumps(report_to_dict(report), indent=2))
     else:
-        _print_report(report, lattice)
+        _print_report(report, table)
     return 0
 
 
@@ -152,12 +153,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _print_mark_table(text: str, table: MarkTable) -> None:
-    labels = [
-        class_label(o, s, c)
-        for o, s, c in zip(table.class_orders, table.class_sizes, table.class_cyclic)
-    ]
-    noun = "class" if table.n == 1 else "classes"
-    print(f"table of marks: {text} (order {table.class_orders[-1]}, {table.n} {noun})")
+    labels = _class_labels(table)
+    n = len(table.rows)
+    noun = "class" if n == 1 else "classes"
+    print(f"table of marks: {text} (order {table.class_orders[-1]}, {n} {noun})")
     head = max(len(label) for label in labels)
     # a column is as wide as its label and its stored marks; the zeros it
     # also holds never widen it, since no label is shorter than "0"
@@ -240,8 +239,10 @@ def _print_sweep(result: RunResult, timings: bool) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(max_order=args.max_order, jobs=args.jobs)
-    # opened before the sweep, so that an unusable path fails before the work
-    with open(args.json, "w", encoding="utf-8") if args.json else nullcontext() as handle:
+    # opened before the sweep, so that an unusable path, the empty one too,
+    # fails before the work
+    with (open(args.json, "w", encoding="utf-8") if args.json is not None
+          else nullcontext()) as handle:
         result = run_sweep(config)
         _print_sweep(result, args.timings)
         if handle is not None:

@@ -6,9 +6,11 @@ range by one byte translation, the two-sided identity 0, Light's
 associativity test by one byte translation per generator and row, and a 0
 in every row; the rows and columns then need no check of their own, see
 _validate_table.  So everything downstream may assume it really has one.
-Its facts are computed there too, once: the generators that Light's test
-found, each element's order, inverse and cyclic subgroup, and whether the
-group is abelian, which is whether those generators commute.
+Its facts are computed there too, once, and read through its fields:
+order, mult, the generators that Light's test found, inv, cyclic_masks
+(the bit set of each element's cyclic subgroup), cyclic_subgroups (each
+such bit set mapped to its least generator), is_cyclic, and is_abelian,
+which is whether those generators commute.
 """
 
 from __future__ import annotations
@@ -317,10 +319,11 @@ def _not_a_group(mult: list[list[int]]) -> str:
 
 
 class GroupTable:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table: g h is
+    mult[g][h], g^-1 is inv[g] and <g> is the bit set cyclic_masks[g]."""
 
     __slots__ = ("order", "mult", "inv", "generators", "is_abelian", "is_cyclic",
-                 "cyclic_subgroups", "_cyclic_mask_of")
+                 "cyclic_subgroups", "cyclic_masks")
 
     def __init__(self, mult: Sequence[Sequence[int]]) -> None:
         """Validate a copy of mult, normalized to a list of int lists; an
@@ -351,7 +354,7 @@ class GroupTable:
         # <x>, for m = |<x>| and d = gcd(k, m), so one mask serves each d,
         # and x^(m-k) is the inverse of x^k; every mask holds the identity,
         # so a mask of 0 marks x unreached
-        self._cyclic_mask_of = masks = [0] * n
+        self.cyclic_masks = masks = [0] * n
         self.inv = inv = [0] * n
         for x in range(n):
             if masks[x]:
@@ -377,17 +380,6 @@ class GroupTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GroupTable(order={self.order})"
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return self.mult[self.mult[g][x]][self.inv[g]]
-
-    def cyclic_mask(self, g: int) -> int:
-        """Bit set of the cyclic subgroup generated by g."""
-        return self._cyclic_mask_of[g]
 
 
 # ---------------------------------------------------------------------------

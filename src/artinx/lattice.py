@@ -235,12 +235,13 @@ def _assemble(
     read from bit 0 up, which is what _element_order_key spells.
     """
     key = partial(_element_order_key, group.order)
+    mult, inv = group.mult, group.inv
     raw = []
     for conj_to_g, normalizer, gens in found:
         rep = next(iter(conj_to_g)) if len(conj_to_g) == 1 else min(conj_to_g, key=key)
         g = conj_to_g[rep]
         cls = SubgroupClass(rep, rep.bit_count(), rep in group.cyclic_subgroups, len(conj_to_g),
-                            tuple(group.conj(g, x) for x in gens))
+                            tuple(mult[mult[g][x]][inv[g]] for x in gens))
         raw.append((cls, conj_to_g, normalizer))
     raw.sort(key=lambda r: (r[0].order, key(r[0].mask)))
     classes = []
@@ -338,7 +339,7 @@ def enumerate_subgroups(group: GroupTable) -> SubgroupLattice:
                 candidates &= ~joined
                 if joined not in known:
                     # generators of V inside <x> are redundant
-                    powers = group.cyclic_mask(x)
+                    powers = group.cyclic_masks[x]
                     add(joined, tuple(v for v in gens if not powers >> v & 1) + (x,))
 
     for conj_to_g, normalizer, gens in found:  # the list grows while it is walked

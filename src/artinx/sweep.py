@@ -206,7 +206,7 @@ def _check_lemmas(lattice, table, report) -> tuple[str, list, list]:
     - for 2-groups with |U| = 2 and [H,H] <= U, an odd count forces H
       cyclic or nonabelian of order 8.
     """
-    group, spec, failures = lattice.group, report.group, []
+    mult, spec, failures = lattice.group.mult, report.group, []
     for h, H in enumerate(lattice.classes):
         pp = as_prime_power(H.order)
         if pp is None:
@@ -214,13 +214,13 @@ def _check_lemmas(lattice, table, report) -> tuple[str, list, list]:
         p = pp[0]
         gens = H.generators
         # H <= C_G(H) exactly when its recorded generators commute pairwise
-        abelian = all(group.mul(a, b) == group.mul(b, a) for a in gens for b in gens)
+        abelian = all(mult[a][b] == mult[b][a] for a in gens for b in gens)
         cyclic_h = H.is_cyclic
         for u_mask, r in count_C_sets(lattice, h):
-            u_order, count = u_mask.bit_count(), r.c_count
+            u_order, count, count_prime = u_mask.bit_count(), len(r.c_masks), len(r.c_prime_masks)
             bad = []  # (expected, got) per failed check
-            if (count - r.c_prime_count) % p:
-                bad.append(("counts congruent mod p", f"{count} vs {r.c_prime_count}"))
+            if (count - count_prime) % p:
+                bad.append(("counts congruent mod p", f"{count} vs {count_prime}"))
             if r.c_prime_masks != r.c_of_h_prime_masks:
                 bad.append(("normal members = extensions in H'", "set mismatch"))
             if abelian and 1 < u_order < H.order and (count % p != 0) != cyclic_h:

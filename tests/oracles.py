@@ -119,11 +119,11 @@ def brute_force_mark(group: GroupTable, u_mask: int, v_mask: int) -> int:
     count = 0
     seen = set()
     for g in range(group.order):
-        coset = frozenset(group.mul(g, v) for v in v_elems)
+        coset = frozenset(group.mult[g][v] for v in v_elems)
         if coset in seen:
             continue
         seen.add(coset)
-        if all(group.mul(u, g) in coset for u in u_elems):
+        if all(group.mult[u][g] in coset for u in u_elems):
             count += 1
     return count
 
@@ -154,7 +154,7 @@ def brute_force_cyclic_coset_count(group: GroupTable, u_mask: int, v_mask: int) 
     seen = set()
     count = 0
     for v in mask_elements(v_mask):
-        coset = frozenset(group.mul(v, u) for u in u_elems)
+        coset = frozenset(group.mult[v][u] for u in u_elems)
         if coset in seen:
             continue
         seen.add(coset)
@@ -231,7 +231,7 @@ def reference_cycle_data(mult) -> tuple[list[int], list[int]]:
 
 def element_order(group: GroupTable, g: int) -> int:
     """The order of g, the size of the cyclic subgroup it generates."""
-    return group.cyclic_mask(g).bit_count()
+    return group.cyclic_masks[g].bit_count()
 
 
 def power(group: GroupTable, g: int, k: int) -> int:
@@ -384,7 +384,7 @@ def dense_rows(table: MarkTable) -> list[list[int]]:
     """The table of marks as a full n x n matrix of ints."""
     out = []
     for columns, marks in table.rows:
-        dense = [0] * table.n
+        dense = [0] * len(table.rows)
         for j, m in zip(columns, marks):
             dense[j] = m
         out.append(dense)
@@ -406,9 +406,9 @@ def mark_table_to_dict(table: MarkTable, spec_text: str) -> dict:
 
 def ghost_of(table: MarkTable, coefficients: Sequence[int]) -> tuple[int, ...]:
     """Mark vector of an element given by basis coefficients."""
-    if len(coefficients) != table.n:
+    if len(coefficients) != len(table.rows):
         raise ValueError("coefficient vector has the wrong length")
-    out = [0] * table.n
+    out = [0] * len(table.rows)
     for c, (columns, marks) in zip(coefficients, table.rows):
         if c:
             for j, m in zip(columns, marks):
@@ -425,7 +425,7 @@ def reference_exponent_marks(
     for n in range(1, group.order + 1):
         if group.order % n:
             continue
-        ghost = [n if i in members else 0 for i in range(table.n)]
+        ghost = [n if i in members else 0 for i in range(len(table.rows))]
         if not isinstance(solve_membership(table, ghost), NotIntegral):
             return n
     raise AssertionError("|G| times a ghost vector did not solve integrally")
@@ -435,7 +435,7 @@ def reference_conductor(table: MarkTable) -> int:
     """The lcm of every denominator of the rational solutions for the unit
     ghost vectors, by Fraction back-substitution down the dense table."""
     rows = dense_rows(table)
-    n = table.n
+    n = len(table.rows)
     below = [[(i, rows[i][j]) for i in range(j + 1, n) if rows[i][j]] for j in range(n)]
     result = 1
     for k in range(n):
@@ -607,9 +607,9 @@ def quotient_group(group: GroupTable, outer: int, inner: int) -> tuple[GroupTabl
     rep_of = {}
     for r in reps:
         for u in mask_elements(inner):
-            rep_of[group.mul(r, u)] = r
+            rep_of[group.mult[r][u]] = r
     rep_index = {r: i for i, r in enumerate(reps)}
-    mul = [[rep_index[rep_of[group.mul(a, b)]] for b in reps] for a in reps]
+    mul = [[rep_index[rep_of[group.mult[a][b]]] for b in reps] for a in reps]
     return GroupTable(mul), reps
 
 
@@ -618,7 +618,7 @@ def subgroup_as_group(group: GroupTable, mask: int) -> tuple[GroupTable, list[in
     element indices back to elements of the ambient group."""
     elems = mask_elements(mask)
     try:
-        mult = tabulate(elems, group.mul)
+        mult = tabulate(elems, lambda a, b: group.mult[a][b])
     except KeyError:
         raise ValueError("mask is not closed under multiplication") from None
     return GroupTable.adopt(mult), elems
@@ -671,7 +671,7 @@ def cyclic_extensions(group: GroupTable, h_mask: int, u_mask: int, p: int) -> fr
     out = set()
     for x in mask_elements(h_mask):
         if element_order(group, x) == target:
-            cm = group.cyclic_mask(x)
+            cm = group.cyclic_masks[x]
             if cm & u_mask == u_mask:
                 out.add(cm)
     return frozenset(out)
@@ -695,7 +695,7 @@ def join_closure_lattice(group: GroupTable) -> SubgroupLattice:
     and each new class is expanded once, when it is first reached."""
     cyclic: dict[int, tuple[int, ...]] = {}
     for g in range(1, group.order):
-        cyclic.setdefault(group.cyclic_mask(g), (g,))
+        cyclic.setdefault(group.cyclic_masks[g], (g,))
     found = [(*_expand_class(group, 1), ())]
     known = {1}
     queue: list[tuple[int, tuple[int, ...]]] = [(1, ())]
@@ -836,11 +836,11 @@ def cyclic_coset_count_p_group(group: GroupTable, u_mask: int, v_mask: int) -> i
     """
     u_order = bin(u_mask).count("1")
     v_elems = mask_elements(v_mask)
-    if any(group.cyclic_mask(x) == v_mask for x in v_elems):
+    if any(group.cyclic_masks[x] == v_mask for x in v_elems):
         return len(v_elems) // u_order
     qualifying = 0
     for x in v_elems:
-        if not u_mask >> x & 1 and group.cyclic_mask(x) & u_mask == u_mask:
+        if not u_mask >> x & 1 and group.cyclic_masks[x] & u_mask == u_mask:
             qualifying += 1
     if qualifying % u_order:
         raise AssertionError("qualifying elements did not fill whole cosets")
@@ -979,15 +979,15 @@ def reference_recognize_2group(group: GroupTable) -> str:
     for g in range(1, order):
         if element_order(group, g) != half:
             continue
-        gm = group.cyclic_mask(g)
+        gm = group.cyclic_masks[g]
         g_inv = group.inv[g]
         q_square = power(group, g, half // 2)
         sd_twist = power(group, g, half // 2 - 1)
         for h in range(1, order):
             if gm >> h & 1:
                 continue
-            hh = group.mul(h, h)
-            conj = group.conj(h, g)
+            hh = group.mult[h][h]
+            conj = group.mult[group.mult[h][g]][group.inv[h]]
             if hh == 0 and conj == g_inv:
                 return "dihedral"
             if hh == q_square and conj == g_inv:
@@ -1043,7 +1043,7 @@ def reference_c_set_reports(lattice: SubgroupLattice, h: int) -> list[tuple[int,
     h_mask, generators = cls.mask, cls.generators
     p = as_prime_power(h_mask.bit_count())[0]
     elements = mask_elements(h_mask)
-    cyclic = sorted({group.cyclic_mask(x) for x in elements})
+    cyclic = sorted({group.cyclic_masks[x] for x in elements})
     normal = frozenset(m for m in cyclic if is_normal_in(group, m, h_mask))
     out = []
     for u_mask in sorted(normal):
@@ -1075,7 +1075,7 @@ def standalone_c_set_report(group: GroupTable, h_mask: int, u_mask: int) -> CSet
     if u_mask & h_prime != u_mask:
         raise ValueError("U must be normal in H")
     check_subgroup(group, h_prime)
-    cyclic = {group.cyclic_mask(x) for x in elements}
+    cyclic = {group.cyclic_masks[x] for x in elements}
     normal = frozenset(m for m in cyclic if not m & ~bracket_preimage(rows, m))
     c_masks = frozenset(m for m in cyclic
                         if m.bit_count() == pp[0] * u_mask.bit_count() and not u_mask & ~m)
@@ -1118,7 +1118,7 @@ def is_p_hyperelementary(lattice: SubgroupLattice, h_mask: int, p: int) -> bool:
     group, normalizers = lattice.group, lattice.normalizers
     return any(
         element_order(group, x) == order // p_part(order, p)
-        and not h_mask & ~normalizers[group.cyclic_mask(x)]
+        and not h_mask & ~normalizers[group.cyclic_masks[x]]
         for x in mask_elements(h_mask)
     )
 

@@ -10,10 +10,11 @@ import time
 from fractions import Fraction
 
 from artinx.artin import (
-    artin_exponent_congruence,
+    ALL_CYCLIC,
     artin_exponent_marks,
     closed_form_predictor,
     compute_exponent_report,
+    congruence_analysis,
 )
 from artinx.burnside import (
     build_mark_table,
@@ -47,7 +48,7 @@ def test_criterion_01_exponent_one_iff_cyclic():
     started = time.perf_counter()
     for spec in CATALOG_64:
         group, lattice = setup_group(spec)
-        exponent = artin_exponent_congruence(lattice)
+        exponent = congruence_analysis(lattice, [ALL_CYCLIC])[0].exponent
         assert (exponent == 1) == group.is_cyclic, spec
     elapsed = time.perf_counter() - started
     assert elapsed < 60
@@ -70,7 +71,7 @@ def test_criterion_02_odd_p_group_formula():
         group, lattice = setup_group(spec)
         p, alpha = as_prime_power(group.order)
         expected = p ** (alpha - 1)
-        congruence = artin_exponent_congruence(lattice)
+        congruence = congruence_analysis(lattice, [ALL_CYCLIC])[0].exponent
         marks = artin_exponent_marks(build_mark_table(lattice))
         oracle = brute_force_artin_exponent(group, max_gens=3 if alpha == 3 else 2)
         assert congruence == marks == oracle == expected, spec
@@ -89,14 +90,14 @@ def test_criterion_03_dihedral_quaternion_semidihedral():
     # pinned exact values
     for spec in ("D8", "D16", "D32", "D64", "Q8"):
         group, lattice = setup_group(spec)
-        assert artin_exponent_congruence(lattice) == 2, spec
+        assert congruence_analysis(lattice, [ALL_CYCLIC])[0].exponent == 2, spec
         assert artin_exponent_marks(build_mark_table(lattice)) == 2, spec
 
     # Q8 once more by hand: back-substitute the transposed mark table with
     # plain fractions; n = 1 is non-integral, n = 2 is integral.
     group, lattice = setup_group("Q8")
     table = build_mark_table(lattice)
-    k = table.n
+    k = len(table.rows)
     rows = dense_rows(table)
     flipped = [[rows[k - 1 - j][k - 1 - i] for j in range(k)] for i in range(k)]
     target = [1 if c else 0 for c in reversed(table.class_cyclic)]
@@ -111,7 +112,7 @@ def test_criterion_03_dihedral_quaternion_semidihedral():
     lines = []
     for spec in ("Q16", "Q32", "Q64", "SD16", "SD32", "SD64"):
         group, lattice = setup_group(spec)
-        congruence = artin_exponent_congruence(lattice)
+        congruence = congruence_analysis(lattice, [ALL_CYCLIC])[0].exponent
         marks = artin_exponent_marks(build_mark_table(lattice))
         assert congruence == marks, spec
         prediction = closed_form_predictor(group)
@@ -173,7 +174,7 @@ def test_criterion_07_burnside_ring_structure():
     for spec in CATALOG_24:
         group, lattice = setup_group(spec)
         table = build_mark_table(lattice)
-        k = table.n
+        k = len(table.rows)
         rows = dense_rows(table)
         for i in range(k):
             assert rows[i][0] == group.order // table.class_orders[i]
@@ -199,7 +200,7 @@ def test_criterion_07_burnside_ring_structure():
     for spec in ("S4", "D12", "Q8"):
         group, lattice = setup_group(spec)
         table = build_mark_table(lattice)
-        k = table.n
+        k = len(table.rows)
         rng = random.Random(f"acceptance:pairs:{spec}")
         for _ in range(1000):
             x = tuple(rng.randint(-3, 3) for _ in range(k))
@@ -222,14 +223,14 @@ def test_criterion_08_divisibility_and_invariance():
     started = time.perf_counter()
     for spec in CATALOG_64:
         group, lattice = setup_group(spec)
-        exponent = artin_exponent_congruence(lattice)
+        exponent = congruence_analysis(lattice, [ALL_CYCLIC])[0].exponent
         assert group.order % exponent == 0, spec
         rng = random.Random(f"acceptance:relabel:{spec}")
         for _ in range(10):
             perm = [0] + rng.sample(range(1, group.order), group.order - 1)
             shuffled = relabeled(group, perm)
             assert (
-                artin_exponent_congruence(enumerate_subgroups(shuffled))
+                congruence_analysis(enumerate_subgroups(shuffled), [ALL_CYCLIC])[0].exponent
                 == exponent
             ), spec
     elapsed = time.perf_counter() - started

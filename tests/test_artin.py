@@ -17,7 +17,6 @@ from artinx.artin import (
     ALL_CYCLIC,
     CongruencePair,
     MethodDisagreement,
-    artin_exponent_congruence,
     artin_exponent_marks,
     bracket_preimage,
     bracket_rows,
@@ -249,7 +248,7 @@ def test_count_without_lattice_matches_with():
 
 def test_central_reduction_pair_c6():
     g, _ = setup_group("C6")
-    u = g.cyclic_mask(2)  # the C3 part: index 2, central, cyclic
+    u = g.cyclic_masks[2]  # the C3 part: index 2, central, cyclic
     triple = central_reduction_pair(g, u, full_mask(g))
     assert triple is not None
     p, up, vp = triple
@@ -361,7 +360,7 @@ KNOWN_EXPONENTS = [
 @pytest.mark.parametrize("spec,expected", KNOWN_EXPONENTS)
 def test_exponent_both_methods(spec, expected):
     g, lattice = setup_group(spec)
-    assert artin_exponent_congruence(lattice) == expected
+    assert congruence_analysis(lattice, [ALL_CYCLIC])[0].exponent == expected
     assert artin_exponent_marks(build_mark_table(lattice)) == expected
 
 
@@ -394,7 +393,7 @@ EXPLICIT_FAMILY_EXPONENTS = [
 @pytest.mark.parametrize("spec,classes,expected", EXPLICIT_FAMILY_EXPONENTS)
 def test_explicit_family_exponents(spec, classes, expected):
     g, lattice = setup_group(spec)
-    assert artin_exponent_congruence(lattice, classes) == expected
+    assert congruence_analysis(lattice, [classes])[0].exponent == expected
     assert artin_exponent_marks(build_mark_table(lattice), classes) == expected
 
 
@@ -428,7 +427,7 @@ def test_binding_pairs_achieve_lcm():
 def test_centralizer_index_divides_exponent(spec):
     """Pairs with a nonzero cyclic count force (V : C_V(U)) | A(G)."""
     g, lattice = setup_group(spec)
-    exponent = artin_exponent_congruence(lattice)
+    exponent = congruence_analysis(lattice, [ALL_CYCLIC])[0].exponent
     for pair in congruence_pairs(lattice):
         if pair.count == 0:
             continue
@@ -448,7 +447,7 @@ def test_exponent_is_isomorphism_invariant(spec):
         h = relabeled(g, perm)
         h_lat = enumerate_subgroups(h)
         assert artin_exponent_marks(build_mark_table(h_lat)) == expected
-        assert artin_exponent_congruence(h_lat) == expected
+        assert congruence_analysis(h_lat, [ALL_CYCLIC])[0].exponent == expected
 
 
 def assert_marks_method_matches_divisor_scan(spec, g):
@@ -478,7 +477,7 @@ def test_marks_method_solves_once_per_call(spec, monkeypatch):
     g, lattice = setup_group(spec)
     table = build_mark_table(lattice)
     calls = count_solves(monkeypatch)
-    families = [ALL_CYCLIC, *islice(random_families(spec, table.n), 5)]
+    families = [ALL_CYCLIC, *islice(random_families(spec, len(table.rows)), 5)]
     for done, family in enumerate(families, start=1):
         artin_exponent_marks(table, family)
         assert len(calls) == done
@@ -659,7 +658,7 @@ def test_sylow_subgroup_of_s4_is_dihedral():
     assert recognize_2group(sub) == "dihedral"
     for i in range(8):
         for j in range(8):
-            assert elems[sub.mul(i, j)] == g.mul(elems[i], elems[j])
+            assert elems[sub.mult[i][j]] == g.mult[elems[i]][elems[j]]
 
 
 def test_subgroup_as_group_rejects_non_closed():
@@ -682,8 +681,8 @@ def top_reports(lattice):
 
 def test_c_sets_c9():
     g, lattice = setup_group("C9")
-    r = top_reports(lattice)[g.cyclic_mask(3)]
-    assert (r.c_count, r.c_prime_count) == (1, 1)
+    r = top_reports(lattice)[g.cyclic_masks[3]]
+    assert (len(r.c_masks), len(r.c_prime_masks)) == (1, 1)
     assert r.c_masks == {full_mask(g)}
 
 
@@ -691,14 +690,14 @@ def test_c_sets_elementary_abelian():
     g, lattice = setup_group("C3xC3")
     u = class_rep_mask(lattice, order=3)
     r = top_reports(lattice)[u]
-    assert (r.c_count, r.c_prime_count) == (0, 0)
+    assert (len(r.c_masks), len(r.c_prime_masks)) == (0, 0)
 
 
 def test_c_sets_q8_center():
     g, lattice = setup_group("Q8")
     z = class_rep_mask(lattice, order=2)
     r = top_reports(lattice)[z]
-    assert (r.c_count, r.c_prime_count) == (3, 3)
+    assert (len(r.c_masks), len(r.c_prime_masks)) == (3, 3)
     assert r.h_prime_mask == full_mask(g)
     assert r.c_of_h_prime_masks == r.c_masks
 
@@ -707,7 +706,7 @@ def test_c_sets_d16_center():
     g, lattice = setup_group("D16")
     z = centralizer(g, full_mask(g))
     r = top_reports(lattice)[z]
-    assert (r.c_count, r.c_prime_count) == (1, 1)
+    assert (len(r.c_masks), len(r.c_prime_masks)) == (1, 1)
     assert bin(r.h_prime_mask).count("1") == 4
     assert r.c_prime_masks == r.c_of_h_prime_masks
 
@@ -754,18 +753,18 @@ def test_standalone_c_set_report_checks_arguments_before_building_bracket_rows(m
         raise AssertionError("bracket rows built for a bad argument")
 
     monkeypatch.setattr(oracles, "bracket_rows", refuse)
-    klein = g.cyclic_mask(1) | g.cyclic_mask(2) | g.cyclic_mask(g.mul(1, 2))
+    klein = g.cyclic_masks[1] | g.cyclic_masks[2] | g.cyclic_masks[g.mult[1][2]]
     with pytest.raises(ValueError, match="^U must be cyclic$"):
         standalone_c_set_report(g, full_mask(g), klein)
     with pytest.raises(ValueError, match="^inner subgroup is not contained in the outer one$"):
-        standalone_c_set_report(g, g.cyclic_mask(1), g.cyclic_mask(2))
+        standalone_c_set_report(g, g.cyclic_masks[1], g.cyclic_masks[2])
 
 
 def test_cyclic_extensions_c8():
     g, _ = setup_group("C8")
-    u = g.cyclic_mask(4)  # order 2
+    u = g.cyclic_masks[4]  # order 2
     exts = cyclic_extensions(g, full_mask(g), u, 2)
-    assert exts == {g.cyclic_mask(2)}
+    assert exts == {g.cyclic_masks[2]}
 
 
 @pytest.mark.parametrize("spec,cyclic", [("C4xC2", False), ("C2xC2xC2", False),
@@ -784,8 +783,8 @@ def test_c_set_parity_detects_cyclicity(spec, cyclic):
         if not u.is_cyclic or u.mask == fm or u.order == 1:
             continue
         r = reports[u.mask]
-        assert r.c_count == r.c_prime_count  # abelian: everything is normal
-        assert (r.c_count % p != 0) == cyclic
+        assert len(r.c_masks) == len(r.c_prime_masks)  # abelian: everything is normal
+        assert (len(r.c_masks) % p != 0) == cyclic
         checked += 1
     assert checked > 0
 

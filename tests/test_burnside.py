@@ -104,7 +104,7 @@ def test_marks_match_brute_force(spec):
 @pytest.mark.parametrize("spec", ["C12", "S3", "Q8", "S4", "D12", "C2xC2xC2", "SD16"])
 def test_mark_table_shape_invariants(spec):
     g, lattice, table = setup_group(spec)
-    n = table.n
+    n = len(table.rows)
     rows = dense_rows(table)
     for i in range(n):
         # lower triangular with zero above the diagonal
@@ -134,7 +134,7 @@ def test_mark_table_of_c2_to_the_sixth_stays_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (table.n, sum(len(columns) for columns, _ in table.rows)) == (2825, 95706)
+    assert (len(table.rows), sum(len(columns) for columns, _ in table.rows)) == (2825, 95706)
     assert peak < 3_000_000, peak
 
 
@@ -145,8 +145,9 @@ def test_mark_table_of_c2_to_the_sixth_stays_small():
 
 def test_ghost_of_basis_vector_is_table_row():
     _, _, table = setup_group("S4")
-    for i in range(table.n):
-        unit = [0] * table.n
+    k = len(table.rows)
+    for i in range(k):
+        unit = [0] * k
         unit[i] = 1
         assert ghost_of(table, unit) == tuple(dense_rows(table)[i])
 
@@ -177,7 +178,7 @@ def test_round_trip_random_coefficients(spec):
     _, _, table = setup_group(spec)
     rng = random.Random(20240513)
     for _ in range(100):
-        coeffs = tuple(rng.randint(-9, 9) for _ in range(table.n))
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(len(table.rows)))
         assert solve_membership(table, ghost_of(table, coeffs)) == coeffs
 
 
@@ -185,7 +186,7 @@ def fraction_solution(table, ghost):
     """Rational coefficients of a ghost vector by plain forward substitution:
     M^T x = v is lower triangular once both axes are reversed."""
     rows = dense_rows(table)
-    k = table.n
+    k = len(table.rows)
     flipped = [[rows[k - 1 - j][k - 1 - i] for j in range(k)] for i in range(k)]
     return solve_lower_triangular_fractions(flipped, list(ghost)[::-1])[::-1]
 
@@ -213,7 +214,7 @@ def test_solver_agrees_with_plain_fraction_elimination():
     rng = random.Random(77)
     witnesses = 0
     for _ in range(20):
-        ghost = [rng.randint(-50, 50) for _ in range(table.n)]
+        ghost = [rng.randint(-50, 50) for _ in range(len(table.rows))]
         witnesses += isinstance(assert_solver_matches_fractions(table, ghost), NotIntegral)
     assert witnesses > 0
 
@@ -222,9 +223,8 @@ def test_solver_agrees_with_plain_fraction_elimination():
 @given(st.sampled_from(["S4", "Q8", "SD16", "C2xC2xC2", A5]), st.data())
 def test_solver_agrees_with_fractions_on_random_ghosts(spec, data):
     table = cached_table(spec)
-    vector = data.draw(
-        st.lists(st.integers(-10**6, 10**6), min_size=table.n, max_size=table.n)
-    )
+    k = len(table.rows)
+    vector = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=k, max_size=k))
     # half the draws are images of random coefficients, so integral results occur
     ghost = ghost_of(table, vector) if data.draw(st.booleans()) else vector
     assert_solver_matches_fractions(table, ghost)
@@ -271,7 +271,7 @@ def test_conductor_solves_once_per_class(spec, monkeypatch):
     table = cached_table(spec)
     calls = count_solves(monkeypatch)
     conductor(table)
-    assert len(calls) == table.n
+    assert len(calls) == len(table.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def test_mark_table_json_is_the_dense_dict_dumped(spec):
     _, _, table = setup_group(spec)
     for text in (spec, 'a "quoted"\\spec\u00e9'):
         pieces = list(mark_table_json(table, text))
-        assert len(pieces) == table.n + 2
+        assert len(pieces) == len(table.rows) + 2
         assert "".join(pieces) == json.dumps(mark_table_to_dict(table, text), indent=2)
 
 

@@ -1,6 +1,7 @@
 """Exit codes, human output, JSON schemas, cache behavior of the CLI."""
 
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -155,6 +156,43 @@ def test_records_use_one_mechanism():
     assert others == []
 
 
+def _is_field(node, self_name):
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == self_name)
+
+
+def _only_reads_a_field(node, self_name):
+    """A field of self, a subscript chain on one, or len() of one."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "len" and len(node.args) == 1 and not node.keywords):
+        return _is_field(node.args[0], self_name)
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return _is_field(node, self_name)
+
+
+def test_no_member_only_forwards_a_field():
+    """Records are read through their fields: no method or property of a
+    class defined in src/artinx is, after an optional docstring, a single
+    return of a field of self, a subscript chain on one, or len() of one."""
+    forwarders = []
+    for path in sorted(Path(artinx.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or not fn.args.args:
+                    continue
+                body = fn.body
+                if (len(body) == 2 and isinstance(body[0], ast.Expr)
+                        and isinstance(body[0].value, ast.Constant)
+                        and isinstance(body[0].value.value, str)):
+                    body = body[1:]
+                if (len(body) == 1 and isinstance(body[0], ast.Return)
+                        and _only_reads_a_field(body[0].value, fn.args.args[0].arg)):
+                    forwarders.append(f"{path.stem}.{cls.name}.{fn.name}")
+    assert forwarders == []
+
+
 def skew_method_one(monkeypatch):
     """Make method 1 report twice its exponent, for every family."""
     real = artin.congruence_analysis
@@ -242,6 +280,18 @@ def test_unwritable_sweep_json_exits_one(tmp_path):
     assert_one_error_line(out)
     assert str(target) in out.stderr
     assert out.stdout == ""
+
+
+def test_empty_sweep_json_path_exits_one(capsys, monkeypatch):
+    """An empty --json path is a path that cannot be opened, as an empty
+    --cache is: it fails before any group is evaluated."""
+
+    def no_sweep(config):
+        raise AssertionError("swept before the JSON file was opened")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    code, out, err = run_cli(["sweep", "--max-order", "4", "--json", ""], capsys)
+    assert (code, out, err) == (1, "", "error: [Errno 2] No such file or directory: ''\n")
 
 
 def test_cache_dir_under_a_file_exits_one(tmp_path, monkeypatch):

@@ -225,7 +225,7 @@ def test_spec_order_matches_built_groups():
 def test_cyclic_c4_is_addition_mod_4():
     g = group_from_spec("C4")
     assert g.order == 4
-    assert [[g.mul(a, b) for b in range(4)] for a in range(4)] == [
+    assert [[g.mult[a][b] for b in range(4)] for a in range(4)] == [
         [0, 1, 2, 3],
         [1, 2, 3, 0],
         [2, 3, 0, 1],
@@ -237,7 +237,7 @@ def test_cyclic_c4_is_addition_mod_4():
 def test_trivial_group():
     g = group_from_spec("C1")
     assert g.order == 1
-    assert g.mul(0, 0) == 0
+    assert g.mult[0][0] == 0
     assert g.is_cyclic
 
 
@@ -252,7 +252,7 @@ def test_c12_element_orders():
 
 def test_q8_has_unique_involution():
     g = group_from_spec("Q8")
-    involutions = [x for x in range(8) if x != 0 and g.mul(x, x) == 0]
+    involutions = [x for x in range(8) if x != 0 and g.mult[x][x] == 0]
     assert len(involutions) == 1
     assert sum(1 for x in range(8) if element_order(g, x) == 4) == 6
     assert not g.is_abelian
@@ -333,25 +333,26 @@ def test_lagrange_element_orders_divide_group_order():
 def test_group_axioms_spot_checks():
     g = group_from_spec("Q16")
     for a in range(g.order):
-        assert g.mul(a, g.inv[a]) == 0
-        assert g.mul(g.inv[a], a) == 0
+        assert g.mult[a][g.inv[a]] == 0
+        assert g.mult[g.inv[a]][a] == 0
         for b in range(g.order):
             for c in range(0, g.order, 5):
-                assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+                assert g.mult[g.mult[a][b]][c] == g.mult[a][g.mult[b][c]]
 
 
 def test_power_and_conj():
     g = group_from_spec("D8")
+    mult, inv = g.mult, g.inv
     r = next(x for x in range(8) if element_order(g, x) == 4)
-    s = next(x for x in range(8) if element_order(g, x) == 2 and g.conj(x, r) != r)
-    assert power(g, r, 2) == g.mul(r, r)
-    assert power(g, r, -1) == g.inv[r]
-    assert g.conj(s, r) == g.inv[r]
+    s = next(x for x in range(8) if element_order(g, x) == 2 and mult[mult[x][r]][inv[x]] != r)
+    assert power(g, r, 2) == mult[r][r]
+    assert power(g, r, -1) == inv[r]
+    assert mult[mult[s][r]][inv[s]] == inv[r]  # s r s^-1 = r^-1
 
 
 def test_cyclic_mask_lists_powers():
     g = group_from_spec("C12")
-    mask = g.cyclic_mask(4)
+    mask = g.cyclic_masks[4]
     members = [x for x in range(12) if mask >> x & 1]
     assert members == [0, 4, 8]
 
@@ -610,7 +611,7 @@ def test_relabeled_is_isomorphic():
     for a in range(8):
         assert element_order(h, perm[a]) == element_order(g, a)
         for b in range(8):
-            assert h.mul(perm[a], perm[b]) == perm[g.mul(a, b)]
+            assert h.mult[perm[a]][perm[b]] == perm[g.mult[a][b]]
 
 
 def assert_facts_match_reference(g):
@@ -621,7 +622,7 @@ def assert_facts_match_reference(g):
     and the group is cyclic exactly when some element has order |G|."""
     orders, masks = reference_cycle_data(g.mult)
     assert [element_order(g, x) for x in range(g.order)] == orders
-    assert [g.cyclic_mask(x) for x in range(g.order)] == masks
+    assert [g.cyclic_masks[x] for x in range(g.order)] == masks
     assert g.is_abelian == reference_is_abelian(g.mult)
     assert set(g.cyclic_subgroups) == set(masks)
     assert all(x == masks.index(c) for c, x in g.cyclic_subgroups.items())

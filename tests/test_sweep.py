@@ -202,7 +202,7 @@ def test_lemma_failures_name_the_check_and_the_pair(monkeypatch):
     C2xC2 and U of order 2 breaks all four checks."""
     group = group_from_spec("C2xC2")
     full = (1 << group.order) - 1
-    u_mask = group.cyclic_mask(1)
+    u_mask = group.cyclic_masks[1]
     report = artin.CSetReport(frozenset({full}), frozenset(), full, frozenset({full}))
 
     def fake_count(lattice, h):
