@@ -33,7 +33,7 @@ from .lattice import (
     cached_lattice,
     enumerate_subgroups,
 )
-from .sweep import CHECK_NAMES, RunResult, SweepConfig, run_sweep, summary_to_dict
+from .sweep import SweepConfig, run_sweep, summary_to_dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,65 +190,65 @@ def cmd_marks(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _print_sweep(result: RunResult, timings: bool) -> None:
+def _print_sweep(summary: dict) -> None:
+    """Render the summary that --json writes: the matrix of groups by
+    checks, then the notes, the failures and the verdict."""
+    checks, groups, timings = summary["checks"], summary["groups"], summary.get("timings")
+    notes, failures = summary["notes"], summary["failures"]
     print(
-        f"sweep: {len(result.rows)} groups, max order {result.config.max_order}, "
-        f"checks: {' '.join(CHECK_NAMES)}"
+        f"sweep: {summary['group_count']} groups, max order {summary['max_order']}, "
+        f"checks: {' '.join(checks)}"
     )
-    name_w = max(5, max(len(row["spec"]) for row in result.rows))
+    name_w = max(5, max(len(g["group"]) for g in groups))
     header = ["group".ljust(name_w), "order".rjust(5), "A".rjust(4)]
-    header += [c.rjust(max(len(c), 4)) for c in CHECK_NAMES]
-    if timings:
+    header += [c.rjust(max(len(c), 4)) for c in checks]
+    if timings is not None:
         header.append("seconds".rjust(8))
     print("  ".join(header))
     cell = {"ok": "ok", "fail": "FAIL", "skip": "-", "report": "rep"}
-    noted = {(n["group"], n["check"]) for n in result.notes}
-    for row in result.rows:
-        report = row["report"]
-        line = [
-            row["spec"].ljust(name_w),
-            str(report["order"]).rjust(5),
-            str(report["exponent"]).rjust(4),
-        ]
-        for c in CHECK_NAMES:
-            status = cell[row["statuses"][c]]
-            if status == "rep" and (row["spec"], c) in noted:
+    noted = {(n["group"], n["check"]) for n in notes}
+    for g, report in zip(groups, summary["reports"]):
+        line = [g["group"].ljust(name_w), str(report["order"]).rjust(5),
+                str(g["exponent"]).rjust(4)]
+        for c in checks:
+            status = cell[g["statuses"][c]]
+            if status == "rep" and (g["group"], c) in noted:
                 status = "rep*"
             line.append(status.rjust(max(len(c), 4)))
-        if timings:
-            line.append(f"{row['seconds']:.3f}".rjust(8))
+        if timings is not None:
+            line.append(f"{timings[g['group']]:.3f}".rjust(8))
         print("  ".join(line))
-    if result.notes:
-        print(f"notes ({len(result.notes)}):")
-        for note in result.notes:
+    if notes:
+        print(f"notes ({len(notes)}):")
+        for note in notes:
             print(f"  {note['group']} [{note['check']}]: {note['message']}")
-    if result.failures:
-        print(f"failures ({len(result.failures)}):")
-        for f in result.failures:
+    if failures:
+        print(f"failures ({len(failures)}):")
+        for f in failures:
             context = f" ({f['context']})" if f.get("context") else ""
             print(
                 f"  {f['group']} [{f['check']}]: expected {f['expected']}, "
                 f"got {f['got']}{context}"
             )
-    verdict = "ok" if result.ok else "FAILED"
+    verdict = "ok" if summary["ok"] else "FAILED"
     print(
-        f"sweep {verdict}: {len(result.rows)} groups, "
-        f"{len(result.failures)} failures, {len(result.notes)} notes"
+        f"sweep {verdict}: {summary['group_count']} groups, "
+        f"{len(failures)} failures, {len(notes)} notes"
     )
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # checked before --json is opened, so a bad bound or worker count leaves no file
     config = SweepConfig(max_order=args.max_order, jobs=args.jobs)
     # opened before the sweep, so that an unusable path, the empty one too,
     # fails before the work
     with (open(args.json, "w", encoding="utf-8") if args.json is not None
           else nullcontext()) as handle:
-        result = run_sweep(config)
-        _print_sweep(result, args.timings)
+        summary = summary_to_dict(config, run_sweep(config), include_timings=args.timings)
+        _print_sweep(summary)
         if handle is not None:
-            payload = summary_to_dict(result, include_timings=args.timings)
-            handle.write(json.dumps(payload, indent=2) + "\n")
-    return 0 if result.ok else 2
+            handle.write(json.dumps(summary, indent=2) + "\n")
+    return 0 if summary["ok"] else 2
 
 
 # ---------------------------------------------------------------------------

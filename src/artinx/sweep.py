@@ -59,7 +59,7 @@ class SweepConfig(_SweepConfigFields):
         return super().__new__(cls, max_order, jobs)
 
 
-def default_catalog(max_order: int = 64) -> list[str]:
+def default_catalog(max_order: int) -> list[str]:
     """Every built-in group of order at most max_order, sorted by (order, name)."""
     specs = {f"C{n}" for n in range(1, max_order + 1)}
     for d1 in range(2, max_order + 1):
@@ -103,6 +103,10 @@ def _failure(spec: str, check: str, expected, got, context: str = "") -> dict:
     if context:
         entry["context"] = context
     return entry
+
+
+def _note(spec: str, check: str, message: str) -> dict:
+    return {"group": spec, "check": check, "message": message}
 
 
 def _check_crossmethod(lattice, table, report) -> tuple[str, list, list]:
@@ -149,18 +153,14 @@ def _check_twogroup(lattice, table, report) -> tuple[str, list, list]:
     thm_value = 2 if shape in ("quaternion", "dihedral") else details["generic"]
     cor_value = details.get("bracket-whole-group")
     if exponent != thm_value:
-        notes.append({
-            "group": report.group, "check": "twogroup",
-            "message": f"computed {exponent} vs power-formula value {thm_value} "
-                       f"(shape {shape}) -- mismatch (report-only)",
-        })
+        notes.append(_note(report.group, "twogroup",
+                           f"computed {exponent} vs power-formula value {thm_value} "
+                           f"(shape {shape}) -- mismatch (report-only)"))
     if cor_value is not None and shape in ("quaternion", "dihedral", "semidihedral") \
             and exponent != cor_value:
-        notes.append({
-            "group": report.group, "check": "twogroup",
-            "message": f"computed {exponent} vs cyclic-commutator-rule value {cor_value} "
-                       f"(shape {shape}) -- mismatch (report-only)",
-        })
+        notes.append(_note(report.group, "twogroup",
+                           f"computed {exponent} vs cyclic-commutator-rule value {cor_value} "
+                           f"(shape {shape}) -- mismatch (report-only)"))
     return "report", [], notes
 
 
@@ -185,12 +185,10 @@ def _check_sylow(lattice, table, report) -> tuple[str, list, list]:
     notes = []
     for comparison in report.sylow:
         if not comparison.match:
-            notes.append({
-                "group": report.group, "check": "sylow",
-                "message": f"p={comparison.p}: exponent part {comparison.exponent_part} "
-                           f"vs Sylow-subgroup exponent {comparison.sylow_exponent} "
-                           f"-- mismatch (report-only)",
-            })
+            notes.append(_note(report.group, "sylow",
+                               f"p={comparison.p}: exponent part {comparison.exponent_part} "
+                               f"vs Sylow-subgroup exponent {comparison.sylow_exponent} "
+                               f"-- mismatch (report-only)"))
     return "report", [], notes
 
 
@@ -272,27 +270,9 @@ def evaluate_group(spec_text: str) -> dict:
     }
 
 
-class RunResult(NamedTuple):
-    """Everything a sweep produced, in catalog order."""
-
-    config: SweepConfig
-    rows: list[dict]
-
-    @property
-    def failures(self) -> list[dict]:
-        return [f for row in self.rows for f in row["failures"]]
-
-    @property
-    def notes(self) -> list[dict]:
-        return [n for row in self.rows for n in row["notes"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def run_sweep(config: SweepConfig) -> RunResult:
-    """Evaluate every catalog group, in order, optionally across workers."""
+def run_sweep(config: SweepConfig) -> list[dict]:
+    """Evaluate every catalog group, optionally across workers; the rows
+    come in catalog order."""
     specs = default_catalog(config.max_order)
     if config.jobs > 1 and len(specs) > 1:
         import multiprocessing
@@ -300,33 +280,33 @@ def run_sweep(config: SweepConfig) -> RunResult:
         with multiprocessing.Pool(min(config.jobs, len(specs))) as pool:
             # one group at a time: the catalog is sorted by order, so larger
             # chunks would leave its heavy tail to a single worker
-            rows = pool.map(evaluate_group, specs, chunksize=1)
-    else:
-        rows = [evaluate_group(spec) for spec in specs]
-    return RunResult(config=config, rows=rows)
+            return pool.map(evaluate_group, specs, chunksize=1)
+    return [evaluate_group(spec) for spec in specs]
 
 
-def summary_to_dict(result: RunResult, include_timings: bool = False) -> dict:
-    """JSON-ready sweep summary; timings are opt-in so that identical runs
-    stay byte-identical."""
+def summary_to_dict(config: SweepConfig, rows: list[dict], include_timings: bool = False) -> dict:
+    """The sweep's result, JSON-ready: the CLI prints it and --json writes
+    it.  Timings are opt-in so that identical runs stay byte-identical."""
+    failures = [f for row in rows for f in row["failures"]]
+    notes = [n for row in rows for n in row["notes"]]
     out = {
         "schema": 1,
-        "max_order": result.config.max_order,
+        "max_order": config.max_order,
         "checks": list(CHECK_NAMES),
-        "group_count": len(result.rows),
-        "ok": result.ok,
-        "failures": result.failures,
-        "notes": result.notes,
+        "group_count": len(rows),
+        "ok": not failures,
+        "failures": failures,
+        "notes": notes,
         "groups": [
             {
                 "group": row["spec"],
                 "exponent": row["report"]["exponent"],
                 "statuses": row["statuses"],
             }
-            for row in result.rows
+            for row in rows
         ],
-        "reports": [row["report"] for row in result.rows],
+        "reports": [row["report"] for row in rows],
     }
     if include_timings:
-        out["timings"] = {row["spec"]: round(row["seconds"], 6) for row in result.rows}
+        out["timings"] = {row["spec"]: round(row["seconds"], 6) for row in rows}
     return out

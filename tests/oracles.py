@@ -25,7 +25,8 @@ relation search, the centralizer and second-center pair scans with the
 predictor's bracket rules read off them and the closure-checked
 center-only bracket rule, method 1's walk with a family list per pair, the
 per-h bracket preimage scan and the lemma suite's reports by scanning every
-cyclic subgroup for each U, one pair's report with no lattice at hand, and a
+cyclic subgroup for each U, one pair's report with no lattice at hand, the
+cyclic-family exponent from the table's cyclic x cyclic block of marks, and a
 hypothesis strategy of random perm: specs.
 """
 
@@ -1158,6 +1159,45 @@ def dress_exponent(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int
                 count += sum(1 for k in range(1, m) if gcd(k, m) == 1)
         exponent = lcm(exponent, w // gcd(w, count))
     return exponent
+
+
+def cyclic_block_exponent(group: GroupTable) -> int:
+    """A(G) for the cyclic family from the group table alone, with no
+    lattice or table of marks.  An element of the Burnside ring whose ghost
+    vanishes on every noncyclic class is a combination of the [G/D] with D
+    cyclic (take a noncyclic K of nonzero coefficient maximal: its mark at
+    K could not vanish), so the exponent is the least n for which n times
+    the all-ones vector solves the cyclic x cyclic block of the table of
+    marks over the integers.  For cyclic C and D that block holds
+    phi_C(G/D) = |N_G(C)| / |D| when D's subgroup of order |C| is conjugate
+    to C, and 0 otherwise, with |N_G(C)| = |G| / |cl C|; it is triangular
+    by order, and its Fraction solution for the all-ones vector gives the
+    exponent as the lcm of the denominators."""
+    mult, inv, masks = group.mult, group.inv, group.cyclic_masks
+    class_of, size_of, powers_of = {}, {}, {}  # classes keyed by their least mask
+    for mask, x in group.cyclic_subgroups.items():
+        if mask in class_of:
+            continue
+        conjugates = {masks[mult[mult[g][x]][inv[g]]] for g in range(group.order)}
+        rep = min(conjugates)
+        class_of.update(dict.fromkeys(conjugates, rep))
+        size_of[rep] = len(conjugates)
+        x = group.cyclic_subgroups[rep]
+        powers, y = [0], x  # x^0, x^1, ...: D's subgroup of order k is <x^(|D|/k % |D|)>
+        while y:
+            powers.append(y)
+            y = mult[y][x]
+        powers_of[rep] = powers
+    solved: dict[int, Fraction] = {}
+    for c in sorted(size_of, key=int.bit_count, reverse=True):
+        k, normalizer = c.bit_count(), group.order // size_of[c]
+        acc = Fraction(1)
+        for d, b in solved.items():  # every class at least as large as C
+            m = d.bit_count()
+            if m > k and m % k == 0 and class_of[masks[powers_of[d][m // k % m]]] == c:
+                acc -= b * (normalizer // m)
+        solved[c] = acc / (normalizer // k)
+    return lcm(*(b.denominator for b in solved.values()))
 
 
 _cycles =st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6, unique=True)

@@ -23,7 +23,7 @@ from artinx.burnside import (
 )
 from artinx.groups import as_prime_power, group_from_spec
 from artinx.lattice import enumerate_subgroups
-from artinx.sweep import RANDOM_FAMILIES, SweepConfig, default_catalog, run_sweep
+from artinx.sweep import RANDOM_FAMILIES, SweepConfig, default_catalog, run_sweep, summary_to_dict
 
 from oracles import (
     brute_force_artin_exponent,
@@ -145,27 +145,29 @@ def test_criterion_04_conductor_equals_order():
 
 def test_criterion_05_cross_method_equivalence():
     assert RANDOM_FAMILIES == 20
-    result = run_sweep(SweepConfig(max_order=64))
-    assert result.ok
-    assert all(row["statuses"]["crossmethod"] == "ok" for row in result.rows)
+    config = SweepConfig(max_order=64)
+    rows = run_sweep(config)
+    assert summary_to_dict(config, rows)["ok"]
+    assert all(row["statuses"]["crossmethod"] == "ok" for row in rows)
     assert all(
-        row["report"]["methods_agree"] is True for row in result.rows
+        row["report"]["methods_agree"] is True for row in rows
     )
     print(
         f"criterion 5 PASS: congruence and mark-table exponents agree on all "
-        f"{len(result.rows)} catalog groups, for the cyclic family and 20 "
+        f"{len(rows)} catalog groups, for the cyclic family and 20 "
         f"seeded explicit families per group, zero exceptions"
     )
 
 
 def test_criterion_06_counting_lemma_suite():
-    result = run_sweep(SweepConfig(max_order=64))
-    assert result.ok
-    assert all(row["statuses"]["lemmas"] == "ok" for row in result.rows)
+    config = SweepConfig(max_order=64)
+    rows = run_sweep(config)
+    assert summary_to_dict(config, rows)["ok"]
+    assert all(row["statuses"]["lemmas"] == "ok" for row in rows)
     print(
         f"criterion 6 PASS: extension-counting congruence, normal-members "
         f"identity, abelian cyclicity test, and the odd-count implication "
-        f"hold over every (H, U) pair in all {len(result.rows)} catalog groups"
+        f"hold over every (H, U) pair in all {len(rows)} catalog groups"
     )
 
 
@@ -243,9 +245,10 @@ def test_criterion_08_divisibility_and_invariance():
 
 def test_criterion_09_performance_envelope():
     started = time.perf_counter()
-    result = run_sweep(SweepConfig(max_order=64, jobs=1))
+    config = SweepConfig(max_order=64, jobs=1)
+    rows = run_sweep(config)
     sweep_seconds = time.perf_counter() - started
-    assert result.ok
+    assert summary_to_dict(config, rows)["ok"]
     assert sweep_seconds < 300
 
     slowest_spec, slowest = "", 0.0

@@ -625,6 +625,44 @@ def test_sweep_parallel_output_matches_serial(tmp_path, capsys):
     assert out_serial == out_parallel
 
 
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--max-order", "0"], "max_order must be between 1 and 256"),
+        (["--max-order", "257"], "max_order must be between 1 and 256"),
+        (["--jobs", "0"], "jobs must be at least 1"),
+    ],
+    ids=["max-order 0", "max-order 257", "jobs 0"],
+)
+def test_bad_sweep_config_fails_before_the_json_file_is_opened(tmp_path, capsys, options,
+                                                               message):
+    """The bound and the worker count are checked before --json is opened,
+    so a bad one leaves no file behind."""
+    target = tmp_path / "summary.json"
+    code, out, err = run_cli(["sweep", *options, "--json", str(target)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "options, failing",
+    [([], False), (["--timings"], False), (["--jobs", "2"], False), ([], True)],
+    ids=["plain", "timings", "jobs 2", "failing"],
+)
+def test_sweep_stdout_renders_the_written_summary(tmp_path, capsys, monkeypatch, options,
+                                                  failing):
+    """The text and the JSON come from one summary: printing the written
+    file again gives the command's stdout, byte for byte."""
+    if failing:
+        monkeypatch.setattr("artinx.sweep._check_cyclic", lambda lattice, table, report: (
+            "fail", [{"group": report.group, "check": "cyclic", "expected": "1", "got": "9"}], []))
+    target = tmp_path / "summary.json"
+    code, out, _ = run_cli(["sweep", "--max-order", "16", *options, "--json", str(target)], capsys)
+    assert code == (2 if failing else 0)
+    cli._print_sweep(json.loads(target.read_text()))
+    assert capsys.readouterr().out == out
+
+
 def test_sweep_timings_opt_in(tmp_path, capsys):
     target = tmp_path / "summary.json"
     code, out, _ = run_cli(

@@ -399,16 +399,18 @@ def test_evaluate_group_conductor_cap():
 
 def test_sweep_tiny_catalog_all_checks(monkeypatch):
     monkeypatch.setattr(sweep, "default_catalog", lambda max_order: ["C1", "C2", "S3", "Q8"])
-    result = run_sweep(SweepConfig())
-    assert result.ok
-    assert [row["spec"] for row in result.rows] == ["C1", "C2", "S3", "Q8"]
-    assert [row["report"]["exponent"] for row in result.rows] == [1, 1, 2, 2]
+    config = SweepConfig()
+    rows = run_sweep(config)
+    assert summary_to_dict(config, rows)["ok"]
+    assert [row["spec"] for row in rows] == ["C1", "C2", "S3", "Q8"]
+    assert [row["report"]["exponent"] for row in rows] == [1, 1, 2, 2]
 
 
 def test_sweep_oddp_examples():
-    result = run_sweep(SweepConfig(max_order=27))
-    assert result.ok
-    by_spec = {row["spec"]: row for row in result.rows}
+    config = SweepConfig(max_order=27)
+    rows = run_sweep(config)
+    assert summary_to_dict(config, rows)["ok"]
+    by_spec = {row["spec"]: row for row in rows}
     for spec, exponent in (("C3xC3", 3), ("C3xC9", 9), ("C3xC3xC3", 9), ("H3", 9)):
         assert by_spec[spec]["statuses"]["oddp"] == "ok"
         assert by_spec[spec]["report"]["exponent"] == exponent
@@ -418,7 +420,7 @@ def test_sweep_parallel_rows_match_serial():
     serial = run_sweep(SweepConfig(max_order=16, jobs=1))
     parallel = run_sweep(SweepConfig(max_order=16, jobs=2))
     strip = lambda rows: [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
-    assert strip(serial.rows) == strip(parallel.rows)
+    assert strip(serial) == strip(parallel)
 
 
 def test_sweep_pool_is_no_larger_than_the_catalog(monkeypatch):
@@ -443,7 +445,7 @@ def test_sweep_pool_is_no_larger_than_the_catalog(monkeypatch):
             return [fn(task) for task in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-    assert len(run_sweep(SweepConfig(max_order=4, jobs=64)).rows) == 5
+    assert len(run_sweep(SweepConfig(max_order=4, jobs=64))) == 5
     run_sweep(SweepConfig(max_order=4, jobs=2))
     assert sizes == [5, 2]
 
@@ -453,10 +455,10 @@ def test_sweep_failure_surfaces(monkeypatch):
         return "fail", [{"group": report.group, "check": "cyclic", "expected": "1", "got": "9"}], []
 
     monkeypatch.setattr("artinx.sweep._check_cyclic", broken)
-    result = run_sweep(SweepConfig(max_order=4))
-    assert not result.ok
-    assert result.failures[0]["got"] == "9"
-    assert summary_to_dict(result)["ok"] is False
+    config = SweepConfig(max_order=4)
+    summary = summary_to_dict(config, run_sweep(config))
+    assert summary["ok"] is False
+    assert summary["failures"][0]["got"] == "9"
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +468,8 @@ def test_sweep_failure_surfaces(monkeypatch):
 
 def test_summary_shape_and_determinism():
     config = SweepConfig(max_order=12)
-    first = summary_to_dict(run_sweep(config))
-    second = summary_to_dict(run_sweep(config))
+    first = summary_to_dict(config, run_sweep(config))
+    second = summary_to_dict(config, run_sweep(config))
     assert json.dumps(first) == json.dumps(second)
     assert first["schema"] == 1
     assert first["checks"] == list(CHECK_NAMES)
@@ -477,8 +479,9 @@ def test_summary_shape_and_determinism():
 
 
 def test_summary_timings_opt_in():
-    result = run_sweep(SweepConfig(max_order=6))
-    summary = summary_to_dict(result, include_timings=True)
-    assert list(summary["timings"]) == [row["spec"] for row in result.rows] == default_catalog(6)
-    assert summary["group_count"] == len(result.rows)
+    config = SweepConfig(max_order=6)
+    rows = run_sweep(config)
+    summary = summary_to_dict(config, rows, include_timings=True)
+    assert list(summary["timings"]) == [row["spec"] for row in rows] == default_catalog(6)
+    assert summary["group_count"] == len(rows)
     assert "S3" in summary["timings"] and summary["timings"]["S3"] >= 0

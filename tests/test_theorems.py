@@ -4,7 +4,10 @@ family, in agreement with both methods, and the p-part of the Artin exponent
 A(G) of the cyclic family is the largest p-part of A(H) over the
 p-hyperelementary subgroups H of G (Lam, J. Algebra 9, 1968).  The exponent
 A(H) of each subgroup class, read off G's lattice by local_exponent, is
-pinned to H's own table of marks."""
+pinned to H's own table of marks.  The cyclic family's exponent is also
+solved from the cyclic x cyclic block of the table of marks, built from the
+group table alone, so a lattice that both methods read cannot make them
+agree on a wrong number unseen."""
 
 import random
 from itertools import islice
@@ -14,6 +17,7 @@ import pytest
 from artinx.artin import (
     ALL_CYCLIC,
     artin_exponent_marks,
+    compute_exponent_report,
     congruence_analysis,
     local_exponent,
 )
@@ -23,6 +27,7 @@ from artinx.lattice import enumerate_subgroups
 from artinx.sweep import default_catalog, random_families
 
 from oracles import (
+    cyclic_block_exponent,
     dress_exponent,
     is_p_hyperelementary,
     relabeled,
@@ -61,6 +66,14 @@ def test_dress_congruences_give_both_methods_exponent(spec):
 @pytest.mark.parametrize("spec", GROUPS)
 def test_dress_congruences_give_both_methods_exponent_relabeled(spec):
     assert_dress_matches_both_methods(spec, relabeled_group(spec))
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_cyclic_block_gives_the_reports_exponent(spec):
+    group = group_from_spec(spec)
+    lattice = enumerate_subgroups(group)
+    report = compute_exponent_report(lattice, build_mark_table(lattice), spec)
+    assert cyclic_block_exponent(group) == report.exponent
 
 
 def assert_local_exponent_matches_standalone(spec, group):
