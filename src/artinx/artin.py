@@ -486,8 +486,7 @@ def sylow_reduction_report(lattice: SubgroupLattice, family: Family,
 
 class ExponentReport:
     __slots__ = ("group", "order", "family", "exponent", "exponent_congruence",
-                 "exponent_marks", "prediction", "prime_parts", "binding_pairs",
-                 "pairs", "sylow", "extra_analyses")
+                 "exponent_marks", "prediction", "binding_pairs", "sylow", "extra_analyses")
 
     def __init__(
         self,
@@ -498,10 +497,7 @@ class ExponentReport:
         exponent_congruence: int,
         exponent_marks: int,
         prediction: Prediction,
-        prime_parts: dict[int, int],
         binding_pairs: tuple[CongruencePair, ...],
-        pairs: Optional[tuple[CongruencePair, ...]] = None,
-        sylow: Optional[tuple[SylowComparison, ...]] = None,
         extra_analyses: tuple[tuple[Family, CongruenceAnalysis], ...] = (),
     ) -> None:
         self.group = group
@@ -511,13 +507,10 @@ class ExponentReport:
         self.exponent_congruence = exponent_congruence
         self.exponent_marks = exponent_marks
         self.prediction = prediction
-        self.prime_parts = prime_parts
         self.binding_pairs = binding_pairs
-        # every pair and the Sylow comparison, set by the callers that want
-        # them (compute --audit, the sylow suite); report_to_dict writes them
-        # when set
-        self.pairs = pairs
-        self.sylow = sylow
+        # the Sylow comparison, set by the sylow suite alone; report_to_dict
+        # writes it when set
+        self.sylow: Optional[tuple[SylowComparison, ...]] = None
         # method 1 on further families, from the walk that served the
         # report's family; report_to_dict does not write it
         self.extra_analyses = extra_analyses
@@ -525,14 +518,6 @@ class ExponentReport:
     @property
     def methods_agree(self) -> bool:
         return self.exponent_congruence == self.exponent_marks
-
-    @property
-    def prediction_matches(self) -> Optional[bool]:
-        """Whether the closed-form prediction equals the computed exponent
-        (None when the predictor declined)."""
-        if self.prediction.value is None:
-            return None
-        return self.prediction.value == self.exponent
 
 
 def compute_exponent_report(
@@ -558,7 +543,6 @@ def compute_exponent_report(
         exponent_congruence=analysis.exponent,
         exponent_marks=exponent,
         prediction=closed_form_predictor(lattice.group),
-        prime_parts={p: p_part(exponent, p) for p in prime_factors(exponent)},
         binding_pairs=analysis.binding_pairs,
         extra_analyses=tuple(zip(extra_families, extra)),
     )
@@ -567,7 +551,7 @@ def compute_exponent_report(
     return report
 
 
-def _pair_to_dict(pair: CongruencePair) -> dict:
+def pair_to_dict(pair: CongruencePair) -> dict:
     return {
         "v_class": pair.v_class,
         "u_class": pair.u_class,
@@ -578,38 +562,35 @@ def _pair_to_dict(pair: CongruencePair) -> dict:
     }
 
 
+def sylow_to_dict(row: SylowComparison) -> dict:
+    return {**row._asdict(), "match": row.match}
+
+
 def report_to_dict(report: ExponentReport) -> dict:
-    """JSON-ready form of an ExponentReport."""
+    """JSON-ready form of an ExponentReport, which compute prints or
+    renders and a sweep row carries.  The prime parts of the exponent and
+    whether the closed-form prediction matches it (None when the predictor
+    declined) are derived here alone."""
+    exponent, prediction = report.exponent, report.prediction
     out = {
         "schema": 1,
         "group": report.group,
         "order": report.order,
         "family": report.family,
         "method": "both",
-        "exponent": report.exponent,
+        "exponent": exponent,
         "exponent_congruence": report.exponent_congruence,
         "exponent_marks": report.exponent_marks,
         "methods_agree": report.methods_agree,
-        "prediction_matches": report.prediction_matches,
+        "prediction_matches": None if prediction.value is None else prediction.value == exponent,
         "prediction": {
-            "value": report.prediction.value,
-            "branch": report.prediction.branch,
-            "details": dict(report.prediction.details),
+            "value": prediction.value,
+            "branch": prediction.branch,
+            "details": dict(prediction.details),
         },
-        "prime_parts": {str(p): v for p, v in sorted(report.prime_parts.items())},
-        "binding_pairs": [_pair_to_dict(p) for p in report.binding_pairs],
+        "prime_parts": {str(p): p_part(exponent, p) for p in prime_factors(exponent)},
+        "binding_pairs": [pair_to_dict(p) for p in report.binding_pairs],
     }
-    if report.pairs is not None:
-        out["pairs"] = [_pair_to_dict(p) for p in report.pairs]
     if report.sylow is not None:
-        out["sylow"] = [
-            {
-                "p": s.p,
-                "exponent_part": s.exponent_part,
-                "sylow_order": s.sylow_order,
-                "sylow_exponent": s.sylow_exponent,
-                "match": s.match,
-            }
-            for s in report.sylow
-        ]
+        out["sylow"] = [sylow_to_dict(s) for s in report.sylow]
     return out

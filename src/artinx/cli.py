@@ -17,13 +17,14 @@ from typing import Optional
 
 from .artin import (
     ALL_CYCLIC,
-    ExponentReport,
     Family,
     MethodDisagreement,
     compute_exponent_report,
     congruence_pairs,
+    pair_to_dict,
     report_to_dict,
     sylow_reduction_report,
+    sylow_to_dict,
 )
 from .burnside import MarkTable, build_mark_table, mark_table_json
 from .groups import ascii_int, build_group, parse_group_spec, spec_to_text
@@ -81,54 +82,54 @@ def _class_labels(table: MarkTable) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _print_report(report: ExponentReport, table: MarkTable) -> None:
+def _print_report(doc: dict, table: MarkTable) -> None:
+    """Render the report that --json prints, with the table's class labels;
+    compute --audit adds its pairs, then its Sylow comparison."""
     labels = _class_labels(table)
-    print(f"group: {report.group} (order {report.order})")
-    print(f"family: {report.family}")
-    print(f"exponent: {report.exponent}")
-    print(f"  congruence: {report.exponent_congruence}")
-    print(f"  marks: {report.exponent_marks}")
-    print(f"  methods agree: {'yes' if report.methods_agree else 'no'}")
-    if report.prediction.value is None:
-        print(f"prediction: declined ({report.prediction.branch})")
+    prediction = doc["prediction"]
+    print(f"group: {doc['group']} (order {doc['order']})")
+    print(f"family: {doc['family']}")
+    print(f"exponent: {doc['exponent']}")
+    print(f"  congruence: {doc['exponent_congruence']}")
+    print(f"  marks: {doc['exponent_marks']}")
+    print(f"  methods agree: {'yes' if doc['methods_agree'] else 'no'}")
+    if prediction["value"] is None:
+        print(f"prediction: declined ({prediction['branch']})")
     else:
-        match = "matches" if report.prediction_matches else "DIFFERS"
-        print(
-            f"prediction: {report.prediction.value} "
-            f"({report.prediction.branch}) -- {match}"
-        )
-    if report.prime_parts:
-        parts = ", ".join(f"{p}={v}" for p, v in sorted(report.prime_parts.items()))
+        match = "matches" if doc["prediction_matches"] else "DIFFERS"
+        print(f"prediction: {prediction['value']} ({prediction['branch']}) -- {match}")
+    if doc["prime_parts"]:
+        parts = ", ".join(f"{p}={v}" for p, v in doc["prime_parts"].items())  # ascending by p
         print(f"prime parts: {parts}")
-    print(f"binding pairs ({len(report.binding_pairs)}):")
-    for pair in report.binding_pairs:
+    binding = doc["binding_pairs"]
+    print(f"binding pairs ({len(binding)}):")
+    for pair in binding:
         print(
-            f"  U={labels[pair.u_class]} normal in V={labels[pair.v_class]}: "
-            f"index {pair.index}, count {pair.count}, forces {pair.constraint}"
+            f"  U={labels[pair['u_class']]} normal in V={labels[pair['v_class']]}: "
+            f"index {pair['index']}, count {pair['count']}, forces {pair['constraint']}"
         )
-    if report.pairs is not None:  # set by compute --audit alone
-        if report.prediction.details:
-            rules = ", ".join(
-                f"{name}={value}" for name, value in sorted(report.prediction.details.items())
-            )
-            print(f"prediction rules: {rules}")
-        binding = set(report.binding_pairs)
-        print(f"congruence audit ({len(report.pairs)} pairs, * = binding):")
-        for pair in report.pairs:
-            star = "*" if pair in binding else " "
-            print(
-                f" {star} U={labels[pair.u_class]} normal in V={labels[pair.v_class]}: "
-                f"index {pair.index}, count {pair.count}, constraint {pair.constraint}"
-            )
-        if report.sylow is not None:
-            print("sylow comparison (report-only):")
-            for row in report.sylow:
-                flag = "match" if row.match else "MISMATCH"
-                print(
-                    f"  p={row.p}: exponent part {row.exponent_part}, "
-                    f"Sylow subgroup order {row.sylow_order} with exponent "
-                    f"{row.sylow_exponent} -- {flag}"
-                )
+    if "pairs" not in doc:
+        return
+    if prediction["details"]:
+        rules = ", ".join(
+            f"{name}={value}" for name, value in sorted(prediction["details"].items())
+        )
+        print(f"prediction rules: {rules}")
+    print(f"congruence audit ({len(doc['pairs'])} pairs, * = binding):")
+    for pair in doc["pairs"]:
+        star = "*" if pair in binding else " "
+        print(
+            f" {star} U={labels[pair['u_class']]} normal in V={labels[pair['v_class']]}: "
+            f"index {pair['index']}, count {pair['count']}, constraint {pair['constraint']}"
+        )
+    print("sylow comparison (report-only):")
+    for row in doc["sylow"]:
+        flag = "match" if row["match"] else "MISMATCH"
+        print(
+            f"  p={row['p']}: exponent part {row['exponent_part']}, "
+            f"Sylow subgroup order {row['sylow_order']} with exponent "
+            f"{row['sylow_exponent']} -- {flag}"
+        )
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -137,13 +138,15 @@ def cmd_compute(args: argparse.Namespace) -> int:
     lattice = cached_lattice(group, text, args.cache)
     table = build_mark_table(lattice)
     report = compute_exponent_report(lattice, table, text, family)
+    doc = report_to_dict(report)
     if args.audit:
-        report.pairs = tuple(congruence_pairs(lattice, family))
-        report.sylow = sylow_reduction_report(lattice, family, report.exponent)
+        doc["pairs"] = [pair_to_dict(p) for p in congruence_pairs(lattice, family)]
+        doc["sylow"] = [sylow_to_dict(s) for s in
+                        sylow_reduction_report(lattice, family, report.exponent)]
     if args.json:
-        print(json.dumps(report_to_dict(report), indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        _print_report(report, table)
+        _print_report(doc, table)
     return 0
 
 

@@ -102,6 +102,7 @@ class Named(_NamedFields):
         entry = FAMILIES.get(family)
         if entry is None:
             raise GroupSpecError(f"unknown group family {family!r}")
+        n = operator.index(n)  # an int, never a float; True is 1
         if not entry.accepts(n):
             raise GroupSpecError(f"{entry.rule}, got {n}")
         return super().__new__(cls, family, n)

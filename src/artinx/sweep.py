@@ -12,6 +12,7 @@ and sylow are report-only comparisons whose mismatches become notes.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 import time
 from typing import NamedTuple
@@ -52,6 +53,7 @@ class SweepConfig(_SweepConfigFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, max_order: int = 64, jobs: int = 1) -> SweepConfig:
+        max_order, jobs = operator.index(max_order), operator.index(jobs)  # ints, never floats
         if not 1 <= max_order <= 256:
             raise ValueError("max_order must be between 1 and 256")
         if jobs < 1:

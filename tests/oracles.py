@@ -26,8 +26,9 @@ predictor's bracket rules read off them and the closure-checked
 center-only bracket rule, method 1's walk with a family list per pair, the
 per-h bracket preimage scan and the lemma suite's reports by scanning every
 cyclic subgroup for each U, one pair's report with no lattice at hand, the
-cyclic-family exponent from the table's cyclic x cyclic block of marks, and a
-hypothesis strategy of random perm: specs.
+cyclic x cyclic block of the table of marks from the group table and the
+cyclic-family exponent solved from it, and a hypothesis strategy of random
+perm: specs.
 """
 
 import functools
@@ -1161,18 +1162,15 @@ def dress_exponent(lattice: SubgroupLattice, family: Family = ALL_CYCLIC) -> int
     return exponent
 
 
-def cyclic_block_exponent(group: GroupTable) -> int:
-    """A(G) for the cyclic family from the group table alone, with no
-    lattice or table of marks.  An element of the Burnside ring whose ghost
-    vanishes on every noncyclic class is a combination of the [G/D] with D
-    cyclic (take a noncyclic K of nonzero coefficient maximal: its mark at
-    K could not vanish), so the exponent is the least n for which n times
-    the all-ones vector solves the cyclic x cyclic block of the table of
-    marks over the integers.  For cyclic C and D that block holds
-    phi_C(G/D) = |N_G(C)| / |D| when D's subgroup of order |C| is conjugate
-    to C, and 0 otherwise, with |N_G(C)| = |G| / |cl C|; it is triangular
-    by order, and its Fraction solution for the all-ones vector gives the
-    exponent as the lcm of the denominators."""
+def cyclic_block_marks(group: GroupTable) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """The cyclic x cyclic block of the table of marks from the group table
+    alone, with no lattice.  The cyclic subgroups fall into conjugacy
+    classes, found by conjugating each least generator, and a class is named
+    by its least mask: class_of maps the mask of every cyclic subgroup to
+    its class's name.  marks[D, C] is phi_C(G/D), the mark of C on G/D, for
+    every nonzero mark: for cyclic C and D it is |N_G(C)| / |D| when D's
+    subgroup of order |C| is conjugate to C, and 0 otherwise, with
+    |N_G(C)| = |G| / |cl C|."""
     mult, inv, masks = group.mult, group.inv, group.cyclic_masks
     class_of, size_of, powers_of = {}, {}, {}  # classes keyed by their least mask
     for mask, x in group.cyclic_subgroups.items():
@@ -1188,15 +1186,31 @@ def cyclic_block_exponent(group: GroupTable) -> int:
             powers.append(y)
             y = mult[y][x]
         powers_of[rep] = powers
+    marks = {}
+    for d, powers in powers_of.items():
+        m = d.bit_count()
+        for k in range(1, m + 1):
+            if m % k == 0:  # C is the class of D's subgroup of order k
+                c = class_of[masks[powers[m // k % m]]]
+                marks[d, c] = group.order // size_of[c] // m
+    return class_of, marks
+
+
+def cyclic_block_exponent(group: GroupTable) -> int:
+    """A(G) for the cyclic family from the group table alone, with no
+    lattice or table of marks.  An element of the Burnside ring whose ghost
+    vanishes on every noncyclic class is a combination of the [G/D] with D
+    cyclic (take a noncyclic K of nonzero coefficient maximal: its mark at
+    K could not vanish), so the exponent is the least n for which n times
+    the all-ones vector solves cyclic_block_marks over the integers.  The
+    block is triangular by order, and its Fraction solution for the
+    all-ones vector gives the exponent as the lcm of the denominators."""
+    class_of, marks = cyclic_block_marks(group)
     solved: dict[int, Fraction] = {}
-    for c in sorted(size_of, key=int.bit_count, reverse=True):
-        k, normalizer = c.bit_count(), group.order // size_of[c]
-        acc = Fraction(1)
-        for d, b in solved.items():  # every class at least as large as C
-            m = d.bit_count()
-            if m > k and m % k == 0 and class_of[masks[powers_of[d][m // k % m]]] == c:
-                acc -= b * (normalizer // m)
-        solved[c] = acc / (normalizer // k)
+    for c in sorted(set(class_of.values()), key=int.bit_count, reverse=True):
+        # every class solved so far is at least as large as C
+        acc = Fraction(1) - sum(b * marks.get((d, c), 0) for d, b in solved.items())
+        solved[c] = acc / marks[c, c]
     return lcm(*(b.denominator for b in solved.values()))
 
 

@@ -876,10 +876,11 @@ def test_report_both_methods():
     g, lattice = setup_group("SD16")
     rep = compute_exponent_report(lattice, build_mark_table(lattice), "SD16")
     assert rep.exponent == rep.exponent_congruence == rep.exponent_marks == 4
-    assert rep.methods_agree is True
-    assert rep.prediction_matches is True
-    assert rep.prime_parts == {2: 4}
-    assert rep.pairs is None and rep.sylow is None
+    assert rep.methods_agree is True and rep.sylow is None
+    d = report_to_dict(rep)
+    assert d["prediction_matches"] is True
+    assert d["prime_parts"] == {"2": 4}
+    assert "pairs" not in d and "sylow" not in d
     pairs = tuple(congruence_pairs(lattice))
     assert pairs and all(p.index % p.constraint == 0 for p in pairs)
 

@@ -16,6 +16,7 @@ import pytest
 import artinx
 from artinx import artin, cli
 from artinx import lattice as lattice_module
+from artinx.burnside import build_mark_table
 from artinx.groups import group_from_spec
 from artinx.lattice import (
     cached_lattice,
@@ -546,6 +547,27 @@ def test_compute_audit_json_bytes_pinned(spec, classes, capsys):
     assert code == 0
     with open(os.path.join(AUDIT_GOLDEN, name + ".json"), "rb") as handle:
         assert out.encode() == handle.read()
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "SD16", "C1", "D30", "perm:(1 2 3 4 5),(1 2)"])
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--audit"], ["--family-classes", "0,1"], ["--family-classes", "0,1", "--audit"]],
+    ids=["plain", "audit", "classes-0-1", "classes-0-1-audit"],
+)
+def test_compute_stdout_renders_the_json_report(spec, options, capsys):
+    """The text and the JSON come from one report dict: rendering the
+    --json output with the table's class labels gives the text output,
+    byte for byte."""
+    argv = ["compute", "--group", spec, *options]
+    text = run_cli(argv, capsys)
+    code, out, err = run_cli([*argv, "--json"], capsys)
+    if code:  # C1 has no class 1: both fail alike, before anything is printed
+        assert text == (code, out, err) and out == ""
+        return
+    table = build_mark_table(enumerate_subgroups(group_from_spec(spec)))
+    cli._print_report(json.loads(out), table)
+    assert text == (0, capsys.readouterr().out, "")
 
 
 # ---------------------------------------------------------------------------

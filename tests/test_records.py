@@ -19,6 +19,7 @@ from artinx.groups import (
     PermGenerators,
     group_from_spec,
     parse_group_spec,
+    spec_to_text,
 )
 from artinx.lattice import SubgroupClass, enumerate_subgroups
 from artinx.sweep import SweepConfig
@@ -59,15 +60,40 @@ def test_repr_pinned(record, text):
     (lambda: SweepConfig(max_order=257), ValueError, "max_order must be between 1 and 256"),
     (lambda: SweepConfig(jobs=0), ValueError, "jobs must be at least 1"),
     (lambda: SweepConfig()._replace(jobs=0), ValueError, "jobs must be at least 1"),
+    (lambda: Named("C", 4.0), TypeError, "'float' object cannot be interpreted as an integer"),
+    (lambda: Named("C", 4)._replace(n=4.0), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: SweepConfig(max_order=4.5), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: SweepConfig()._replace(max_order=4.5), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: SweepConfig(jobs=2.0), TypeError,
+     "'float' object cannot be interpreted as an integer"),
+    (lambda: SweepConfig()._replace(jobs=2.0), TypeError,
+     "'float' object cannot be interpreted as an integer"),
 ], ids=["Named-family", "Named-rule", "Named-zero", "Named-replace", "DirectProduct",
         "DirectProduct-replace", "PermGenerators", "SweepConfig-order-low",
-        "SweepConfig-order-high", "SweepConfig-jobs", "SweepConfig-replace"])
+        "SweepConfig-order-high", "SweepConfig-jobs", "SweepConfig-replace",
+        "Named-float", "Named-replace-float", "SweepConfig-order-float",
+        "SweepConfig-replace-order-float", "SweepConfig-jobs-float",
+        "SweepConfig-replace-jobs-float"])
 def test_invalid_values_raise_the_same_errors(build, error, message):
     """Construction and _replace run the same checks, with the messages
     the records have always given."""
     with pytest.raises(error) as err:
         build()
     assert type(err.value) is error and str(err.value) == message
+
+
+def test_integer_fields_are_stored_as_ints():
+    """An integer field holds an int, so a bool parameter is its value:
+    Named("C", True) is C1, and its spec text parses back to it."""
+    spec = Named("C", True)
+    assert type(spec.n) is int and spec_to_text(spec) == "C1"
+    assert parse_group_spec(spec_to_text(spec)) == spec
+    assert type(Named("C", 4)._replace(n=True).n) is int
+    config = SweepConfig(max_order=True, jobs=True)
+    assert type(config.max_order) is type(config.jobs) is int
 
 
 def test_replace_builds_a_checked_record_of_the_same_class():
@@ -114,9 +140,9 @@ def test_predictions_never_share_a_details_dict():
 
 
 def test_mutable_records_take_new_values_but_no_new_fields():
-    """ExponentReport, whose pairs and sylow callers set, is the one
-    mutable record; method 1's analysis and the mark table are named
-    tuples, changed only by _replace."""
+    """ExponentReport, whose sylow field the sylow suite sets, is the one
+    mutable record, and slotted; method 1's analysis and the mark table are
+    named tuples, changed only by _replace."""
     lattice = enumerate_subgroups(group_from_spec("S3"))
     report = compute_exponent_report(lattice, build_mark_table(lattice), "S3")
     report.sylow = ()

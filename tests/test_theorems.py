@@ -6,13 +6,15 @@ p-hyperelementary subgroups H of G (Lam, J. Algebra 9, 1968).  The exponent
 A(H) of each subgroup class, read off G's lattice by local_exponent, is
 pinned to H's own table of marks.  The cyclic family's exponent is also
 solved from the cyclic x cyclic block of the table of marks, built from the
-group table alone, so a lattice that both methods read cannot make them
-agree on a wrong number unseen."""
+group table alone and pinned to the table's block entry by entry, so a
+lattice that both methods read cannot make them agree on a wrong number
+unseen."""
 
 import random
 from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
 
 from artinx.artin import (
     ALL_CYCLIC,
@@ -22,14 +24,16 @@ from artinx.artin import (
     local_exponent,
 )
 from artinx.burnside import build_mark_table
-from artinx.groups import group_from_spec, p_part, prime_factors
+from artinx.groups import OrderCapError, group_from_spec, p_part, prime_factors
 from artinx.lattice import enumerate_subgroups
 from artinx.sweep import default_catalog, random_families
 
 from oracles import (
     cyclic_block_exponent,
+    cyclic_block_marks,
     dress_exponent,
     is_p_hyperelementary,
+    perm_specs,
     relabeled,
     standalone_local_exponent,
 )
@@ -68,12 +72,51 @@ def test_dress_congruences_give_both_methods_exponent_relabeled(spec):
     assert_dress_matches_both_methods(spec, relabeled_group(spec))
 
 
-@pytest.mark.parametrize("spec", GROUPS)
-def test_cyclic_block_gives_the_reports_exponent(spec):
-    group = group_from_spec(spec)
+def assert_cyclic_block_gives_the_reports_exponent(spec, group):
     lattice = enumerate_subgroups(group)
     report = compute_exponent_report(lattice, build_mark_table(lattice), spec)
-    assert cyclic_block_exponent(group) == report.exponent
+    assert cyclic_block_exponent(group) == report.exponent, spec
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_cyclic_block_gives_the_reports_exponent(spec):
+    assert_cyclic_block_gives_the_reports_exponent(spec, group_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_cyclic_block_gives_the_reports_exponent_relabeled(spec):
+    assert_cyclic_block_gives_the_reports_exponent(spec, relabeled_group(spec))
+
+
+@settings(max_examples=30, deadline=None)
+@given(perm_specs)
+def test_cyclic_block_gives_the_reports_exponent_on_random_perm_specs(spec):
+    try:
+        group = group_from_spec(spec)
+    except OrderCapError:
+        assume(False)
+    assert_cyclic_block_gives_the_reports_exponent(spec, group)
+
+
+@pytest.mark.parametrize("spec", GROUPS)
+def test_cyclic_block_is_the_mark_tables_cyclic_block(spec):
+    """The witness's cyclic classes are the lattice's, one to one, and its
+    block of marks is the table's cyclic x cyclic block, entry by entry."""
+    group = group_from_spec(spec)
+    lattice = enumerate_subgroups(group)
+    table = build_mark_table(lattice)
+    class_of, marks = cyclic_block_marks(group)
+    cyclic = [i for i, cls in enumerate(lattice.classes) if cls.is_cyclic]
+    # (lattice class, witness class) for every cyclic subgroup: a bijection
+    # when there are as many pairs as classes on each side
+    matched = {(lattice.class_of.get(m), c) for m, c in class_of.items()}
+    assert {i for i, _ in matched} == set(cyclic), spec
+    assert len(matched) == len(cyclic) == len(set(class_of.values())), spec
+    name = dict(matched)
+    for i in cyclic:
+        row = dict(zip(*table.rows[i]))
+        for j in cyclic:
+            assert row.get(j, 0) == marks.get((name[i], name[j]), 0), f"{spec}: M[{i}][{j}]"
 
 
 def assert_local_exponent_matches_standalone(spec, group):
